@@ -153,9 +153,17 @@ class GradTape:
         return self._nodes
 
     def clear(self) -> None:
-        """Reset every recorded gradient to zero."""
+        """Reset the walked graph's gradients for the next step.
+
+        Leaf tensors (parameters and inputs) keep their grad array, zeroed in
+        place.  Intermediate nodes drop theirs (``grad`` becomes None): nothing
+        reads them once the optimizer has run, and a later backward over the
+        same graph allocates them afresh.
+        """
         for node in self._nodes:
-            if node.grad is not None:
+            if node._parents:
+                node.grad = None
+            elif node.grad is not None:
                 node.grad[...] = 0.0
 
 
@@ -185,7 +193,9 @@ def backward(loss: Tensor) -> GradTape:
 
     Gradients accumulate additively, both across multiple uses of a tensor
     inside one graph and across repeated backward calls; use the returned
-    tape's ``clear()`` to reset them.
+    tape's ``clear()`` to reset them.  After ``clear()`` leaf grads are zero
+    arrays and intermediate grads are None, so a fresh backward gives the
+    same leaf grads as the first one did.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -364,6 +374,8 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+    if b.ndim == 2 and a.ndim > 2:
+        return _matmul_flat(a, b)
     out = _make_node(a.data @ b.data, (a, b), "matmul")
 
     def _bw():
@@ -371,6 +383,31 @@ def matmul(a, b) -> Tensor:
             a.accumulate_grad(_unbroadcast(out.grad @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(np.swapaxes(a.data, -1, -2) @ out.grad, b.shape))
+
+    out._backward = _bw
+    return out
+
+
+def _matmul_flat(a: Tensor, b: Tensor) -> Tensor:
+    """A stack of rows times one weight matrix, as single 2-d GEMMs.
+
+    The leading axes of ``a`` are folded into the row axis, so the forward
+    and both adjoints are one BLAS call each.  In particular the weight
+    gradient is ``a2.T @ g2`` rather than a per-batch stack reduced by
+    ``_unbroadcast``.
+    """
+    k, n = b.shape
+    rows = a.data.reshape(-1, k) @ b.data
+    out = _make_node(rows.reshape(a.shape[:-1] + (n,)), (a, b), "matmul")
+
+    def _bw():
+        g2 = out.grad.reshape(-1, n)
+        if a.requires_grad:
+            a.accumulate_grad((g2 @ b.data.T).reshape(a.shape))
+        if b.requires_grad:
+            # Re-flattened here rather than captured, so a non-contiguous
+            # ``a`` does not keep a row copy alive for the graph's lifetime.
+            b.accumulate_grad(a.data.reshape(-1, k).T @ g2)
 
     out._backward = _bw
     return out

@@ -10,6 +10,10 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, NumericError
 
+# Elements per slice of the in-place AdamW update.  One slice of p, m, v and g
+# plus the two scratch buffers is 6 x 128 KB, which stays in a core's L2 cache.
+_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -47,7 +51,8 @@ class AdamW:
 
     Parameters whose grad is None are skipped entirely (they were not part of
     the step's graph).  A non-finite gradient halts the run naming the
-    offending parameter.
+    offending parameter, before anything is written.  Parameters must be
+    C-contiguous, because the update is written through flat views of them.
     """
 
     def __init__(
@@ -63,6 +68,9 @@ class AdamW:
             raise ConfigError("epsilon must be positive")
         if weight_decay < 0.0:
             raise ConfigError("weight decay must be >= 0")
+        for name, p in params.items():
+            if not p.data.flags.c_contiguous:
+                raise ContractError(f"parameter {name!r} is not C-contiguous")
         self.params = dict(params)
         self.betas = betas
         self.eps = eps
@@ -70,28 +78,65 @@ class AdamW:
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        largest = max((p.data.size for p in self.params.values()), default=0)
+        self._scratch = (np.empty(min(largest, _CHUNK)), np.empty(min(largest, _CHUNK)))
 
     def step(self, lr: float) -> None:
+        """One update of every parameter that has a gradient.
+
+        The update is written in place, chunk by chunk (see ``_chunks``), with
+        two scratch buffers.  Per element it performs the IEEE operations of
+        the whole-array formula, in its order: ``m = b1*m + (1-b1)*g``,
+        ``v = b2*v + ((1-b2)*g)*g`` and
+        ``p -= lr*(m/bias1) / (sqrt(v/bias2) + eps)``, so results are
+        bit-identical to it.
+        """
         b1, b2 = self.betas
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - b1 ** t
         bias2 = 1.0 - b2 ** t
+        decay = 1.0 - lr * self.weight_decay
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient for parameter {name!r}")
-            if self.weight_decay:
-                p.data *= 1.0 - lr * self.weight_decay
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            for pc, mc, vc, gc, a, b in self._chunks(p.data, self.m[name], self.v[name], g):
+                if self.weight_decay:
+                    pc *= decay
+                mc *= b1
+                np.multiply(gc, 1.0 - b1, out=a)
+                mc += a
+                vc *= b2
+                np.multiply(gc, 1.0 - b2, out=a)
+                a *= gc
+                vc += a
+                np.divide(vc, bias2, out=b)
+                np.sqrt(b, out=b)
+                b += self.eps
+                np.divide(mc, bias1, out=a)
+                a *= lr
+                a /= b
+                pc -= a
+
+    def _chunks(self, p, m, v, g):
+        """Matching slices of p, m, v and g, plus two scratch slices of their shape.
+
+        A parameter of at most ``_CHUNK`` elements comes whole; a larger one
+        is walked through flat views.  ``reshape(copy=False)`` raises rather
+        than hand back a copy that would silently swallow the update.
+        """
+        buf_a, buf_b = self._scratch
+        n = p.size
+        if n <= _CHUNK:
+            yield p, m, v, g, buf_a[:n].reshape(p.shape), buf_b[:n].reshape(p.shape)
+            return
+        flat = [x.reshape(-1, copy=False) for x in (p, m, v)] + [g.reshape(-1)]
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            yield (*(x[lo:hi] for x in flat), buf_a[:hi - lo], buf_b[:hi - lo])
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Moment buffers keyed for checkpointing."""

@@ -174,3 +174,18 @@ def scalar_cross_entropy(logits, labels):
         lse = mx + math.log(sum(math.exp(v - mx) for v in logits[i]))
         total += lse - logits[i][labels[i]]
     return total / n
+
+
+def reference_adamw_step(p, m, v, g, lr, t, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
+    """Whole-array AdamW update at step number ``t`` (1-based), in place on
+    p, m and v.  Decoupled decay first, then the bias-corrected Adam step."""
+    b1, b2 = betas
+    bias1 = 1.0 - b1 ** t
+    bias2 = 1.0 - b2 ** t
+    if weight_decay:
+        p *= 1.0 - lr * weight_decay
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    p -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)

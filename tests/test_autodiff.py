@@ -48,6 +48,38 @@ class TestMatmul:
         out = ad.matmul(ad.Tensor(a), ad.Tensor(w))
         np.testing.assert_allclose(out.data, a @ w)
 
+    @pytest.mark.parametrize("left_shape", [(4, 3, 5), (2, 3, 4, 5)])
+    def test_stack_times_matrix_matches_broadcast_formula(self, left_shape):
+        """A stack times one matrix runs as single 2-d GEMMs.  Its forward and
+        both adjoints equal numpy's broadcast formula up to float64
+        summation-order error (rtol 1e-12, far above the ~1e-15 seen): the
+        weight gradient is sum over the batch of swapaxes(a) @ g."""
+        rng = np.random.default_rng(2)
+        a = rand(rng, *left_shape)
+        w = rand(rng, 5, 6)
+        g = rng.normal(size=left_shape[:-1] + (6,))
+        out = ad.matmul(a, w)
+        ad.backward(ad.tensor_sum(ad.mul(out, ad.Tensor(g))))
+        np.testing.assert_allclose(out.data, a.data @ w.data, rtol=1e-12)
+        np.testing.assert_allclose(a.grad, g @ w.data.T, rtol=1e-12)
+        batch_axes = tuple(range(len(left_shape) - 2))
+        expected_w = (np.swapaxes(a.data, -1, -2) @ g).sum(axis=batch_axes)
+        np.testing.assert_allclose(w.grad, expected_w, rtol=1e-12)
+
+    def test_non_contiguous_stack_times_matrix(self):
+        """A transposed (non-contiguous) stack goes through the same path."""
+        rng = np.random.default_rng(3)
+        x = rand(rng, 3, 5, 4)
+        w = rand(rng, 5, 2)
+        xt = ad.transpose_last2(x)
+        assert not xt.data.flags.c_contiguous
+        out = ad.matmul(xt, w)
+        ad.backward(ad.tensor_sum(out))
+        np.testing.assert_allclose(out.data, np.swapaxes(x.data, -1, -2) @ w.data, rtol=1e-12)
+        np.testing.assert_allclose(x.grad, np.swapaxes(np.ones((3, 4, 2)) @ w.data.T, -1, -2),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(w.grad, (x.data @ np.ones((3, 4, 2))).sum(axis=0), rtol=1e-12)
+
 
 class TestSoftmax:
     def test_uniform_on_equal_inputs(self):
@@ -176,11 +208,35 @@ class TestGradTape:
         assert len(counts) == 3
 
     def test_clear_resets_grads_to_zero(self):
+        """Leaf grads are zeroed in place; intermediate grads are dropped."""
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
-        tape = ad.backward(ad.tensor_sum(ad.mul(x, x)))
+        y = ad.mul(x, x)
+        loss = ad.tensor_sum(y)
+        tape = ad.backward(loss)
         assert np.any(x.grad != 0)
+        leaf_grad = x.grad
         tape.clear()
+        assert x.grad is leaf_grad
         np.testing.assert_array_equal(x.grad, [0.0, 0.0])
+        assert y.grad is None and loss.grad is None
+
+    def test_backward_after_clear_repeats_leaf_grads(self):
+        """A second backward over a fresh graph after clear() gives the same
+        leaf grads as the first."""
+        rng = np.random.default_rng(13)
+        x = rand(rng, 3, 4, 5)
+        w = rand(rng, 5, 2)
+
+        def leaf_grads():
+            loss = ad.tensor_sum(ad.gelu(ad.matmul(ad.scale(x, 0.5), w)))
+            tape = ad.backward(loss)
+            grads = x.grad.copy(), w.grad.copy()
+            tape.clear()
+            return grads
+
+        first, second = leaf_grads(), leaf_grads()
+        np.testing.assert_array_equal(first[0], second[0])
+        np.testing.assert_array_equal(first[1], second[1])
 
     def test_backward_returns_tape_covering_graph(self):
         x = ad.Tensor([1.0], requires_grad=True)
@@ -252,6 +308,24 @@ class TestGradientsMatchFiniteDifferences:
         w = rand(rng, 5, 4)
         err = ad.finite_diff_check(lambda t: ad.tensor_sum(ad.exp(ad.scale(ad.matmul(a, t), 0.2))), w)
         assert err < 1e-4
+
+    @pytest.mark.parametrize("left_shape", [(3, 2, 5), (2, 3, 2, 5)])
+    def test_stack_times_matrix(self, left_shape):
+        """(B..., n, k) @ (k, m), checked with respect to each operand."""
+        rng = np.random.default_rng(len(left_shape))
+        a_const = ad.Tensor(rng.normal(size=left_shape))
+        w_const = ad.Tensor(rng.normal(size=(5, 4)))
+        x = rand(rng, *left_shape)
+        w = rand(rng, 5, 4)
+
+        def f_left(t):
+            return ad.tensor_sum(ad.mul(ad.matmul(t, w_const), ad.matmul(t, w_const)))
+
+        def f_right(t):
+            return ad.tensor_sum(ad.exp(ad.scale(ad.matmul(a_const, t), 0.2)))
+
+        assert ad.finite_diff_check(f_left, x) < 1e-4
+        assert ad.finite_diff_check(f_right, w) < 1e-4
 
     def test_batched_matmul(self):
         rng = np.random.default_rng(7)

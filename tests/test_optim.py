@@ -6,7 +6,16 @@ import pytest
 from crossdoc import autodiff as ad
 from crossdoc.autodiff import Tensor
 from crossdoc.errors import ConfigError, ContractError, NumericError
-from crossdoc.optim import AdamW, Schedule, lr_at
+from crossdoc.optim import _CHUNK, AdamW, Schedule, lr_at
+
+from oracles import reference_adamw_step
+
+
+def wide_range_grad(rng, shape):
+    """Gradients whose magnitudes span 1e-8 to 1e3, with exact zeros."""
+    g = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8.0, 3.0, size=shape)
+    g.reshape(-1)[::7] = 0.0
+    return g
 
 
 class TestSchedule:
@@ -111,6 +120,58 @@ class TestAdamW:
         after_warmup = losses[schedule.warmup_steps:]
         diffs = np.diff(after_warmup)
         assert np.all(diffs <= 1e-12)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_matches_whole_array_reference(self, weight_decay):
+        """The chunked in-place update is bit-identical to the whole-array
+        formula over 20 steps, for a parameter of 2.5 chunks (not a multiple
+        of the chunk size) and one smaller than a chunk."""
+        rng = np.random.default_rng(14)
+        shapes = {"big": (5, _CHUNK // 2), "small": (3, 7)}
+        params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+        ref = {k: [p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)] for k, p in params.items()}
+        opt = AdamW(params, weight_decay=weight_decay)
+        for t in range(1, 21):
+            lr = 1e-3 * t
+            for name, p in params.items():
+                p.grad = wide_range_grad(rng, p.shape)
+                reference_adamw_step(*ref[name], p.grad, lr, t, weight_decay=weight_decay)
+            opt.step(lr)
+        for name, p in params.items():
+            ref_p, ref_m, ref_v = ref[name]
+            np.testing.assert_array_equal(p.data, ref_p)
+            np.testing.assert_array_equal(opt.m[name], ref_m)
+            np.testing.assert_array_equal(opt.v[name], ref_v)
+
+    def test_non_finite_in_last_chunk_leaves_state_unchanged(self):
+        name = "stack.block1.ff.weight"
+        rng = np.random.default_rng(15)
+        w = Tensor(rng.normal(size=(5, _CHUNK // 2)), requires_grad=True)
+        opt = AdamW({name: w})
+        w.grad = wide_range_grad(rng, w.shape)
+        opt.step(1e-3)
+        before = [w.data.copy(), opt.m[name].copy(), opt.v[name].copy()]
+        w.grad = wide_range_grad(rng, w.shape)
+        w.grad.reshape(-1)[-1] = np.nan
+        with pytest.raises(NumericError, match=name):
+            opt.step(1e-3)
+        for after, expected in zip([w.data, opt.m[name], opt.v[name]], before):
+            np.testing.assert_array_equal(after, expected)
+
+    def test_non_contiguous_parameter_rejected(self):
+        x = np.arange(12.0).reshape(3, 4)
+        with pytest.raises(ContractError, match="not C-contiguous"):
+            AdamW({"w": Tensor(x.T, requires_grad=True)})
+
+    def test_update_is_never_written_to_a_copy(self):
+        """Data swapped for a non-contiguous array after construction cannot
+        be viewed flat; the step raises instead of updating a copy."""
+        w = Tensor(np.zeros((4, _CHUNK)), requires_grad=True)
+        opt = AdamW({"w": w})
+        w.data = np.ones((_CHUNK, 4)).T
+        w.grad = np.ones(w.shape)
+        with pytest.raises(ValueError):
+            opt.step(1e-3)
 
     def test_state_round_trip(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
