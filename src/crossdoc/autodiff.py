@@ -347,23 +347,6 @@ def gelu(a) -> Tensor:
     return out
 
 
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul, "scale": scale, "exp": exp, "log": log}
-
-
-def elementwise(op: str, a, b=None) -> Tensor:
-    """Dispatch a named pointwise op; ``exp``/``log`` take a single operand."""
-    if op not in _ELEMENTWISE:
-        raise ContractError(f"unknown elementwise op {op!r}")
-    fn = _ELEMENTWISE[op]
-    if op in ("exp", "log"):
-        if b is not None:
-            raise ContractError(f"{op} takes a single operand")
-        return fn(a)
-    if b is None:
-        raise ContractError(f"{op} needs two operands")
-    return fn(a, b)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and shape ops
 # ---------------------------------------------------------------------------

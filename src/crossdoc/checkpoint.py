@@ -2,7 +2,7 @@
 
 Layout (little-endian):
 
-    magic "XCKP" | u16 version=1 | u64 step
+    magic "XCKP" | u16 version=2 | u64 step
     | u32 config-text length | utf-8 config text
     | named-array section (parameters)
     | u8 has-optimizer | [u64 optimizer step | named-array section (moments)]
@@ -10,10 +10,13 @@ Layout (little-endian):
         u16 name length | utf-8 name | u8 ndim | u32 dims... | f64 raw values
 
 Values are stored as raw float64, so a save/load round trip is bit-exact.
+Version 2 names each stack block ``stack.blocks.{i}``; version 1 wrote
+``stack.block{i}``.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,11 +25,11 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import FormatError
+from .container import Reader, open_container
 from .optim import AdamW
 
 MAGIC = b"XCKP"
-VERSION = 1
+VERSION = 2
 
 
 @dataclass
@@ -71,45 +74,24 @@ def save_checkpoint(
     Path(path).write_bytes(b"".join(chunks))
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.offset = 0
-
-    def take(self, size: int) -> bytes:
-        if self.offset + size > len(self.buf):
-            raise FormatError(f"checkpoint truncated at byte {self.offset}")
-        out = self.buf[self.offset:self.offset + size]
-        self.offset += size
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def _read_arrays(reader: _Reader) -> dict[str, np.ndarray]:
+def _read_arrays(reader: Reader) -> dict[str, np.ndarray]:
     (count,) = reader.unpack("<I")
     arrays = {}
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        name = reader.text(name_len)
         (ndim,) = reader.unpack("<B")
-        shape = reader.unpack(f"<{ndim}I") if ndim else ()
-        size = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(reader.take(8 * size), dtype="<f8").reshape(shape).copy()
-        arrays[name] = data
+        shape = reader.unpack(f"<{ndim}I")
+        data = np.frombuffer(reader.take(8 * math.prod(shape)), dtype="<f8")
+        arrays[name] = data.reshape(shape).copy()
     return arrays
 
 
 def load_checkpoint(path) -> CheckpointData:
-    reader = _Reader(Path(path).read_bytes())
-    if reader.take(len(MAGIC)) != MAGIC:
-        raise FormatError("bad magic bytes at byte 0: not a checkpoint")
-    version, step = reader.unpack("<HQ")
-    if version != VERSION:
-        raise FormatError(f"unsupported checkpoint version {version} (expected {VERSION})")
+    reader = open_container(path, MAGIC, VERSION, "checkpoint")
+    (step,) = reader.unpack("<Q")
     (cfg_len,) = reader.unpack("<I")
-    config_text = reader.take(cfg_len).decode("utf-8")
+    config_text = reader.text(cfg_len)
     params = _read_arrays(reader)
     (has_opt,) = reader.unpack("<B")
     opt_step = None
@@ -117,6 +99,7 @@ def load_checkpoint(path) -> CheckpointData:
     if has_opt:
         (opt_step,) = reader.unpack("<Q")
         opt_arrays = _read_arrays(reader)
+    reader.finish()
     return CheckpointData(
         step=step, config_text=config_text, params=params,
         optimizer_step=opt_step, optimizer_arrays=opt_arrays,

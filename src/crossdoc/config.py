@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .data import SyntheticCorpusSpec
-from .encoders import EncoderConfig
+from .encoders import DocumentLayout
 from .errors import ConfigError
 from .optim import Schedule
 
@@ -72,8 +72,8 @@ class RunConfig:
             )
         if self.depth < 1:
             raise ConfigError("depth must be >= 1")
-        if self.batch_size < 4:
-            raise ConfigError("batch_size must be >= 4")
+        if self.batch_size < 4 or self.batch_size % 2:
+            raise ConfigError(f"batch_size must be even and >= 4, got {self.batch_size}")
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
         if self.log_every < 1 or self.checkpoint_every < 1:
@@ -81,25 +81,21 @@ class RunConfig:
         if self.loss_mode not in ("cross", "scl"):
             raise ConfigError(f"loss_mode must be 'cross' or 'scl', got {self.loss_mode!r}")
 
+    def layout(self) -> DocumentLayout:
+        """The document geometry the flat image/patch/vocab fields describe."""
+        return DocumentLayout(
+            height=self.image_size, width=self.image_size, channels=self.channels,
+            patch=self.patch_size, vocab_size=self.vocab_size,
+        )
+
     def corpus_spec(self) -> SyntheticCorpusSpec:
         return SyntheticCorpusSpec(
+            self.layout(),
             classes=self.classes,
             samples_per_class=self.samples_per_class,
-            height=self.image_size,
-            width=self.image_size,
-            channels=self.channels,
-            patch=self.patch_size,
-            vocab_size=self.vocab_size,
             pixel_noise=self.pixel_noise,
             token_corruption=self.token_corruption,
             seed=self.corpus_seed,
-        )
-
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            height=self.image_size, width=self.image_size, channels=self.channels,
-            patch=self.patch_size, vocab_size=self.vocab_size,
-            feature_dim=self.feature_dim,
         )
 
     def schedule(self, steps: int | None = None) -> Schedule:

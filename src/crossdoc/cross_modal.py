@@ -29,7 +29,6 @@ from .nn import (
     LayerNormParams,
     LinearParams,
     MHAParams,
-    NamedTensors,
     ProjectionHeadParams,
     feed_forward,
     layer_norm,
@@ -64,16 +63,6 @@ class CrossAttentionBlockParams:
             ff_vision=FeedForwardParams.create(rng, feature_dim),
             ff_text=FeedForwardParams.create(rng, feature_dim),
         )
-
-    def named_tensors(self, prefix: str) -> NamedTensors:
-        yield from self.attn_into_vision.named_tensors(f"{prefix}.attn_into_vision")
-        yield from self.attn_into_text.named_tensors(f"{prefix}.attn_into_text")
-        yield from self.norm_vision_attn.named_tensors(f"{prefix}.norm_vision_attn")
-        yield from self.norm_vision_ff.named_tensors(f"{prefix}.norm_vision_ff")
-        yield from self.norm_text_attn.named_tensors(f"{prefix}.norm_text_attn")
-        yield from self.norm_text_ff.named_tensors(f"{prefix}.norm_text_ff")
-        yield from self.ff_vision.named_tensors(f"{prefix}.ff_vision")
-        yield from self.ff_text.named_tensors(f"{prefix}.ff_text")
 
 
 def cross_attention_block(
@@ -128,13 +117,6 @@ class GatedSelfAttentionParams:
             ff=FeedForwardParams.create(rng, feature_dim),
         )
 
-    def named_tensors(self, prefix: str) -> NamedTensors:
-        yield from self.fuse.named_tensors(f"{prefix}.fuse")
-        yield from self.attn.named_tensors(f"{prefix}.attn")
-        yield from self.norm_attn.named_tensors(f"{prefix}.norm_attn")
-        yield from self.norm_ff.named_tensors(f"{prefix}.norm_ff")
-        yield from self.ff.named_tensors(f"{prefix}.ff")
-
 
 def gated_self_attention(
     p: GatedSelfAttentionParams,
@@ -174,11 +156,6 @@ class BlockParams:
             gate_vision=GatedSelfAttentionParams.create(rng, feature_dim, num_heads),
             gate_text=GatedSelfAttentionParams.create(rng, feature_dim, num_heads),
         )
-
-    def named_tensors(self, prefix: str) -> NamedTensors:
-        yield from self.cross.named_tensors(f"{prefix}.cross")
-        yield from self.gate_vision.named_tensors(f"{prefix}.gate_vision")
-        yield from self.gate_text.named_tensors(f"{prefix}.gate_text")
 
 
 @dataclass
@@ -227,12 +204,6 @@ class CrossModalStack:
     @property
     def depth(self) -> int:
         return len(self.blocks)
-
-    def named_tensors(self, prefix: str = "stack") -> NamedTensors:
-        for i, block in enumerate(self.blocks):
-            yield from block.named_tensors(f"{prefix}.block{i}")
-        yield from self.head_vision.named_tensors(f"{prefix}.head_vision")
-        yield from self.head_text.named_tensors(f"{prefix}.head_text")
 
     def run_blocks(
         self,

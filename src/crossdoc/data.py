@@ -24,10 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .container import open_container
 from .encoders import (
     NUM_RESERVED_IDS,
     DocumentImage,
-    EncoderConfig,
+    DocumentLayout,
     TokenSequence,
 )
 from .errors import ConfigError, DataError, FormatError
@@ -38,13 +39,9 @@ VERSION = 1
 
 @dataclass(frozen=True)
 class SyntheticCorpusSpec:
+    layout: DocumentLayout
     classes: int = 4
     samples_per_class: int = 100
-    height: int = 16
-    width: int = 16
-    channels: int = 1
-    patch: int = 4
-    vocab_size: int = 64
     pixel_noise: float = 0.08
     token_corruption: float = 0.1
     seed: int = 0
@@ -58,29 +55,17 @@ class SyntheticCorpusSpec:
             raise ConfigError("noise levels must lie in [0, 1]")
         if self.content_vocab < self.classes:
             raise ConfigError(
-                f"vocab of {self.vocab_size} cannot hold {self.classes} disjoint "
+                f"vocab of {self.layout.vocab_size} cannot hold {self.classes} disjoint "
                 f"token blocks after {NUM_RESERVED_IDS} reserved ids"
             )
-        # validates patch divisibility as a side effect
-        self.encoder_config()
 
     @property
     def content_vocab(self) -> int:
-        return self.vocab_size - NUM_RESERVED_IDS
+        return self.layout.vocab_size - NUM_RESERVED_IDS
 
     @property
     def block_size(self) -> int:
         return self.content_vocab // self.classes
-
-    @property
-    def n_max(self) -> int:
-        return self.encoder_config().n_max
-
-    def encoder_config(self, feature_dim: int = 32) -> EncoderConfig:
-        return EncoderConfig(
-            height=self.height, width=self.width, channels=self.channels,
-            patch=self.patch, vocab_size=self.vocab_size, feature_dim=feature_dim,
-        )
 
     def class_token_range(self, label: int) -> tuple[int, int]:
         lo = NUM_RESERVED_IDS + label * self.block_size
@@ -89,7 +74,8 @@ class SyntheticCorpusSpec:
     def class_templates(self) -> np.ndarray:
         """Per-class patch-grid intensities in [0.1, 0.9], pairwise distinct."""
         rng = np.random.default_rng(self.seed)
-        grid = (self.height // self.patch, self.width // self.patch, self.channels)
+        layout = self.layout
+        grid = (layout.height // layout.patch, layout.width // layout.patch, layout.channels)
         while True:
             templates = rng.uniform(0.1, 0.9, size=(self.classes,) + grid)
             flat = templates.reshape(self.classes, -1)
@@ -114,13 +100,10 @@ class CorpusSplits:
     val: list[CorpusRecord] = field(default_factory=list)
     test: list[CorpusRecord] = field(default_factory=list)
 
-    def all_records(self) -> list[CorpusRecord]:
-        return self.train + self.val + self.test
-
 
 def _render_image(spec: SyntheticCorpusSpec, template: np.ndarray,
                   rng: np.random.Generator) -> DocumentImage:
-    pixels = np.kron(template, np.ones((spec.patch, spec.patch, 1)))
+    pixels = np.kron(template, np.ones((spec.layout.patch, spec.layout.patch, 1)))
     if spec.pixel_noise > 0.0:
         pixels = pixels + rng.normal(0.0, spec.pixel_noise, size=pixels.shape)
     return DocumentImage(np.clip(pixels, 0.0, 1.0).astype(np.float32))
@@ -128,14 +111,14 @@ def _render_image(spec: SyntheticCorpusSpec, template: np.ndarray,
 
 def _draw_tokens(spec: SyntheticCorpusSpec, label: int,
                  rng: np.random.Generator) -> TokenSequence:
-    n_max = spec.n_max
+    n_max = spec.layout.n_max
     lo, hi = spec.class_token_range(label)
     max_content = n_max - 2
     length = int(rng.integers(max(1, max_content // 2), max_content + 1))
     content = rng.integers(lo, hi, size=length)
     if spec.token_corruption > 0.0:
         corrupt = rng.random(length) < spec.token_corruption
-        noise = rng.integers(NUM_RESERVED_IDS, spec.vocab_size, size=length)
+        noise = rng.integers(NUM_RESERVED_IDS, spec.layout.vocab_size, size=length)
         content = np.where(corrupt, noise, content)
     return TokenSequence.build(content.tolist(), n_max)
 
@@ -212,10 +195,11 @@ _SPEC_FMT = "<HIHHHHIddQ"
 
 
 def write_corpus(path, spec: SyntheticCorpusSpec, splits: CorpusSplits) -> None:
+    layout = spec.layout
     chunks = [MAGIC, struct.pack("<H", VERSION)]
     chunks.append(struct.pack(
-        _SPEC_FMT, spec.classes, spec.samples_per_class, spec.height, spec.width,
-        spec.channels, spec.patch, spec.vocab_size,
+        _SPEC_FMT, spec.classes, spec.samples_per_class, layout.height, layout.width,
+        layout.channels, layout.patch, layout.vocab_size,
         spec.pixel_noise, spec.token_corruption, spec.seed,
     ))
     for records in (splits.train, splits.val, splits.test):
@@ -227,47 +211,29 @@ def write_corpus(path, spec: SyntheticCorpusSpec, splits: CorpusSplits) -> None:
     Path(path).write_bytes(b"".join(chunks))
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.offset = 0
-
-    def take(self, size: int) -> bytes:
-        if self.offset + size > len(self.buf):
-            raise FormatError(f"corpus file truncated at byte {self.offset}")
-        out = self.buf[self.offset:self.offset + size]
-        self.offset += size
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def read_corpus(path) -> tuple[SyntheticCorpusSpec, CorpusSplits]:
-    reader = _Reader(Path(path).read_bytes())
-    if reader.take(len(MAGIC)) != MAGIC:
-        raise FormatError("bad magic bytes at byte 0: not a corpus file")
-    (version,) = reader.unpack("<H")
-    if version != VERSION:
-        raise FormatError(f"unsupported corpus version {version} (expected {VERSION})")
+    reader = open_container(path, MAGIC, VERSION, "corpus file")
+    spec_offset = reader.offset
     fields = reader.unpack(_SPEC_FMT)
-    spec = SyntheticCorpusSpec(
-        classes=fields[0], samples_per_class=fields[1], height=fields[2],
-        width=fields[3], channels=fields[4], patch=fields[5], vocab_size=fields[6],
-        pixel_noise=fields[7], token_corruption=fields[8], seed=fields[9],
-    )
-    image_count = spec.height * spec.width * spec.channels
+    try:
+        layout = DocumentLayout(*fields[2:7])
+        spec = SyntheticCorpusSpec(
+            layout, classes=fields[0], samples_per_class=fields[1],
+            pixel_noise=fields[7], token_corruption=fields[8], seed=fields[9],
+        )
+    except ConfigError as e:
+        raise FormatError(f"invalid corpus spec at byte {spec_offset}: {e}") from e
+    image_count = layout.height * layout.width * layout.channels
     splits = CorpusSplits()
     for records in (splits.train, splits.val, splits.test):
         (count,) = reader.unpack("<I")
         for _ in range(count):
             pixels = np.frombuffer(reader.take(4 * image_count), dtype="<f4")
-            pixels = pixels.reshape(spec.height, spec.width, spec.channels).copy()
-            ids = np.frombuffer(reader.take(4 * spec.n_max), dtype="<u4").astype(np.int64)
+            pixels = pixels.reshape(layout.height, layout.width, layout.channels).copy()
+            ids = np.frombuffer(reader.take(4 * layout.n_max), dtype="<u4").astype(np.int64)
             (label,) = reader.unpack("<H")
             if label >= spec.classes:
                 raise DataError(f"record label {label} >= {spec.classes} classes")
             records.append(CorpusRecord(DocumentImage(pixels), TokenSequence(ids), label))
-    if reader.offset != len(reader.buf):
-        raise FormatError(f"trailing bytes after record sets at byte {reader.offset}")
+    reader.finish()
     return spec, splits

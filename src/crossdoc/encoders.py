@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, ShapeError
-from .nn import LinearParams, NamedTensors, linear
+from .nn import LinearParams, linear
 
 PAD_ID = 0
 CLS_ID = 1
@@ -24,13 +24,15 @@ NUM_RESERVED_IDS = 3
 
 
 @dataclass(frozen=True)
-class EncoderConfig:
-    height: int = 16
-    width: int = 16
-    channels: int = 1
-    patch: int = 4
-    vocab_size: int = 64
-    feature_dim: int = 32
+class DocumentLayout:
+    """Geometry shared by a document's two modalities: square patches over
+    the image, and token sequences sized to the patch rows."""
+
+    height: int
+    width: int
+    channels: int
+    patch: int
+    vocab_size: int
 
     def __post_init__(self):
         if self.patch < 1:
@@ -126,18 +128,13 @@ class VisionEncoderParams:
     positions: Tensor  # (rows, feature_dim)
 
     @classmethod
-    def create(cls, rng: np.random.Generator, cfg: EncoderConfig) -> "VisionEncoderParams":
-        patch_dim = cfg.patch * cfg.patch * cfg.channels
+    def create(cls, rng: np.random.Generator, layout: DocumentLayout, feature_dim: int) -> "VisionEncoderParams":
+        patch_dim = layout.patch * layout.patch * layout.channels
         return cls(
-            proj=LinearParams.create(rng, patch_dim, cfg.feature_dim),
-            cls_row=Tensor(rng.normal(0.0, 0.02, size=(1, cfg.feature_dim)), requires_grad=True),
-            positions=Tensor(rng.normal(0.0, 0.02, size=(cfg.rows, cfg.feature_dim)), requires_grad=True),
+            proj=LinearParams.create(rng, patch_dim, feature_dim),
+            cls_row=Tensor(rng.normal(0.0, 0.02, size=(1, feature_dim)), requires_grad=True),
+            positions=Tensor(rng.normal(0.0, 0.02, size=(layout.rows, feature_dim)), requires_grad=True),
         )
-
-    def named_tensors(self, prefix: str) -> NamedTensors:
-        yield from self.proj.named_tensors(f"{prefix}.proj")
-        yield f"{prefix}.cls_row", self.cls_row
-        yield f"{prefix}.positions", self.positions
 
 
 @dataclass
@@ -146,54 +143,50 @@ class TextEncoderParams:
     positions: Tensor  # (n_max, feature_dim)
 
     @classmethod
-    def create(cls, rng: np.random.Generator, cfg: EncoderConfig) -> "TextEncoderParams":
+    def create(cls, rng: np.random.Generator, layout: DocumentLayout, feature_dim: int) -> "TextEncoderParams":
         return cls(
-            table=Tensor(rng.normal(0.0, 0.02, size=(cfg.vocab_size, cfg.feature_dim)), requires_grad=True),
-            positions=Tensor(rng.normal(0.0, 0.02, size=(cfg.n_max, cfg.feature_dim)), requires_grad=True),
+            table=Tensor(rng.normal(0.0, 0.02, size=(layout.vocab_size, feature_dim)), requires_grad=True),
+            positions=Tensor(rng.normal(0.0, 0.02, size=(layout.n_max, feature_dim)), requires_grad=True),
         )
 
-    def named_tensors(self, prefix: str) -> NamedTensors:
-        yield f"{prefix}.table", self.table
-        yield f"{prefix}.positions", self.positions
 
-
-def patchify(cfg: EncoderConfig, pixels: np.ndarray) -> np.ndarray:
+def patchify(layout: DocumentLayout, pixels: np.ndarray) -> np.ndarray:
     """Cut (.., H, W, C) pixels into (.., num_patches, patch*patch*C) rows.
 
     Patches are ordered row-major over the patch grid; each patch flattens
     row-major over (row, col, channel).
     """
     pixels = np.asarray(pixels, dtype=np.float64)
-    if pixels.shape[-3] != cfg.height or pixels.shape[-2] != cfg.width or pixels.shape[-1] != cfg.channels:
+    expected = (layout.height, layout.width, layout.channels)
+    if pixels.shape[-3:] != expected:
         raise ConfigError(
-            f"image shape {pixels.shape[-3:]} does not match configured "
-            f"{(cfg.height, cfg.width, cfg.channels)}"
+            f"image shape {pixels.shape[-3:]} does not match configured {expected}"
         )
-    p = cfg.patch
+    p = layout.patch
     lead = pixels.shape[:-3]
-    grid_h, grid_w = cfg.height // p, cfg.width // p
-    x = pixels.reshape(lead + (grid_h, p, grid_w, p, cfg.channels))
+    grid_h, grid_w = layout.height // p, layout.width // p
+    x = pixels.reshape(lead + (grid_h, p, grid_w, p, layout.channels))
     x = np.moveaxis(x, -4, -3)  # (.., grid_h, grid_w, p, p, C)
-    return x.reshape(lead + (grid_h * grid_w, p * p * cfg.channels))
+    return x.reshape(lead + (grid_h * grid_w, p * p * layout.channels))
 
 
-def patch_embed(params: VisionEncoderParams, cfg: EncoderConfig, image) -> ModalityFeatures:
+def patch_embed(params: VisionEncoderParams, layout: DocumentLayout, image) -> ModalityFeatures:
     """Project flattened patches, prepend the learned [CLS] row, add positions.
 
     ``image`` is a DocumentImage or a (.., H, W, C) array; a leading batch
     axis is carried through.
     """
     pixels = image.pixels if isinstance(image, DocumentImage) else np.asarray(image)
-    patches = patchify(cfg, pixels)
+    patches = patchify(layout, pixels)
     projected = linear(params.proj, Tensor(patches))
     lead = patches.shape[:-2]
-    cls = ad.broadcast_to(params.cls_row, lead + (1, cfg.feature_dim))
+    cls = ad.broadcast_to(params.cls_row, lead + params.cls_row.shape)
     rows = ad.concat([cls, projected], axis=-2)
     return ModalityFeatures(ad.add(rows, params.positions))
 
 
 def token_embed(
-    params: TextEncoderParams, cfg: EncoderConfig, tokens
+    params: TextEncoderParams, layout: DocumentLayout, tokens
 ) -> tuple[ModalityFeatures, np.ndarray]:
     """Embed token ids and return the features plus the real-token mask.
 
@@ -201,11 +194,11 @@ def token_embed(
     vocabulary are a data error.
     """
     ids = tokens.ids if isinstance(tokens, TokenSequence) else np.asarray(tokens, dtype=np.int64)
-    if ids.shape[-1] != cfg.n_max:
-        raise DataError(f"token sequence length {ids.shape[-1]} != configured {cfg.n_max}")
-    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
+    if ids.shape[-1] != layout.n_max:
+        raise DataError(f"token sequence length {ids.shape[-1]} != configured {layout.n_max}")
+    if ids.min() < 0 or ids.max() >= layout.vocab_size:
         raise DataError(
-            f"token id out of vocabulary (vocab_size={cfg.vocab_size}, "
+            f"token id out of vocabulary (vocab_size={layout.vocab_size}, "
             f"got range [{ids.min()}, {ids.max()}])"
         )
     embedded = ad.gather_rows(params.table, ids)

@@ -98,12 +98,6 @@ def inter_modality_term(
     return _contrastive_sum(sim, weights, temperature, exclude_diag=not include_own_pair)
 
 
-def supervised_contrastive_loss(embeddings: Tensor, labels, temperature: float) -> Tensor:
-    """Single-modality supervised contrastive baseline (same form as the
-    within-modality term)."""
-    return intra_modality_term(embeddings, labels, temperature)
-
-
 @dataclass
 class EmbeddingBatch:
     """Paired unit-norm embeddings with class labels and loss hyperparameters."""

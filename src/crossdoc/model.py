@@ -11,18 +11,19 @@ from .autodiff import Tensor
 from .config import RunConfig
 from .cross_modal import CrossModalStack
 from .encoders import (
-    EncoderConfig,
+    DocumentLayout,
     TextEncoderParams,
     VisionEncoderParams,
     patch_embed,
     token_embed,
 )
-from .nn import NamedTensors
+from .errors import DataError
+from .nn import named_tensors
 
 
 @dataclass
 class CrossModalModel:
-    encoder_config: EncoderConfig
+    layout: DocumentLayout
     vision_encoder: VisionEncoderParams
     text_encoder: TextEncoderParams
     stack: CrossModalStack
@@ -31,11 +32,11 @@ class CrossModalModel:
     def create(cls, cfg: RunConfig, seed: int) -> "CrossModalModel":
         """Build a freshly initialized model; one seed fixes every parameter."""
         rng = np.random.default_rng(seed)
-        enc_cfg = cfg.encoder_config()
+        layout = cfg.layout()
         return cls(
-            encoder_config=enc_cfg,
-            vision_encoder=VisionEncoderParams.create(rng, enc_cfg),
-            text_encoder=TextEncoderParams.create(rng, enc_cfg),
+            layout=layout,
+            vision_encoder=VisionEncoderParams.create(rng, layout, cfg.feature_dim),
+            text_encoder=TextEncoderParams.create(rng, layout, cfg.feature_dim),
             stack=CrossModalStack.create(
                 rng, cfg.feature_dim, cfg.num_heads, depth=cfg.depth,
                 hidden_dim=cfg.hidden_dim, embed_dim=cfg.embed_dim,
@@ -43,21 +44,25 @@ class CrossModalModel:
             ),
         )
 
-    def named_tensors(self) -> NamedTensors:
-        yield from self.vision_encoder.named_tensors("vision_encoder")
-        yield from self.text_encoder.named_tensors("text_encoder")
-        yield from self.stack.named_tensors("stack")
-
     def parameters(self) -> dict[str, Tensor]:
-        return dict(self.named_tensors())
+        return dict(named_tensors(self))
 
     def embed(self, images: np.ndarray, token_ids: np.ndarray) -> tuple[Tensor, Tensor]:
         """Paired batch in, unit-norm (N, embed_dim) embeddings out."""
-        vision = patch_embed(self.vision_encoder, self.encoder_config, images)
-        text, mask = token_embed(self.text_encoder, self.encoder_config, token_ids)
+        vision = patch_embed(self.vision_encoder, self.layout, images)
+        text, mask = token_embed(self.text_encoder, self.layout, token_ids)
         return self.stack.forward(vision, text, text_mask=mask)
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Overwrite every parameter in place from checkpointed arrays."""
-        for name, tensor in self.named_tensors():
+        """Overwrite every parameter in place from checkpointed arrays; the
+        names and shapes must be exactly the model's, or nothing is written."""
+        params = self.parameters()
+        missing = sorted(params.keys() - arrays.keys())
+        unknown = sorted(arrays.keys() - params.keys())
+        if missing or unknown:
+            raise DataError(f"checkpoint parameters differ from the model's: missing {missing}, unknown {unknown}")
+        for name, tensor in params.items():
+            if arrays[name].shape != tensor.shape:
+                raise DataError(f"checkpoint parameter {name} has shape {arrays[name].shape}, not {tensor.shape}")
+        for name, tensor in params.items():
             tensor.data[...] = arrays[name]

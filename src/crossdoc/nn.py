@@ -1,15 +1,15 @@
 """Parameterized building blocks: linear maps, layer norm, multi-head
 attention, feed-forward sublayer, and the projection head.
 
-Parameter containers are plain dataclasses of Tensors; every container
-exposes ``named_tensors(prefix)`` so optimizers and checkpoints can walk the
-full parameter tree by stable dotted names.
+Parameter containers are plain dataclasses of Tensors; ``named_tensors``
+walks any tree of them so optimizers and checkpoints see every parameter
+under a stable dotted name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -18,7 +18,21 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 
-NamedTensors = Iterator[tuple[str, Tensor]]
+
+def named_tensors(tree, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+    """Yield every Tensor in a parameter tree with its dotted path: dataclass
+    fields in declaration order, list items numbered (``blocks.0``)."""
+    if isinstance(tree, Tensor):
+        yield prefix, tree
+        return
+    if isinstance(tree, list):
+        children = enumerate(tree)
+    elif is_dataclass(tree):
+        children = ((f.name, getattr(tree, f.name)) for f in fields(tree))
+    else:
+        return  # ints, floats and flags hold no parameters
+    for name, child in children:
+        yield from named_tensors(child, f"{prefix}.{name}" if prefix else str(name))
 
 
 def xavier_uniform(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
@@ -45,10 +59,6 @@ class LinearParams:
     @property
     def d_out(self) -> int:
         return self.weight.shape[1]
-
-    def named_tensors(self, prefix: str) -> NamedTensors:
-        yield f"{prefix}.weight", self.weight
-        yield f"{prefix}.bias", self.bias
 
 
 def linear(p: LinearParams, x: Tensor) -> Tensor:
@@ -79,10 +89,6 @@ class LayerNormParams:
             epsilon=epsilon,
         )
 
-    def named_tensors(self, prefix: str) -> NamedTensors:
-        yield f"{prefix}.gamma", self.gamma
-        yield f"{prefix}.beta", self.beta
-
 
 def layer_norm(p: LayerNormParams, x: Tensor) -> Tensor:
     """Normalize the trailing axis to zero mean / unit variance, then affine."""
@@ -104,10 +110,6 @@ class FeedForwardParams:
     def create(cls, rng: np.random.Generator, d: int, hidden: Optional[int] = None) -> "FeedForwardParams":
         hidden = d if hidden is None else hidden
         return cls(LinearParams.create(rng, d, hidden), LinearParams.create(rng, hidden, d))
-
-    def named_tensors(self, prefix: str) -> NamedTensors:
-        yield from self.fc1.named_tensors(f"{prefix}.fc1")
-        yield from self.fc2.named_tensors(f"{prefix}.fc2")
 
 
 def feed_forward(p: FeedForwardParams, x: Tensor) -> Tensor:
@@ -145,10 +147,6 @@ class MHAParams:
             num_heads=num_heads,
             head_dim=feature_dim // num_heads,
         )
-
-    def named_tensors(self, prefix: str) -> NamedTensors:
-        for name in ("w_q", "w_k", "w_v", "w_o"):
-            yield from getattr(self, name).named_tensors(f"{prefix}.{name}")
 
 
 def _mask_bias(key_mask: np.ndarray, score_ndim: int) -> Tensor:
@@ -234,10 +232,6 @@ class ProjectionHeadParams:
             hidden=LinearParams.create(rng, feature_dim, hidden_dim),
             out=LinearParams.create(rng, hidden_dim, embed_dim),
         )
-
-    def named_tensors(self, prefix: str) -> NamedTensors:
-        yield from self.hidden.named_tensors(f"{prefix}.hidden")
-        yield from self.out.named_tensors(f"{prefix}.out")
 
 
 def l2_normalize(x: Tensor, min_norm: float = 1e-12) -> Tensor:

@@ -35,13 +35,13 @@ from .data import (
     make_batch,
     read_corpus,
 )
-from .encoders import ModalityFeatures, token_embed
-from .errors import DataError, NumericError
+from .encoders import DocumentLayout, ModalityFeatures, token_embed
+from .errors import ConfigError, DataError, NumericError
 from .losses import (
     EmbeddingBatch,
     cross_entropy,
     cross_modal_contrastive_loss,
-    supervised_contrastive_loss,
+    intra_modality_term,
 )
 from .model import CrossModalModel
 from .nn import LinearParams, MHAParams, ProjectionHeadParams, l2_normalize, linear, multi_head_attention, project_and_normalize
@@ -75,17 +75,21 @@ class ProbeResult:
     text_accuracy: float
 
 
-def load_corpus(cfg: RunConfig) -> tuple[SyntheticCorpusSpec, CorpusSplits]:
-    """Read the configured corpus container, or generate one inline."""
+def load_corpus(cfg: RunConfig, layout: DocumentLayout) -> tuple[SyntheticCorpusSpec, CorpusSplits]:
+    """Read the configured corpus container, or generate one inline; its
+    documents must have the model's ``layout``."""
     if cfg.corpus_path:
         spec, splits = read_corpus(cfg.corpus_path)
         if spec.classes != cfg.classes:
             raise DataError(
                 f"corpus file has {spec.classes} classes but config says {cfg.classes}"
             )
-        return spec, splits
-    spec = cfg.corpus_spec()
-    return spec, generate_corpus(spec)
+    else:
+        spec = cfg.corpus_spec()
+        splits = generate_corpus(spec)
+    if spec.layout != layout:
+        raise DataError(f"corpus has {spec.layout} but the model expects {layout}")
+    return spec, splits
 
 
 def batch_loss(model: CrossModalModel, records, cfg: RunConfig):
@@ -114,12 +118,12 @@ def pretrain(
     real monotonic clock.
     """
     clock = time.perf_counter if clock is None else clock
+    _, splits = load_corpus(cfg, cfg.layout())
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ckpt_path = out / CHECKPOINT_NAME
     metrics_path = out / METRICS_NAME
 
-    _, splits = load_corpus(cfg)
     model = CrossModalModel.create(cfg, cfg.seed)
     params = model.parameters()
     opt = AdamW(params, (cfg.beta1, cfg.beta2), cfg.adam_eps, cfg.weight_decay)
@@ -197,14 +201,14 @@ def probe(cfg: RunConfig, ckpt_path) -> ProbeResult:
     parameters are never updated; only the fresh linear classifiers train.
     """
     ckpt = load_checkpoint(ckpt_path)
-    ckpt_cfg = parse_config(ckpt.config_text)
-    model = CrossModalModel.create(ckpt_cfg, ckpt_cfg.seed)
     try:
-        model.load_arrays(ckpt.params)
-    except KeyError as e:
-        raise DataError(f"checkpoint incompatible with its config echo: missing {e}") from e
+        ckpt_cfg = parse_config(ckpt.config_text)
+        model = CrossModalModel.create(ckpt_cfg, ckpt_cfg.seed)
+    except ConfigError as e:
+        raise DataError(f"checkpoint {ckpt_path} has an invalid config echo: {e}") from e
+    model.load_arrays(ckpt.params)
 
-    spec, splits = load_corpus(cfg)
+    spec, splits = load_corpus(cfg, model.layout)
     v_train, t_train, y_train = embed_records(model, splits.train)
     v_test, t_test, y_test = embed_records(model, splits.test)
     if y_train.max() >= spec.classes:
@@ -341,11 +345,11 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
     x_loss = Tensor(rng.normal(size=(batch, 4)), requires_grad=True)
     checks.append(("cross_modal_contrastive_loss", f_crosscl, x_loss))
 
-    x_scl = Tensor(rng.normal(size=(batch, 4)), requires_grad=True)
+    x_intra = Tensor(rng.normal(size=(batch, 4)), requires_grad=True)
     checks.append((
-        "supervised_contrastive_loss",
-        lambda t: supervised_contrastive_loss(l2_normalize(t), labels, 0.1),
-        x_scl,
+        "intra_modality_term",
+        lambda t: intra_modality_term(l2_normalize(t), labels, 0.1),
+        x_intra,
     ))
 
     ce_labels = rng.integers(0, 3, size=batch)
@@ -361,7 +365,7 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
 
     def f_model(raw_vision):
         # raw vision features in, full depth-2 stack and loss on top
-        text, mask = token_embed(model.text_encoder, model.encoder_config, ids)
+        text, mask = token_embed(model.text_encoder, model.layout, ids)
         v_emb, t_emb = model.stack.forward(
             ModalityFeatures(raw_vision), text, text_mask=mask)
         emb_batch = EmbeddingBatch(v_emb, t_emb, loss_labels)

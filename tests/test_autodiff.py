@@ -141,17 +141,6 @@ class TestElementwise:
         with pytest.raises(NumericError):
             ad.log(ad.Tensor([-1.0]))
 
-    def test_dispatcher_matches_direct_calls(self):
-        a, b = ad.Tensor([1.0, 2.0]), ad.Tensor([3.0, 4.0])
-        np.testing.assert_array_equal(ad.elementwise("add", a, b).data, ad.add(a, b).data)
-        np.testing.assert_array_equal(ad.elementwise("mul", a, b).data, ad.mul(a, b).data)
-        np.testing.assert_array_equal(ad.elementwise("scale", a, 2.0).data, ad.scale(a, 2.0).data)
-        np.testing.assert_array_equal(ad.elementwise("exp", a).data, ad.exp(a).data)
-
-    def test_dispatcher_rejects_unknown_op(self):
-        with pytest.raises(ContractError):
-            ad.elementwise("pow", ad.Tensor([1.0]), 2.0)
-
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from crossdoc import data
-from crossdoc.encoders import NUM_RESERVED_IDS, SEP_ID
+from crossdoc.config import RunConfig
+from crossdoc.encoders import NUM_RESERVED_IDS, SEP_ID, DocumentLayout
 from crossdoc.errors import ConfigError, FormatError
 
 
-def tiny_spec(**kw):
-    defaults = dict(classes=3, samples_per_class=20, height=8, width=8,
-                    patch=4, vocab_size=32, seed=7)
+def tiny_spec(vocab_size=32, **kw):
+    defaults = dict(classes=3, samples_per_class=20, seed=7)
     defaults.update(kw)
-    return data.SyntheticCorpusSpec(**defaults)
+    layout = DocumentLayout(height=8, width=8, channels=1, patch=4, vocab_size=vocab_size)
+    return data.SyntheticCorpusSpec(layout, **defaults)
 
 
 class TestSpec:
@@ -31,7 +32,7 @@ class TestSpec:
         ranges = [spec.class_token_range(k) for k in range(spec.classes)]
         for i, (lo_i, hi_i) in enumerate(ranges):
             assert lo_i >= NUM_RESERVED_IDS
-            assert hi_i <= spec.vocab_size
+            assert hi_i <= spec.layout.vocab_size
             for lo_j, _ in ranges[i + 1:]:
                 assert hi_i <= lo_j
 
@@ -46,7 +47,7 @@ class TestSpec:
 class TestGenerate:
     def test_split_sizes_and_balance(self):
         """4 classes x 100 samples split 80/10/10 per class."""
-        splits = data.generate_corpus(data.SyntheticCorpusSpec())
+        splits = data.generate_corpus(RunConfig().corpus_spec())
         assert (len(splits.train), len(splits.val), len(splits.test)) == (320, 40, 40)
         for part in (splits.train, splits.val, splits.test):
             labels = [r.label for r in part]
@@ -56,7 +57,7 @@ class TestGenerate:
     def test_splits_disjoint_and_exhaustive(self):
         spec = tiny_spec()
         splits = data.generate_corpus(spec)
-        total = splits.all_records()
+        total = splits.train + splits.val + splits.test
         assert len(total) == spec.classes * spec.samples_per_class
         fingerprints = {
             (r.image.pixels.tobytes(), r.tokens.ids.tobytes(), r.label) for r in total
@@ -68,7 +69,7 @@ class TestGenerate:
         spec = tiny_spec(pixel_noise=0.0, token_corruption=0.0)
         splits = data.generate_corpus(spec)
         by_class = {}
-        for r in splits.all_records():
+        for r in splits.train + splits.val + splits.test:
             by_class.setdefault(r.label, []).append(r)
         for label, records in by_class.items():
             first = records[0].image.pixels
@@ -88,7 +89,8 @@ class TestGenerate:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_token_sequences_well_formed(self):
-        for r in data.generate_corpus(tiny_spec()).all_records():
+        splits = data.generate_corpus(tiny_spec())
+        for r in splits.train + splits.val + splits.test:
             ids = r.tokens.ids
             assert len(ids) == 5  # 8x8 / 4x4 patches + CLS
             real = np.flatnonzero(ids != 0)
@@ -96,9 +98,9 @@ class TestGenerate:
 
     def test_modality_signals_beat_chance(self):
         """Nearest-template and token-histogram classifiers clear 1/K easily."""
-        spec = data.SyntheticCorpusSpec()
+        spec = RunConfig().corpus_spec()
         splits = data.generate_corpus(spec)
-        full = np.kron(spec.class_templates(), np.ones((spec.patch, spec.patch, 1)))
+        full = np.kron(spec.class_templates(), np.ones((spec.layout.patch, spec.layout.patch, 1)))
         img_hits = tok_hits = 0
         for r in splits.test:
             dist = ((full - r.image.pixels[None].astype(float)) ** 2).sum(axis=(1, 2, 3))
@@ -117,7 +119,7 @@ class TestGenerate:
 class TestMakeBatch:
     def test_balanced_case(self):
         """Batch of 8 over 4 classes: exactly two records per class."""
-        splits = data.generate_corpus(data.SyntheticCorpusSpec(samples_per_class=10))
+        splits = data.generate_corpus(RunConfig(samples_per_class=10).corpus_spec())
         batch = data.make_batch(splits.train, 8, np.random.default_rng(0))
         counts = np.bincount([r.label for r in batch], minlength=4)
         assert sorted(counts.tolist()) == [2, 2, 2, 2]
@@ -152,7 +154,7 @@ class TestMakeBatch:
         batch = data.make_batch(splits.train, 6, np.random.default_rng(1))
         images, ids, labels = data.collate(batch)
         assert images.shape == (6, 8, 8, 1) and images.dtype == np.float32
-        assert ids.shape == (6, spec.n_max)
+        assert ids.shape == (6, spec.layout.n_max)
         assert labels.shape == (6,)
 
 
@@ -207,4 +209,18 @@ class TestContainer:
         raw = path.read_bytes()
         path.write_bytes(raw[:len(raw) // 2])
         with pytest.raises(FormatError, match=r"byte \d+"):
+            data.read_corpus(path)
+
+    @pytest.mark.parametrize("offset, value", [
+        (18, 3),  # patch 3 does not divide the 8x8 image
+        (6, 1),  # one class
+    ])
+    def test_invalid_spec_is_a_format_error(self, tmp_path, offset, value):
+        spec = tiny_spec()
+        path = tmp_path / "corpus.bin"
+        data.write_corpus(path, spec, data.generate_corpus(spec))
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + 2] = value.to_bytes(2, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="invalid corpus spec at byte 6"):
             data.read_corpus(path)

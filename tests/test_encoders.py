@@ -6,13 +6,17 @@ import pytest
 from crossdoc import autodiff as ad
 from crossdoc import encoders as enc
 from crossdoc.autodiff import Tensor
+from crossdoc.config import RunConfig
 from crossdoc.errors import ConfigError, DataError
 
 
+FEATURE_DIM = 6
+
+
 def small_cfg(**kw):
-    defaults = dict(height=8, width=8, channels=1, patch=4, vocab_size=16, feature_dim=6)
+    defaults = dict(height=8, width=8, channels=1, patch=4, vocab_size=16)
     defaults.update(kw)
-    return enc.EncoderConfig(**defaults)
+    return enc.DocumentLayout(**defaults)
 
 
 class TestConfig:
@@ -32,7 +36,7 @@ class TestConfig:
             small_cfg(height=10)
 
     def test_default_desk_geometry(self):
-        cfg = enc.EncoderConfig()
+        cfg = RunConfig().layout()
         assert cfg.num_patches == 16
         assert cfg.rows == 17
 
@@ -41,7 +45,7 @@ class TestPatchEmbed:
     def test_row_count_and_shape(self):
         cfg = small_cfg()
         rng = np.random.default_rng(0)
-        params = enc.VisionEncoderParams.create(rng, cfg)
+        params = enc.VisionEncoderParams.create(rng, cfg, FEATURE_DIM)
         img = enc.DocumentImage(rng.random((8, 8, 1)))
         feats = enc.patch_embed(params, cfg, img)
         assert (feats.rows, feats.feature_dim) == (5, 6)
@@ -49,7 +53,7 @@ class TestPatchEmbed:
     def test_zero_image_zero_bias_rows_equal_positions(self):
         cfg = small_cfg()
         rng = np.random.default_rng(1)
-        params = enc.VisionEncoderParams.create(rng, cfg)
+        params = enc.VisionEncoderParams.create(rng, cfg, FEATURE_DIM)
         feats = enc.patch_embed(params, cfg, enc.DocumentImage(np.zeros((8, 8, 1))))
         expected = params.positions.data.copy()
         expected[0] += params.cls_row.data[0]
@@ -59,7 +63,7 @@ class TestPatchEmbed:
         """Permuting whole patches permutes rows 1..N of the pre-position output."""
         cfg = small_cfg()
         rng = np.random.default_rng(2)
-        params = enc.VisionEncoderParams.create(rng, cfg)
+        params = enc.VisionEncoderParams.create(rng, cfg, FEATURE_DIM)
         params = enc.VisionEncoderParams(params.proj, params.cls_row,
                                          Tensor(np.zeros_like(params.positions.data)))
         img = rng.random((8, 8, 1)).astype(np.float32)
@@ -77,14 +81,14 @@ class TestPatchEmbed:
     def test_wrong_geometry_rejected(self):
         cfg = small_cfg()
         rng = np.random.default_rng(3)
-        params = enc.VisionEncoderParams.create(rng, cfg)
+        params = enc.VisionEncoderParams.create(rng, cfg, FEATURE_DIM)
         with pytest.raises(ConfigError):
             enc.patch_embed(params, cfg, np.zeros((6, 8, 1)))
 
     def test_batched_matches_per_sample(self):
         cfg = small_cfg()
         rng = np.random.default_rng(4)
-        params = enc.VisionEncoderParams.create(rng, cfg)
+        params = enc.VisionEncoderParams.create(rng, cfg, FEATURE_DIM)
         imgs = rng.random((3, 8, 8, 1))
         batched = enc.patch_embed(params, cfg, imgs).tensor.data
         for i in range(3):
@@ -94,7 +98,7 @@ class TestPatchEmbed:
     def test_gradient_through_patch_projection(self):
         cfg = small_cfg()
         rng = np.random.default_rng(5)
-        params = enc.VisionEncoderParams.create(rng, cfg)
+        params = enc.VisionEncoderParams.create(rng, cfg, FEATURE_DIM)
         img = rng.random((8, 8, 1))
 
         def f(w):
@@ -132,7 +136,7 @@ class TestTokenEmbed:
     def test_positions_distinguish_repeated_ids(self):
         cfg = small_cfg()
         rng = np.random.default_rng(6)
-        params = enc.TextEncoderParams.create(rng, cfg)
+        params = enc.TextEncoderParams.create(rng, cfg, FEATURE_DIM)
         seq = enc.TokenSequence.build([7, 7, 7], n_max=cfg.n_max)
         feats, mask = enc.token_embed(params, cfg, seq)
         diff = feats.tensor.data[1] - feats.tensor.data[2]
@@ -142,7 +146,7 @@ class TestTokenEmbed:
     def test_mask_marks_real_positions(self):
         cfg = small_cfg()
         rng = np.random.default_rng(7)
-        params = enc.TextEncoderParams.create(rng, cfg)
+        params = enc.TextEncoderParams.create(rng, cfg, FEATURE_DIM)
         seq = enc.TokenSequence.build([9], n_max=cfg.n_max)
         _, mask = enc.token_embed(params, cfg, seq)
         np.testing.assert_array_equal(mask, [True, True, True, False, False])
@@ -151,7 +155,7 @@ class TestTokenEmbed:
         """Rows at unmasked positions do not depend on what sits in the padding."""
         cfg = small_cfg()
         rng = np.random.default_rng(8)
-        params = enc.TextEncoderParams.create(rng, cfg)
+        params = enc.TextEncoderParams.create(rng, cfg, FEATURE_DIM)
         a = np.array([enc.CLS_ID, 9, enc.SEP_ID, enc.PAD_ID, enc.PAD_ID])
         feats_a, mask = enc.token_embed(params, cfg, a)
         b = a.copy()
@@ -162,21 +166,21 @@ class TestTokenEmbed:
     def test_out_of_vocab_rejected(self):
         cfg = small_cfg()
         rng = np.random.default_rng(9)
-        params = enc.TextEncoderParams.create(rng, cfg)
+        params = enc.TextEncoderParams.create(rng, cfg, FEATURE_DIM)
         bad = np.array([enc.CLS_ID, cfg.vocab_size, enc.SEP_ID, 0, 0])
         with pytest.raises(DataError):
             enc.token_embed(params, cfg, bad)
 
     def test_wrong_length_rejected(self):
         cfg = small_cfg()
-        params = enc.TextEncoderParams.create(np.random.default_rng(10), cfg)
+        params = enc.TextEncoderParams.create(np.random.default_rng(10), cfg, FEATURE_DIM)
         with pytest.raises(DataError):
             enc.token_embed(params, cfg, np.array([enc.CLS_ID, enc.SEP_ID]))
 
     def test_gradient_through_embedding_table(self):
         cfg = small_cfg()
         rng = np.random.default_rng(11)
-        params = enc.TextEncoderParams.create(rng, cfg)
+        params = enc.TextEncoderParams.create(rng, cfg, FEATURE_DIM)
         ids = enc.TokenSequence.build([5, 5, 9], n_max=cfg.n_max).ids
 
         def f(table):
@@ -192,8 +196,8 @@ class TestPairedShapes:
     def test_both_modalities_emit_identical_shapes(self):
         cfg = small_cfg()
         rng = np.random.default_rng(12)
-        vis = enc.VisionEncoderParams.create(rng, cfg)
-        txt = enc.TextEncoderParams.create(rng, cfg)
+        vis = enc.VisionEncoderParams.create(rng, cfg, FEATURE_DIM)
+        txt = enc.TextEncoderParams.create(rng, cfg, FEATURE_DIM)
         v = enc.patch_embed(vis, cfg, enc.DocumentImage(rng.random((8, 8, 1))))
         t, _ = enc.token_embed(txt, cfg, enc.TokenSequence.build([4, 5], cfg.n_max))
         assert v.tensor.shape == t.tensor.shape
