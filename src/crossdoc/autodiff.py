@@ -1,9 +1,10 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Every differentiable quantity in the model flows through :class:`Tensor`.
-Operations record their inputs and an adjoint closure on the output; calling
-:func:`backward` on a scalar replays the adjoints in reverse topological
-order and returns the :class:`GradTape` that was walked.
+Each operation records its output through :func:`_make_node`, with one
+vector-Jacobian product per input; calling :func:`backward` on a scalar
+replays the adjoints in reverse topological order, frees the graph as it
+goes and returns the :class:`GradTape` of leaves it reached.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ class Tensor:
     """A dense float64 array plus an optional gradient accumulator.
 
     Tensors are immutable after creation except for gradient accumulation;
-    ``grad`` is allocated lazily on first accumulation.
+    ``grad`` exists from ``backward`` until the tape's ``clear()``.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "op")
@@ -61,12 +62,10 @@ class Tensor:
 
     # -- gradient plumbing ---------------------------------------------------
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
-
-    def backward(self) -> "GradTape":
-        return backward(self)
+        # No gradient array is ever written in place: the first contribution
+        # is stored as it is and later ones are summed out of place, so one
+        # array may be shared by several nodes (``add`` passes it to both).
+        self.grad = g if self.grad is None else self.grad + g
 
     # -- operator sugar ------------------------------------------------------
     def __add__(self, other):
@@ -118,12 +117,28 @@ def as_tensor(value) -> Tensor:
     return Tensor(value)
 
 
-def _make_node(data: np.ndarray, parents: tuple[Tensor, ...], op: str) -> Tensor:
+def _make_node(data: np.ndarray, op: str, *edges: tuple[Tensor, Callable]) -> Tensor:
+    """Record one op: its forward value and, per input, a vector-Jacobian product.
+
+    Each edge is ``(parent, vjp)``; ``vjp(g)`` maps the output's gradient to
+    that parent's contribution before unbroadcasting.  Only parents that
+    require grad are recorded, and only their vjps run.  vjps close over
+    arrays, never over the output: the adjoint installed here is the one
+    closure that refers to its node, until ``backward`` replaces it.
+    """
     out = Tensor(data)
     out.op = op
-    if any(p.requires_grad for p in parents):
+    edges = tuple((p, vjp) for p, vjp in edges if p.requires_grad)
+    if edges:
         out.requires_grad = True
-        out._parents = parents
+        out._parents = tuple(p for p, _ in edges)
+
+        def _bw():
+            g = out.grad
+            for parent, vjp in edges:
+                parent.accumulate_grad(_unbroadcast(vjp(g), parent.shape))
+
+        out._backward = _bw
     return out
 
 
@@ -140,31 +155,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class GradTape:
-    """Ordered record of the nodes one backward pass walked, oldest first."""
+    """The leaves one backward pass reached: the parameters and inputs whose
+    ``grad`` it set."""
 
-    def __init__(self, nodes: Sequence[Tensor]):
-        self._nodes = tuple(nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def nodes(self) -> tuple[Tensor, ...]:
-        return self._nodes
+    def __init__(self, leaves: Sequence[Tensor]):
+        self.nodes = tuple(leaves)
 
     def clear(self) -> None:
-        """Reset the walked graph's gradients for the next step.
-
-        Leaf tensors (parameters and inputs) keep their grad array, zeroed in
-        place.  Intermediate nodes drop theirs (``grad`` becomes None): nothing
-        reads them once the optimizer has run, and a later backward over the
-        same graph allocates them afresh.
-        """
-        for node in self._nodes:
-            if node._parents:
-                node.grad = None
-            elif node.grad is not None:
-                node.grad[...] = 0.0
+        """Drop the leaves' gradients; the next backward sets them afresh."""
+        for node in self.nodes:
+            node.grad = None
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -189,21 +189,31 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> GradTape:
-    """Populate gradients of everything the scalar ``loss`` depends on.
+    """Populate gradients of everything the scalar ``loss`` depends on, and
+    consume the graph.
 
-    Gradients accumulate additively, both across multiple uses of a tensor
-    inside one graph and across repeated backward calls; use the returned
-    tape's ``clear()`` to reset them.  After ``clear()`` leaf grads are zero
-    arrays and intermediate grads are None, so a fresh backward gives the
-    same leaf grads as the first one did.
+    Each node's adjoint runs once, in reverse topological order; the node
+    then drops its grad, parents and adjoint, so reference counting frees the
+    intermediates once the caller drops the loss.  Leaf grads accumulate
+    until the returned tape's ``clear()``.  A consumed graph cannot be walked
+    again.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     order = _topo_order(loss)
+    if any(n.requires_grad and not n._parents and n.op != "leaf" for n in order):
+        raise ContractError("backward through a graph an earlier backward consumed")
     loss.accumulate_grad(np.ones_like(loss.data))
+    leaves = []
     for node in reversed(order):
         node._backward()
-    return GradTape(order)
+        if node._parents:
+            node.grad = None
+            node._parents = ()
+            node._backward = _noop
+        else:
+            leaves.append(node)
+    return GradTape(leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -212,139 +222,71 @@ def backward(loss: Tensor) -> GradTape:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = _make_node(a.data + b.data, (a, b), "add")
-
-    def _bw():
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(out.grad, b.shape))
-
-    out._backward = _bw
-    return out
+    return _make_node(a.data + b.data, "add", (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = _make_node(a.data - b.data, (a, b), "sub")
-
-    def _bw():
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-out.grad, b.shape))
-
-    out._backward = _bw
-    return out
+    return _make_node(a.data - b.data, "sub", (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = _make_node(a.data * b.data, (a, b), "mul")
-
-    def _bw():
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(out.grad * a.data, b.shape))
-
-    out._backward = _bw
-    return out
+    x, y = a.data, b.data
+    return _make_node(x * y, "mul", (a, lambda g: g * y), (b, lambda g: g * x))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = _make_node(a.data / b.data, (a, b), "div")
-
-    def _bw():
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad / b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-out.grad * a.data / (b.data * b.data), b.shape))
-
-    out._backward = _bw
-    return out
+    x, y = a.data, b.data
+    return _make_node(x / y, "div", (a, lambda g: g / y), (b, lambda g: -g * x / (y * y)))
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    out = _make_node(-a.data, (a,), "neg")
-
-    def _bw():
-        if a.requires_grad:
-            a.accumulate_grad(-out.grad)
-
-    out._backward = _bw
-    return out
+    return _make_node(-a.data, "neg", (a, lambda g: -g))
 
 
 def scale(a, factor: float) -> Tensor:
     """Multiply by a plain python scalar."""
     a = as_tensor(a)
     factor = float(factor)
-    out = _make_node(a.data * factor, (a,), "scale")
-
-    def _bw():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * factor)
-
-    out._backward = _bw
-    return out
+    return _make_node(a.data * factor, "scale", (a, lambda g: g * factor))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
-    out = _make_node(np.exp(a.data), (a,), "exp")
-
-    def _bw():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * out.data)
-
-    out._backward = _bw
-    return out
+    y = np.exp(a.data)
+    return _make_node(y, "exp", (a, lambda g: g * y))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    if np.any(a.data <= 0.0):
+    x = a.data
+    if np.any(x <= 0.0):
         raise NumericError("log of non-positive value")
-    out = _make_node(np.log(a.data), (a,), "log")
-
-    def _bw():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad / a.data)
-
-    out._backward = _bw
-    return out
+    return _make_node(np.log(x), "log", (a, lambda g: g / x))
 
 
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.data < 0.0):
         raise NumericError("sqrt of negative value")
-    out = _make_node(np.sqrt(a.data), (a,), "sqrt")
-
-    def _bw():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * 0.5 / out.data)
-
-    out._backward = _bw
-    return out
+    y = np.sqrt(a.data)
+    return _make_node(y, "sqrt", (a, lambda g: g * 0.5 / y))
 
 
 def gelu(a) -> Tensor:
     """Gaussian error linear unit, exact (erf) form."""
     a = as_tensor(a)
-    cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    out = _make_node(a.data * cdf, (a,), "gelu")
+    x = a.data
+    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
 
-    def _bw():
-        if a.requires_grad:
-            pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
-            a.accumulate_grad(out.grad * (cdf + a.data * pdf))
+    def vjp(g):
+        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
+        return g * (cdf + x * pdf)
 
-    out._backward = _bw
-    return out
+    return _make_node(x * cdf, "gelu", (a, vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +301,12 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     if b.ndim == 2 and a.ndim > 2:
         return _matmul_flat(a, b)
-    out = _make_node(a.data @ b.data, (a, b), "matmul")
-
-    def _bw():
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(np.swapaxes(a.data, -1, -2) @ out.grad, b.shape))
-
-    out._backward = _bw
-    return out
+    x, y = a.data, b.data
+    return _make_node(
+        x @ y, "matmul",
+        (a, lambda g: g @ np.swapaxes(y, -1, -2)),
+        (b, lambda g: np.swapaxes(x, -1, -2) @ g),
+    )
 
 
 def _matmul_flat(a: Tensor, b: Tensor) -> Tensor:
@@ -379,59 +317,37 @@ def _matmul_flat(a: Tensor, b: Tensor) -> Tensor:
     gradient is ``a2.T @ g2`` rather than a per-batch stack reduced by
     ``_unbroadcast``.
     """
-    k, n = b.shape
-    rows = a.data.reshape(-1, k) @ b.data
-    out = _make_node(rows.reshape(a.shape[:-1] + (n,)), (a, b), "matmul")
-
-    def _bw():
-        g2 = out.grad.reshape(-1, n)
-        if a.requires_grad:
-            a.accumulate_grad((g2 @ b.data.T).reshape(a.shape))
-        if b.requires_grad:
-            # Re-flattened here rather than captured, so a non-contiguous
-            # ``a`` does not keep a row copy alive for the graph's lifetime.
-            b.accumulate_grad(a.data.reshape(-1, k).T @ g2)
-
-    out._backward = _bw
-    return out
+    x, w = a.data, b.data
+    k, n = w.shape
+    rows = x.reshape(-1, k) @ w
+    # ``x`` is re-flattened in the adjoint rather than captured flat, so a
+    # non-contiguous ``x`` does not keep a row copy alive for the graph's
+    # lifetime.
+    return _make_node(
+        rows.reshape(x.shape[:-1] + (n,)), "matmul",
+        (a, lambda g: (g.reshape(-1, n) @ w.T).reshape(x.shape)),
+        (b, lambda g: x.reshape(-1, k).T @ g.reshape(-1, n)),
+    )
 
 
 def transpose_last2(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim < 2:
         raise ShapeError(f"transpose_last2 needs >=2-d input, got {a.shape}")
-    out = _make_node(np.swapaxes(a.data, -1, -2), (a,), "transpose_last2")
-
-    def _bw():
-        if a.requires_grad:
-            a.accumulate_grad(np.swapaxes(out.grad, -1, -2))
-
-    out._backward = _bw
-    return out
+    return _make_node(
+        np.swapaxes(a.data, -1, -2), "transpose_last2", (a, lambda g: np.swapaxes(g, -1, -2))
+    )
 
 
 def reshape(a, shape: Sequence[int]) -> Tensor:
     a = as_tensor(a)
-    out = _make_node(a.data.reshape(shape), (a,), "reshape")
-
-    def _bw():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad.reshape(a.shape))
-
-    out._backward = _bw
-    return out
+    old = a.shape
+    return _make_node(a.data.reshape(shape), "reshape", (a, lambda g: g.reshape(old)))
 
 
 def broadcast_to(a, shape: Sequence[int]) -> Tensor:
     a = as_tensor(a)
-    out = _make_node(np.broadcast_to(a.data, shape).copy(), (a,), "broadcast_to")
-
-    def _bw():
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad, a.shape))
-
-    out._backward = _bw
-    return out
+    return _make_node(np.broadcast_to(a.data, shape).copy(), "broadcast_to", (a, lambda g: g))
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
@@ -442,38 +358,29 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
         raise ShapeError(
             f"narrow [{start}:{start + length}) out of range for axis {axis} of {a.shape}"
         )
-    index = [slice(None)] * a.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-    out = _make_node(a.data[index].copy(), (a,), "narrow")
+    index = (slice(None),) * axis + (slice(start, start + length),)
+    x = a.data
 
-    def _bw():
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[index] = out.grad
-            a.accumulate_grad(g)
+    def vjp(g):
+        full = np.zeros_like(x)
+        full[index] = g
+        return full
 
-    out._backward = _bw
-    return out
+    return _make_node(x[index].copy(), "narrow", (a, vjp))
 
 
 def concat(parts: Iterable, axis: int = -1) -> Tensor:
     parts = tuple(as_tensor(p) for p in parts)
     if not parts:
         raise ShapeError("concat of zero tensors")
-    out = _make_node(np.concatenate([p.data for p in parts], axis=axis), parts, "concat")
-    ax = axis % out.ndim
+    data = np.concatenate([p.data for p in parts], axis=axis)
+    ax = axis % data.ndim
     offsets = np.cumsum([0] + [p.shape[ax] for p in parts])
-
-    def _bw():
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                index = [slice(None)] * out.ndim
-                index[ax] = slice(lo, hi)
-                p.accumulate_grad(out.grad[tuple(index)])
-
-    out._backward = _bw
-    return out
+    edges = []
+    for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        index = (slice(None),) * ax + (slice(lo, hi),)
+        edges.append((p, lambda g, index=index: g[index]))
+    return _make_node(data, "concat", *edges)
 
 
 def gather_rows(table, indices) -> Tensor:
@@ -484,31 +391,26 @@ def gather_rows(table, indices) -> Tensor:
     idx = np.asarray(indices)
     if idx.min(initial=0) < 0 or (idx.size and idx.max() >= table.shape[0]):
         raise ShapeError(f"gather_rows index out of range for table {table.shape}")
-    out = _make_node(table.data[idx], (table,), "gather_rows")
+    t = table.data
 
-    def _bw():
-        if table.requires_grad:
-            g = np.zeros_like(table.data)
-            np.add.at(g, idx.reshape(-1), out.grad.reshape(-1, table.shape[1]))
-            table.accumulate_grad(g)
+    def vjp(g):
+        full = np.zeros_like(t)
+        np.add.at(full, idx.reshape(-1), g.reshape(-1, t.shape[1]))
+        return full
 
-    out._backward = _bw
-    return out
+    return _make_node(t[idx], "gather_rows", (table, vjp))
 
 
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out = _make_node(a.data.sum(axis=axis, keepdims=keepdims), (a,), "sum")
+    shape = a.shape
 
-    def _bw():
-        if a.requires_grad:
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            a.accumulate_grad(np.broadcast_to(g, a.shape).copy())
+    def vjp(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, shape).copy()
 
-    out._backward = _bw
-    return out
+    return _make_node(a.data.sum(axis=axis, keepdims=keepdims), "sum", (a, vjp))
 
 
 def mean_last(a) -> Tensor:
@@ -528,16 +430,9 @@ def softmax_last(a) -> Tensor:
         raise ContractError("softmax_last row with no finite entry")
     e = np.exp(a.data - m)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = _make_node(y, (a,), "softmax_last")
-
-    def _bw():
-        if a.requires_grad:
-            g = out.grad
-            dot = np.sum(g * out.data, axis=-1, keepdims=True)
-            a.accumulate_grad((g - dot) * out.data)
-
-    out._backward = _bw
-    return out
+    return _make_node(
+        y, "softmax_last", (a, lambda g: (g - np.sum(g * y, axis=-1, keepdims=True)) * y)
+    )
 
 
 def logsumexp_last(a) -> Tensor:
@@ -548,15 +443,8 @@ def logsumexp_last(a) -> Tensor:
         raise ContractError("logsumexp_last row with no finite entry")
     e = np.exp(a.data - m)
     out_data = (m + np.log(e.sum(axis=-1, keepdims=True)))[..., 0]
-    out = _make_node(out_data, (a,), "logsumexp_last")
     softmax = e / e.sum(axis=-1, keepdims=True)
-
-    def _bw():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad[..., None] * softmax)
-
-    out._backward = _bw
-    return out
+    return _make_node(out_data, "logsumexp_last", (a, lambda g: g[..., None] * softmax))
 
 
 # ---------------------------------------------------------------------------

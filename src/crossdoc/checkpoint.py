@@ -9,7 +9,8 @@ Layout (little-endian):
     named-array section: u32 count, then per array:
         u16 name length | utf-8 name | u8 ndim | u32 dims... | f64 raw values
 
-Values are stored as raw float64, so a save/load round trip is bit-exact.
+Values are stored as raw float64, so a save/load round trip is bit-exact;
+a non-finite value is refused on load.
 Version 2 names each stack block ``stack.blocks.{i}``; version 1 wrote
 ``stack.block{i}``.
 """
@@ -26,6 +27,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .container import Reader, open_container
+from .errors import FormatError
 from .optim import AdamW
 
 MAGIC = b"XCKP"
@@ -82,7 +84,13 @@ def _read_arrays(reader: Reader) -> dict[str, np.ndarray]:
         name = reader.text(name_len)
         (ndim,) = reader.unpack("<B")
         shape = reader.unpack(f"<{ndim}I")
+        start = reader.offset
         data = np.frombuffer(reader.take(8 * math.prod(shape)), dtype="<f8")
+        bad = np.flatnonzero(~np.isfinite(data))
+        if bad.size:
+            raise FormatError(
+                f"checkpoint array {name!r} has a non-finite value at byte {start + 8 * int(bad[0])}"
+            )
         arrays[name] = data.reshape(shape).copy()
     return arrays
 

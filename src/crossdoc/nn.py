@@ -149,13 +149,10 @@ class MHAParams:
         )
 
 
-def _mask_bias(key_mask: np.ndarray, score_ndim: int) -> Tensor:
-    # Additive bias broadcast over query rows: 0 where attendable, -inf where not.
-    bias = np.where(key_mask, 0.0, -np.inf)
-    bias = bias[..., None, :]  # (.., 1, n_keys)
-    while bias.ndim < score_ndim:
-        bias = bias[None, ...]
-    return Tensor(bias)
+def _split_heads(x: Tensor, num_heads: int) -> Tensor:
+    """(.., rows, heads * d) -> (.., heads, d, rows): each head's transposed block."""
+    lead, rows, width = x.shape[:-2], x.shape[-2], x.shape[-1]
+    return ad.reshape(ad.transpose_last2(x), lead + (num_heads, width // num_heads, rows))
 
 
 def multi_head_attention(
@@ -168,9 +165,11 @@ def multi_head_attention(
     """Scaled dot-product attention with per-head projections.
 
     ``q_src`` and ``kv_src`` are (.., rows, feature_dim); the output matches
-    ``q_src``'s shape.  ``key_mask`` marks attendable key rows with True;
-    masked keys receive -inf logits before the softmax.  A query whose keys
-    are all masked has no well-defined attention row and is rejected.
+    ``q_src``'s shape.  Heads are an axis: with ``return_weights`` the
+    attention weights come back as one (.., heads, q_rows, k_rows) tensor.
+    ``key_mask`` marks attendable key rows with True; masked keys receive
+    -inf logits before the softmax.  A query whose keys are all masked has
+    no well-defined attention row and is rejected.
     """
     if q_src.shape[-1] != p.w_q.d_in or kv_src.shape[-1] != p.w_k.d_in:
         raise ShapeError(
@@ -186,28 +185,21 @@ def multi_head_attention(
         if not np.all(key_mask.any(axis=-1)):
             raise ContractError("attention with every key masked for some query")
 
-    q = linear(p.w_q, q_src)
-    k = linear(p.w_k, kv_src)
-    v = linear(p.w_v, kv_src)
-    inv_sqrt_dk = 1.0 / math.sqrt(p.head_dim)
-
-    bias = _mask_bias(key_mask, q.ndim) if key_mask is not None else None
-    contexts = []
-    weights = []
-    for h in range(p.num_heads):
-        lo = h * p.head_dim
-        q_h = ad.narrow(q, -1, lo, p.head_dim)
-        k_h = ad.narrow(k, -1, lo, p.head_dim)
-        v_h = ad.narrow(v, -1, lo, p.head_dim)
-        scores = ad.scale(ad.matmul(q_h, ad.transpose_last2(k_h)), inv_sqrt_dk)
-        if bias is not None:
-            scores = ad.add(scores, bias)
-        att = ad.softmax_last(scores)
-        weights.append(att)
-        contexts.append(ad.matmul(att, v_h))
-    out = linear(p.w_o, ad.concat(contexts, axis=-1))
+    heads = p.num_heads
+    q = ad.transpose_last2(_split_heads(linear(p.w_q, q_src), heads))
+    k_t = _split_heads(linear(p.w_k, kv_src), heads)
+    v = ad.transpose_last2(_split_heads(linear(p.w_v, kv_src), heads))
+    scores = ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(p.head_dim))
+    if key_mask is not None:
+        # 0 where attendable, -inf where not; (.., 1, 1, keys) broadcasts over
+        # (.., heads, q_rows, keys).
+        scores = ad.add(scores, Tensor(np.where(key_mask, 0.0, -np.inf)[..., None, None, :]))
+    att = ad.softmax_last(scores)
+    context = ad.transpose_last2(ad.matmul(att, v))  # (.., heads, d, q_rows)
+    merged = ad.reshape(context, q_src.shape[:-2] + (p.w_o.d_in, q_src.shape[-2]))
+    out = linear(p.w_o, ad.transpose_last2(merged))
     if return_weights:
-        return out, weights
+        return out, att
     return out
 
 

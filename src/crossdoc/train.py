@@ -207,6 +207,8 @@ def probe(cfg: RunConfig, ckpt_path) -> ProbeResult:
     except ConfigError as e:
         raise DataError(f"checkpoint {ckpt_path} has an invalid config echo: {e}") from e
     model.load_arrays(ckpt.params)
+    for param in model.parameters().values():
+        param.requires_grad = False  # frozen: embedding records no graph
 
     spec, splits = load_corpus(cfg, model.layout)
     v_train, t_train, y_train = embed_records(model, splits.train)

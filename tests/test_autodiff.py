@@ -1,6 +1,8 @@
 """Tensor engine tests: forward oracles, adjoint checks, tape behavior."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -196,18 +198,12 @@ class TestGradTape:
         assert all(c == 1 for c in counts.values())
         assert len(counts) == 3
 
-    def test_clear_resets_grads_to_zero(self):
-        """Leaf grads are zeroed in place; intermediate grads are dropped."""
+    def test_clear_drops_leaf_grads(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
-        y = ad.mul(x, x)
-        loss = ad.tensor_sum(y)
-        tape = ad.backward(loss)
-        assert np.any(x.grad != 0)
-        leaf_grad = x.grad
+        tape = ad.backward(ad.tensor_sum(ad.mul(x, x)))
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
         tape.clear()
-        assert x.grad is leaf_grad
-        np.testing.assert_array_equal(x.grad, [0.0, 0.0])
-        assert y.grad is None and loss.grad is None
+        assert x.grad is None
 
     def test_backward_after_clear_repeats_leaf_grads(self):
         """A second backward over a fresh graph after clear() gives the same
@@ -227,11 +223,54 @@ class TestGradTape:
         np.testing.assert_array_equal(first[0], second[0])
         np.testing.assert_array_equal(first[1], second[1])
 
-    def test_backward_returns_tape_covering_graph(self):
-        x = ad.Tensor([1.0], requires_grad=True)
-        loss = ad.tensor_sum(ad.exp(x))
+    def test_tape_holds_exactly_the_leaves_reached(self):
+        """Constants are not recorded; intermediates keep no grad, parents
+        or adjoint once backward has run."""
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        w = ad.Tensor([3.0, 4.0], requires_grad=True)
+        c = ad.Tensor([5.0, 6.0])
+        inner = ad.mul(ad.add(x, c), w)
+        loss = ad.tensor_sum(inner)
         tape = ad.backward(loss)
-        assert x in tape.nodes and loss in tape.nodes
+        assert {id(n) for n in tape.nodes} == {id(x), id(w)}
+        assert len(tape.nodes) == 2
+        for node in (inner, loss):
+            assert node.grad is None and node._parents == ()
+            assert node._backward is ad._noop
+
+    def test_backward_frees_the_graph_without_the_cyclic_gc(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        gc.disable()
+        try:
+            hidden = ad.exp(x)
+            alive = weakref.ref(hidden.data)
+            loss = ad.tensor_sum(ad.mul(hidden, hidden))
+            del hidden
+            ad.backward(loss)
+            del loss
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_second_backward_over_a_consumed_graph_rejected(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        loss = ad.tensor_sum(ad.exp(x))
+        ad.backward(loss)
+        with pytest.raises(ContractError, match="consumed"):
+            ad.backward(loss)
+
+    @pytest.mark.parametrize("add_first", [True, False])
+    def test_shared_gradient_array_is_never_written_in_place(self, add_first):
+        """``add`` hands one array to both inputs; ``a``'s later contribution
+        from ``mul`` must not change ``b``'s grad."""
+        a = ad.Tensor([1.0, 2.0], requires_grad=True)
+        b = ad.Tensor([3.0, 4.0], requires_grad=True)
+        c = ad.Tensor([5.0, 7.0])
+        terms = [ad.add(a, b), ad.mul(a, c)]
+        y = terms[0] + terms[1] if add_first else terms[1] + terms[0]
+        ad.backward(ad.tensor_sum(y))
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(a.grad, [6.0, 8.0])
 
 
 class TestFiniteDiffOracle:

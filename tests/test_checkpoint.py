@@ -84,3 +84,15 @@ def test_trailing_bytes_rejected(saved):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(FormatError, match=f"trailing bytes in checkpoint at byte {size}"):
         load_checkpoint(path)
+
+
+def test_non_finite_value_in_probe_is_a_format_error(saved, capsys):
+    path, config_text, params = saved[:3]
+    name = next(iter(params))
+    ndim = params[name].ndim
+    # past the config text, the u32 array count, the u16 name length, the
+    # name, the u8 ndim and the u32 dims, then two values in
+    offset = CONFIG_TEXT_OFFSET + len(config_text.encode()) + 4 + 2 + len(name) + 1 + 4 * ndim + 16
+    overwrite(path, offset, np.array([np.nan], dtype="<f8").tobytes())
+    assert cli.main(["probe", "--ckpt", str(path)]) == 2
+    assert f"array {name!r} has a non-finite value at byte {offset}" in capsys.readouterr().err

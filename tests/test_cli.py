@@ -3,7 +3,7 @@ match the model: a data error (exit 2) before any file is written."""
 
 import pytest
 
-from crossdoc import cli
+from crossdoc import cli, train
 
 TINY = """\
 feature_dim = 8
@@ -49,3 +49,20 @@ def test_probe_checkpoint_of_another_layout(tmp_path, capsys):
     code, _ = run(tmp_path, "probe", "probe_default", "", ckpt)
     assert code == 2
     assert "DocumentLayout" in capsys.readouterr().err
+
+
+def test_probe_embeds_with_a_frozen_encoder(tmp_path, monkeypatch):
+    code, out = run(tmp_path, "pretrain", "run", "image_size = 8\n")
+    assert code == 0
+    trainable = []
+    real = train.embed_records
+
+    def spy(model, records, *args, **kwargs):
+        trainable.extend(p.requires_grad for p in model.parameters().values())
+        return real(model, records, *args, **kwargs)
+
+    monkeypatch.setattr(train, "embed_records", spy)
+    ckpt = ["--ckpt", str(out / "checkpoint.bin")]
+    code, _ = run(tmp_path, "probe", "probe", "image_size = 8\n", ckpt)
+    assert code == 0
+    assert trainable and not any(trainable)

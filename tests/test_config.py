@@ -38,3 +38,10 @@ def test_format_parse_round_trip(cfg):
 def test_odd_batch_size_rejected(batch_size):
     with pytest.raises(ConfigError, match="even"):
         RunConfig(batch_size=batch_size)
+
+
+@pytest.mark.parametrize("corpus_path", ["data/run#2/corpus.bin", "data/a\nb.bin", "data/a\rb.bin"],
+                         ids=["hash", "newline", "carriage_return"])
+def test_corpus_path_the_text_format_cannot_carry_rejected(corpus_path):
+    with pytest.raises(ConfigError, match="corpus_path"):
+        RunConfig(corpus_path=corpus_path)

@@ -5,7 +5,7 @@ import pytest
 
 from crossdoc.autodiff import backward
 from crossdoc.config import RunConfig
-from crossdoc.data import generate_corpus, make_batch
+from crossdoc.data import collate, generate_corpus, make_batch
 from crossdoc.errors import DataError
 from crossdoc.model import CrossModalModel
 from crossdoc.train import batch_loss
@@ -30,6 +30,17 @@ class TestParameterTree:
         params = model.parameters()
         assert {id(p) for p in params.values()} == reached
         assert len(params) == len(reached)
+
+    def test_frozen_model_embeds_without_a_graph(self):
+        cfg = tiny_config()
+        images, ids, _ = collate(generate_corpus(cfg.corpus_spec()).train[:4])
+        trainable = CrossModalModel.create(cfg, seed=0)
+        frozen = CrossModalModel.create(cfg, seed=0)
+        for p in frozen.parameters().values():
+            p.requires_grad = False
+        for live, fixed in zip(trainable.embed(images, ids), frozen.embed(images, ids)):
+            assert live._parents and not fixed._parents
+            np.testing.assert_array_equal(live.data, fixed.data)
 
     def test_names_follow_the_dataclass_tree(self):
         names = list(CrossModalModel.create(tiny_config(), seed=0).parameters())

@@ -162,10 +162,9 @@ class TestMultiHeadAttention:
         p = nn.MHAParams.create(rng, 8, 4)
         q, kv = rng.normal(size=(5, 8)), rng.normal(size=(7, 8))
         _, weights = nn.multi_head_attention(p, Tensor(q), Tensor(kv), return_weights=True)
-        assert len(weights) == 4
-        for w in weights:
-            assert np.all(w.data >= 0)
-            np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, atol=1e-12)
+        assert weights.shape == (4, 5, 7)  # (heads, query rows, key rows)
+        assert np.all(weights.data >= 0)
+        np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_all_keys_masked_rejected(self):
         rng = np.random.default_rng(11)
