@@ -413,23 +413,28 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make_node(a.data.sum(axis=axis, keepdims=keepdims), "sum", (a, vjp))
 
 
-def mean_last(a) -> Tensor:
-    a = as_tensor(a)
-    return scale(tensor_sum(a, axis=-1, keepdims=True), 1.0 / a.shape[-1])
+def _softmax_parts(x: np.ndarray, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax over the final axis and its log-normalizer (kept as an axis).
+
+    Stabilized by max subtraction; entries equal to -inf get exactly zero
+    weight.  A NaN or +inf entry is a numeric failure upstream.  A row whose
+    entries are all -inf is a caller bug and would produce NaNs.  Both are
+    rejected, naming ``op``.
+    """
+    m = np.max(x, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(m)):
+        if np.any(np.isnan(m) | (m == np.inf)):
+            raise NumericError(f"{op} of a NaN or +inf value")
+        raise ContractError(f"{op} row with no finite entry")
+    e = np.exp(x - m)
+    total = e.sum(axis=-1, keepdims=True)
+    return e / total, m + np.log(total)
 
 
 def softmax_last(a) -> Tensor:
-    """Softmax over the final axis, stabilized by max subtraction.
-
-    Entries equal to -inf get exactly zero weight; a row that is all -inf
-    is a caller bug and would produce NaNs, so it is rejected.
-    """
+    """Softmax over the final axis (see ``_softmax_parts``)."""
     a = as_tensor(a)
-    m = np.max(a.data, axis=-1, keepdims=True)
-    if not np.all(np.isfinite(m)):
-        raise ContractError("softmax_last row with no finite entry")
-    e = np.exp(a.data - m)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y, _ = _softmax_parts(a.data, "softmax_last")
     return _make_node(
         y, "softmax_last", (a, lambda g: (g - np.sum(g * y, axis=-1, keepdims=True)) * y)
     )
@@ -438,13 +443,118 @@ def softmax_last(a) -> Tensor:
 def logsumexp_last(a) -> Tensor:
     """log(sum(exp(x))) over the final axis, stabilized; -inf entries drop out."""
     a = as_tensor(a)
-    m = np.max(a.data, axis=-1, keepdims=True)
-    if not np.all(np.isfinite(m)):
-        raise ContractError("logsumexp_last row with no finite entry")
-    e = np.exp(a.data - m)
-    out_data = (m + np.log(e.sum(axis=-1, keepdims=True)))[..., 0]
-    softmax = e / e.sum(axis=-1, keepdims=True)
-    return _make_node(out_data, "logsumexp_last", (a, lambda g: g[..., None] * softmax))
+    softmax, lse = _softmax_parts(a.data, "logsumexp_last")
+    return _make_node(lse[..., 0], "logsumexp_last", (a, lambda g: g[..., None] * softmax))
+
+
+# ---------------------------------------------------------------------------
+# fused ops: one node each, with closed-form adjoints
+# ---------------------------------------------------------------------------
+
+def layer_norm_last(x, gamma, beta, eps: float) -> Tensor:
+    """``gamma * (x - mean) / sqrt(var + eps) + beta`` over the final axis.
+
+    The x adjoint is the closed form ``inv * (gg - mean(gg) - xhat *
+    mean(gg * xhat))`` with ``gg = g * gamma`` (Ba et al. 2016), so the node
+    keeps only ``xhat`` and ``inv``.
+    """
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    d = x.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) * (1.0 / d)
+    centered = x.data - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / d)
+    std = np.sqrt(var + eps)
+    xhat = centered / std
+    inv = 1.0 / std
+    gam = gamma.data
+
+    def vjp_x(g):
+        gg = g * gam
+        return inv * (gg - gg.mean(axis=-1, keepdims=True)
+                      - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+
+    return _make_node(
+        xhat * gam + beta.data, "layer_norm",
+        (x, vjp_x), (gamma, lambda g: g * xhat), (beta, lambda g: g),
+    )
+
+
+def _head_view(x: np.ndarray, num_heads: int) -> np.ndarray:
+    """(.., rows, heads * d) -> (.., heads, rows, d), as a view."""
+    *lead, rows, width = x.shape
+    return x.reshape(*lead, rows, num_heads, width // num_heads).swapaxes(-3, -2)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(.., heads, rows, d) -> (.., rows, heads * d): the inverse of ``_head_view``."""
+    *lead, heads, rows, d = x.shape
+    return x.swapaxes(-3, -2).reshape(*lead, rows, heads * d)
+
+
+def attention_heads(q, k, v, num_heads: int, key_bias=None) -> tuple[Tensor, np.ndarray]:
+    """Scaled dot-product attention over ``num_heads`` heads, as one node.
+
+    ``q`` is (.., q_rows, D) and ``k``, ``v`` are (.., k_rows, D), already
+    projected; heads are numpy views of D's consecutive blocks.
+    ``key_bias``, if given, is a (.., k_rows) array added to every head's
+    logits for that key: 0 keeps it, -inf masks it.  Returns the merged
+    (.., q_rows, D) context node and the (.., heads, q_rows, k_rows) softmax
+    weights as a plain array.  The node keeps the softmax for its adjoint.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    width = q.shape[-1]
+    if k.shape != v.shape or k.shape[-1] != width or q.ndim < 2 or k.ndim < 2:
+        raise ShapeError(f"attention operands disagree: q {q.shape}, k {k.shape}, v {v.shape}")
+    if num_heads < 1 or width % num_heads:
+        raise ShapeError(f"feature dim {width} does not split into {num_heads} heads")
+    qh, kh, vh = (_head_view(t.data, num_heads) for t in (q, k, v))
+    factor = 1.0 / math.sqrt(width // num_heads)
+    scores = (qh @ kh.swapaxes(-1, -2)) * factor
+    if key_bias is not None:
+        scores = scores + np.asarray(key_bias)[..., None, None, :]
+    att, _ = _softmax_parts(scores, "attention_heads")
+
+    shared = {}
+
+    def dscores(g):
+        # The softmax adjoint, computed once per backward for the q and k edges.
+        if not shared:
+            datt = _head_view(g, num_heads) @ vh.swapaxes(-1, -2)
+            shared["ds"] = (datt - np.sum(datt * att, axis=-1, keepdims=True)) * att * factor
+        return shared["ds"]
+
+    out = _make_node(
+        _merge_heads(att @ vh), "attention",
+        (q, lambda g: _merge_heads(dscores(g) @ kh)),
+        (k, lambda g: _merge_heads(dscores(g).swapaxes(-1, -2) @ qh)),
+        (v, lambda g: _merge_heads(att.swapaxes(-1, -2) @ _head_view(g, num_heads))),
+    )
+    return out, att
+
+
+def contrastive_sum(sim, weights: np.ndarray, temperature: float, exclude_diag: bool) -> Tensor:
+    """``-sum_ij W[i, j] * log_softmax(sim / T)[i, j]`` over rows of ``sim``.
+
+    With ``exclude_diag`` each row's diagonal entry leaves the softmax
+    denominator; the log-ratios themselves come from the unmasked logits, so
+    zero-weight cells stay finite.  The adjoint is
+    ``(rowsum(W) * softmax - W) / T``.
+    """
+    sim = as_tensor(sim)
+    weights = np.asarray(weights, dtype=np.float64)
+    if sim.ndim != 2 or weights.shape != sim.shape:
+        raise ShapeError(f"contrastive_sum needs matching 2-d operands: {sim.shape} vs {weights.shape}")
+    scaled = sim.data * (1.0 / temperature)
+    denom = scaled
+    if exclude_diag:
+        denom = scaled.copy()
+        np.fill_diagonal(denom, -np.inf)
+    softmax, lse = _softmax_parts(denom, "contrastive_sum")
+    row_weight = weights.sum(axis=-1, keepdims=True)
+    return _make_node(
+        -np.sum((scaled - lse) * weights), "contrastive_sum",
+        (sim, lambda g: g * ((row_weight * softmax - weights) * (1.0 / temperature))),
+    )
 
 
 # ---------------------------------------------------------------------------

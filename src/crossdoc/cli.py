@@ -2,7 +2,10 @@
 
 Subcommands: pretrain, probe, ablate, gradcheck, gen-corpus.
 Exit codes: 0 success, 1 configuration error, 2 data/file error,
-3 numeric failure.
+3 numeric failure (or a failed gradient audit), 4 contract or shape
+violation: an operation called outside its contract, which no valid input
+should reach.  Every ``CrossdocError`` ends in one of these codes with a
+one-line message on stderr, never in a traceback.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from pathlib import Path
 
 from .config import PRESETS, RunConfig, apply_preset, format_config, parse_config
 from .data import generate_corpus, write_corpus
-from .errors import ConfigError, DataError, FormatError, NumericError
+from .errors import ConfigError, CrossdocError, DataError, FormatError, NumericError
 from .train import (
     ablate,
     gradcheck_report,
@@ -120,6 +123,9 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
+    except CrossdocError as e:  # ContractError, ShapeError
+        print(f"contract violation: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -80,9 +80,12 @@ class RunConfig:
             raise ConfigError("log/checkpoint cadences must be >= 1")
         if self.loss_mode not in ("cross", "scl"):
             raise ConfigError(f"loss_mode must be 'cross' or 'scl', got {self.loss_mode!r}")
-        # parse_config cuts values at '#' and at line breaks
-        if "#" in self.corpus_path or "".join(self.corpus_path.splitlines()) != self.corpus_path:
-            raise ConfigError(f"corpus_path may not contain '#' or a line break: {self.corpus_path!r}")
+        # parse_config cuts values at '#' and at line breaks, and strips them
+        path = self.corpus_path
+        if "#" in path or "".join(path.splitlines()) != path or path.strip() != path:
+            raise ConfigError(
+                f"corpus_path may not contain '#' or a line break, nor start or end "
+                f"with whitespace: {path!r}")
 
     def layout(self) -> DocumentLayout:
         """The document geometry the flat image/patch/vocab fields describe."""

@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: configuration problems exit 1,
-data/file problems exit 2, numeric failures exit 3.
+The CLI maps every one of these onto a process exit code: configuration
+problems (``ConfigError``) exit 1, data/file problems (``DataError``,
+``FormatError``) exit 2, numeric failures (``NumericError``) exit 3, and
+contract or shape violations (``ContractError``, ``ShapeError``, or any other
+``CrossdocError``) exit 4.
 """
 
 

@@ -36,24 +36,6 @@ def _positive_weights(labels: np.ndarray, include_self: bool) -> np.ndarray:
     return pos / np.maximum(counts, 1.0)
 
 
-def _diag_exclusion(n: int) -> Tensor:
-    bias = np.zeros((n, n))
-    np.fill_diagonal(bias, -np.inf)
-    return Tensor(bias)
-
-
-def _contrastive_sum(sim: Tensor, weights: np.ndarray, temperature: float,
-                     exclude_diag: bool) -> Tensor:
-    """-sum_i (1/|pos(i)|) sum_{j in pos(i)} log softmax-ratio of sim[i, j]."""
-    n = sim.shape[0]
-    scaled = ad.scale(sim, 1.0 / temperature)
-    denom_input = ad.add(scaled, _diag_exclusion(n)) if exclude_diag else scaled
-    lse = ad.logsumexp_last(denom_input)
-    # log-ratios come from the unmasked logits so zero-weight cells stay finite
-    log_prob = ad.sub(scaled, ad.reshape(lse, (n, 1)))
-    return ad.neg(ad.tensor_sum(ad.mul(log_prob, Tensor(weights))))
-
-
 def intra_modality_term(embeddings: Tensor, labels, temperature: float) -> Tensor:
     """Supervised contrastive sum within one modality.
 
@@ -70,7 +52,7 @@ def intra_modality_term(embeddings: Tensor, labels, temperature: float) -> Tenso
         raise ShapeError(f"labels shape {labels.shape} does not match {n} embeddings")
     sim = ad.matmul(embeddings, ad.transpose_last2(embeddings))
     weights = _positive_weights(labels, include_self=False)
-    return _contrastive_sum(sim, weights, temperature, exclude_diag=True)
+    return ad.contrastive_sum(sim, weights, temperature, exclude_diag=True)
 
 
 def inter_modality_term(
@@ -95,7 +77,7 @@ def inter_modality_term(
         raise ShapeError("labels do not match batch size")
     sim = ad.matmul(anchors, ad.transpose_last2(others))
     weights = _positive_weights(labels, include_self=include_own_pair)
-    return _contrastive_sum(sim, weights, temperature, exclude_diag=not include_own_pair)
+    return ad.contrastive_sum(sim, weights, temperature, exclude_diag=not include_own_pair)
 
 
 @dataclass

@@ -94,11 +94,7 @@ def layer_norm(p: LayerNormParams, x: Tensor) -> Tensor:
     """Normalize the trailing axis to zero mean / unit variance, then affine."""
     if x.shape[-1] < 2:
         raise ShapeError(f"layer_norm needs trailing dim >= 2, got {x.shape}")
-    mu = ad.mean_last(x)
-    centered = ad.sub(x, mu)
-    var = ad.mean_last(ad.mul(centered, centered))
-    normed = ad.div(centered, ad.sqrt(ad.add(var, p.epsilon)))
-    return ad.add(ad.mul(normed, p.gamma), p.beta)
+    return ad.layer_norm_last(x, p.gamma, p.beta, p.epsilon)
 
 
 @dataclass
@@ -149,12 +145,6 @@ class MHAParams:
         )
 
 
-def _split_heads(x: Tensor, num_heads: int) -> Tensor:
-    """(.., rows, heads * d) -> (.., heads, d, rows): each head's transposed block."""
-    lead, rows, width = x.shape[:-2], x.shape[-2], x.shape[-1]
-    return ad.reshape(ad.transpose_last2(x), lead + (num_heads, width // num_heads, rows))
-
-
 def multi_head_attention(
     p: MHAParams,
     q_src: Tensor,
@@ -165,8 +155,9 @@ def multi_head_attention(
     """Scaled dot-product attention with per-head projections.
 
     ``q_src`` and ``kv_src`` are (.., rows, feature_dim); the output matches
-    ``q_src``'s shape.  Heads are an axis: with ``return_weights`` the
-    attention weights come back as one (.., heads, q_rows, k_rows) tensor.
+    ``q_src``'s shape.  The three projections feed one fused
+    ``attention_heads`` node; with ``return_weights`` its softmax weights
+    come back as one constant (.., heads, q_rows, k_rows) tensor.
     ``key_mask`` marks attendable key rows with True; masked keys receive
     -inf logits before the softmax.  A query whose keys are all masked has
     no well-defined attention row and is rejected.
@@ -184,22 +175,15 @@ def multi_head_attention(
             )
         if not np.all(key_mask.any(axis=-1)):
             raise ContractError("attention with every key masked for some query")
+        key_bias = np.where(key_mask, 0.0, -np.inf)
+    else:
+        key_bias = None
 
-    heads = p.num_heads
-    q = ad.transpose_last2(_split_heads(linear(p.w_q, q_src), heads))
-    k_t = _split_heads(linear(p.w_k, kv_src), heads)
-    v = ad.transpose_last2(_split_heads(linear(p.w_v, kv_src), heads))
-    scores = ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(p.head_dim))
-    if key_mask is not None:
-        # 0 where attendable, -inf where not; (.., 1, 1, keys) broadcasts over
-        # (.., heads, q_rows, keys).
-        scores = ad.add(scores, Tensor(np.where(key_mask, 0.0, -np.inf)[..., None, None, :]))
-    att = ad.softmax_last(scores)
-    context = ad.transpose_last2(ad.matmul(att, v))  # (.., heads, d, q_rows)
-    merged = ad.reshape(context, q_src.shape[:-2] + (p.w_o.d_in, q_src.shape[-2]))
-    out = linear(p.w_o, ad.transpose_last2(merged))
+    context, att = ad.attention_heads(
+        linear(p.w_q, q_src), linear(p.w_k, kv_src), linear(p.w_v, kv_src), p.num_heads, key_bias)
+    out = linear(p.w_o, context)
     if return_weights:
-        return out, att
+        return out, Tensor(att)
     return out
 
 

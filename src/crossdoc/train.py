@@ -44,7 +44,7 @@ from .losses import (
     intra_modality_term,
 )
 from .model import CrossModalModel
-from .nn import LinearParams, MHAParams, ProjectionHeadParams, l2_normalize, linear, multi_head_attention, project_and_normalize
+from .nn import LayerNormParams, LinearParams, MHAParams, ProjectionHeadParams, l2_normalize, layer_norm, linear, multi_head_attention, project_and_normalize
 from .optim import AdamW, lr_at
 
 CHECKPOINT_NAME = "checkpoint.bin"
@@ -375,6 +375,24 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
 
     x_model = Tensor(rng.normal(size=(batch, 5, d)), requires_grad=True)
     checks.append(("full_stack_loss", f_model, x_model))
+
+    norm = LayerNormParams(Tensor(rng.normal(size=d)), Tensor(rng.normal(size=d)))
+    norm_target = Tensor(rng.normal(size=(rows, d)))
+    x_norm = Tensor(rng.normal(size=(rows, d)), requires_grad=True)
+    checks.append((
+        "layer_norm", lambda t: ad.tensor_sum(ad.mul(layer_norm(norm, t), norm_target)), x_norm,
+    ))
+
+    k_heads, v_heads = (Tensor(rng.normal(size=(batch, rows + 1, d))) for _ in range(2))
+    key_bias = np.where(np.arange(rows + 1) < rows, 0.0, -np.inf)  # last key masked
+    heads_target = Tensor(rng.normal(size=(batch, rows, d)))
+    x_heads = Tensor(rng.normal(size=(batch, rows, d)), requires_grad=True)
+    checks.append((
+        "attention_heads",
+        lambda t: ad.tensor_sum(ad.mul(
+            ad.attention_heads(t, k_heads, v_heads, heads, key_bias)[0], heads_target)),
+        x_heads,
+    ))
     return checks
 
 

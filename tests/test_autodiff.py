@@ -122,6 +122,11 @@ class TestSoftmax:
         with pytest.raises(ContractError):
             ad.softmax_last(ad.Tensor([-np.inf, -np.inf]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "pos_inf"])
+    def test_non_finite_entry_is_a_numeric_error(self, bad):
+        with pytest.raises(NumericError, match="softmax_last"):
+            ad.softmax_last(ad.Tensor([[0.0, 1.0], [bad, 0.0]]))
+
 
 class TestElementwise:
     def test_mul_by_zero(self):
@@ -398,6 +403,95 @@ class TestGradientsMatchFiniteDifferences:
             return ad.tensor_sum(ad.log(ad.add(h, 0.1)))
 
         assert ad.finite_diff_check(f, x) < 1e-4
+
+
+def _attention_operands(rng, lead, masked, q_rows=3, k_rows=4, width=6):
+    q = rng.normal(size=lead + (q_rows, width))
+    k = rng.normal(size=lead + (k_rows, width))
+    v = rng.normal(size=lead + (k_rows, width))
+    key_bias = None
+    if masked:
+        keep = rng.random(lead + (k_rows,)) > 0.4
+        keep[..., 0] = True
+        key_bias = np.where(keep, 0.0, -np.inf)
+    return {"q": q, "k": k, "v": v}, key_bias
+
+
+class TestFusedOps:
+    """The fused layer-norm, attention and contrastive nodes: every edge's
+    adjoint against central differences, < 1e-4."""
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 6), (2, 3, 5)], ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("edge", ["x", "gamma", "beta"])
+    def test_layer_norm_last(self, edge, shape):
+        rng = np.random.default_rng(30)
+        d = shape[-1]
+        args = {"x": rng.normal(size=shape), "gamma": rng.normal(size=d), "beta": rng.normal(size=d)}
+        target = ad.Tensor(rng.normal(size=shape))
+
+        def f(t):
+            inputs = {name: t if name == edge else ad.Tensor(a) for name, a in args.items()}
+            return ad.tensor_sum(ad.mul(ad.layer_norm_last(**inputs, eps=1e-5), target))
+
+        assert ad.finite_diff_check(f, ad.Tensor(args[edge], requires_grad=True)) < 1e-4
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("edge", ["q", "k", "v"])
+    def test_attention_heads(self, edge, lead, masked):
+        rng = np.random.default_rng(31)
+        args, key_bias = _attention_operands(rng, lead, masked)
+        target = ad.Tensor(rng.normal(size=args["q"].shape))
+
+        def f(t):
+            inputs = {name: t if name == edge else ad.Tensor(a) for name, a in args.items()}
+            context, _ = ad.attention_heads(**inputs, num_heads=2, key_bias=key_bias)
+            return ad.tensor_sum(ad.mul(context, target))
+
+        assert ad.finite_diff_check(f, ad.Tensor(args[edge], requires_grad=True)) < 1e-4
+
+    def test_attention_heads_with_every_edge_from_one_input(self):
+        """q, k and v all depend on x, so the q and k edges share one
+        softmax adjoint within the same backward."""
+        rng = np.random.default_rng(32)
+        x = ad.Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
+        target = ad.Tensor(rng.normal(size=(2, 4, 6)))
+
+        def f(t):
+            context, _ = ad.attention_heads(t, ad.scale(t, 0.7), ad.exp(ad.scale(t, 0.3)), 3)
+            return ad.tensor_sum(ad.mul(context, target))
+
+        assert ad.finite_diff_check(f, x) < 1e-4
+
+    def test_attention_heads_weights_are_the_masked_softmax(self):
+        rng = np.random.default_rng(33)
+        args, key_bias = _attention_operands(rng, (2,), masked=True)
+        _, weights = ad.attention_heads(*map(ad.Tensor, args.values()), 2, key_bias)
+        assert weights.shape == (2, 2, 3, 4)  # (batch, heads, q_rows, k_rows)
+        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
+        masked = np.broadcast_to(np.isinf(key_bias)[:, None, None, :], weights.shape)
+        assert np.all(weights[masked] == 0.0)
+
+    def test_attention_heads_all_masked_row_rejected(self):
+        """One sample masks every key; the other sample's rows are finite."""
+        rng = np.random.default_rng(34)
+        args, _ = _attention_operands(rng, (2,), masked=False)
+        key_bias = np.zeros((2, 4))
+        key_bias[1] = -np.inf
+        with pytest.raises(ContractError, match="no finite entry"):
+            ad.attention_heads(*map(ad.Tensor, args.values()), 2, key_bias)
+
+    @pytest.mark.parametrize("exclude_diag", [True, False])
+    def test_contrastive_sum(self, exclude_diag):
+        rng = np.random.default_rng(35)
+        labels = np.array([0, 0, 1, 1, 1, 2])
+        pos = (labels[:, None] == labels[None, :]).astype(float)
+        if exclude_diag:
+            np.fill_diagonal(pos, 0.0)
+        weights = pos / np.maximum(pos.sum(axis=1, keepdims=True), 1.0)
+        sim = ad.Tensor(rng.uniform(-1.0, 1.0, size=(6, 6)), requires_grad=True)
+        f = lambda t: ad.contrastive_sum(t, weights, 0.2, exclude_diag)
+        assert ad.finite_diff_check(f, sim) < 1e-4
 
 
 class TestShapeOps:

@@ -1,9 +1,11 @@
-"""The command line on a corpus or checkpoint whose document layout does not
-match the model: a data error (exit 2) before any file is written."""
+"""The command line: a corpus or checkpoint whose document layout does not
+match the model is a data error (exit 2) before any file is written, and
+every other error class ends in its documented exit code."""
 
 import pytest
 
 from crossdoc import cli, train
+from crossdoc.errors import ContractError, ShapeError
 
 TINY = """\
 feature_dim = 8
@@ -66,3 +68,28 @@ def test_probe_embeds_with_a_frozen_encoder(tmp_path, monkeypatch):
     code, _ = run(tmp_path, "probe", "probe", "image_size = 8\n", ckpt)
     assert code == 0
     assert trainable and not any(trainable)
+
+
+def test_invalid_config_exits_1(tmp_path, capsys):
+    code, out = run(tmp_path, "pretrain", "run", "batch_size = 5\n")
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_run_exits_3(tmp_path, capsys):
+    code, _ = run(tmp_path, "pretrain", "run", "steps = 3\nbase_lr = 1e300\n")
+    assert code == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ContractError, ShapeError])
+def test_contract_and_shape_errors_exit_4(tmp_path, capsys, monkeypatch, error):
+    def broken(cfg, out):
+        raise error("operands disagree")
+
+    monkeypatch.setattr(cli, "pretrain", broken)
+    code, _ = run(tmp_path, "pretrain", "run")
+    assert code == 4
+    assert capsys.readouterr().err == f"contract violation: {error.__name__}: operands disagree\n"

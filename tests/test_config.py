@@ -40,8 +40,10 @@ def test_odd_batch_size_rejected(batch_size):
         RunConfig(batch_size=batch_size)
 
 
-@pytest.mark.parametrize("corpus_path", ["data/run#2/corpus.bin", "data/a\nb.bin", "data/a\rb.bin"],
-                         ids=["hash", "newline", "carriage_return"])
+@pytest.mark.parametrize(
+    "corpus_path",
+    ["data/run#2/corpus.bin", "data/a\nb.bin", "data/a\rb.bin", " data/x.bin", "data/x.bin\t"],
+    ids=["hash", "newline", "carriage_return", "leading_space", "trailing_tab"])
 def test_corpus_path_the_text_format_cannot_carry_rejected(corpus_path):
     with pytest.raises(ConfigError, match="corpus_path"):
         RunConfig(corpus_path=corpus_path)

@@ -5,7 +5,7 @@ import pytest
 
 from crossdoc import autodiff as ad
 from crossdoc.autodiff import Tensor
-from crossdoc.errors import ConfigError, ContractError, NumericError
+from crossdoc.errors import ConfigError, ContractError, NumericError, ShapeError
 from crossdoc.optim import _CHUNK, AdamW, Schedule, lr_at
 
 from oracles import reference_adamw_step
@@ -158,20 +158,107 @@ class TestAdamW:
         for after, expected in zip([w.data, opt.m[name], opt.v[name]], before):
             np.testing.assert_array_equal(after, expected)
 
-    def test_non_contiguous_parameter_rejected(self):
-        x = np.arange(12.0).reshape(3, 4)
-        with pytest.raises(ContractError, match="not C-contiguous"):
-            AdamW({"w": Tensor(x.T, requires_grad=True)})
+    def test_non_contiguous_parameter_is_packed(self):
+        """A transposed parameter is copied into the flat buffer; its update
+        matches the oracle."""
+        x = np.arange(12.0).reshape(3, 4).T
+        w = Tensor(x, requires_grad=True)
+        opt = AdamW({"w": w})
+        assert w.data.flags.c_contiguous
+        np.testing.assert_array_equal(w.data, x)
+        ref = [x.copy(), np.zeros(x.shape), np.zeros(x.shape)]
+        w.grad = np.ones(x.shape)
+        reference_adamw_step(*ref, w.grad, 1e-3, 1)
+        opt.step(1e-3)
+        np.testing.assert_array_equal(w.data, ref[0])
 
-    def test_update_is_never_written_to_a_copy(self):
-        """Data swapped for a non-contiguous array after construction cannot
-        be viewed flat; the step raises instead of updating a copy."""
+    def test_rebound_parameter_data_rejected(self):
+        """Data swapped for another array after construction is not the
+        optimizer's view; the step raises instead of updating the wrong array."""
         w = Tensor(np.zeros((4, _CHUNK)), requires_grad=True)
         opt = AdamW({"w": w})
-        w.data = np.ones((_CHUNK, 4)).T
+        w.data = np.ones((4, _CHUNK))
         w.grad = np.ones(w.shape)
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError, match="'w'"):
             opt.step(1e-3)
+        np.testing.assert_array_equal(w.data, 1.0)
+        np.testing.assert_array_equal(opt.m["w"], 0.0)
+
+    def test_none_grad_parameter_between_others_untouched(self):
+        """A parameter without a gradient splits the run of updated ones: it
+        and its moments stay as they are, its neighbours match the oracle."""
+        rng = np.random.default_rng(16)
+        shapes = {"a": (3, 5), "skipped": (4, 4), "big": (3, _CHUNK // 2), "c": (7,)}
+        params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+        start = {k: p.data.copy() for k, p in params.items()}
+        ref = {k: [p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)] for k, p in params.items()}
+        opt = AdamW(params)
+        for t in range(1, 6):
+            for name, p in params.items():
+                if name == "skipped":
+                    continue
+                p.grad = wide_range_grad(rng, p.shape)
+                reference_adamw_step(*ref[name], p.grad, 1e-3, t)
+            opt.step(1e-3)
+        np.testing.assert_array_equal(params["skipped"].data, start["skipped"])
+        np.testing.assert_array_equal(opt.m["skipped"], 0.0)
+        np.testing.assert_array_equal(opt.v["skipped"], 0.0)
+        for name in ("a", "big", "c"):
+            for got, expected in zip([params[name].data, opt.m[name], opt.v[name]], ref[name]):
+                np.testing.assert_array_equal(got, expected)
+
+    def test_non_finite_in_small_parameter_sharing_a_window(self):
+        """Small parameters share one update window; a NaN in the middle one
+        is reported under its name and nothing at all is written."""
+        rng = np.random.default_rng(17)
+        params = {f"p{i}": Tensor(rng.normal(size=(3, 4)), requires_grad=True) for i in range(3)}
+        opt = AdamW(params)
+        for p in params.values():
+            p.grad = wide_range_grad(rng, p.shape)
+        opt.step(1e-3)
+        before = {k: [p.data.copy(), opt.m[k].copy(), opt.v[k].copy()] for k, p in params.items()}
+        for p in params.values():
+            p.grad = wide_range_grad(rng, p.shape)
+        params["p1"].grad[1, 2] = np.nan
+        with pytest.raises(NumericError, match="'p1'"):
+            opt.step(1e-3)
+        for name, p in params.items():
+            for got, expected in zip([p.data, opt.m[name], opt.v[name]], before[name]):
+                np.testing.assert_array_equal(got, expected)
+        assert opt.step_count == 1
+
+    def test_load_state_then_step_equals_uninterrupted_run(self):
+        shapes = {"w": (5, _CHUNK // 2), "b": (6,)}
+
+        def grads(t):
+            rng = np.random.default_rng(100 + t)
+            return {k: wide_range_grad(rng, s) for k, s in shapes.items()}
+
+        def run(params, opt, steps):
+            for t in steps:
+                for name, g in grads(t).items():
+                    params[name].grad = g
+                opt.step(1e-3 * t)
+
+        rng = np.random.default_rng(18)
+        init = {k: rng.normal(size=s) for k, s in shapes.items()}
+        straight = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        opt = AdamW(straight)
+        run(straight, opt, range(1, 7))
+
+        first = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        opt_first = AdamW(first)
+        run(first, opt_first, range(1, 4))
+        saved = {k: v.copy() for k, v in opt_first.state_arrays().items()}
+        resumed = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in first.items()}
+        opt_resumed = AdamW(resumed)
+        opt_resumed.load_state(opt_first.step_count, saved)
+        run(resumed, opt_resumed, range(4, 7))
+
+        for name in shapes:
+            np.testing.assert_array_equal(resumed[name].data, straight[name].data)
+            np.testing.assert_array_equal(opt_resumed.m[name], opt.m[name])
+            np.testing.assert_array_equal(opt_resumed.v[name], opt.v[name])
 
     def test_state_round_trip(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
@@ -186,6 +273,14 @@ class TestAdamW:
         assert opt2.step_count == 1
         np.testing.assert_array_equal(opt2.m["w"], opt.m["w"])
         np.testing.assert_array_equal(opt2.v["w"], opt.v["w"])
+
+    def test_load_state_of_another_shape_writes_nothing(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        opt = AdamW({"w": w})
+        with pytest.raises(ShapeError, match="m.w"):
+            opt.load_state(3, {"m.w": np.ones(3), "v.w": np.ones(2)})
+        assert opt.step_count == 0
+        np.testing.assert_array_equal(opt.v["w"], 0.0)
 
     def test_hyperparameter_validation(self):
         w = Tensor([1.0], requires_grad=True)
