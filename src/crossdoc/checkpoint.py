@@ -2,7 +2,7 @@
 
 Layout (little-endian):
 
-    magic "XCKP" | u16 version=2 | u64 step
+    magic "XCKP" | u16 version=3 | u64 step
     | u32 config-text length | utf-8 config text
     | named-array section (parameters)
     | u8 has-optimizer | [u64 optimizer step | named-array section (moments)]
@@ -11,8 +11,10 @@ Layout (little-endian):
 
 Values are stored as raw float64, so a save/load round trip is bit-exact;
 a non-finite value is refused on load.
-Version 2 names each stack block ``stack.blocks.{i}``; version 1 wrote
-``stack.block{i}``.
+Version 3 names the transformer sub-layers ``stack.blocks.{i}.cross.into_vision``,
+``...cross.into_text`` and ``...gate_{vision,text}.layer`` (each with ``attn``,
+``norm_attn``, ``ff``, ``norm_ff``) and the head MLPs ``stack.head_*.fc1/fc2``;
+versions 1 and 2 used other names and are refused.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import FormatError
 from .optim import AdamW
 
 MAGIC = b"XCKP"
-VERSION = 2
+VERSION = 3
 
 
 @dataclass

@@ -66,12 +66,22 @@ class RunConfig:
     ablate_steps: int = 300
 
     def __post_init__(self):
+        if self.num_heads < 1:
+            raise ConfigError(f"num_heads must be >= 1, got {self.num_heads}")
         if self.feature_dim % self.num_heads != 0:
             raise ConfigError(
                 f"feature_dim {self.feature_dim} not divisible by {self.num_heads} heads"
             )
         if self.depth < 1:
             raise ConfigError("depth must be >= 1")
+        if self.hidden_dim < 1:
+            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        if self.embed_dim < 2:
+            raise ConfigError(f"embed_dim must be >= 2, got {self.embed_dim}")
+        if not self.temperature > 0.0:
+            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        if not self.inter_weight >= 0.0:
+            raise ConfigError(f"inter_weight must be >= 0, got {self.inter_weight}")
         if self.batch_size < 4 or self.batch_size % 2:
             raise ConfigError(f"batch_size must be even and >= 4, got {self.batch_size}")
         if self.steps < 0:
@@ -104,16 +114,16 @@ class RunConfig:
             seed=self.corpus_seed,
         )
 
-    def schedule(self, steps: int | None = None) -> Schedule:
+    def schedule(self) -> Schedule:
         return Schedule(
-            total_steps=steps if steps is not None else max(self.steps, 1),
+            total_steps=max(self.steps, 1),
             base_lr=self.base_lr,
             warmup_frac=self.warmup_frac,
         )
 
 
-def apply_preset(name: str, base: RunConfig | None = None) -> RunConfig:
-    cfg = base if base is not None else RunConfig()
+def apply_preset(name: str) -> RunConfig:
+    cfg = RunConfig()
     if name == "desk":
         return cfg
     if name == "paper":

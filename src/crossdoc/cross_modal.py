@@ -1,12 +1,14 @@
 """Cross-modal encoder blocks.
 
-One block runs two stages over the paired (vision, text) feature sequences:
+One block runs two stages over the paired (vision, text) feature sequences,
+both built on the one post-norm sub-layer ``transformer_layer``: attention,
+then feed-forward, each wrapped in residual + layer norm.
 
-1. cross-attention exchange: each modality queries the other's keys/values,
-   then residual + layer norm, feed-forward, residual + layer norm;
+1. cross-attention exchange: each modality's sub-layer queries the other's
+   keys/values;
 2. gated self-attention: the stage-1 output is gated against the stage input
    (Hadamard product plus residual, mapped through a fully connected layer),
-   then passed through a standard self-attention transformer unit.
+   then passed through a self-attention sub-layer.
 
 Blocks preserve (rows, feature_dim) for both modalities and can be stacked.
 The stack ends with classification-row pooling and a per-modality projection
@@ -22,14 +24,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoders import ModalityFeatures, pool_cls
+from .encoders import pool_cls
 from .errors import ConfigError, ShapeError
 from .nn import (
     FeedForwardParams,
     LayerNormParams,
     LinearParams,
     MHAParams,
-    ProjectionHeadParams,
     feed_forward,
     layer_norm,
     linear,
@@ -39,58 +40,63 @@ from .nn import (
 
 
 @dataclass
+class LayerParams:
+    """One post-norm transformer sub-layer."""
+
+    attn: MHAParams
+    norm_attn: LayerNormParams
+    ff: FeedForwardParams
+    norm_ff: LayerNormParams
+
+    @classmethod
+    def create(
+        cls, rng: np.random.Generator, feature_dim: int, num_heads: int, count: int
+    ) -> list["LayerParams"]:
+        """``count`` sub-layers; every attention is drawn from ``rng`` before
+        any feed-forward."""
+        attns = [MHAParams.create(rng, feature_dim, num_heads) for _ in range(count)]
+        return [
+            cls(attn, LayerNormParams.create(feature_dim),
+                FeedForwardParams.create(rng, feature_dim), LayerNormParams.create(feature_dim))
+            for attn in attns
+        ]
+
+
+def transformer_layer(
+    p: LayerParams, x: Tensor, kv: Tensor, key_mask: Optional[np.ndarray] = None
+) -> Tensor:
+    """``x`` attends to ``kv`` (``x`` itself for self-attention), then runs the
+    feed-forward; each step is wrapped in residual + layer norm."""
+    att = multi_head_attention(p.attn, x, kv, key_mask=key_mask)
+    mid = layer_norm(p.norm_attn, ad.add(att, x))
+    return layer_norm(p.norm_ff, ad.add(feed_forward(p.ff, mid), mid))
+
+
+@dataclass
 class CrossAttentionBlockParams:
     """Parameters for one bidirectional cross-attention exchange."""
 
-    attn_into_vision: MHAParams  # queries: vision, keys/values: text
-    attn_into_text: MHAParams  # queries: text, keys/values: vision
-    norm_vision_attn: LayerNormParams
-    norm_vision_ff: LayerNormParams
-    norm_text_attn: LayerNormParams
-    norm_text_ff: LayerNormParams
-    ff_vision: FeedForwardParams
-    ff_text: FeedForwardParams
+    into_vision: LayerParams  # queries: vision, keys/values: text
+    into_text: LayerParams  # queries: text, keys/values: vision
 
     @classmethod
     def create(cls, rng: np.random.Generator, feature_dim: int, num_heads: int) -> "CrossAttentionBlockParams":
-        return cls(
-            attn_into_vision=MHAParams.create(rng, feature_dim, num_heads),
-            attn_into_text=MHAParams.create(rng, feature_dim, num_heads),
-            norm_vision_attn=LayerNormParams.create(feature_dim),
-            norm_vision_ff=LayerNormParams.create(feature_dim),
-            norm_text_attn=LayerNormParams.create(feature_dim),
-            norm_text_ff=LayerNormParams.create(feature_dim),
-            ff_vision=FeedForwardParams.create(rng, feature_dim),
-            ff_text=FeedForwardParams.create(rng, feature_dim),
-        )
+        return cls(*LayerParams.create(rng, feature_dim, num_heads, count=2))
 
 
 def cross_attention_block(
     p: CrossAttentionBlockParams,
-    vision: ModalityFeatures,
-    text: ModalityFeatures,
+    vision: Tensor,
+    text: Tensor,
     text_mask: Optional[np.ndarray] = None,
-) -> tuple[ModalityFeatures, ModalityFeatures]:
+) -> tuple[Tensor, Tensor]:
     """Exchange information across modalities; shapes are preserved.
 
     Padded text rows are masked whenever text serves as keys; vision rows are
     never masked.
     """
-    if vision.feature_dim != text.feature_dim:
-        raise ShapeError(
-            f"modalities disagree on feature dim: {vision.feature_dim} vs {text.feature_dim}"
-        )
-    v, t = vision.tensor, text.tensor
-
-    v_att = multi_head_attention(p.attn_into_vision, v, t, key_mask=text_mask)
-    v_mid = layer_norm(p.norm_vision_attn, ad.add(v_att, v))
-    v_out = layer_norm(p.norm_vision_ff, ad.add(feed_forward(p.ff_vision, v_mid), v_mid))
-
-    t_att = multi_head_attention(p.attn_into_text, t, v, key_mask=None)
-    t_mid = layer_norm(p.norm_text_attn, ad.add(t_att, t))
-    t_out = layer_norm(p.norm_text_ff, ad.add(feed_forward(p.ff_text, t_mid), t_mid))
-
-    return ModalityFeatures(v_out), ModalityFeatures(t_out)
+    return (transformer_layer(p.into_vision, vision, text, key_mask=text_mask),
+            transformer_layer(p.into_text, text, vision))
 
 
 @dataclass
@@ -98,10 +104,7 @@ class GatedSelfAttentionParams:
     """One modality's gate-and-self-attend stage."""
 
     fuse: LinearParams  # feature_dim -> feature_dim
-    attn: MHAParams
-    norm_attn: LayerNormParams
-    norm_ff: LayerNormParams
-    ff: FeedForwardParams
+    layer: LayerParams
 
     def __post_init__(self):
         if self.fuse.d_in != self.fuse.d_out:
@@ -109,38 +112,29 @@ class GatedSelfAttentionParams:
 
     @classmethod
     def create(cls, rng: np.random.Generator, feature_dim: int, num_heads: int) -> "GatedSelfAttentionParams":
-        return cls(
-            fuse=LinearParams.create(rng, feature_dim, feature_dim),
-            attn=MHAParams.create(rng, feature_dim, num_heads),
-            norm_attn=LayerNormParams.create(feature_dim),
-            norm_ff=LayerNormParams.create(feature_dim),
-            ff=FeedForwardParams.create(rng, feature_dim),
-        )
+        fuse = LinearParams.create(rng, feature_dim, feature_dim)
+        (layer,) = LayerParams.create(rng, feature_dim, num_heads, count=1)
+        return cls(fuse, layer)
 
 
 def gated_self_attention(
     p: GatedSelfAttentionParams,
-    previous: ModalityFeatures,
-    updated: ModalityFeatures,
+    previous: Tensor,
+    updated: Tensor,
     key_mask: Optional[np.ndarray] = None,
-) -> ModalityFeatures:
+) -> Tensor:
     """Gate the updated features against the original ones, then self-attend.
 
     The gate multiplies the two feature sets elementwise, adds the originals
-    back, and maps the sum through the fusion layer.  The fused rows then run
-    a self-attention sub-layer and a feed-forward sub-layer, each wrapped in
-    residual + layer norm.
+    back, and maps the sum through the fusion layer; the fused rows then run
+    a self-attention sub-layer.
     """
-    if previous.tensor.shape != updated.tensor.shape:
+    if previous.shape != updated.shape:
         raise ShapeError(
-            f"gate inputs must share a shape: {previous.tensor.shape} vs {updated.tensor.shape}"
+            f"gate inputs must share a shape: {previous.shape} vs {updated.shape}"
         )
-    prev, new = previous.tensor, updated.tensor
-    fused = linear(p.fuse, ad.add(ad.mul(new, prev), prev))
-    att = multi_head_attention(p.attn, fused, fused, key_mask=key_mask)
-    mid = layer_norm(p.norm_attn, ad.add(att, fused))
-    out = layer_norm(p.norm_ff, ad.add(feed_forward(p.ff, mid), mid))
-    return ModalityFeatures(out)
+    fused = linear(p.fuse, ad.add(ad.mul(updated, previous), previous))
+    return transformer_layer(p.layer, fused, fused, key_mask=key_mask)
 
 
 @dataclass
@@ -168,8 +162,8 @@ class CrossModalStack:
     """
 
     blocks: list[BlockParams] = field(default_factory=list)
-    head_vision: ProjectionHeadParams = None
-    head_text: ProjectionHeadParams = None
+    head_vision: FeedForwardParams = None
+    head_text: FeedForwardParams = None
     use_cross: bool = True
     use_gate: bool = True
 
@@ -189,14 +183,12 @@ class CrossModalStack:
         use_cross: bool = True,
         use_gate: bool = True,
     ) -> "CrossModalStack":
-        if depth < 1:
-            raise ConfigError("stack depth must be >= 1")
         hidden_dim = feature_dim if hidden_dim is None else hidden_dim
         embed_dim = max(2, feature_dim // 2) if embed_dim is None else embed_dim
         return cls(
             blocks=[BlockParams.create(rng, feature_dim, num_heads) for _ in range(depth)],
-            head_vision=ProjectionHeadParams.create(rng, feature_dim, hidden_dim, embed_dim),
-            head_text=ProjectionHeadParams.create(rng, feature_dim, hidden_dim, embed_dim),
+            head_vision=FeedForwardParams.create(rng, feature_dim, hidden_dim, embed_dim),
+            head_text=FeedForwardParams.create(rng, feature_dim, hidden_dim, embed_dim),
             use_cross=use_cross,
             use_gate=use_gate,
         )
@@ -207,10 +199,10 @@ class CrossModalStack:
 
     def run_blocks(
         self,
-        vision: ModalityFeatures,
-        text: ModalityFeatures,
+        vision: Tensor,
+        text: Tensor,
         text_mask: Optional[np.ndarray] = None,
-    ) -> tuple[ModalityFeatures, ModalityFeatures]:
+    ) -> tuple[Tensor, Tensor]:
         """Apply every block, honoring the identity-replacement switches."""
         v, t = vision, text
         for block in self.blocks:
@@ -224,8 +216,8 @@ class CrossModalStack:
 
     def forward(
         self,
-        vision: ModalityFeatures,
-        text: ModalityFeatures,
+        vision: Tensor,
+        text: Tensor,
         text_mask: Optional[np.ndarray] = None,
     ) -> tuple[Tensor, Tensor]:
         """Blocks, then pooling and projection; returns unit-norm embeddings."""

@@ -13,7 +13,7 @@ On-disk container (all little-endian):
           | u16 channels | u16 patch | u32 vocab_size
           | f64 pixel_noise | f64 token_corruption | u64 seed
     record set: u32 count | count x record
-    record: f32[height*width*channels] image | u32[n_max] token ids | u16 label
+    record: f32[height*width*channels] image | u32[rows] token ids | u16 label
 """
 
 from __future__ import annotations
@@ -111,16 +111,16 @@ def _render_image(spec: SyntheticCorpusSpec, template: np.ndarray,
 
 def _draw_tokens(spec: SyntheticCorpusSpec, label: int,
                  rng: np.random.Generator) -> TokenSequence:
-    n_max = spec.layout.n_max
+    rows = spec.layout.rows
     lo, hi = spec.class_token_range(label)
-    max_content = n_max - 2
+    max_content = rows - 2
     length = int(rng.integers(max(1, max_content // 2), max_content + 1))
     content = rng.integers(lo, hi, size=length)
     if spec.token_corruption > 0.0:
         corrupt = rng.random(length) < spec.token_corruption
         noise = rng.integers(NUM_RESERVED_IDS, spec.layout.vocab_size, size=length)
         content = np.where(corrupt, noise, content)
-    return TokenSequence.build(content.tolist(), n_max)
+    return TokenSequence.build(content.tolist(), rows)
 
 
 def generate_corpus(spec: SyntheticCorpusSpec) -> CorpusSplits:
@@ -230,7 +230,7 @@ def read_corpus(path) -> tuple[SyntheticCorpusSpec, CorpusSplits]:
         for _ in range(count):
             pixels = np.frombuffer(reader.take(4 * image_count), dtype="<f4")
             pixels = pixels.reshape(layout.height, layout.width, layout.channels).copy()
-            ids = np.frombuffer(reader.take(4 * layout.n_max), dtype="<u4").astype(np.int64)
+            ids = np.frombuffer(reader.take(4 * layout.rows), dtype="<u4").astype(np.int64)
             (label,) = reader.unpack("<H")
             if label >= spec.classes:
                 raise DataError(f"record label {label} >= {spec.classes} classes")

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError
 from .nn import LinearParams, linear
 
 PAD_ID = 0
@@ -50,14 +50,10 @@ class DocumentLayout:
 
     @property
     def rows(self) -> int:
-        """Sequence rows per modality: patches plus the classification row."""
+        """Sequence rows per modality: patches plus the classification row.
+        Token sequences are padded/truncated to exactly this count, so paired
+        samples share their (rows, feature_dim) shape."""
         return self.num_patches + 1
-
-    @property
-    def n_max(self) -> int:
-        # Token sequences are padded/truncated to exactly the vision row count
-        # so paired samples share their (rows, feature_dim) shape.
-        return self.rows
 
 
 @dataclass
@@ -76,7 +72,7 @@ class DocumentImage:
 class TokenSequence:
     """Fixed-length id sequence: [CLS] content... [SEP] [PAD]..."""
 
-    ids: np.ndarray  # (n_max,) integer ids
+    ids: np.ndarray  # (rows,) integer ids
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
@@ -94,31 +90,12 @@ class TokenSequence:
         return self.ids != PAD_ID
 
     @classmethod
-    def build(cls, content_ids, n_max: int) -> "TokenSequence":
-        """Wrap raw content ids with [CLS]/[SEP], truncating or padding to n_max."""
-        content = list(content_ids)[: n_max - 2]
+    def build(cls, content_ids, rows: int) -> "TokenSequence":
+        """Wrap raw content ids with [CLS]/[SEP], truncating or padding to rows."""
+        content = list(content_ids)[: rows - 2]
         ids = [CLS_ID] + content + [SEP_ID]
-        ids += [PAD_ID] * (n_max - len(ids))
+        ids += [PAD_ID] * (rows - len(ids))
         return cls(np.array(ids, dtype=np.int64))
-
-
-@dataclass
-class ModalityFeatures:
-    """A (.., rows, feature_dim) feature block for one modality."""
-
-    tensor: Tensor
-
-    def __post_init__(self):
-        if self.tensor.ndim < 2:
-            raise ShapeError(f"features must be at least 2-d, got {self.tensor.shape}")
-
-    @property
-    def rows(self) -> int:
-        return self.tensor.shape[-2]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.tensor.shape[-1]
 
 
 @dataclass
@@ -140,13 +117,13 @@ class VisionEncoderParams:
 @dataclass
 class TextEncoderParams:
     table: Tensor  # (vocab_size, feature_dim)
-    positions: Tensor  # (n_max, feature_dim)
+    positions: Tensor  # (rows, feature_dim)
 
     @classmethod
     def create(cls, rng: np.random.Generator, layout: DocumentLayout, feature_dim: int) -> "TextEncoderParams":
         return cls(
             table=Tensor(rng.normal(0.0, 0.02, size=(layout.vocab_size, feature_dim)), requires_grad=True),
-            positions=Tensor(rng.normal(0.0, 0.02, size=(layout.n_max, feature_dim)), requires_grad=True),
+            positions=Tensor(rng.normal(0.0, 0.02, size=(layout.rows, feature_dim)), requires_grad=True),
         )
 
 
@@ -170,7 +147,7 @@ def patchify(layout: DocumentLayout, pixels: np.ndarray) -> np.ndarray:
     return x.reshape(lead + (grid_h * grid_w, p * p * layout.channels))
 
 
-def patch_embed(params: VisionEncoderParams, layout: DocumentLayout, image) -> ModalityFeatures:
+def patch_embed(params: VisionEncoderParams, layout: DocumentLayout, image) -> Tensor:
     """Project flattened patches, prepend the learned [CLS] row, add positions.
 
     ``image`` is a DocumentImage or a (.., H, W, C) array; a leading batch
@@ -182,31 +159,31 @@ def patch_embed(params: VisionEncoderParams, layout: DocumentLayout, image) -> M
     lead = patches.shape[:-2]
     cls = ad.broadcast_to(params.cls_row, lead + params.cls_row.shape)
     rows = ad.concat([cls, projected], axis=-2)
-    return ModalityFeatures(ad.add(rows, params.positions))
+    return ad.add(rows, params.positions)
 
 
 def token_embed(
     params: TextEncoderParams, layout: DocumentLayout, tokens
-) -> tuple[ModalityFeatures, np.ndarray]:
+) -> tuple[Tensor, np.ndarray]:
     """Embed token ids and return the features plus the real-token mask.
 
-    ``tokens`` is a TokenSequence or a (.., n_max) id array.  Ids outside the
+    ``tokens`` is a TokenSequence or a (.., rows) id array.  Ids outside the
     vocabulary are a data error.
     """
     ids = tokens.ids if isinstance(tokens, TokenSequence) else np.asarray(tokens, dtype=np.int64)
-    if ids.shape[-1] != layout.n_max:
-        raise DataError(f"token sequence length {ids.shape[-1]} != configured {layout.n_max}")
+    if ids.shape[-1] != layout.rows:
+        raise DataError(f"token sequence length {ids.shape[-1]} != configured {layout.rows}")
     if ids.min() < 0 or ids.max() >= layout.vocab_size:
         raise DataError(
             f"token id out of vocabulary (vocab_size={layout.vocab_size}, "
             f"got range [{ids.min()}, {ids.max()}])"
         )
     embedded = ad.gather_rows(params.table, ids)
-    return ModalityFeatures(ad.add(embedded, params.positions)), ids != PAD_ID
+    return ad.add(embedded, params.positions), ids != PAD_ID
 
 
-def pool_cls(features: ModalityFeatures) -> Tensor:
-    """Select the classification row (row 0) of each sequence."""
-    picked = ad.narrow(features.tensor, -2, 0, 1)
-    shape = picked.shape[:-2] + (features.feature_dim,)
-    return ad.reshape(picked, shape)
+def pool_cls(features: Tensor) -> Tensor:
+    """Select the classification row (row 0) of each (.., rows, feature_dim)
+    sequence."""
+    picked = ad.narrow(features, -2, 0, 1)
+    return ad.reshape(picked, picked.shape[:-2] + picked.shape[-1:])

@@ -1,5 +1,6 @@
 """Parameterized building blocks: linear maps, layer norm, multi-head
-attention, feed-forward sublayer, and the projection head.
+attention, and the linear -> GELU -> linear MLP that serves both as the
+feed-forward sublayer and as the projection head.
 
 Parameter containers are plain dataclasses of Tensors; ``named_tensors``
 walks any tree of them so optimizers and checkpoints see every parameter
@@ -82,11 +83,10 @@ class LayerNormParams:
             raise ConfigError("layer norm epsilon must be positive")
 
     @classmethod
-    def create(cls, d: int, epsilon: float = 1e-5) -> "LayerNormParams":
+    def create(cls, d: int) -> "LayerNormParams":
         return cls(
             gamma=Tensor(np.ones(d), requires_grad=True),
             beta=Tensor(np.zeros(d), requires_grad=True),
-            epsilon=epsilon,
         )
 
 
@@ -103,13 +103,15 @@ class FeedForwardParams:
     fc2: LinearParams
 
     @classmethod
-    def create(cls, rng: np.random.Generator, d: int, hidden: Optional[int] = None) -> "FeedForwardParams":
+    def create(cls, rng: np.random.Generator, d: int, hidden: Optional[int] = None,
+               d_out: Optional[int] = None) -> "FeedForwardParams":
         hidden = d if hidden is None else hidden
-        return cls(LinearParams.create(rng, d, hidden), LinearParams.create(rng, hidden, d))
+        d_out = d if d_out is None else d_out
+        return cls(LinearParams.create(rng, d, hidden), LinearParams.create(rng, hidden, d_out))
 
 
 def feed_forward(p: FeedForwardParams, x: Tensor) -> Tensor:
-    """Position-wise linear -> GELU -> linear, shape preserved."""
+    """Position-wise linear -> GELU -> linear over the trailing axis."""
     return linear(p.fc2, ad.gelu(linear(p.fc1, x)))
 
 
@@ -119,21 +121,11 @@ class MHAParams:
     w_k: LinearParams
     w_v: LinearParams
     w_o: LinearParams
-    num_heads: int
-    head_dim: int
-
-    def __post_init__(self):
-        if self.num_heads < 1:
-            raise ConfigError("attention needs at least one head")
-        if self.num_heads * self.head_dim != self.w_q.d_out:
-            raise ConfigError(
-                f"heads * head_dim must equal feature dim: "
-                f"{self.num_heads} * {self.head_dim} != {self.w_q.d_out}"
-            )
+    num_heads: int  # attention_heads checks that the width splits into them
 
     @classmethod
     def create(cls, rng: np.random.Generator, feature_dim: int, num_heads: int) -> "MHAParams":
-        if feature_dim % num_heads != 0:
+        if num_heads < 1 or feature_dim % num_heads != 0:
             raise ConfigError(f"feature dim {feature_dim} not divisible by {num_heads} heads")
         return cls(
             w_q=LinearParams.create(rng, feature_dim, feature_dim),
@@ -141,7 +133,6 @@ class MHAParams:
             w_v=LinearParams.create(rng, feature_dim, feature_dim),
             w_o=LinearParams.create(rng, feature_dim, feature_dim),
             num_heads=num_heads,
-            head_dim=feature_dim // num_heads,
         )
 
 
@@ -150,14 +141,12 @@ def multi_head_attention(
     q_src: Tensor,
     kv_src: Tensor,
     key_mask: Optional[np.ndarray] = None,
-    return_weights: bool = False,
-):
+) -> Tensor:
     """Scaled dot-product attention with per-head projections.
 
     ``q_src`` and ``kv_src`` are (.., rows, feature_dim); the output matches
     ``q_src``'s shape.  The three projections feed one fused
-    ``attention_heads`` node; with ``return_weights`` its softmax weights
-    come back as one constant (.., heads, q_rows, k_rows) tensor.
+    ``attention_heads`` node.
     ``key_mask`` marks attendable key rows with True; masked keys receive
     -inf logits before the softmax.  A query whose keys are all masked has
     no well-defined attention row and is rejected.
@@ -179,35 +168,9 @@ def multi_head_attention(
     else:
         key_bias = None
 
-    context, att = ad.attention_heads(
+    context, _ = ad.attention_heads(
         linear(p.w_q, q_src), linear(p.w_k, kv_src), linear(p.w_v, kv_src), p.num_heads, key_bias)
-    out = linear(p.w_o, context)
-    if return_weights:
-        return out, Tensor(att)
-    return out
-
-
-@dataclass
-class ProjectionHeadParams:
-    """One-hidden-layer MLP mapping encoder features to the embedding space."""
-
-    hidden: LinearParams  # feature_dim -> hidden_dim
-    out: LinearParams  # hidden_dim -> embed_dim
-
-    def __post_init__(self):
-        if self.hidden.d_out < 1:
-            raise ConfigError("projection hidden dim must be >= 1")
-        if self.out.d_out < 2:
-            raise ConfigError("projection output dim must be >= 2")
-
-    @classmethod
-    def create(
-        cls, rng: np.random.Generator, feature_dim: int, hidden_dim: int, embed_dim: int
-    ) -> "ProjectionHeadParams":
-        return cls(
-            hidden=LinearParams.create(rng, feature_dim, hidden_dim),
-            out=LinearParams.create(rng, hidden_dim, embed_dim),
-        )
+    return linear(p.w_o, context)
 
 
 def l2_normalize(x: Tensor, min_norm: float = 1e-12) -> Tensor:
@@ -218,6 +181,6 @@ def l2_normalize(x: Tensor, min_norm: float = 1e-12) -> Tensor:
     return ad.div(x, norm)
 
 
-def project_and_normalize(p: ProjectionHeadParams, x: Tensor) -> Tensor:
+def project_and_normalize(p: FeedForwardParams, x: Tensor) -> Tensor:
     """MLP projection followed by L2 normalization to the unit sphere."""
-    return l2_normalize(linear(p.out, ad.gelu(linear(p.hidden, x))))
+    return l2_normalize(feed_forward(p, x))

@@ -35,7 +35,7 @@ from .data import (
     make_batch,
     read_corpus,
 )
-from .encoders import DocumentLayout, ModalityFeatures, token_embed
+from .encoders import DocumentLayout, token_embed
 from .errors import ConfigError, DataError, NumericError
 from .losses import (
     EmbeddingBatch,
@@ -44,11 +44,13 @@ from .losses import (
     intra_modality_term,
 )
 from .model import CrossModalModel
-from .nn import LayerNormParams, LinearParams, MHAParams, ProjectionHeadParams, l2_normalize, layer_norm, linear, multi_head_attention, project_and_normalize
+from .nn import FeedForwardParams, LayerNormParams, LinearParams, MHAParams, l2_normalize, layer_norm, linear, multi_head_attention, project_and_normalize
 from .optim import AdamW, lr_at
 
 CHECKPOINT_NAME = "checkpoint.bin"
 METRICS_NAME = "metrics.jsonl"
+EMBED_CHUNK = 64  # records per no-grad forward pass when probing
+GRADCHECK_TOLERANCE = 1e-4  # max relative error a block's adjoint may show
 
 # (name, use_cross, use_gate, loss_mode): the four architecture variants plus
 # the supervised-contrastive baseline on the full architecture.
@@ -113,9 +115,11 @@ def pretrain(
     """Optimize the contrastive objective; writes a metrics log and
     checkpoints at the configured cadence plus a final one.
 
-    A non-finite loss aborts the run, leaving the last cadence checkpoint in
-    place.  ``clock`` exists so tests can pin wall times; the default is the
-    real monotonic clock.
+    A numeric failure in a step -- a non-finite loss, or a NaN or inf met
+    by the forward, the backward or the optimizer -- aborts the run naming
+    the step, and leaves the last cadence checkpoint in place.  ``clock``
+    exists so tests can pin wall times; the default is the real monotonic
+    clock.
     """
     clock = time.perf_counter if clock is None else clock
     _, splits = load_corpus(cfg, cfg.layout())
@@ -137,16 +141,17 @@ def pretrain(
     with metrics_path.open("w") as metrics_file:
         for step in range(cfg.steps):
             records = make_batch(splits.train, cfg.batch_size, batch_rng)
-            report = batch_loss(model, records, cfg)
-            final_loss = report.total.item()
-            if not math.isfinite(final_loss):
+            try:
+                report = batch_loss(model, records, cfg)
+                final_loss = report.total.item()
+                if not math.isfinite(final_loss):
+                    raise NumericError("non-finite loss")
+                lr = lr_at(schedule, step)
+                tape = backward(report.total)
+                opt.step(lr)
+            except NumericError as e:
                 raise NumericError(
-                    f"non-finite loss at step {step}; "
-                    f"last checkpoint retained at {ckpt_path}"
-                )
-            lr = lr_at(schedule, step)
-            tape = backward(report.total)
-            opt.step(lr)
+                    f"step {step}: {e}; last checkpoint retained at {ckpt_path}") from e
             tape.clear()
             if (step + 1) % cfg.log_every == 0 or step + 1 == cfg.steps:
                 record = {"step": step + 1, "lr": lr}
@@ -159,11 +164,11 @@ def pretrain(
     return PretrainResult(ckpt_path, metrics_path, cfg.steps, final_loss)
 
 
-def embed_records(model: CrossModalModel, records, chunk: int = 64):
+def embed_records(model: CrossModalModel, records):
     """Frozen embeddings for a record list: (vision, text, labels) arrays."""
     vs, ts, ys = [], [], []
-    for lo in range(0, len(records), chunk):
-        part = records[lo:lo + chunk]
+    for lo in range(0, len(records), EMBED_CHUNK):
+        part = records[lo:lo + EMBED_CHUNK]
         images, ids, labels = collate(part)
         v_emb, t_emb = model.embed(images, ids)
         vs.append(v_emb.data.copy())
@@ -308,27 +313,27 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
     ))
 
     cross = CrossAttentionBlockParams.create(rng, d, heads)
-    other = ModalityFeatures(Tensor(rng.normal(size=(rows, d))))
+    other = Tensor(rng.normal(size=(rows, d)))
     x_cross = Tensor(rng.normal(size=(rows, d)), requires_grad=True)
 
     def f_cross(t):
-        v_out, t_out = cross_attention_block(cross, ModalityFeatures(t), other)
-        return ad.add(ad.tensor_sum(ad.mul(v_out.tensor, v_out.tensor)),
-                      ad.tensor_sum(ad.exp(ad.scale(t_out.tensor, 0.1))))
+        v_out, t_out = cross_attention_block(cross, t, other)
+        return ad.add(ad.tensor_sum(ad.mul(v_out, v_out)),
+                      ad.tensor_sum(ad.exp(ad.scale(t_out, 0.1))))
 
     checks.append(("cross_attention_block", f_cross, x_cross))
 
     gate = GatedSelfAttentionParams.create(rng, d, heads)
-    prev = ModalityFeatures(Tensor(rng.normal(size=(rows, d))))
+    prev = Tensor(rng.normal(size=(rows, d)))
     x_gate = Tensor(rng.normal(size=(rows, d)), requires_grad=True)
 
     def f_gate(t):
-        out = gated_self_attention(gate, prev, ModalityFeatures(t))
-        return ad.tensor_sum(ad.mul(out.tensor, out.tensor))
+        out = gated_self_attention(gate, prev, t)
+        return ad.tensor_sum(ad.mul(out, out))
 
     checks.append(("gated_self_attention", f_gate, x_gate))
 
-    head = ProjectionHeadParams.create(rng, d, d, 4)
+    head = FeedForwardParams.create(rng, d, d, 4)
     target = Tensor(rng.normal(size=4))
     x_head = Tensor(rng.normal(size=d), requires_grad=True)
     checks.append((
@@ -368,8 +373,7 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
     def f_model(raw_vision):
         # raw vision features in, full depth-2 stack and loss on top
         text, mask = token_embed(model.text_encoder, model.layout, ids)
-        v_emb, t_emb = model.stack.forward(
-            ModalityFeatures(raw_vision), text, text_mask=mask)
+        v_emb, t_emb = model.stack.forward(raw_vision, text, text_mask=mask)
         emb_batch = EmbeddingBatch(v_emb, t_emb, loss_labels)
         return cross_modal_contrastive_loss(emb_batch).total
 
@@ -396,24 +400,14 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
     return checks
 
 
-def gradcheck_report(
-    extra_checks=None,
-    tolerance: float = 1e-4,
-    step: float = 1e-5,
-) -> list[GradCheckEntry]:
-    """Compare every block's adjoints with central finite differences.
-
-    ``extra_checks`` takes additional (name, f, x) triples; failures never
-    raise, they become report entries.
-    """
-    checks = _standard_checks()
-    if extra_checks:
-        checks = checks + list(extra_checks)
+def gradcheck_report() -> list[GradCheckEntry]:
+    """Compare every block's adjoints with central finite differences;
+    failures never raise, they become report entries."""
     report = []
-    for name, fn, x in checks:
+    for name, fn, x in _standard_checks():
         try:
-            err = finite_diff_check(fn, x, step=step)
-            report.append(GradCheckEntry(name, err, err < tolerance))
+            err = finite_diff_check(fn, x)
+            report.append(GradCheckEntry(name, err, err < GRADCHECK_TOLERANCE))
         except NumericError as e:
             report.append(GradCheckEntry(name, math.inf, False, str(e)))
     return report

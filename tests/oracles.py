@@ -50,14 +50,15 @@ def scalar_mha(p, q_src, kv_src, key_mask=None):
     k = scalar_linear(p.w_k.weight.data, p.w_k.bias.data, kv_src)
     v = scalar_linear(p.w_v.weight.data, p.w_v.bias.data, kv_src)
     m_q, m_k = q.shape[0], k.shape[0]
-    ctx = np.zeros((m_q, p.num_heads * p.head_dim))
+    head_dim = q.shape[1] // p.num_heads
+    ctx = np.zeros((m_q, p.num_heads * head_dim))
     for h in range(p.num_heads):
-        lo = h * p.head_dim
+        lo = h * head_dim
         for i in range(m_q):
             logits = []
             for j in range(m_k):
-                s = sum(q[i, lo + d] * k[j, lo + d] for d in range(p.head_dim))
-                s /= math.sqrt(p.head_dim)
+                s = sum(q[i, lo + d] * k[j, lo + d] for d in range(head_dim))
+                s /= math.sqrt(head_dim)
                 if key_mask is not None and not key_mask[j]:
                     s = -math.inf
                 logits.append(s)
@@ -66,38 +67,32 @@ def scalar_mha(p, q_src, kv_src, key_mask=None):
             z = sum(ws)
             for j in range(m_k):
                 w = ws[j] / z
-                for d in range(p.head_dim):
+                for d in range(head_dim):
                     ctx[i, lo + d] += w * v[j, lo + d]
     return scalar_linear(p.w_o.weight.data, p.w_o.bias.data, ctx)
 
 
+def scalar_transformer_layer(p, queries, keys, mask=None):
+    """Attention, residual + layer norm, feed-forward, residual + layer norm."""
+    att = scalar_mha(p.attn, queries, keys, mask)
+    mid = scalar_layer_norm(p.norm_attn.gamma.data, p.norm_attn.beta.data,
+                            p.norm_attn.epsilon, att + queries)
+    ffo = scalar_feed_forward(p.ff, mid)
+    return scalar_layer_norm(p.norm_ff.gamma.data, p.norm_ff.beta.data,
+                             p.norm_ff.epsilon, ffo + mid)
+
+
 def scalar_cross_attention_block(p, vision, text, text_mask=None):
     """Both directions of the cross-attention exchange, step by step."""
-
-    def one_side(attn, norm_attn, norm_ff, ff, queries, keys, mask):
-        att = scalar_mha(attn, queries, keys, mask)
-        mid = scalar_layer_norm(norm_attn.gamma.data, norm_attn.beta.data,
-                                norm_attn.epsilon, att + queries)
-        ffo = scalar_feed_forward(ff, mid)
-        return scalar_layer_norm(norm_ff.gamma.data, norm_ff.beta.data,
-                                 norm_ff.epsilon, ffo + mid)
-
-    v_out = one_side(p.attn_into_vision, p.norm_vision_attn, p.norm_vision_ff,
-                     p.ff_vision, vision, text, text_mask)
-    t_out = one_side(p.attn_into_text, p.norm_text_attn, p.norm_text_ff,
-                     p.ff_text, text, vision, None)
+    v_out = scalar_transformer_layer(p.into_vision, vision, text, text_mask)
+    t_out = scalar_transformer_layer(p.into_text, text, vision, None)
     return v_out, t_out
 
 
 def scalar_gated_self_attention(p, previous, updated, key_mask=None):
     fused = scalar_linear(p.fuse.weight.data, p.fuse.bias.data,
                           updated * previous + previous)
-    att = scalar_mha(p.attn, fused, fused, key_mask)
-    mid = scalar_layer_norm(p.norm_attn.gamma.data, p.norm_attn.beta.data,
-                            p.norm_attn.epsilon, att + fused)
-    ffo = scalar_feed_forward(p.ff, mid)
-    return scalar_layer_norm(p.norm_ff.gamma.data, p.norm_ff.beta.data,
-                             p.norm_ff.epsilon, ffo + mid)
+    return scalar_transformer_layer(p.layer, fused, fused, key_mask)
 
 
 def scalar_intra_term(emb, labels, temperature):

@@ -47,11 +47,16 @@ def test_round_trip_is_bit_exact(saved):
         np.testing.assert_array_equal(ckpt.optimizer_arrays[name], a)
 
 
-def test_version_1_refused(saved):
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_version_refused(saved, capsys, version):
+    """Versions 1 and 2 name parameters differently; they are refused, not
+    read into the wrong fields."""
     path = saved[0]
-    overwrite(path, 4, (1).to_bytes(2, "little"))
-    with pytest.raises(FormatError, match="version 1"):
+    overwrite(path, 4, version.to_bytes(2, "little"))
+    with pytest.raises(FormatError, match=f"version {version}"):
         load_checkpoint(path)
+    assert cli.main(["probe", "--ckpt", str(path)]) == 2
+    assert f"version {version}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where", ["config_text", "parameter_name"])

@@ -77,11 +77,25 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("num_heads", 0), ("hidden_dim", 0), ("embed_dim", 1),
+    ("temperature", 0.0), ("inter_weight", -0.5),
+])
+def test_invalid_model_or_loss_field_exits_1(tmp_path, capsys, key, value):
+    """Caught while the config is read, before any output is written."""
+    code, out = run(tmp_path, "pretrain", "run", f"{key} = {value}\n")
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"config error: {key} must")
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_run_exits_3(tmp_path, capsys):
-    code, _ = run(tmp_path, "pretrain", "run", "steps = 3\nbase_lr = 1e300\n")
+    code, out = run(tmp_path, "pretrain", "run", "steps = 3\nbase_lr = 1e300\n")
     assert code == 3
-    assert "numeric failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: step ")
+    assert f"last checkpoint retained at {out / 'checkpoint.bin'}" in err
 
 
 @pytest.mark.parametrize("error", [ContractError, ShapeError])

@@ -34,6 +34,15 @@ def test_format_parse_round_trip(cfg):
     assert parse_config(format_config(cfg)) == cfg
 
 
+@pytest.mark.parametrize("key, value", [
+    ("num_heads", 0), ("hidden_dim", 0), ("embed_dim", 1), ("temperature", 0.0),
+    ("temperature", float("nan")), ("inter_weight", -0.1),
+])
+def test_model_and_loss_fields_validated(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must"):
+        RunConfig(**{key: value})
+
+
 @pytest.mark.parametrize("batch_size", [5, 7])
 def test_odd_batch_size_rejected(batch_size):
     with pytest.raises(ConfigError, match="even"):

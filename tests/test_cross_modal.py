@@ -7,14 +7,13 @@ from crossdoc import autodiff as ad
 from crossdoc import cross_modal as cm
 from crossdoc import nn
 from crossdoc.autodiff import Tensor
-from crossdoc.encoders import ModalityFeatures
 from crossdoc.errors import ConfigError, ShapeError
 
 from oracles import scalar_cross_attention_block, scalar_gated_self_attention, scalar_layer_norm
 
 
 def feats(arr):
-    return ModalityFeatures(Tensor(np.asarray(arr, dtype=float)))
+    return Tensor(np.asarray(arr, dtype=float))
 
 
 def zero_linear(p):
@@ -28,25 +27,26 @@ class TestCrossAttentionBlock:
         p = cm.CrossAttentionBlockParams.create(rng, 8, 4)
         v, t = cm.cross_attention_block(p, feats(rng.normal(size=(5, 8))),
                                         feats(rng.normal(size=(5, 8))))
-        assert v.tensor.shape == (5, 8)
-        assert t.tensor.shape == (5, 8)
+        assert v.shape == (5, 8)
+        assert t.shape == (5, 8)
 
     def test_zero_branches_leave_double_layer_norm(self):
         """Zero value/output projections and a zero feed-forward reduce the
         block to two stacked layer norms of the input."""
         rng = np.random.default_rng(1)
         p = cm.CrossAttentionBlockParams.create(rng, 8, 2)
-        p.attn_into_vision.w_v = zero_linear(p.attn_into_vision.w_v)
-        p.attn_into_vision.w_o = zero_linear(p.attn_into_vision.w_o)
-        p.ff_vision.fc1 = zero_linear(p.ff_vision.fc1)
-        p.ff_vision.fc2 = zero_linear(p.ff_vision.fc2)
+        layer = p.into_vision
+        layer.attn.w_v = zero_linear(layer.attn.w_v)
+        layer.attn.w_o = zero_linear(layer.attn.w_o)
+        layer.ff.fc1 = zero_linear(layer.ff.fc1)
+        layer.ff.fc2 = zero_linear(layer.ff.fc2)
         x = rng.normal(size=(4, 8))
         v_out, _ = cm.cross_attention_block(p, feats(x), feats(rng.normal(size=(4, 8))))
-        n1 = p.norm_vision_attn
-        n2 = p.norm_vision_ff
+        n1 = layer.norm_attn
+        n2 = layer.norm_ff
         expected = scalar_layer_norm(n2.gamma.data, n2.beta.data, n2.epsilon,
                                      scalar_layer_norm(n1.gamma.data, n1.beta.data, n1.epsilon, x))
-        np.testing.assert_allclose(v_out.tensor.data, expected, atol=1e-10)
+        np.testing.assert_allclose(v_out.data, expected, atol=1e-10)
 
     def test_random_case_vs_scalar_oracle(self):
         rng = np.random.default_rng(2)
@@ -56,8 +56,8 @@ class TestCrossAttentionBlock:
         mask = np.array([True, True, True, False])
         v_out, t_out = cm.cross_attention_block(p, feats(v), feats(t), text_mask=mask)
         v_exp, t_exp = scalar_cross_attention_block(p, v, t, mask)
-        np.testing.assert_allclose(v_out.tensor.data, v_exp, atol=1e-9)
-        np.testing.assert_allclose(t_out.tensor.data, t_exp, atol=1e-9)
+        np.testing.assert_allclose(v_out.data, v_exp, atol=1e-9)
+        np.testing.assert_allclose(t_out.data, t_exp, atol=1e-9)
 
     def test_feature_dim_mismatch(self):
         rng = np.random.default_rng(3)
@@ -74,7 +74,7 @@ class TestGatedSelfAttention:
         prev = rng.normal(size=(3, 6))
         out = cm.gated_self_attention(p, feats(prev), feats(np.ones((3, 6))))
         expected = scalar_gated_self_attention(p, prev, np.ones((3, 6)))
-        np.testing.assert_allclose(out.tensor.data, expected, atol=1e-9)
+        np.testing.assert_allclose(out.data, expected, atol=1e-9)
         # and the gate input really is 2 * prev
         gate_in = np.ones((3, 6)) * prev + prev
         np.testing.assert_allclose(gate_in, 2 * prev, atol=1e-15)
@@ -86,7 +86,7 @@ class TestGatedSelfAttention:
         prev = rng.normal(size=(3, 6))
         out = cm.gated_self_attention(p, feats(prev), feats(np.zeros((3, 6))))
         expected = scalar_gated_self_attention(p, prev, np.zeros((3, 6)))
-        np.testing.assert_allclose(out.tensor.data, expected, atol=1e-9)
+        np.testing.assert_allclose(out.data, expected, atol=1e-9)
 
     def test_random_case_vs_scalar_oracle(self):
         rng = np.random.default_rng(6)
@@ -96,7 +96,7 @@ class TestGatedSelfAttention:
         mask = np.array([True, False, True, True, False])
         out = cm.gated_self_attention(p, feats(prev), feats(new), key_mask=mask)
         expected = scalar_gated_self_attention(p, prev, new, mask)
-        np.testing.assert_allclose(out.tensor.data, expected, atol=1e-9)
+        np.testing.assert_allclose(out.data, expected, atol=1e-9)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(7)
@@ -108,9 +108,7 @@ class TestGatedSelfAttention:
         rng = np.random.default_rng(8)
         good = cm.GatedSelfAttentionParams.create(rng, 6, 2)
         with pytest.raises(ConfigError):
-            cm.GatedSelfAttentionParams(
-                fuse=nn.LinearParams.create(rng, 6, 4),
-                attn=good.attn, norm_attn=good.norm_attn, norm_ff=good.norm_ff, ff=good.ff)
+            cm.GatedSelfAttentionParams(fuse=nn.LinearParams.create(rng, 6, 4), layer=good.layer)
 
 
 class TestStack:
@@ -149,8 +147,8 @@ class TestStack:
         rng = np.random.default_rng(12)
         stack = cm.CrossModalStack.create(rng, 8, 2, depth=3)
         v, t = stack.run_blocks(feats(rng.normal(size=(4, 8))), feats(rng.normal(size=(4, 8))))
-        assert v.tensor.shape == (4, 8)
-        assert t.tensor.shape == (4, 8)
+        assert v.shape == (4, 8)
+        assert t.shape == (4, 8)
 
     def test_joint_permutation_equivariance(self):
         """Permuting non-CLS rows of both raw inputs (and the mask) permutes
@@ -165,8 +163,8 @@ class TestStack:
 
         v_out, t_out = stack.run_blocks(feats(v), feats(t), mask)
         v_pout, t_pout = stack.run_blocks(feats(v[perm]), feats(t[perm]), mask[perm])
-        np.testing.assert_allclose(v_pout.tensor.data, v_out.tensor.data[perm], atol=1e-10)
-        np.testing.assert_allclose(t_pout.tensor.data, t_out.tensor.data[perm], atol=1e-10)
+        np.testing.assert_allclose(v_pout.data, v_out.data[perm], atol=1e-10)
+        np.testing.assert_allclose(t_pout.data, t_out.data[perm], atol=1e-10)
 
         emb = stack.forward(feats(v), feats(t), mask)
         emb_p = stack.forward(feats(v[perm]), feats(t[perm]), mask[perm])
@@ -180,7 +178,7 @@ class TestStack:
         target = Tensor(rng.normal(size=4))
 
         def f(x):
-            v_emb, t_emb = stack.forward(ModalityFeatures(x), t_in)
+            v_emb, t_emb = stack.forward(x, t_in)
             return ad.tensor_sum(ad.mul(v_emb, target)) + ad.tensor_sum(t_emb)
 
         x = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
@@ -236,8 +234,8 @@ class TestIdentityReplacement:
         t_in = feats(rng.normal(size=(3, 8)))
         v, t = stack.run_blocks(v_in, t_in)
         v_exp, t_exp = cm.cross_attention_block(stack.blocks[0].cross, v_in, t_in, None)
-        np.testing.assert_array_equal(v.tensor.data, v_exp.tensor.data)
-        np.testing.assert_array_equal(t.tensor.data, t_exp.tensor.data)
+        np.testing.assert_array_equal(v.data, v_exp.data)
+        np.testing.assert_array_equal(t.data, t_exp.data)
 
     def test_disable_cross_gates_against_itself(self):
         rng = np.random.default_rng(18)
@@ -246,4 +244,4 @@ class TestIdentityReplacement:
         t_in = feats(rng.normal(size=(3, 8)))
         v, _ = stack.run_blocks(v_in, t_in)
         expected = cm.gated_self_attention(stack.blocks[0].gate_vision, v_in, v_in)
-        np.testing.assert_array_equal(v.tensor.data, expected.tensor.data)
+        np.testing.assert_array_equal(v.data, expected.data)

@@ -154,7 +154,7 @@ class TestMakeBatch:
         batch = data.make_batch(splits.train, 6, np.random.default_rng(1))
         images, ids, labels = data.collate(batch)
         assert images.shape == (6, 8, 8, 1) and images.dtype == np.float32
-        assert ids.shape == (6, spec.layout.n_max)
+        assert ids.shape == (6, spec.layout.rows)
         assert labels.shape == (6,)
 
 

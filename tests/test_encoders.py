@@ -25,7 +25,6 @@ class TestConfig:
         cfg = small_cfg()
         assert cfg.num_patches == 4
         assert cfg.rows == 5
-        assert cfg.n_max == 5
 
     def test_single_patch(self):
         cfg = small_cfg(height=4, width=4)
@@ -48,7 +47,7 @@ class TestPatchEmbed:
         params = enc.VisionEncoderParams.create(rng, cfg, FEATURE_DIM)
         img = enc.DocumentImage(rng.random((8, 8, 1)))
         feats = enc.patch_embed(params, cfg, img)
-        assert (feats.rows, feats.feature_dim) == (5, 6)
+        assert feats.shape == (5, 6)
 
     def test_zero_image_zero_bias_rows_equal_positions(self):
         cfg = small_cfg()
@@ -57,7 +56,7 @@ class TestPatchEmbed:
         feats = enc.patch_embed(params, cfg, enc.DocumentImage(np.zeros((8, 8, 1))))
         expected = params.positions.data.copy()
         expected[0] += params.cls_row.data[0]
-        np.testing.assert_allclose(feats.tensor.data, expected, atol=1e-12)
+        np.testing.assert_allclose(feats.data, expected, atol=1e-12)
 
     def test_patch_permutation_consistency(self):
         """Permuting whole patches permutes rows 1..N of the pre-position output."""
@@ -67,12 +66,12 @@ class TestPatchEmbed:
         params = enc.VisionEncoderParams(params.proj, params.cls_row,
                                          Tensor(np.zeros_like(params.positions.data)))
         img = rng.random((8, 8, 1)).astype(np.float32)
-        base = enc.patch_embed(params, cfg, img).tensor.data
+        base = enc.patch_embed(params, cfg, img).data
 
         # swap the two top patches in pixel space
         swapped = img.copy()
         swapped[:4, :4], swapped[:4, 4:] = img[:4, 4:].copy(), img[:4, :4].copy()
-        out = enc.patch_embed(params, cfg, swapped).tensor.data
+        out = enc.patch_embed(params, cfg, swapped).data
         np.testing.assert_allclose(out[0], base[0], atol=1e-12)
         np.testing.assert_allclose(out[1], base[2], atol=1e-12)
         np.testing.assert_allclose(out[2], base[1], atol=1e-12)
@@ -90,9 +89,9 @@ class TestPatchEmbed:
         rng = np.random.default_rng(4)
         params = enc.VisionEncoderParams.create(rng, cfg, FEATURE_DIM)
         imgs = rng.random((3, 8, 8, 1))
-        batched = enc.patch_embed(params, cfg, imgs).tensor.data
+        batched = enc.patch_embed(params, cfg, imgs).data
         for i in range(3):
-            single = enc.patch_embed(params, cfg, imgs[i]).tensor.data
+            single = enc.patch_embed(params, cfg, imgs[i]).data
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
     def test_gradient_through_patch_projection(self):
@@ -105,7 +104,7 @@ class TestPatchEmbed:
             p = enc.VisionEncoderParams(
                 enc.LinearParams(w, params.proj.bias), params.cls_row, params.positions)
             feats = enc.patch_embed(p, cfg, img)
-            return ad.tensor_sum(ad.mul(feats.tensor, feats.tensor))
+            return ad.tensor_sum(ad.mul(feats, feats))
 
         err = ad.finite_diff_check(f, Tensor(params.proj.weight.data.copy(), requires_grad=True))
         assert err < 1e-4
@@ -113,7 +112,7 @@ class TestPatchEmbed:
 
 class TestTokenSequence:
     def test_truncation_keeps_sep_last(self):
-        seq = enc.TokenSequence.build(range(3, 3 + 15), n_max=5)
+        seq = enc.TokenSequence.build(range(3, 3 + 15), rows=5)
         assert len(seq.ids) == 5
         assert seq.ids[0] == enc.CLS_ID
         assert seq.ids[-1] == enc.SEP_ID
@@ -121,7 +120,7 @@ class TestTokenSequence:
 
     def test_padding_and_mask(self):
         """Three content tokens leave CLS + 3 + SEP = 5 real positions."""
-        seq = enc.TokenSequence.build([5, 6, 7], n_max=8)
+        seq = enc.TokenSequence.build([5, 6, 7], rows=8)
         assert seq.mask.sum() == 5
         np.testing.assert_array_equal(seq.ids[5:], [enc.PAD_ID] * 3)
 
@@ -137,9 +136,9 @@ class TestTokenEmbed:
         cfg = small_cfg()
         rng = np.random.default_rng(6)
         params = enc.TextEncoderParams.create(rng, cfg, FEATURE_DIM)
-        seq = enc.TokenSequence.build([7, 7, 7], n_max=cfg.n_max)
+        seq = enc.TokenSequence.build([7, 7, 7], rows=cfg.rows)
         feats, mask = enc.token_embed(params, cfg, seq)
-        diff = feats.tensor.data[1] - feats.tensor.data[2]
+        diff = feats.data[1] - feats.data[2]
         pos_diff = params.positions.data[1] - params.positions.data[2]
         np.testing.assert_allclose(diff, pos_diff, atol=1e-12)
 
@@ -147,7 +146,7 @@ class TestTokenEmbed:
         cfg = small_cfg()
         rng = np.random.default_rng(7)
         params = enc.TextEncoderParams.create(rng, cfg, FEATURE_DIM)
-        seq = enc.TokenSequence.build([9], n_max=cfg.n_max)
+        seq = enc.TokenSequence.build([9], rows=cfg.rows)
         _, mask = enc.token_embed(params, cfg, seq)
         np.testing.assert_array_equal(mask, [True, True, True, False, False])
 
@@ -161,7 +160,7 @@ class TestTokenEmbed:
         b = a.copy()
         b[4] = enc.PAD_ID  # padding rewritten with padding: identical input class
         feats_b, _ = enc.token_embed(params, cfg, b)
-        np.testing.assert_array_equal(feats_a.tensor.data[mask], feats_b.tensor.data[mask])
+        np.testing.assert_array_equal(feats_a.data[mask], feats_b.data[mask])
 
     def test_out_of_vocab_rejected(self):
         cfg = small_cfg()
@@ -181,12 +180,12 @@ class TestTokenEmbed:
         cfg = small_cfg()
         rng = np.random.default_rng(11)
         params = enc.TextEncoderParams.create(rng, cfg, FEATURE_DIM)
-        ids = enc.TokenSequence.build([5, 5, 9], n_max=cfg.n_max).ids
+        ids = enc.TokenSequence.build([5, 5, 9], rows=cfg.rows).ids
 
         def f(table):
             p = enc.TextEncoderParams(table, params.positions)
             feats, _ = enc.token_embed(p, cfg, ids)
-            return ad.tensor_sum(ad.mul(feats.tensor, feats.tensor))
+            return ad.tensor_sum(ad.mul(feats, feats))
 
         err = ad.finite_diff_check(f, Tensor(params.table.data.copy(), requires_grad=True))
         assert err < 1e-4
@@ -199,25 +198,25 @@ class TestPairedShapes:
         vis = enc.VisionEncoderParams.create(rng, cfg, FEATURE_DIM)
         txt = enc.TextEncoderParams.create(rng, cfg, FEATURE_DIM)
         v = enc.patch_embed(vis, cfg, enc.DocumentImage(rng.random((8, 8, 1))))
-        t, _ = enc.token_embed(txt, cfg, enc.TokenSequence.build([4, 5], cfg.n_max))
-        assert v.tensor.shape == t.tensor.shape
+        t, _ = enc.token_embed(txt, cfg, enc.TokenSequence.build([4, 5], cfg.rows))
+        assert v.shape == t.shape
 
 
 class TestPoolCls:
     def test_single_row(self):
-        f = enc.ModalityFeatures(Tensor(np.array([[1.0, 2.0, 3.0]])))
+        f = Tensor(np.array([[1.0, 2.0, 3.0]]))
         np.testing.assert_array_equal(enc.pool_cls(f).data, [1.0, 2.0, 3.0])
 
     def test_invariant_to_non_cls_permutation(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(5, 4))
-        base = enc.pool_cls(enc.ModalityFeatures(Tensor(x))).data
+        base = enc.pool_cls(Tensor(x)).data
         perm = x.copy()
         perm[1:] = perm[1:][rng.permutation(4)]
-        np.testing.assert_array_equal(enc.pool_cls(enc.ModalityFeatures(Tensor(perm))).data, base)
+        np.testing.assert_array_equal(enc.pool_cls(Tensor(perm)).data, base)
 
     def test_matches_manual_indexing(self):
         rng = np.random.default_rng(14)
         x = rng.normal(size=(3, 6, 4))
-        out = enc.pool_cls(enc.ModalityFeatures(Tensor(x)))
+        out = enc.pool_cls(Tensor(x))
         np.testing.assert_array_equal(out.data, x[:, 0, :])

@@ -49,9 +49,9 @@ class TestParameterTree:
             "vision_encoder.cls_row", "vision_encoder.positions",
             "text_encoder.table",
         ]
-        assert "stack.blocks.0.cross.attn_into_vision.w_q.weight" in names
-        assert "stack.blocks.1.gate_text.ff.fc2.bias" in names
-        assert names[-1] == "stack.head_text.out.bias"
+        assert "stack.blocks.0.cross.into_vision.attn.w_q.weight" in names
+        assert "stack.blocks.1.gate_text.layer.ff.fc2.bias" in names
+        assert names[-1] == "stack.head_text.fc2.bias"
         assert len(names) == len(set(names))
 
 
@@ -68,20 +68,20 @@ class TestLoadArrays:
             np.testing.assert_array_equal(p.data, arrays[name])
 
     @pytest.mark.parametrize("edit, message", [
-        ("drop", r"missing \[.stack.head_text.out.bias.\]"),
+        ("drop", r"missing \[.stack.head_text.fc2.bias.\]"),
         ("extra", r"unknown \[.stack.extra.\]"),
-        ("shape", r"stack.head_text.out.bias has shape \(1,\)"),
+        ("shape", r"stack.head_text.fc2.bias has shape \(1,\)"),
     ])
     def test_mismatch_rejected_before_any_write(self, edit, message):
         model = CrossModalModel.create(tiny_config(), seed=0)
         before = {name: p.data.copy() for name, p in model.parameters().items()}
         arrays = self.arrays(seed=1)
         if edit == "drop":
-            del arrays["stack.head_text.out.bias"]
+            del arrays["stack.head_text.fc2.bias"]
         elif edit == "extra":
             arrays["stack.extra"] = np.zeros(3)
         else:
-            arrays["stack.head_text.out.bias"] = np.zeros(1)
+            arrays["stack.head_text.fc2.bias"] = np.zeros(1)
         with pytest.raises(DataError, match=message):
             model.load_arrays(arrays)
         for name, p in model.parameters().items():

@@ -101,7 +101,7 @@ class TestMultiHeadAttention:
     def test_single_key_forces_weight_one(self):
         d = 4
         p = nn.MHAParams(identity_linear(d), identity_linear(d), identity_linear(d),
-                         identity_linear(d), num_heads=2, head_dim=2)
+                         identity_linear(d), num_heads=2)
         kv = np.array([[0.3, -0.7, 1.1, 0.0]])
         out = nn.multi_head_attention(p, Tensor(np.random.default_rng(5).normal(size=(3, d))), Tensor(kv))
         np.testing.assert_allclose(out.data, np.tile(kv, (3, 1)), atol=1e-12)
@@ -110,7 +110,7 @@ class TestMultiHeadAttention:
         """With a zero key projection every key collides, so values are averaged."""
         d = 4
         p = nn.MHAParams(identity_linear(d), const_linear(np.zeros((d, d)), np.zeros(d)),
-                         identity_linear(d), identity_linear(d), num_heads=2, head_dim=2)
+                         identity_linear(d), identity_linear(d), num_heads=2)
         kv = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
         out = nn.multi_head_attention(p, Tensor(np.zeros((2, d))), Tensor(kv))
         np.testing.assert_allclose(out.data, np.tile(kv.mean(axis=0), (2, 1)), atol=1e-12)
@@ -161,10 +161,11 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(10)
         p = nn.MHAParams.create(rng, 8, 4)
         q, kv = rng.normal(size=(5, 8)), rng.normal(size=(7, 8))
-        _, weights = nn.multi_head_attention(p, Tensor(q), Tensor(kv), return_weights=True)
+        _, weights = ad.attention_heads(nn.linear(p.w_q, Tensor(q)), nn.linear(p.w_k, Tensor(kv)),
+                                        nn.linear(p.w_v, Tensor(kv)), p.num_heads)
         assert weights.shape == (4, 5, 7)  # (heads, query rows, key rows)
-        assert np.all(weights.data >= 0)
-        np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-12)
+        assert np.all(weights >= 0)
+        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_all_keys_masked_rejected(self):
         rng = np.random.default_rng(11)
@@ -179,8 +180,12 @@ class TestMultiHeadAttention:
         with pytest.raises(ConfigError):
             nn.MHAParams.create(rng, 6, 4)
         with pytest.raises(ConfigError):
-            nn.MHAParams(identity_linear(4), identity_linear(4), identity_linear(4),
-                         identity_linear(4), num_heads=3, head_dim=2)
+            nn.MHAParams.create(rng, 6, 0)
+        for heads in (0, 3):  # the head width is derived, so the call checks it
+            p = nn.MHAParams(identity_linear(4), identity_linear(4), identity_linear(4),
+                             identity_linear(4), num_heads=heads)
+            with pytest.raises(ShapeError, match=f"split into {heads} heads"):
+                nn.multi_head_attention(p, Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))))
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(13)
@@ -225,13 +230,13 @@ class TestFeedForward:
 class TestProjectionHead:
     def test_unit_norm_output(self):
         rng = np.random.default_rng(16)
-        p = nn.ProjectionHeadParams.create(rng, 8, 8, 4)
+        p = nn.FeedForwardParams.create(rng, 8, 8, 4)
         out = nn.project_and_normalize(p, Tensor(rng.normal(size=8)))
         assert abs(np.dot(out.data, out.data) - 1.0) < 1e-12
 
     def test_unit_norm_on_batches(self):
         rng = np.random.default_rng(17)
-        p = nn.ProjectionHeadParams.create(rng, 8, 6, 4)
+        p = nn.FeedForwardParams.create(rng, 8, 6, 4)
         out = nn.project_and_normalize(p, Tensor(rng.normal(size=(5, 8))))
         np.testing.assert_allclose((out.data ** 2).sum(axis=-1), 1.0, atol=1e-12)
 
@@ -250,15 +255,10 @@ class TestProjectionHead:
         np.testing.assert_array_equal(sims1.argmax(axis=1), sims3.argmax(axis=1))
 
     def test_zero_projection_is_degenerate(self):
-        p = nn.ProjectionHeadParams(const_linear(np.zeros((4, 3)), np.zeros(3)),
-                                    const_linear(np.zeros((3, 2)), np.zeros(2)))
+        p = nn.FeedForwardParams(const_linear(np.zeros((4, 3)), np.zeros(3)),
+                                 const_linear(np.zeros((3, 2)), np.zeros(2)))
         with pytest.raises(NumericError):
             nn.project_and_normalize(p, Tensor(np.ones(4)))
-
-    def test_dim_validation(self):
-        with pytest.raises(ConfigError):
-            nn.ProjectionHeadParams(const_linear(np.zeros((4, 3)), np.zeros(3)),
-                                    const_linear(np.zeros((3, 1)), np.zeros(1)))
 
 
 class TestBlockGradients:
@@ -299,7 +299,7 @@ class TestBlockGradients:
         kv = Tensor(rng.normal(size=(4, 8)))
 
         def f(w):
-            p2 = nn.MHAParams(nn.LinearParams(w, p.w_q.bias), p.w_k, p.w_v, p.w_o, 2, 4)
+            p2 = nn.MHAParams(nn.LinearParams(w, p.w_q.bias), p.w_k, p.w_v, p.w_o, 2)
             out = nn.multi_head_attention(p2, q, kv)
             return ad.tensor_sum(ad.mul(out, out))
 
@@ -313,7 +313,7 @@ class TestBlockGradients:
 
     def test_projection_head(self):
         rng = np.random.default_rng(24)
-        p = nn.ProjectionHeadParams.create(rng, 6, 6, 3)
+        p = nn.FeedForwardParams.create(rng, 6, 6, 3)
         x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
         target = ad.Tensor(rng.normal(size=(2, 3)))
         assert ad.finite_diff_check(
