@@ -14,7 +14,11 @@ a non-finite value is refused on load.
 Version 3 names the transformer sub-layers ``stack.blocks.{i}.cross.into_vision``,
 ``...cross.into_text`` and ``...gate_{vision,text}.layer`` (each with ``attn``,
 ``norm_attn``, ``ff``, ``norm_ff``) and the head MLPs ``stack.head_*.fc1/fc2``;
-versions 1 and 2 used other names and are refused.
+versions 1 and 2 used other names and are refused.  An ablation variant's
+checkpoint names only the stages it runs (no ``cross`` arrays without
+cross-attention, no ``gate_*`` arrays without the gate), and loading requires
+exactly the model's names, so a file that still holds a disabled stage's
+arrays is refused.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ class RunConfig:
     inter_weight: float = 0.5
     include_own_pair: bool = False
     loss_mode: str = "cross"  # "cross" (four-term objective) or "scl" (intra only)
-    # architecture switches (identity replacement when false)
+    # architecture switches (stage absent when false)
     use_cross: bool = True
     use_gate: bool = True
     # corpus: either a container path or inline generation fields
@@ -88,6 +88,9 @@ class RunConfig:
             raise ConfigError("steps must be >= 0")
         if self.log_every < 1 or self.checkpoint_every < 1:
             raise ConfigError("log/checkpoint cadences must be >= 1")
+        self.schedule()  # raises on an invalid base_lr or warmup_frac
+        if not self.probe_lr > 0.0:
+            raise ConfigError(f"probe_lr must be positive, got {self.probe_lr}")
         if self.loss_mode not in ("cross", "scl"):
             raise ConfigError(f"loss_mode must be 'cross' or 'scl', got {self.loss_mode!r}")
         # parse_config cuts values at '#' and at line breaks, and strips them

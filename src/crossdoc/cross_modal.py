@@ -11,13 +11,15 @@ then feed-forward, each wrapped in residual + layer norm.
    then passed through a self-attention sub-layer.
 
 Blocks preserve (rows, feature_dim) for both modalities and can be stacked.
+A block built without a stage (an ablation variant) passes that stage's
+input through unchanged and holds no parameters for it.
 The stack ends with classification-row pooling and a per-modality projection
 head onto the unit sphere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -139,33 +141,33 @@ def gated_self_attention(
 
 @dataclass
 class BlockParams:
-    cross: CrossAttentionBlockParams
-    gate_vision: GatedSelfAttentionParams
-    gate_text: GatedSelfAttentionParams
+    """One block's stages; a stage whose params are None is an identity
+    pass-through, which is how the ablation variants are realized."""
+
+    cross: Optional[CrossAttentionBlockParams]
+    gate_vision: Optional[GatedSelfAttentionParams]
+    gate_text: Optional[GatedSelfAttentionParams]
 
     @classmethod
-    def create(cls, rng: np.random.Generator, feature_dim: int, num_heads: int) -> "BlockParams":
-        return cls(
-            cross=CrossAttentionBlockParams.create(rng, feature_dim, num_heads),
-            gate_vision=GatedSelfAttentionParams.create(rng, feature_dim, num_heads),
-            gate_text=GatedSelfAttentionParams.create(rng, feature_dim, num_heads),
-        )
+    def create(
+        cls, rng: np.random.Generator, feature_dim: int, num_heads: int,
+        use_cross: bool, use_gate: bool,
+    ) -> "BlockParams":
+        """Draws only the enabled stages, in the order cross, gate_vision,
+        gate_text."""
+        cross = CrossAttentionBlockParams.create(rng, feature_dim, num_heads) if use_cross else None
+        gates = [GatedSelfAttentionParams.create(rng, feature_dim, num_heads) if use_gate else None
+                 for _ in range(2)]
+        return cls(cross, *gates)
 
 
 @dataclass
 class CrossModalStack:
-    """A depth-long pipeline of blocks plus pooling and projection heads.
+    """A depth-long pipeline of blocks plus pooling and projection heads."""
 
-    ``use_cross`` / ``use_gate`` switch the corresponding stage to an identity
-    pass-through (the stage's parameters stay allocated but unused), which is
-    how the ablation variants are realized.
-    """
-
-    blocks: list[BlockParams] = field(default_factory=list)
-    head_vision: FeedForwardParams = None
-    head_text: FeedForwardParams = None
-    use_cross: bool = True
-    use_gate: bool = True
+    blocks: list[BlockParams]
+    head_vision: FeedForwardParams
+    head_text: FeedForwardParams
 
     def __post_init__(self):
         if not self.blocks:
@@ -186,16 +188,11 @@ class CrossModalStack:
         hidden_dim = feature_dim if hidden_dim is None else hidden_dim
         embed_dim = max(2, feature_dim // 2) if embed_dim is None else embed_dim
         return cls(
-            blocks=[BlockParams.create(rng, feature_dim, num_heads) for _ in range(depth)],
+            blocks=[BlockParams.create(rng, feature_dim, num_heads, use_cross, use_gate)
+                    for _ in range(depth)],
             head_vision=FeedForwardParams.create(rng, feature_dim, hidden_dim, embed_dim),
             head_text=FeedForwardParams.create(rng, feature_dim, hidden_dim, embed_dim),
-            use_cross=use_cross,
-            use_gate=use_gate,
         )
-
-    @property
-    def depth(self) -> int:
-        return len(self.blocks)
 
     def run_blocks(
         self,
@@ -203,14 +200,15 @@ class CrossModalStack:
         text: Tensor,
         text_mask: Optional[np.ndarray] = None,
     ) -> tuple[Tensor, Tensor]:
-        """Apply every block, honoring the identity-replacement switches."""
+        """Apply every block, running each stage whose params are present."""
         v, t = vision, text
         for block in self.blocks:
             v_in, t_in = v, t
-            if self.use_cross:
+            if block.cross is not None:
                 v, t = cross_attention_block(block.cross, v, t, text_mask)
-            if self.use_gate:
+            if block.gate_vision is not None:
                 v = gated_self_attention(block.gate_vision, v_in, v, key_mask=None)
+            if block.gate_text is not None:
                 t = gated_self_attention(block.gate_text, t_in, t, key_mask=text_mask)
         return v, t
 

@@ -11,7 +11,8 @@ report exposes a per-anchor mean for logging only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -20,6 +21,11 @@ from .autodiff import Tensor
 from .errors import ConfigError, ContractError, DataError, ShapeError
 
 NORM_TOLERANCE = 1e-9
+
+
+def _check_temperature(temperature: float) -> None:
+    if not temperature > 0.0:  # NaN fails too
+        raise ConfigError(f"temperature must be positive, got {temperature}")
 
 
 def _positive_weights(labels: np.ndarray, include_self: bool) -> np.ndarray:
@@ -42,8 +48,7 @@ def intra_modality_term(embeddings: Tensor, labels, temperature: float) -> Tenso
     For each anchor i the candidates are all other samples of the same
     modality; the denominator runs over every k != i.
     """
-    if temperature <= 0.0:
-        raise ConfigError("temperature must be positive")
+    _check_temperature(temperature)
     if embeddings.ndim != 2:
         raise ShapeError(f"embeddings must be (N, d), got {embeddings.shape}")
     n = embeddings.shape[0]
@@ -68,8 +73,7 @@ def inter_modality_term(
     By default index i (the anchor's own paired sample) is excluded from both
     positives and the denominator; ``include_own_pair`` lifts both exclusions.
     """
-    if temperature <= 0.0:
-        raise ConfigError("temperature must be positive")
+    _check_temperature(temperature)
     if anchors.shape != others.shape or anchors.ndim != 2:
         raise ShapeError(f"paired embeddings must match: {anchors.shape} vs {others.shape}")
     labels = np.asarray(labels)
@@ -103,9 +107,8 @@ class EmbeddingBatch:
             raise ContractError("contrastive batches need at least two samples")
         if self.labels.shape != (n,):
             raise ShapeError(f"labels shape {self.labels.shape} does not match N={n}")
-        if self.temperature <= 0.0:
-            raise ConfigError("temperature must be positive")
-        if self.inter_weight < 0.0:
+        _check_temperature(self.temperature)
+        if not self.inter_weight >= 0.0:
             raise ConfigError("inter-modality weight must be >= 0")
         for name, emb in (("vision", self.vision), ("text", self.text)):
             norms = np.sqrt((emb.data ** 2).sum(axis=-1))
@@ -119,23 +122,25 @@ class EmbeddingBatch:
 
 @dataclass
 class ContrastiveLossReport:
-    """The combined objective and its four components (gradient-carrying)."""
+    """The combined objective and its components (gradient-carrying); the
+    inter terms are None at inter_weight 0, where they are not computed."""
 
     total: Tensor
     vision_intra: Tensor
-    text_to_vision: Tensor
+    text_to_vision: Optional[Tensor]
     text_intra: Tensor
-    vision_to_text: Tensor
+    vision_to_text: Optional[Tensor]
     batch_size: int = 0
 
     def values(self) -> dict[str, float]:
-        out = {
-            "total": self.total.item(),
-            "vision_intra": self.vision_intra.item(),
-            "text_to_vision": self.text_to_vision.item(),
-            "text_intra": self.text_intra.item(),
-            "vision_to_text": self.vision_to_text.item(),
+        terms = {
+            "total": self.total,
+            "vision_intra": self.vision_intra,
+            "text_to_vision": self.text_to_vision,
+            "text_intra": self.text_intra,
+            "vision_to_text": self.vision_to_text,
         }
+        out = {name: term.item() for name, term in terms.items() if term is not None}
         if self.batch_size:
             out["total_per_anchor"] = out["total"] / self.batch_size
         return out
@@ -144,14 +149,17 @@ class ContrastiveLossReport:
 def cross_modal_contrastive_loss(batch: EmbeddingBatch) -> ContrastiveLossReport:
     """Combine the four terms; the intra pair and the weighted inter pair are
     each summed commutatively, so swapping the modalities leaves the total
-    bit-identical."""
+    bit-identical.  At ``inter_weight`` 0 the inter terms are not computed."""
     vv = intra_modality_term(batch.vision, batch.labels, batch.temperature)
     ll = intra_modality_term(batch.text, batch.labels, batch.temperature)
-    lv = inter_modality_term(batch.vision, batch.text, batch.labels,
-                             batch.temperature, batch.include_own_pair)
-    vl = inter_modality_term(batch.text, batch.vision, batch.labels,
-                             batch.temperature, batch.include_own_pair)
-    total = ad.add(ad.add(vv, ll), ad.scale(ad.add(lv, vl), batch.inter_weight))
+    total = ad.add(vv, ll)
+    lv = vl = None
+    if batch.inter_weight > 0.0:
+        lv = inter_modality_term(batch.vision, batch.text, batch.labels,
+                                 batch.temperature, batch.include_own_pair)
+        vl = inter_modality_term(batch.text, batch.vision, batch.labels,
+                                 batch.temperature, batch.include_own_pair)
+        total = ad.add(total, ad.scale(ad.add(lv, vl), batch.inter_weight))
     return ContrastiveLossReport(
         total=total,
         vision_intra=vv,

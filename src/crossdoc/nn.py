@@ -31,7 +31,7 @@ def named_tensors(tree, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
     elif is_dataclass(tree):
         children = ((f.name, getattr(tree, f.name)) for f in fields(tree))
     else:
-        return  # ints, floats and flags hold no parameters
+        return  # None (an absent stage), ints, floats and flags hold no parameters
     for name, child in children:
         yield from named_tensors(child, f"{prefix}.{name}" if prefix else str(name))
 

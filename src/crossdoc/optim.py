@@ -3,7 +3,7 @@ learning-rate schedule."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ class Schedule:
             raise ConfigError("schedule needs at least one step")
         if not (0.0 <= self.warmup_frac < 1.0):
             raise ConfigError("warmup fraction must lie in [0, 1)")
-        if self.base_lr <= 0.0:
+        if not self.base_lr > 0.0:
             raise ConfigError("base learning rate must be positive")
 
     @property
@@ -46,10 +46,36 @@ def lr_at(schedule: Schedule, step: int) -> float:
     return schedule.base_lr * (schedule.total_steps - step) / (schedule.total_steps - w)
 
 
-def _gather(parts: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+def _plan_windows(spans: list[tuple[int, int]]) -> list[tuple]:
+    """``(lo, hi, parts)`` per update window of the flat buffers.
+
+    The buffers are cut into windows of ``_CHUNK`` elements (the last may be
+    shorter); ``parts`` are ``(parameter index, start, stop)`` slices of the
+    flat gradients that cover ``[lo, hi)``, in order.  A window inside one
+    parameter has one part, which the update reads directly.
+    """
+    windows, start, parts = [], 0, []
+    for i, (lo, hi) in enumerate(spans):
+        pos = lo
+        while pos < hi:
+            end = min(hi, start + _CHUNK)
+            parts.append((i, pos - lo, end - lo))
+            pos = end
+            if end - start == _CHUNK:
+                windows.append((start, end, parts))
+                start, parts = end, []
+    if parts:
+        windows.append((start, spans[-1][1], parts))
+    return windows
+
+
+def _gather(grads: list[np.ndarray], parts: list[tuple], out: np.ndarray) -> np.ndarray:
     """One window's gradient: its only part as it is, or every part copied
     into ``out``."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, out=out)
+    if len(parts) == 1:
+        i, a, b = parts[0]
+        return grads[i][a:b]
+    return np.concatenate([grads[i][a:b] for i, a, b in parts], out=out)
 
 
 class AdamW:
@@ -57,10 +83,10 @@ class AdamW:
 
     The constructor packs every parameter into one flat float64 buffer and
     rebinds each ``p.data`` to its view of it; the moments are one flat
-    buffer each, and ``m[name]``/``v[name]`` are views of them.  Parameters
-    whose grad is None are skipped entirely (they were not part of the
-    step's graph).  A non-finite gradient halts the run naming the offending
-    parameter, before anything is written.
+    buffer each, and ``m[name]``/``v[name]`` are views of them.  Every
+    parameter needs a gradient at every step: a missing one is a
+    ``ContractError`` and a non-finite one a ``NumericError``, each naming
+    the parameter and raised before anything is written.
     """
 
     def __init__(
@@ -72,9 +98,9 @@ class AdamW:
     ):
         if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
             raise ConfigError("betas must lie in [0, 1)")
-        if eps <= 0.0:
+        if not eps > 0.0:
             raise ConfigError("epsilon must be positive")
-        if weight_decay < 0.0:
+        if not weight_decay >= 0.0:
             raise ConfigError("weight decay must be >= 0")
         self.params = dict(params)
         self.betas = betas
@@ -82,13 +108,14 @@ class AdamW:
         self.weight_decay = weight_decay
         self.step_count = 0
         bounds = np.cumsum([0] + [p.data.size for p in self.params.values()])
-        self._spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        self._windows = _plan_windows(spans)
         total = int(bounds[-1])
         # The moments are written here rather than left to calloc's lazy zero
         # pages, so the first step does not pay their page faults.
         self._p, self._m, self._v = np.empty(total), np.full(total, 0.0), np.full(total, 0.0)
         self._views, self.m, self.v = {}, {}, {}
-        for (name, p), (lo, hi) in zip(self.params.items(), self._spans):
+        for (name, p), (lo, hi) in zip(self.params.items(), spans):
             shape = p.data.shape
             view = self._p[lo:hi].reshape(shape)
             view[...] = p.data
@@ -99,27 +126,27 @@ class AdamW:
         self._scratch = (np.empty(n), np.empty(n), np.empty(n))
 
     def step(self, lr: float) -> None:
-        """One update of every parameter that has a gradient.
+        """One update of every parameter.
 
         The update is written in place over the flat buffers, window by
-        window (see ``_windows``), with three scratch buffers.  Per element
-        it performs the IEEE operations of the whole-array formula, in its
-        order: ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
-        ``p -= lr*(m/bias1) / (sqrt(v/bias2) + eps)``, so results are
+        window (see ``_plan_windows``), with three scratch buffers.  Per
+        element it performs the IEEE operations of the whole-array formula,
+        in its order: ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``
+        and ``p -= lr*(m/bias1) / (sqrt(v/bias2) + eps)``, so results are
         bit-identical to it.
         """
-        flat_grads = []
+        grads = []
         for name, p in self.params.items():
             if p.data is not self._views[name]:
                 raise ContractError(f"parameter {name!r} no longer holds the optimizer's buffer")
-            flat_grads.append(None if p.grad is None else p.grad.reshape(-1))
-        windows = list(self._windows(flat_grads))
+            if p.grad is None:
+                raise ContractError(f"parameter {name!r} has no gradient")
+            grads.append(p.grad.reshape(-1))
         buf_a, buf_b, buf_g = self._scratch
         # Every gradient is checked before anything is written.
-        for lo, hi, parts in windows:
-            if not np.isfinite(_gather(parts, buf_g[:hi - lo])).all():
-                bad = next(name for name, g in zip(self.params, flat_grads)
-                           if g is not None and not np.isfinite(g).all())
+        for lo, hi, parts in self._windows:
+            if not np.isfinite(_gather(grads, parts, buf_g[:hi - lo])).all():
+                bad = next(name for name, g in zip(self.params, grads) if not np.isfinite(g).all())
                 raise NumericError(f"non-finite gradient for parameter {bad!r}")
         b1, b2 = self.betas
         self.step_count += 1
@@ -127,10 +154,10 @@ class AdamW:
         bias1 = 1.0 - b1 ** t
         bias2 = 1.0 - b2 ** t
         decay = 1.0 - lr * self.weight_decay
-        for lo, hi, parts in windows:
+        for lo, hi, parts in self._windows:
             n = hi - lo
             pc, mc, vc, a, b = self._p[lo:hi], self._m[lo:hi], self._v[lo:hi], buf_a[:n], buf_b[:n]
-            gc = _gather(parts, buf_g[:n])
+            gc = _gather(grads, parts, buf_g[:n])
             if self.weight_decay:
                 pc *= decay
             mc *= b1
@@ -147,34 +174,6 @@ class AdamW:
             a *= lr
             a /= b
             pc -= a
-
-    def _windows(self, flat_grads):
-        """``(lo, hi, parts)`` per update window of the flat buffers.
-
-        Each run of consecutive parameters that have a gradient is cut into
-        windows of at most ``_CHUNK`` elements; ``parts`` are the slices of
-        the flat gradients that cover ``[lo, hi)``, in order.  A window
-        inside one parameter has one part, which the update reads directly.
-        """
-        start, parts = 0, []
-        for (lo, hi), g in zip(self._spans, flat_grads):
-            if g is None:
-                if parts:
-                    yield start, lo, parts
-                    parts = []
-                continue
-            if not parts:
-                start = lo
-            pos = lo
-            while pos < hi:
-                end = min(hi, start + _CHUNK)
-                parts.append(g[pos - lo:end - lo])
-                pos = end
-                if end - start == _CHUNK:
-                    yield start, end, parts
-                    start, parts = end, []
-        if parts:
-            yield start, self._p.size, parts
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Moment buffers keyed for checkpointing."""

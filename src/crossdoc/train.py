@@ -113,7 +113,9 @@ def pretrain(
     clock: Optional[Callable[[], float]] = None,
 ) -> PretrainResult:
     """Optimize the contrastive objective; writes a metrics log and
-    checkpoints at the configured cadence plus a final one.
+    checkpoints at the configured cadence plus a final one.  The corpus,
+    the model and the optimizer are built before the output directory is
+    created, so a run they reject writes nothing.
 
     A numeric failure in a step -- a non-finite loss, or a NaN or inf met
     by the forward, the backward or the optimizer -- aborts the run naming
@@ -123,14 +125,13 @@ def pretrain(
     """
     clock = time.perf_counter if clock is None else clock
     _, splits = load_corpus(cfg, cfg.layout())
+    model = CrossModalModel.create(cfg, cfg.seed)
+    params = model.parameters()
+    opt = AdamW(params, (cfg.beta1, cfg.beta2), cfg.adam_eps, cfg.weight_decay)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ckpt_path = out / CHECKPOINT_NAME
     metrics_path = out / METRICS_NAME
-
-    model = CrossModalModel.create(cfg, cfg.seed)
-    params = model.parameters()
-    opt = AdamW(params, (cfg.beta1, cfg.beta2), cfg.adam_eps, cfg.weight_decay)
     config_text = format_config(cfg)
     save_checkpoint(ckpt_path, 0, config_text, params, opt)
 

@@ -272,7 +272,7 @@ class TestGradTape:
         b = ad.Tensor([3.0, 4.0], requires_grad=True)
         c = ad.Tensor([5.0, 7.0])
         terms = [ad.add(a, b), ad.mul(a, c)]
-        y = terms[0] + terms[1] if add_first else terms[1] + terms[0]
+        y = ad.add(*terms) if add_first else ad.add(*reversed(terms))
         ad.backward(ad.tensor_sum(y))
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
         np.testing.assert_array_equal(a.grad, [6.0, 8.0])

@@ -101,3 +101,17 @@ def test_non_finite_value_in_probe_is_a_format_error(saved, capsys):
     overwrite(path, offset, np.array([np.nan], dtype="<f8").tobytes())
     assert cli.main(["probe", "--ckpt", str(path)]) == 2
     assert f"array {name!r} has a non-finite value at byte {offset}" in capsys.readouterr().err
+
+
+def test_ablated_checkpoint_holding_dead_stages_refused(saved, capsys):
+    """A `neither` checkpoint that still carries every stage's arrays (as
+    files did when switched-off stages stayed allocated) is refused by the
+    strict name check."""
+    path, config_text, params, opt = saved
+    ablated = config_text.replace("use_cross = true", "use_cross = false").replace(
+        "use_gate = true", "use_gate = false")
+    assert ablated != config_text
+    save_checkpoint(path, 3, ablated, params, opt)
+    assert cli.main(["probe", "--ckpt", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "missing []" in err and "stack.blocks.0.cross.into_vision.attn.w_q.weight" in err

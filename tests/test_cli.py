@@ -89,6 +89,18 @@ def test_invalid_model_or_loss_field_exits_1(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("base_lr", 0.0), ("base_lr", "nan"), ("warmup_frac", 1.5), ("beta1", 1.0),
+    ("adam_eps", 0.0), ("adam_eps", "nan"), ("weight_decay", -1.0), ("weight_decay", "nan"),
+    ("probe_lr", -1.0),
+])
+def test_invalid_schedule_or_optimizer_field_writes_nothing(tmp_path, capsys, key, value):
+    code, out = run(tmp_path, "pretrain", "run", f"{key} = {value}\n")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_run_exits_3(tmp_path, capsys):
     code, out = run(tmp_path, "pretrain", "run", "steps = 3\nbase_lr = 1e300\n")

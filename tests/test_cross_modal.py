@@ -141,7 +141,7 @@ class TestStack:
 
     def test_default_depth_is_two(self):
         stack = cm.CrossModalStack.create(np.random.default_rng(11), 8, 2)
-        assert stack.depth == 2
+        assert len(stack.blocks) == 2
 
     def test_shape_preserved_at_every_block(self):
         rng = np.random.default_rng(12)
@@ -179,7 +179,7 @@ class TestStack:
 
         def f(x):
             v_emb, t_emb = stack.forward(x, t_in)
-            return ad.tensor_sum(ad.mul(v_emb, target)) + ad.tensor_sum(t_emb)
+            return ad.add(ad.tensor_sum(ad.mul(v_emb, target)), ad.tensor_sum(t_emb))
 
         x = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
         assert ad.finite_diff_check(f, x) < 1e-4
@@ -194,7 +194,7 @@ class TestStack:
         def f(w):
             stack.blocks[1].gate_text.fuse.weight = w
             v_emb, t_emb = stack.forward(v_in, t_in)
-            return ad.tensor_sum(ad.mul(t_emb, t_emb)) + ad.tensor_sum(ad.exp(v_emb))
+            return ad.add(ad.tensor_sum(ad.mul(t_emb, t_emb)), ad.tensor_sum(ad.exp(v_emb)))
 
         try:
             err = ad.finite_diff_check(f, Tensor(fuse_w.data.copy(), requires_grad=True))

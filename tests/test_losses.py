@@ -14,7 +14,6 @@ from crossdoc.nn import l2_normalize
 from oracles import (
     scalar_cross_entropy,
     scalar_cross_modal_loss,
-    scalar_inter_term,
     scalar_intra_term,
 )
 
@@ -131,9 +130,23 @@ class TestEmbeddingBatch:
     def test_rejects_bad_hyperparameters(self):
         x = planar([0.0, 10.0])
         with pytest.raises(ConfigError):
-            losses.EmbeddingBatch(Tensor(x), Tensor(x), [0, 0], temperature=0.0)
-        with pytest.raises(ConfigError):
             losses.EmbeddingBatch(Tensor(x), Tensor(x), [0, 0], inter_weight=-0.1)
+        with pytest.raises(ConfigError):
+            losses.EmbeddingBatch(Tensor(x), Tensor(x), [0, 0], inter_weight=math.nan)
+
+
+TEMPERATURE_ENTRY_POINTS = {
+    "intra_modality_term": lambda x, t: losses.intra_modality_term(x, [0, 0], t),
+    "inter_modality_term": lambda x, t: losses.inter_modality_term(x, x, [0, 0], t),
+    "EmbeddingBatch": lambda x, t: losses.EmbeddingBatch(x, x, [0, 0], temperature=t),
+}
+
+
+@pytest.mark.parametrize("temperature", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("entry", TEMPERATURE_ENTRY_POINTS)
+def test_non_positive_temperature_is_a_config_error(entry, temperature):
+    with pytest.raises(ConfigError, match="temperature must be positive"):
+        TEMPERATURE_ENTRY_POINTS[entry](Tensor(planar([0.0, 10.0])), temperature)
 
 
 class TestCrossModalLoss:
@@ -144,6 +157,9 @@ class TestCrossModalLoss:
         vv = losses.intra_modality_term(batch.vision, batch.labels, batch.temperature).item()
         ll = losses.intra_modality_term(batch.text, batch.labels, batch.temperature).item()
         assert report.total.item() == (vv + ll)
+        # the inter terms are not computed, and not reported
+        assert report.text_to_vision is None and report.vision_to_text is None
+        assert set(report.values()) == {"total", "vision_intra", "text_intra", "total_per_anchor"}
 
     def test_modality_swap_symmetry_is_exact(self):
         rng = np.random.default_rng(2)

@@ -1,5 +1,7 @@
 """Model assembly: the parameter tree, its names, and checkpoint loading."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,16 @@ from crossdoc.config import RunConfig
 from crossdoc.data import collate, generate_corpus, make_batch
 from crossdoc.errors import DataError
 from crossdoc.model import CrossModalModel
-from crossdoc.train import batch_loss
+from crossdoc.train import ABLATION_VARIANTS, batch_loss
+
+# (tensors, values) each ablation variant holds at the desk shapes.
+DESK_PARAMETER_COUNTS = {
+    "neither": (14, 6_880),
+    "gate_only": (86, 36_960),
+    "cross_only": (78, 32_736),
+    "full": (150, 62_816),
+    "full_scl": (150, 62_816),
+}
 
 
 def tiny_config(**kw):
@@ -20,16 +31,32 @@ def tiny_config(**kw):
 class TestParameterTree:
     def test_backward_reaches_exactly_the_parameters(self):
         """Guards the reflective walk: a Tensor the forward pass uses but the
-        walk misses (say, one held in a tuple or dict) would show up here."""
-        cfg = tiny_config()
-        model = CrossModalModel.create(cfg, seed=0)
-        splits = generate_corpus(cfg.corpus_spec())
-        records = make_batch(splits.train, cfg.batch_size, np.random.default_rng(0))
-        tape = backward(batch_loss(model, records, cfg).total)
-        reached = {id(n) for n in tape.nodes if n.op == "leaf" and n.requires_grad}
-        params = model.parameters()
-        assert {id(p) for p in params.values()} == reached
-        assert len(params) == len(reached)
+        walk misses (say, one held in a tuple or dict) would show up here.
+        Every variant's step reaches every parameter it holds, as AdamW
+        requires."""
+        splits = generate_corpus(tiny_config().corpus_spec())
+        for _, use_cross, use_gate, loss_mode in ABLATION_VARIANTS:
+            cfg = tiny_config(use_cross=use_cross, use_gate=use_gate, loss_mode=loss_mode)
+            model = CrossModalModel.create(cfg, seed=0)
+            records = make_batch(splits.train, cfg.batch_size, np.random.default_rng(0))
+            tape = backward(batch_loss(model, records, cfg).total)
+            reached = {id(n) for n in tape.nodes if n.op == "leaf" and n.requires_grad}
+            params = model.parameters()
+            assert {id(p) for p in params.values()} == reached
+            assert len(params) == len(reached)
+
+    @pytest.mark.parametrize("variant", ABLATION_VARIANTS, ids=[v[0] for v in ABLATION_VARIANTS])
+    def test_variant_holds_only_its_live_stages(self, variant):
+        name, use_cross, use_gate, loss_mode = variant
+        cfg = replace(RunConfig(), use_cross=use_cross, use_gate=use_gate, loss_mode=loss_mode)
+        params = CrossModalModel.create(cfg, seed=0).parameters()
+        live = {"cross": use_cross, "gate_vision": use_gate, "gate_text": use_gate}
+        every = CrossModalModel.create(RunConfig(), seed=0).parameters()
+        # stack.blocks.{i}.{stage}.... names belong to one stage of one block
+        expected = {n for n in every if not n.startswith("stack.blocks.") or live[n.split(".")[3]]}
+        assert set(params) == expected
+        counts = (len(params), sum(p.size for p in params.values()))
+        assert counts == DESK_PARAMETER_COUNTS[name]
 
     def test_frozen_model_embeds_without_a_graph(self):
         cfg = tiny_config()

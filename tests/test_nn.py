@@ -1,7 +1,5 @@
 """Building-block tests against scalar oracles and closed-form cases."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -54,12 +54,6 @@ class TestAdamW:
         opt.step(0.1)
         np.testing.assert_array_equal(w.data, [1.0, 2.0])
 
-    def test_none_grad_params_are_skipped(self):
-        w = Tensor([1.0], requires_grad=True)
-        opt = AdamW({"w": w}, weight_decay=0.01)
-        opt.step(0.1)
-        np.testing.assert_array_equal(w.data, [1.0])
-
     def test_single_step_on_quadratic(self):
         """One step on f(w) = w^2/2 from w=1 at lr 0.1: bias correction makes
         the first update ~ lr * sign(grad), so w moves to ~0.9."""
@@ -184,27 +178,25 @@ class TestAdamW:
         np.testing.assert_array_equal(w.data, 1.0)
         np.testing.assert_array_equal(opt.m["w"], 0.0)
 
-    def test_none_grad_parameter_between_others_untouched(self):
-        """A parameter without a gradient splits the run of updated ones: it
-        and its moments stay as they are, its neighbours match the oracle."""
+    @pytest.mark.parametrize("missing", ["a", "big", "c"])
+    def test_missing_grad_rejected_before_any_write(self, missing):
+        """A parameter without a gradient is a ContractError naming it; no
+        parameter, moment or step count is written."""
         rng = np.random.default_rng(16)
-        shapes = {"a": (3, 5), "skipped": (4, 4), "big": (3, _CHUNK // 2), "c": (7,)}
+        shapes = {"a": (3, 5), "big": (3, _CHUNK // 2), "c": (7,)}
         params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
-        start = {k: p.data.copy() for k, p in params.items()}
-        ref = {k: [p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)] for k, p in params.items()}
         opt = AdamW(params)
-        for t in range(1, 6):
-            for name, p in params.items():
-                if name == "skipped":
-                    continue
-                p.grad = wide_range_grad(rng, p.shape)
-                reference_adamw_step(*ref[name], p.grad, 1e-3, t)
+        for p in params.values():
+            p.grad = wide_range_grad(rng, p.shape)
+        opt.step(1e-3)
+        before = {k: (p.data.copy(), opt.m[k].copy(), opt.v[k].copy()) for k, p in params.items()}
+        for name, p in params.items():
+            p.grad = None if name == missing else wide_range_grad(rng, p.shape)
+        with pytest.raises(ContractError, match=f"'{missing}' has no gradient"):
             opt.step(1e-3)
-        np.testing.assert_array_equal(params["skipped"].data, start["skipped"])
-        np.testing.assert_array_equal(opt.m["skipped"], 0.0)
-        np.testing.assert_array_equal(opt.v["skipped"], 0.0)
-        for name in ("a", "big", "c"):
-            for got, expected in zip([params[name].data, opt.m[name], opt.v[name]], ref[name]):
+        assert opt.step_count == 1
+        for name, p in params.items():
+            for got, expected in zip((p.data, opt.m[name], opt.v[name]), before[name]):
                 np.testing.assert_array_equal(got, expected)
 
     def test_non_finite_in_small_parameter_sharing_a_window(self):
