@@ -11,6 +11,17 @@ Layout (little-endian):
 
 Values are stored as raw float64, so a save/load round trip is bit-exact;
 a non-finite value is refused on load.
+
+``save_checkpoint`` streams: each parameter and moment goes to the file
+straight from its buffer (AdamW's flat buffers, whose per-name views are
+C-contiguous), so a save allocates no copy of the values.  It writes
+``<path>.tmp`` and renames it over ``path`` only when complete; a save that
+raises or is killed leaves the previous checkpoint whole and no ``.tmp``
+behind.  It does not ``fsync``: surviving power loss is out of scope, and a
+sync would hold training until the disk has taken the whole file (see
+``container``).  ``load_checkpoint`` allocates each array once and fills it
+with ``readinto``, so a load peaks at about one file's worth of memory.
+
 Version 3 names the transformer sub-layers ``stack.blocks.{i}.cross.into_vision``,
 ``...cross.into_text`` and ``...gate_{vision,text}.layer`` (each with ``attn``,
 ``norm_attn``, ``ff``, ``norm_ff``) and the head MLPs ``stack.head_*.fc1/fc2``;
@@ -23,16 +34,13 @@ arrays is refused.
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .autodiff import Tensor
-from .container import Reader, open_container
+from .container import Reader, Writer, open_container, write_container
 from .errors import FormatError
 from .optim import AdamW
 
@@ -49,17 +57,12 @@ class CheckpointData:
     optimizer_arrays: Optional[dict[str, np.ndarray]] = None
 
 
-def _pack_arrays(arrays: dict[str, np.ndarray]) -> list[bytes]:
-    chunks = [struct.pack("<I", len(arrays))]
+def _write_arrays(writer: Writer, arrays: dict[str, np.ndarray]) -> None:
+    writer.pack("<I", len(arrays))
     for name, arr in arrays.items():
-        encoded = name.encode("utf-8")
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        chunks.append(struct.pack("<H", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-        chunks.append(arr.tobytes())
-    return chunks
+        writer.text("<H", name)
+        writer.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
+        writer.array(arr, "<f8")
 
 
 def save_checkpoint(
@@ -69,17 +72,15 @@ def save_checkpoint(
     params: dict[str, Tensor],
     optimizer: Optional[AdamW] = None,
 ) -> None:
-    chunks = [MAGIC, struct.pack("<HQ", VERSION, step)]
-    encoded_cfg = config_text.encode("utf-8")
-    chunks.append(struct.pack("<I", len(encoded_cfg)))
-    chunks.append(encoded_cfg)
-    chunks.extend(_pack_arrays({name: p.data for name, p in params.items()}))
-    if optimizer is None:
-        chunks.append(struct.pack("<B", 0))
-    else:
-        chunks.append(struct.pack("<BQ", 1, optimizer.step_count))
-        chunks.extend(_pack_arrays(optimizer.state_arrays()))
-    Path(path).write_bytes(b"".join(chunks))
+    with write_container(path, MAGIC, VERSION) as writer:
+        writer.pack("<Q", step)
+        writer.text("<I", config_text)
+        _write_arrays(writer, {name: p.data for name, p in params.items()})
+        if optimizer is None:
+            writer.pack("<B", 0)
+        else:
+            writer.pack("<BQ", 1, optimizer.step_count)
+            _write_arrays(writer, optimizer.state_arrays())
 
 
 def _read_arrays(reader: Reader) -> dict[str, np.ndarray]:
@@ -91,29 +92,29 @@ def _read_arrays(reader: Reader) -> dict[str, np.ndarray]:
         (ndim,) = reader.unpack("<B")
         shape = reader.unpack(f"<{ndim}I")
         start = reader.offset
-        data = np.frombuffer(reader.take(8 * math.prod(shape)), dtype="<f8")
-        bad = np.flatnonzero(~np.isfinite(data))
+        arr = reader.array(shape, "<f8")
+        bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
             raise FormatError(
                 f"checkpoint array {name!r} has a non-finite value at byte {start + 8 * int(bad[0])}"
             )
-        arrays[name] = data.reshape(shape).copy()
+        arrays[name] = arr
     return arrays
 
 
 def load_checkpoint(path) -> CheckpointData:
-    reader = open_container(path, MAGIC, VERSION, "checkpoint")
-    (step,) = reader.unpack("<Q")
-    (cfg_len,) = reader.unpack("<I")
-    config_text = reader.text(cfg_len)
-    params = _read_arrays(reader)
-    (has_opt,) = reader.unpack("<B")
-    opt_step = None
-    opt_arrays = None
-    if has_opt:
-        (opt_step,) = reader.unpack("<Q")
-        opt_arrays = _read_arrays(reader)
-    reader.finish()
+    with open_container(path, MAGIC, VERSION, "checkpoint") as reader:
+        (step,) = reader.unpack("<Q")
+        (cfg_len,) = reader.unpack("<I")
+        config_text = reader.text(cfg_len)
+        params = _read_arrays(reader)
+        (has_opt,) = reader.unpack("<B")
+        opt_step = None
+        opt_arrays = None
+        if has_opt:
+            (opt_step,) = reader.unpack("<Q")
+            opt_arrays = _read_arrays(reader)
+        reader.finish()
     return CheckpointData(
         step=step, config_text=config_text, params=params,
         optimizer_step=opt_step, optimizer_arrays=opt_arrays,

@@ -89,6 +89,13 @@ class RunConfig:
         if self.log_every < 1 or self.checkpoint_every < 1:
             raise ConfigError("log/checkpoint cadences must be >= 1")
         self.schedule()  # raises on an invalid base_lr or warmup_frac
+        for key in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ConfigError(f"{key} must lie in [0, 1), got {getattr(self, key)}")
+        if not self.adam_eps > 0.0:
+            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
+        if not self.weight_decay >= 0.0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not self.probe_lr > 0.0:
             raise ConfigError(f"probe_lr must be positive, got {self.probe_lr}")
         if self.loss_mode not in ("cross", "scl"):

@@ -14,17 +14,19 @@ On-disk container (all little-endian):
           | f64 pixel_noise | f64 token_corruption | u64 seed
     record set: u32 count | count x record
     record: f32[height*width*channels] image | u32[rows] token ids | u16 label
+
+``write_corpus`` streams the records to ``<path>.tmp`` and renames it over
+``path`` when complete (see ``container``), so an existing corpus survives a
+failed write.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .container import open_container
+from .container import open_container, write_container
 from .encoders import (
     NUM_RESERVED_IDS,
     DocumentImage,
@@ -196,44 +198,42 @@ _SPEC_FMT = "<HIHHHHIddQ"
 
 def write_corpus(path, spec: SyntheticCorpusSpec, splits: CorpusSplits) -> None:
     layout = spec.layout
-    chunks = [MAGIC, struct.pack("<H", VERSION)]
-    chunks.append(struct.pack(
-        _SPEC_FMT, spec.classes, spec.samples_per_class, layout.height, layout.width,
-        layout.channels, layout.patch, layout.vocab_size,
-        spec.pixel_noise, spec.token_corruption, spec.seed,
-    ))
-    for records in (splits.train, splits.val, splits.test):
-        chunks.append(struct.pack("<I", len(records)))
-        for r in records:
-            chunks.append(r.image.pixels.astype("<f4").tobytes())
-            chunks.append(r.tokens.ids.astype("<u4").tobytes())
-            chunks.append(struct.pack("<H", r.label))
-    Path(path).write_bytes(b"".join(chunks))
+    with write_container(path, MAGIC, VERSION) as writer:
+        writer.pack(
+            _SPEC_FMT, spec.classes, spec.samples_per_class, layout.height, layout.width,
+            layout.channels, layout.patch, layout.vocab_size,
+            spec.pixel_noise, spec.token_corruption, spec.seed,
+        )
+        for records in (splits.train, splits.val, splits.test):
+            writer.pack("<I", len(records))
+            for r in records:
+                writer.array(r.image.pixels, "<f4")
+                writer.array(r.tokens.ids, "<u4")
+                writer.pack("<H", r.label)
 
 
 def read_corpus(path) -> tuple[SyntheticCorpusSpec, CorpusSplits]:
-    reader = open_container(path, MAGIC, VERSION, "corpus file")
-    spec_offset = reader.offset
-    fields = reader.unpack(_SPEC_FMT)
-    try:
-        layout = DocumentLayout(*fields[2:7])
-        spec = SyntheticCorpusSpec(
-            layout, classes=fields[0], samples_per_class=fields[1],
-            pixel_noise=fields[7], token_corruption=fields[8], seed=fields[9],
-        )
-    except ConfigError as e:
-        raise FormatError(f"invalid corpus spec at byte {spec_offset}: {e}") from e
-    image_count = layout.height * layout.width * layout.channels
-    splits = CorpusSplits()
-    for records in (splits.train, splits.val, splits.test):
-        (count,) = reader.unpack("<I")
-        for _ in range(count):
-            pixels = np.frombuffer(reader.take(4 * image_count), dtype="<f4")
-            pixels = pixels.reshape(layout.height, layout.width, layout.channels).copy()
-            ids = np.frombuffer(reader.take(4 * layout.rows), dtype="<u4").astype(np.int64)
-            (label,) = reader.unpack("<H")
-            if label >= spec.classes:
-                raise DataError(f"record label {label} >= {spec.classes} classes")
-            records.append(CorpusRecord(DocumentImage(pixels), TokenSequence(ids), label))
-    reader.finish()
+    with open_container(path, MAGIC, VERSION, "corpus file") as reader:
+        spec_offset = reader.offset
+        fields = reader.unpack(_SPEC_FMT)
+        try:
+            layout = DocumentLayout(*fields[2:7])
+            spec = SyntheticCorpusSpec(
+                layout, classes=fields[0], samples_per_class=fields[1],
+                pixel_noise=fields[7], token_corruption=fields[8], seed=fields[9],
+            )
+        except ConfigError as e:
+            raise FormatError(f"invalid corpus spec at byte {spec_offset}: {e}") from e
+        image_shape = (layout.height, layout.width, layout.channels)
+        splits = CorpusSplits()
+        for records in (splits.train, splits.val, splits.test):
+            (count,) = reader.unpack("<I")
+            for _ in range(count):
+                pixels = reader.array(image_shape, "<f4")
+                ids = reader.array((layout.rows,), "<u4").astype(np.int64)
+                (label,) = reader.unpack("<H")
+                if label >= spec.classes:
+                    raise DataError(f"record label {label} >= {spec.classes} classes")
+                records.append(CorpusRecord(DocumentImage(pixels), TokenSequence(ids), label))
+        reader.finish()
     return spec, splits

@@ -119,7 +119,9 @@ def pretrain(
 
     A numeric failure in a step -- a non-finite loss, or a NaN or inf met
     by the forward, the backward or the optimizer -- aborts the run naming
-    the step, and leaves the last cadence checkpoint in place.  ``clock``
+    the step, and leaves the last cadence checkpoint in place.  Each save
+    writes a temporary file and renames it over the checkpoint, so a crash
+    mid-write also leaves the previous checkpoint whole.  ``clock``
     exists so tests can pin wall times; the default is the real monotonic
     clock.
     """

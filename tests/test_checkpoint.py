@@ -1,9 +1,13 @@
-"""Checkpoint container: round trip and strict reading."""
+"""Checkpoint container: round trip, strict reading, an atomic streamed
+write and a load that holds its arrays once."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from crossdoc import cli
+from crossdoc.autodiff import Tensor
 from crossdoc.checkpoint import load_checkpoint, save_checkpoint
 from crossdoc.config import RunConfig, format_config
 from crossdoc.errors import FormatError
@@ -28,6 +32,15 @@ def saved(tmp_path):
     config_text = format_config(cfg)
     save_checkpoint(path, 3, config_text, params, opt)
     return path, config_text, params, opt
+
+
+def first_payload_offset(config_text, params):
+    """Where the first parameter's values start: past the config text, the
+    u32 array count, the u16 name length, the name, the u8 ndim and the u32
+    dims."""
+    name = next(iter(params))
+    return (CONFIG_TEXT_OFFSET + len(config_text.encode()) + 4 + 2 + len(name.encode())
+            + 1 + 4 * params[name].ndim)
 
 
 def overwrite(path, offset, payload):
@@ -91,13 +104,21 @@ def test_trailing_bytes_rejected(saved):
         load_checkpoint(path)
 
 
+def test_truncated_inside_first_array_reports_its_start(saved, capsys):
+    path, config_text, params = saved[:3]
+    start = first_payload_offset(config_text, params)
+    assert next(iter(params.values())).size > 1
+    path.write_bytes(path.read_bytes()[:start + 8])
+    with pytest.raises(FormatError, match=f"checkpoint truncated at byte {start}$"):
+        load_checkpoint(path)
+    assert cli.main(["probe", "--ckpt", str(path)]) == 2
+    assert f"checkpoint truncated at byte {start}\n" in capsys.readouterr().err
+
+
 def test_non_finite_value_in_probe_is_a_format_error(saved, capsys):
     path, config_text, params = saved[:3]
     name = next(iter(params))
-    ndim = params[name].ndim
-    # past the config text, the u32 array count, the u16 name length, the
-    # name, the u8 ndim and the u32 dims, then two values in
-    offset = CONFIG_TEXT_OFFSET + len(config_text.encode()) + 4 + 2 + len(name) + 1 + 4 * ndim + 16
+    offset = first_payload_offset(config_text, params) + 16  # two values in
     overwrite(path, offset, np.array([np.nan], dtype="<f8").tobytes())
     assert cli.main(["probe", "--ckpt", str(path)]) == 2
     assert f"array {name!r} has a non-finite value at byte {offset}" in capsys.readouterr().err
@@ -115,3 +136,73 @@ def test_ablated_checkpoint_holding_dead_stages_refused(saved, capsys):
     assert cli.main(["probe", "--ckpt", str(path)]) == 2
     err = capsys.readouterr().err
     assert "missing []" in err and "stack.blocks.0.cross.into_vision.attn.w_q.weight" in err
+
+
+@pytest.mark.parametrize("failure", ["exception", "disk_full"])
+def test_crash_mid_write_keeps_previous_checkpoint(saved, monkeypatch, disk_full_beyond, failure):
+    """A save that fails after the parameter section -- an exception while
+    the moments are gathered, or a write the disk refuses -- leaves the
+    previous file whole and no temporary behind."""
+    path, config_text, params, opt = saved
+    before = path.read_bytes()
+    old_params = {name: p.data.copy() for name, p in params.items()}
+    old_moments = {name: a.copy() for name, a in opt.state_arrays().items()}
+    opt.step(1e-3)  # the next save would differ from the previous one
+    tmp = path.with_name(path.name + ".tmp")
+    if failure == "exception":
+        seen_tmp = []
+
+        def crash(self):
+            seen_tmp.append(tmp.exists())
+            raise RuntimeError("killed mid-write")
+
+        monkeypatch.setattr(AdamW, "state_arrays", crash)
+        with pytest.raises(RuntimeError, match="killed mid-write"):
+            save_checkpoint(path, 4, config_text, params, opt)
+        assert seen_tmp == [True]
+    else:
+        without_moments = path.with_name("without_moments.bin")
+        save_checkpoint(without_moments, 4, config_text, params)
+        disk_full_beyond(without_moments.stat().st_size)
+        with pytest.raises(OSError):
+            save_checkpoint(path, 4, config_text, params, opt)
+    assert not tmp.exists()
+    assert path.read_bytes() == before
+    ckpt = load_checkpoint(path)
+    assert ckpt.step == 3 and ckpt.optimizer_step == 1
+    for name, a in old_params.items():
+        np.testing.assert_array_equal(ckpt.params[name], a)
+    for name, a in old_moments.items():
+        np.testing.assert_array_equal(ckpt.optimizer_arrays[name], a)
+
+
+MB = 1 << 20
+
+
+def test_save_and_load_hold_no_second_copy(tmp_path):
+    """Saving streams from the optimizer's buffers; loading reads into the
+    arrays it returns.  Six 128k-value parameters give 6 MB of parameters
+    and 12 MB of moments."""
+    rng = np.random.default_rng(0)
+    params = {f"p{i}": Tensor(rng.normal(size=(256, 512))) for i in range(6)}
+    opt = AdamW(params)
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape)
+    opt.step(1e-3)
+    path = tmp_path / "checkpoint.bin"
+
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, 1, "config", params, opt)
+        _, save_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        ckpt = load_checkpoint(path)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in ckpt.params.values())
+    returned += sum(a.nbytes for a in ckpt.optimizer_arrays.values())
+    assert returned >= 18 * MB and path.stat().st_size > returned
+    assert save_peak < MB
+    assert load_peak - base < returned + MB

@@ -101,6 +101,19 @@ def test_invalid_schedule_or_optimizer_field_writes_nothing(tmp_path, capsys, ke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["pretrain", "ablate"])
+@pytest.mark.parametrize("key, value", [
+    ("beta1", 1.0), ("beta2", "nan"), ("adam_eps", 0.0), ("weight_decay", -1.0),
+])
+def test_invalid_optimizer_field_exits_1_before_any_output(tmp_path, capsys, command, key, value):
+    """``RunConfig`` rejects it, so neither command creates its output
+    directory (``ablate`` used to create it before any optimizer checked)."""
+    code, out = run(tmp_path, command, "run", f"{key} = {value}\n")
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"config error: {key} must")
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_run_exits_3(tmp_path, capsys):
     code, out = run(tmp_path, "pretrain", "run", "steps = 3\nbase_lr = 1e300\n")

@@ -43,6 +43,21 @@ def test_model_and_loss_fields_validated(key, value):
         RunConfig(**{key: value})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("beta1", -0.1), ("beta1", 1.0), ("beta1", float("nan")),
+    ("beta2", 1.0), ("beta2", float("nan")),
+    ("adam_eps", 0.0), ("adam_eps", float("nan")),
+    ("weight_decay", -0.01), ("weight_decay", float("nan")),
+])
+def test_optimizer_fields_validated(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must"):
+        RunConfig(**{key: value})
+
+
+def test_optimizer_field_boundaries_accepted():
+    RunConfig(beta1=0.0, beta2=0.0, weight_decay=0.0)
+
+
 @pytest.mark.parametrize("batch_size", [5, 7])
 def test_odd_batch_size_rejected(batch_size):
     with pytest.raises(ConfigError, match="even"):

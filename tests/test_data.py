@@ -211,6 +211,22 @@ class TestContainer:
         with pytest.raises(FormatError, match=r"byte \d+"):
             data.read_corpus(path)
 
+    def test_failed_write_keeps_previous_corpus(self, tmp_path, disk_full_beyond):
+        """A write the disk refuses part-way through the records leaves the
+        existing file whole and no temporary behind."""
+        spec = tiny_spec()
+        path = tmp_path / "corpus.bin"
+        data.write_corpus(path, spec, data.generate_corpus(spec))
+        before = path.read_bytes()
+        other = tiny_spec(seed=8)
+        splits = data.generate_corpus(other)
+        disk_full_beyond(len(before) // 2)
+        with pytest.raises(OSError):
+            data.write_corpus(path, other, splits)
+        assert not path.with_name("corpus.bin.tmp").exists()
+        assert path.read_bytes() == before
+        assert data.read_corpus(path)[0] == spec
+
     @pytest.mark.parametrize("offset, value", [
         (18, 3),  # patch 3 does not divide the 8x8 image
         (6, 1),  # one class
