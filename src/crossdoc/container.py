@@ -64,7 +64,7 @@ class Reader:
         except UnicodeDecodeError as e:
             raise FormatError(f"{self.kind} has invalid utf-8 at byte {start + e.start}") from e
 
-    def array(self, shape: tuple, dtype: str) -> np.ndarray:
+    def array(self, shape: tuple, dtype: np.dtype | str) -> np.ndarray:
         """The next ``prod(shape)`` values, read into a fresh array."""
         self._advance(np.dtype(dtype).itemsize * math.prod(shape))
         out = np.empty(shape, dtype)
@@ -101,7 +101,7 @@ class Writer:
         self.pack(length_fmt, len(encoded))
         self.f.write(encoded)
 
-    def array(self, arr: np.ndarray, dtype: str) -> None:
+    def array(self, arr: np.ndarray, dtype: np.dtype | str) -> None:
         """``arr``'s values as ``dtype``; no copy when it already is a
         C-contiguous array of that dtype."""
         self.f.write(_raw(np.ascontiguousarray(arr, dtype=dtype)))

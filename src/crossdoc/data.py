@@ -13,7 +13,13 @@ On-disk container (all little-endian):
           | u16 channels | u16 patch | u32 vocab_size
           | f64 pixel_noise | f64 token_corruption | u64 seed
     record set: u32 count | count x record
-    record: f32[height*width*channels] image | u32[rows] token ids | u16 label
+    record: ``record_dtype(layout)``, packed: f32[height, width, channels]
+            image | u32[rows] token ids | u16 label
+
+In memory each record set is one numpy array of ``record_dtype``, the same
+bytes as on disk.  ``read_corpus`` checks every record as it loads: label
+below ``classes``, ids ``[CLS] ... [SEP] [PAD]...`` below ``vocab_size``,
+pixels finite in [0, 1].
 
 ``write_corpus`` streams the records to ``<path>.tmp`` and renames it over
 ``path`` when complete (see ``container``), so an existing corpus survives a
@@ -22,18 +28,13 @@ failed write.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .container import open_container, write_container
-from .encoders import (
-    NUM_RESERVED_IDS,
-    DocumentImage,
-    DocumentLayout,
-    TokenSequence,
-)
-from .errors import ConfigError, DataError, FormatError
+from .encoders import CLS_ID, NUM_RESERVED_IDS, PAD_ID, SEP_ID, DocumentLayout
+from .errors import ConfigError, FormatError
 
 MAGIC = b"XCLC"
 VERSION = 1
@@ -89,40 +90,21 @@ class SyntheticCorpusSpec:
                 return templates
 
 
-@dataclass
-class CorpusRecord:
-    image: DocumentImage
-    tokens: TokenSequence
-    label: int
+def record_dtype(layout: DocumentLayout) -> np.dtype:
+    """One document, packed: its pixels in [0, 1], its token ids
+    ``[CLS] content... [SEP] [PAD]...`` and its class.  The corpus holds each
+    split as one array of these, and writes it byte for byte."""
+    image_shape = (layout.height, layout.width, layout.channels)
+    return np.dtype([("image", "<f4", image_shape), ("ids", "<u4", (layout.rows,)), ("label", "<u2")])
 
 
 @dataclass
 class CorpusSplits:
-    train: list[CorpusRecord] = field(default_factory=list)
-    val: list[CorpusRecord] = field(default_factory=list)
-    test: list[CorpusRecord] = field(default_factory=list)
+    """Three record arrays of ``record_dtype``, disjoint."""
 
-
-def _render_image(spec: SyntheticCorpusSpec, template: np.ndarray,
-                  rng: np.random.Generator) -> DocumentImage:
-    pixels = np.kron(template, np.ones((spec.layout.patch, spec.layout.patch, 1)))
-    if spec.pixel_noise > 0.0:
-        pixels = pixels + rng.normal(0.0, spec.pixel_noise, size=pixels.shape)
-    return DocumentImage(np.clip(pixels, 0.0, 1.0).astype(np.float32))
-
-
-def _draw_tokens(spec: SyntheticCorpusSpec, label: int,
-                 rng: np.random.Generator) -> TokenSequence:
-    rows = spec.layout.rows
-    lo, hi = spec.class_token_range(label)
-    max_content = rows - 2
-    length = int(rng.integers(max(1, max_content // 2), max_content + 1))
-    content = rng.integers(lo, hi, size=length)
-    if spec.token_corruption > 0.0:
-        corrupt = rng.random(length) < spec.token_corruption
-        noise = rng.integers(NUM_RESERVED_IDS, spec.layout.vocab_size, size=length)
-        content = np.where(corrupt, noise, content)
-    return TokenSequence.build(content.tolist(), rows)
+    train: np.ndarray
+    val: np.ndarray
+    test: np.ndarray
 
 
 def generate_corpus(spec: SyntheticCorpusSpec) -> CorpusSplits:
@@ -131,62 +113,63 @@ def generate_corpus(spec: SyntheticCorpusSpec) -> CorpusSplits:
     Per class: 80% train, 10% val, remainder test; splits are disjoint and
     exhaustive.
     """
+    layout = spec.layout
     templates = spec.class_templates()
     rng = np.random.default_rng(spec.seed + 1)  # templates consumed seed itself
-    per_class: list[list[CorpusRecord]] = []
+    records = np.zeros((spec.classes, spec.samples_per_class), record_dtype(layout))
+    images, ids = records["image"], records["ids"]
+    records["label"] = np.arange(spec.classes)[:, None]
+    max_content = layout.rows - 2
     for label in range(spec.classes):
-        records = [
-            CorpusRecord(
-                image=_render_image(spec, templates[label], rng),
-                tokens=_draw_tokens(spec, label, rng),
-                label=label,
-            )
-            for _ in range(spec.samples_per_class)
-        ]
-        per_class.append(records)
+        clean = np.kron(templates[label], np.ones((layout.patch, layout.patch, 1)))
+        lo, hi = spec.class_token_range(label)
+        for i in range(spec.samples_per_class):
+            pixels = clean
+            if spec.pixel_noise > 0.0:
+                pixels = clean + rng.normal(0.0, spec.pixel_noise, size=clean.shape)
+            images[label, i] = np.clip(pixels, 0.0, 1.0)
+            length = int(rng.integers(max(1, max_content // 2), max_content + 1))
+            content = rng.integers(lo, hi, size=length)
+            if spec.token_corruption > 0.0:
+                corrupt = rng.random(length) < spec.token_corruption
+                noise = rng.integers(NUM_RESERVED_IDS, layout.vocab_size, size=length)
+                content = np.where(corrupt, noise, content)
+            ids[label, i, :length + 2] = [CLS_ID, *content, SEP_ID]
 
     n_train = int(0.8 * spec.samples_per_class)
     n_val = int(0.1 * spec.samples_per_class)
-    splits = CorpusSplits()
-    for records in per_class:
-        splits.train.extend(records[:n_train])
-        splits.val.extend(records[n_train:n_train + n_val])
-        splits.test.extend(records[n_train + n_val:])
-    return splits
+    return CorpusSplits(
+        train=records[:, :n_train].ravel(),
+        val=records[:, n_train:n_train + n_val].ravel(),
+        test=records[:, n_train + n_val:].ravel(),
+    )
 
 
-def make_batch(records: list[CorpusRecord], size: int,
-               rng: np.random.Generator) -> list[CorpusRecord]:
+def make_batch(records: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
     """Class-balanced batch in which every sampled class appears at least
     twice, so no contrastive anchor has an empty positive set."""
     if size < 4:
         raise ConfigError("contrastive batches need size >= 4")
     if size % 2 != 0:
         raise ConfigError("batch size must be even")
-    by_class: dict[int, list[CorpusRecord]] = {}
-    for r in records:
-        by_class.setdefault(r.label, []).append(r)
-    available = sorted(by_class)
+    labels = records["label"]
+    available = np.unique(labels)
     n_classes = min(len(available), size // 2)
     if n_classes < 2:
         raise ConfigError("need at least two distinct classes to form a batch")
     chosen = rng.choice(available, size=n_classes, replace=False)
     base, extra = divmod(size, n_classes)
-    batch: list[CorpusRecord] = []
+    picks = []
     for i, label in enumerate(chosen):
         count = base + (1 if i < extra else 0)
-        pool = by_class[int(label)]
-        idx = rng.choice(len(pool), size=count, replace=len(pool) < count)
-        batch.extend(pool[int(j)] for j in idx)
-    return batch
+        pool = np.flatnonzero(labels == label)
+        picks.append(pool[rng.choice(len(pool), size=count, replace=len(pool) < count)])
+    return records[np.concatenate(picks)]
 
 
-def collate(records: list[CorpusRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack records into (images f32, token ids i64, labels i64) arrays."""
-    images = np.stack([r.image.pixels for r in records])
-    ids = np.stack([r.tokens.ids for r in records])
-    labels = np.array([r.label for r in records], dtype=np.int64)
-    return images, ids, labels
+def collate(records: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A record array's fields: (images f32, token ids i64, labels i64)."""
+    return records["image"], records["ids"].astype(np.int64), records["label"].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -204,36 +187,51 @@ def write_corpus(path, spec: SyntheticCorpusSpec, splits: CorpusSplits) -> None:
             layout.channels, layout.patch, layout.vocab_size,
             spec.pixel_noise, spec.token_corruption, spec.seed,
         )
-        for records in (splits.train, splits.val, splits.test):
+        for split in fields(splits):
+            records = getattr(splits, split.name)
             writer.pack("<I", len(records))
-            for r in records:
-                writer.array(r.image.pixels, "<f4")
-                writer.array(r.tokens.ids, "<u4")
-                writer.pack("<H", r.label)
+            writer.array(records, record_dtype(layout))
+
+
+def _check_records(spec: SyntheticCorpusSpec, records: np.ndarray, where: str, start: int) -> None:
+    """Raise ``FormatError`` at the first record that breaks the record
+    format (see the module docstring), naming ``where``, the record's index
+    and its byte offset in the file; ``start`` is the offset of record 0."""
+    layout = spec.layout
+    ids = records["ids"]
+    images = records["image"]
+    last_real = layout.rows - 1 - np.argmax(ids[:, ::-1] != PAD_ID, axis=1)
+    problems = (
+        (records["label"] >= spec.classes, f"label >= {spec.classes} classes"),
+        (ids[:, 0] != CLS_ID, "token ids do not start with [CLS]"),
+        (ids[np.arange(len(ids)), last_real] != SEP_ID, "last non-[PAD] token id is not [SEP]"),
+        ((ids >= layout.vocab_size).any(axis=1), f"token id >= vocab_size {layout.vocab_size}"),
+        (~((images >= 0.0) & (images <= 1.0)).all(axis=(1, 2, 3)), "pixel not finite in [0, 1]"),
+    )
+    for bad, what in problems:
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise FormatError(f"{where} record {i} at byte {start + i * records.itemsize}: {what}")
 
 
 def read_corpus(path) -> tuple[SyntheticCorpusSpec, CorpusSplits]:
+    """Read a corpus container; every record is checked as it loads."""
     with open_container(path, MAGIC, VERSION, "corpus file") as reader:
         spec_offset = reader.offset
-        fields = reader.unpack(_SPEC_FMT)
+        values = reader.unpack(_SPEC_FMT)
         try:
-            layout = DocumentLayout(*fields[2:7])
+            layout = DocumentLayout(*values[2:7])
             spec = SyntheticCorpusSpec(
-                layout, classes=fields[0], samples_per_class=fields[1],
-                pixel_noise=fields[7], token_corruption=fields[8], seed=fields[9],
+                layout, classes=values[0], samples_per_class=values[1],
+                pixel_noise=values[7], token_corruption=values[8], seed=values[9],
             )
         except ConfigError as e:
             raise FormatError(f"invalid corpus spec at byte {spec_offset}: {e}") from e
-        image_shape = (layout.height, layout.width, layout.channels)
-        splits = CorpusSplits()
-        for records in (splits.train, splits.val, splits.test):
+        parts = {}
+        for split in fields(CorpusSplits):
             (count,) = reader.unpack("<I")
-            for _ in range(count):
-                pixels = reader.array(image_shape, "<f4")
-                ids = reader.array((layout.rows,), "<u4").astype(np.int64)
-                (label,) = reader.unpack("<H")
-                if label >= spec.classes:
-                    raise DataError(f"record label {label} >= {spec.classes} classes")
-                records.append(CorpusRecord(DocumentImage(pixels), TokenSequence(ids), label))
+            start = reader.offset
+            parts[split.name] = reader.array((count,), record_dtype(layout))
+            _check_records(spec, parts[split.name], f"{reader.kind} {split.name}", start)
         reader.finish()
-    return spec, splits
+    return spec, CorpusSplits(**parts)

@@ -1,4 +1,4 @@
-"""Toy modality encoders: image patches and token ids in, equal-shape
+"""Toy modality encoders: pixel and token id arrays in, equal-shape
 feature sequences out.
 
 Both encoders emit (rows, feature_dim) matrices with a learned leading
@@ -57,48 +57,6 @@ class DocumentLayout:
 
 
 @dataclass
-class DocumentImage:
-    """Raw pixels in [0, 1], stored float32 (the corpus container precision)."""
-
-    pixels: np.ndarray  # (H, W, C)
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float32)
-        if self.pixels.ndim != 3:
-            raise DataError(f"image must be (H, W, C), got {self.pixels.shape}")
-
-
-@dataclass
-class TokenSequence:
-    """Fixed-length id sequence: [CLS] content... [SEP] [PAD]..."""
-
-    ids: np.ndarray  # (rows,) integer ids
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
-        if self.ids.ndim != 1:
-            raise DataError("token ids must be a flat sequence")
-        if self.ids[0] != CLS_ID:
-            raise DataError("token sequence must start with [CLS]")
-        real = self.ids != PAD_ID
-        if not real.any() or self.ids[np.flatnonzero(real)[-1]] != SEP_ID:
-            raise DataError("last real token must be [SEP]")
-
-    @property
-    def mask(self) -> np.ndarray:
-        """True at real-token positions, False at padding."""
-        return self.ids != PAD_ID
-
-    @classmethod
-    def build(cls, content_ids, rows: int) -> "TokenSequence":
-        """Wrap raw content ids with [CLS]/[SEP], truncating or padding to rows."""
-        content = list(content_ids)[: rows - 2]
-        ids = [CLS_ID] + content + [SEP_ID]
-        ids += [PAD_ID] * (rows - len(ids))
-        return cls(np.array(ids, dtype=np.int64))
-
-
-@dataclass
 class VisionEncoderParams:
     proj: LinearParams  # patch pixels -> feature_dim
     cls_row: Tensor  # (1, feature_dim)
@@ -147,13 +105,12 @@ def patchify(layout: DocumentLayout, pixels: np.ndarray) -> np.ndarray:
     return x.reshape(lead + (grid_h * grid_w, p * p * layout.channels))
 
 
-def patch_embed(params: VisionEncoderParams, layout: DocumentLayout, image) -> Tensor:
+def patch_embed(params: VisionEncoderParams, layout: DocumentLayout, pixels: np.ndarray) -> Tensor:
     """Project flattened patches, prepend the learned [CLS] row, add positions.
 
-    ``image`` is a DocumentImage or a (.., H, W, C) array; a leading batch
-    axis is carried through.
+    ``pixels`` is a (.., H, W, C) array; a leading batch axis is carried
+    through.
     """
-    pixels = image.pixels if isinstance(image, DocumentImage) else np.asarray(image)
     patches = patchify(layout, pixels)
     projected = linear(params.proj, Tensor(patches))
     lead = patches.shape[:-2]
@@ -163,14 +120,14 @@ def patch_embed(params: VisionEncoderParams, layout: DocumentLayout, image) -> T
 
 
 def token_embed(
-    params: TextEncoderParams, layout: DocumentLayout, tokens
+    params: TextEncoderParams, layout: DocumentLayout, ids: np.ndarray
 ) -> tuple[Tensor, np.ndarray]:
     """Embed token ids and return the features plus the real-token mask.
 
-    ``tokens`` is a TokenSequence or a (.., rows) id array.  Ids outside the
-    vocabulary are a data error.
+    ``ids`` is a (.., rows) integer array.  Ids outside the vocabulary are a
+    data error.
     """
-    ids = tokens.ids if isinstance(tokens, TokenSequence) else np.asarray(tokens, dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
     if ids.shape[-1] != layout.rows:
         raise DataError(f"token sequence length {ids.shape[-1]} != configured {layout.rows}")
     if ids.min() < 0 or ids.max() >= layout.vocab_size:

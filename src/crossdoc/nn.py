@@ -72,15 +72,13 @@ def linear(p: LinearParams, x: Tensor) -> Tensor:
     return ad.add(ad.matmul(x, p.weight), p.bias)
 
 
+LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
+
+
 @dataclass
 class LayerNormParams:
     gamma: Tensor  # (d,)
     beta: Tensor  # (d,)
-    epsilon: float = 1e-5
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ConfigError("layer norm epsilon must be positive")
 
     @classmethod
     def create(cls, d: int) -> "LayerNormParams":
@@ -94,7 +92,7 @@ def layer_norm(p: LayerNormParams, x: Tensor) -> Tensor:
     """Normalize the trailing axis to zero mean / unit variance, then affine."""
     if x.shape[-1] < 2:
         raise ShapeError(f"layer_norm needs trailing dim >= 2, got {x.shape}")
-    return ad.layer_norm_last(x, p.gamma, p.beta, p.epsilon)
+    return ad.layer_norm_last(x, p.gamma, p.beta, LAYER_NORM_EPS)
 
 
 @dataclass

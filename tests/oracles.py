@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from crossdoc.nn import LAYER_NORM_EPS
+
 
 def scalar_linear(weight, bias, x):
     x = np.atleast_2d(x)
@@ -76,10 +78,10 @@ def scalar_transformer_layer(p, queries, keys, mask=None):
     """Attention, residual + layer norm, feed-forward, residual + layer norm."""
     att = scalar_mha(p.attn, queries, keys, mask)
     mid = scalar_layer_norm(p.norm_attn.gamma.data, p.norm_attn.beta.data,
-                            p.norm_attn.epsilon, att + queries)
+                            LAYER_NORM_EPS, att + queries)
     ffo = scalar_feed_forward(p.ff, mid)
     return scalar_layer_norm(p.norm_ff.gamma.data, p.norm_ff.beta.data,
-                             p.norm_ff.epsilon, ffo + mid)
+                             LAYER_NORM_EPS, ffo + mid)
 
 
 def scalar_cross_attention_block(p, vision, text, text_mask=None):

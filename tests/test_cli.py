@@ -2,9 +2,11 @@
 match the model is a data error (exit 2) before any file is written, and
 every other error class ends in its documented exit code."""
 
+import numpy as np
 import pytest
 
-from crossdoc import cli, train
+from crossdoc import cli, data, train
+from crossdoc.encoders import NUM_RESERVED_IDS
 from crossdoc.errors import ContractError, ShapeError
 
 TINY = """\
@@ -39,6 +41,44 @@ def test_pretrain_on_mismatched_corpus(tmp_path, capsys, corpus_fields, run_fiel
     assert code == 2
     assert "DocumentLayout" in capsys.readouterr().err
     assert not (out / "checkpoint.bin").exists()
+
+
+# (split, record, field, position in the field, value, what the error names):
+# each case writes one bad value into one record of a valid corpus.
+CORRUPTIONS = {
+    "label": ("train", 5, "label", (), 4, "label >= 4 classes"),
+    "no_cls": ("train", 0, "ids", (0,), NUM_RESERVED_IDS, "[CLS]"),
+    "no_sep": ("test", 2, "ids", (-1,), NUM_RESERVED_IDS, "not [SEP]"),  # [SEP] or [PAD] before
+    "token_id_1e6": ("val", 3, "ids", (1,), 10**6, "vocab_size 64"),
+    "nan_pixel": ("val", 1, "image", (0, 0, 0), np.nan, "pixel"),
+    "pixel_1e30": ("train", 7, "image", (5, 9, 0), 1e30, "pixel"),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_corrupt_record_exits_2_before_any_output(tmp_path, capsys, case):
+    """Every record is checked as the corpus loads, and ``pretrain`` loads
+    it before creating its output directory; the message names the split,
+    the record and the record's byte offset."""
+    split, index, field, position, value, what = CORRUPTIONS[case]
+    code, corpus_dir = run(tmp_path, "gen-corpus", "corpus")
+    assert code == 0
+    path = corpus_dir / "corpus.bin"
+    spec, splits = data.read_corpus(path)
+    getattr(splits, split)[field][(index, *position)] = value
+    data.write_corpus(path, spec, splits)
+    itemsize = data.record_dtype(spec.layout).itemsize
+    offset = 52  # magic, version, spec and the train count
+    for earlier in ("train", "val", "test")[:("train", "val", "test").index(split)]:
+        offset += len(getattr(splits, earlier)) * itemsize + 4
+    offset += index * itemsize
+    capsys.readouterr()
+    code, out = run(tmp_path, "pretrain", "run", f"corpus_path = {path}\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: corpus file {split} record {index} at byte {offset}: ")
+    assert what in err
+    assert not out.exists()
 
 
 def test_probe_checkpoint_of_another_layout(tmp_path, capsys):

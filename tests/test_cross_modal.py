@@ -44,8 +44,8 @@ class TestCrossAttentionBlock:
         v_out, _ = cm.cross_attention_block(p, feats(x), feats(rng.normal(size=(4, 8))))
         n1 = layer.norm_attn
         n2 = layer.norm_ff
-        expected = scalar_layer_norm(n2.gamma.data, n2.beta.data, n2.epsilon,
-                                     scalar_layer_norm(n1.gamma.data, n1.beta.data, n1.epsilon, x))
+        expected = scalar_layer_norm(n2.gamma.data, n2.beta.data, nn.LAYER_NORM_EPS,
+                                     scalar_layer_norm(n1.gamma.data, n1.beta.data, nn.LAYER_NORM_EPS, x))
         np.testing.assert_allclose(v_out.data, expected, atol=1e-10)
 
     def test_random_case_vs_scalar_oracle(self):

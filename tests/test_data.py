@@ -5,7 +5,7 @@ import pytest
 
 from crossdoc import data
 from crossdoc.config import RunConfig
-from crossdoc.encoders import NUM_RESERVED_IDS, SEP_ID, DocumentLayout
+from crossdoc.encoders import CLS_ID, NUM_RESERVED_IDS, PAD_ID, SEP_ID, DocumentLayout
 from crossdoc.errors import ConfigError, FormatError
 
 
@@ -50,18 +50,15 @@ class TestGenerate:
         splits = data.generate_corpus(RunConfig().corpus_spec())
         assert (len(splits.train), len(splits.val), len(splits.test)) == (320, 40, 40)
         for part in (splits.train, splits.val, splits.test):
-            labels = [r.label for r in part]
-            counts = np.bincount(labels, minlength=4)
+            counts = np.bincount(part["label"], minlength=4)
             assert np.all(counts == counts[0])
 
     def test_splits_disjoint_and_exhaustive(self):
         spec = tiny_spec()
         splits = data.generate_corpus(spec)
-        total = splits.train + splits.val + splits.test
+        total = np.concatenate([splits.train, splits.val, splits.test])
         assert len(total) == spec.classes * spec.samples_per_class
-        fingerprints = {
-            (r.image.pixels.tobytes(), r.tokens.ids.tobytes(), r.label) for r in total
-        }
+        fingerprints = {r.tobytes() for r in total}
         assert len(fingerprints) == len(total)
 
     def test_noiseless_spec_is_degenerate(self):
@@ -69,15 +66,15 @@ class TestGenerate:
         spec = tiny_spec(pixel_noise=0.0, token_corruption=0.0)
         splits = data.generate_corpus(spec)
         by_class = {}
-        for r in splits.train + splits.val + splits.test:
-            by_class.setdefault(r.label, []).append(r)
+        for r in np.concatenate([splits.train, splits.val, splits.test]):
+            by_class.setdefault(int(r["label"]), []).append(r)
         for label, records in by_class.items():
-            first = records[0].image.pixels
+            first = records[0]["image"]
             for r in records[1:]:
-                np.testing.assert_array_equal(r.image.pixels, first)
+                np.testing.assert_array_equal(r["image"], first)
             lo, hi = spec.class_token_range(label)
             for r in records:
-                content = r.tokens.ids[1:][r.tokens.ids[1:] >= NUM_RESERVED_IDS]
+                content = r["ids"][1:][r["ids"][1:] >= NUM_RESERVED_IDS]
                 assert np.all((content >= lo) & (content < hi))
 
     def test_deterministic_given_seed(self, tmp_path):
@@ -89,12 +86,15 @@ class TestGenerate:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_token_sequences_well_formed(self):
+        """[CLS], content ids, [SEP], then only [PAD] up to the row count."""
         splits = data.generate_corpus(tiny_spec())
-        for r in splits.train + splits.val + splits.test:
-            ids = r.tokens.ids
+        for r in np.concatenate([splits.train, splits.val, splits.test]):
+            ids = r["ids"]
             assert len(ids) == 5  # 8x8 / 4x4 patches + CLS
-            real = np.flatnonzero(ids != 0)
-            assert ids[real[-1]] == SEP_ID
+            assert ids[0] == CLS_ID
+            (sep,) = np.flatnonzero(ids == SEP_ID)
+            assert np.all(ids[1:sep] >= NUM_RESERVED_IDS)
+            assert np.all(ids[sep + 1:] == PAD_ID)
 
     def test_modality_signals_beat_chance(self):
         """Nearest-template and token-histogram classifiers clear 1/K easily."""
@@ -103,14 +103,14 @@ class TestGenerate:
         full = np.kron(spec.class_templates(), np.ones((spec.layout.patch, spec.layout.patch, 1)))
         img_hits = tok_hits = 0
         for r in splits.test:
-            dist = ((full - r.image.pixels[None].astype(float)) ** 2).sum(axis=(1, 2, 3))
-            img_hits += int(np.argmin(dist) == r.label)
-            content = r.tokens.ids[r.tokens.ids >= NUM_RESERVED_IDS]
+            dist = ((full - r["image"][None].astype(float)) ** 2).sum(axis=(1, 2, 3))
+            img_hits += int(np.argmin(dist) == r["label"])
+            content = r["ids"][r["ids"] >= NUM_RESERVED_IDS]
             scores = [
                 int(((content >= lo) & (content < hi)).sum())
                 for lo, hi in (spec.class_token_range(k) for k in range(spec.classes))
             ]
-            tok_hits += int(np.argmax(scores) == r.label)
+            tok_hits += int(np.argmax(scores) == r["label"])
         n = len(splits.test)
         assert img_hits / n > 1.0 / spec.classes
         assert tok_hits / n > 1.0 / spec.classes
@@ -121,14 +121,14 @@ class TestMakeBatch:
         """Batch of 8 over 4 classes: exactly two records per class."""
         splits = data.generate_corpus(RunConfig(samples_per_class=10).corpus_spec())
         batch = data.make_batch(splits.train, 8, np.random.default_rng(0))
-        counts = np.bincount([r.label for r in batch], minlength=4)
+        counts = np.bincount(batch["label"], minlength=4)
         assert sorted(counts.tolist()) == [2, 2, 2, 2]
 
     def test_every_anchor_has_a_positive(self):
         splits = data.generate_corpus(tiny_spec())
         for seed in range(5):
             batch = data.make_batch(splits.train, 10, np.random.default_rng(seed))
-            labels = np.array([r.label for r in batch])
+            labels = batch["label"]
             assert len(batch) == 10
             for y in labels:
                 assert (labels == y).sum() >= 2
@@ -137,9 +137,7 @@ class TestMakeBatch:
         splits = data.generate_corpus(tiny_spec())
         a = data.make_batch(splits.train, 8, np.random.default_rng(3))
         b = data.make_batch(splits.train, 8, np.random.default_rng(3))
-        assert [r.label for r in a] == [r.label for r in b]
-        for ra, rb in zip(a, b):
-            np.testing.assert_array_equal(ra.tokens.ids, rb.tokens.ids)
+        np.testing.assert_array_equal(a, b)
 
     def test_size_validation(self):
         splits = data.generate_corpus(tiny_spec())
@@ -168,11 +166,7 @@ class TestContainer:
         assert spec2 == spec
         for part, part2 in zip((splits.train, splits.val, splits.test),
                                (splits2.train, splits2.val, splits2.test)):
-            assert len(part) == len(part2)
-            for a, b in zip(part, part2):
-                np.testing.assert_array_equal(a.image.pixels, b.image.pixels)
-                np.testing.assert_array_equal(a.tokens.ids, b.tokens.ids)
-                assert a.label == b.label
+            np.testing.assert_array_equal(part, part2)
 
     def test_write_read_write_is_stable(self, tmp_path):
         spec = tiny_spec()

@@ -1,4 +1,4 @@
-"""Encoder tests: patch math, token padding/truncation, pooling."""
+"""Encoder tests: patch math, token embedding and masks, pooling."""
 
 import numpy as np
 import pytest
@@ -17,6 +17,12 @@ def small_cfg(**kw):
     defaults = dict(height=8, width=8, channels=1, patch=4, vocab_size=16)
     defaults.update(kw)
     return enc.DocumentLayout(**defaults)
+
+
+def token_ids(content, rows):
+    """[CLS] content [SEP], padded with [PAD] to ``rows``."""
+    ids = [enc.CLS_ID, *content, enc.SEP_ID]
+    return np.array(ids + [enc.PAD_ID] * (rows - len(ids)))
 
 
 class TestConfig:
@@ -45,15 +51,14 @@ class TestPatchEmbed:
         cfg = small_cfg()
         rng = np.random.default_rng(0)
         params = enc.VisionEncoderParams.create(rng, cfg, FEATURE_DIM)
-        img = enc.DocumentImage(rng.random((8, 8, 1)))
-        feats = enc.patch_embed(params, cfg, img)
+        feats = enc.patch_embed(params, cfg, rng.random((8, 8, 1)))
         assert feats.shape == (5, 6)
 
     def test_zero_image_zero_bias_rows_equal_positions(self):
         cfg = small_cfg()
         rng = np.random.default_rng(1)
         params = enc.VisionEncoderParams.create(rng, cfg, FEATURE_DIM)
-        feats = enc.patch_embed(params, cfg, enc.DocumentImage(np.zeros((8, 8, 1))))
+        feats = enc.patch_embed(params, cfg, np.zeros((8, 8, 1)))
         expected = params.positions.data.copy()
         expected[0] += params.cls_row.data[0]
         np.testing.assert_allclose(feats.data, expected, atol=1e-12)
@@ -110,34 +115,12 @@ class TestPatchEmbed:
         assert err < 1e-4
 
 
-class TestTokenSequence:
-    def test_truncation_keeps_sep_last(self):
-        seq = enc.TokenSequence.build(range(3, 3 + 15), rows=5)
-        assert len(seq.ids) == 5
-        assert seq.ids[0] == enc.CLS_ID
-        assert seq.ids[-1] == enc.SEP_ID
-        np.testing.assert_array_equal(seq.ids[1:4], [3, 4, 5])
-
-    def test_padding_and_mask(self):
-        """Three content tokens leave CLS + 3 + SEP = 5 real positions."""
-        seq = enc.TokenSequence.build([5, 6, 7], rows=8)
-        assert seq.mask.sum() == 5
-        np.testing.assert_array_equal(seq.ids[5:], [enc.PAD_ID] * 3)
-
-    def test_malformed_sequences_rejected(self):
-        with pytest.raises(DataError):
-            enc.TokenSequence(np.array([3, 4, enc.SEP_ID]))  # no CLS
-        with pytest.raises(DataError):
-            enc.TokenSequence(np.array([enc.CLS_ID, 3, 4]))  # no SEP
-
-
 class TestTokenEmbed:
     def test_positions_distinguish_repeated_ids(self):
         cfg = small_cfg()
         rng = np.random.default_rng(6)
         params = enc.TextEncoderParams.create(rng, cfg, FEATURE_DIM)
-        seq = enc.TokenSequence.build([7, 7, 7], rows=cfg.rows)
-        feats, mask = enc.token_embed(params, cfg, seq)
+        feats, mask = enc.token_embed(params, cfg, token_ids([7, 7, 7], cfg.rows))
         diff = feats.data[1] - feats.data[2]
         pos_diff = params.positions.data[1] - params.positions.data[2]
         np.testing.assert_allclose(diff, pos_diff, atol=1e-12)
@@ -146,8 +129,7 @@ class TestTokenEmbed:
         cfg = small_cfg()
         rng = np.random.default_rng(7)
         params = enc.TextEncoderParams.create(rng, cfg, FEATURE_DIM)
-        seq = enc.TokenSequence.build([9], rows=cfg.rows)
-        _, mask = enc.token_embed(params, cfg, seq)
+        _, mask = enc.token_embed(params, cfg, token_ids([9], cfg.rows))
         np.testing.assert_array_equal(mask, [True, True, True, False, False])
 
     def test_padding_changes_leave_real_rows_alone(self):
@@ -180,7 +162,7 @@ class TestTokenEmbed:
         cfg = small_cfg()
         rng = np.random.default_rng(11)
         params = enc.TextEncoderParams.create(rng, cfg, FEATURE_DIM)
-        ids = enc.TokenSequence.build([5, 5, 9], rows=cfg.rows).ids
+        ids = token_ids([5, 5, 9], cfg.rows)
 
         def f(table):
             p = enc.TextEncoderParams(table, params.positions)
@@ -197,8 +179,8 @@ class TestPairedShapes:
         rng = np.random.default_rng(12)
         vis = enc.VisionEncoderParams.create(rng, cfg, FEATURE_DIM)
         txt = enc.TextEncoderParams.create(rng, cfg, FEATURE_DIM)
-        v = enc.patch_embed(vis, cfg, enc.DocumentImage(rng.random((8, 8, 1))))
-        t, _ = enc.token_embed(txt, cfg, enc.TokenSequence.build([4, 5], cfg.rows))
+        v = enc.patch_embed(vis, cfg, rng.random((8, 8, 1)))
+        t, _ = enc.token_embed(txt, cfg, token_ids([4, 5], cfg.rows))
         assert v.shape == t.shape
 
 

@@ -90,10 +90,6 @@ class TestLayerNorm:
             np.testing.assert_allclose(base, shifted, atol=1e-6)
             np.testing.assert_allclose(base, scaled, atol=1e-6)
 
-    def test_epsilon_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            nn.LayerNormParams(Tensor(np.ones(3)), Tensor(np.zeros(3)), epsilon=0.0)
-
 
 class TestMultiHeadAttention:
     def test_single_key_forces_weight_one(self):

@@ -1,0 +1,26 @@
+"""The fixed-seed loss trajectory: a refactor that leaves the numbers alone
+reproduces these 20 desk-preset ``total`` values to 1e-9 relative."""
+
+import json
+
+import pytest
+
+from crossdoc.config import RunConfig
+from crossdoc.train import pretrain
+
+# `crossdoc pretrain --preset desk --seed 1` with steps = 20, log_every = 1.
+DESK_SEED1_TOTALS = [
+    137.71743697819136, 131.36459927507101, 129.54118182959104, 127.47737929354786,
+    123.43311006421442, 111.36791990851353, 104.46826590365687, 97.94935340706145,
+    96.05401632486323, 101.07240779018021, 94.11667875001868, 86.94434814603083,
+    88.16232247759677, 83.39706755472095, 80.08711553935709, 79.99469962333049,
+    86.97036656508146, 73.29932579165842, 73.17814623844342, 67.01320917455567,
+]
+
+
+def test_desk_pretrain_reproduces_the_recorded_trajectory(tmp_path):
+    cfg = RunConfig(seed=1, steps=20, log_every=1)
+    result = pretrain(cfg, tmp_path)
+    with result.metrics_path.open() as f:
+        totals = [json.loads(line)["total"] for line in f]
+    assert totals == pytest.approx(DESK_SEED1_TOTALS, rel=1e-9, abs=0.0)
