@@ -176,6 +176,22 @@ class TestContainer:
         data.write_corpus(p2, *data.read_corpus(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_splits_are_stored_as_their_record_bytes(self, tmp_path):
+        """``record_dtype`` is the on-disk record (1094 bytes at desk): each
+        split is its u32 count, then the record array's own bytes."""
+        spec = RunConfig(samples_per_class=10).corpus_spec()
+        assert data.record_dtype(spec.layout).itemsize == 1094
+        splits = data.generate_corpus(spec)
+        path = tmp_path / "corpus.bin"
+        data.write_corpus(path, spec, splits)
+        raw = path.read_bytes()
+        offset = 48  # magic, version and spec
+        for part in (splits.train, splits.val, splits.test):
+            assert int.from_bytes(raw[offset:offset + 4], "little") == len(part)
+            assert raw[offset + 4:offset + 4 + part.nbytes] == part.tobytes()
+            offset += 4 + part.nbytes
+        assert offset == len(raw)
+
     def test_corrupt_magic_rejected(self, tmp_path):
         spec = tiny_spec()
         path = tmp_path / "corpus.bin"
