@@ -111,12 +111,13 @@ def _keep_freed_heap() -> None:
     """Let the memory a step frees stay with the process for the next step.
 
     glibc hands the top of its heap back to the OS whenever more than its
-    trim threshold (128 KB at start) lies free there, so a desk step could
-    free its ~12 MB graph and fault it back in on the next step, 3000 minor
-    faults a step.  Freeing one block too large for the heap raises that
-    threshold to twice the block's size (mallopt(3), M_MMAP_THRESHOLD), as a
-    run that frees any large array does by itself.  ``np.empty`` touches no
-    page of the block, so this costs no memory.
+    trim threshold (128 KB at start) lies free there, so a desk step can
+    free its ~12 MB graph and fault it back in on the next step, about 3000
+    minor faults a step.  Freeing one block large enough to be mmapped
+    raises glibc's mmap threshold to the block's size and its trim threshold
+    to twice that (mallopt(3), M_MMAP_THRESHOLD), as any run that frees a
+    large array does by itself.  ``np.empty`` touches no page of the block,
+    so this costs no memory.
     """
     np.empty(16 << 20, np.uint8)
 

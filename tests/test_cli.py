@@ -48,7 +48,7 @@ def test_pretrain_on_mismatched_corpus(tmp_path, capsys, corpus_fields, run_fiel
 CORRUPTIONS = {
     "label": ("train", 5, "label", (), 4, "label >= 4 classes"),
     "no_cls": ("train", 0, "ids", (0,), NUM_RESERVED_IDS, "[CLS]"),
-    "no_sep": ("test", 2, "ids", (-1,), NUM_RESERVED_IDS, "not [SEP]"),  # [SEP] or [PAD] before
+    "no_sep": ("test", 2, "ids", (-1,), NUM_RESERVED_IDS, "not [SEP]"),  # the last id was [SEP] or [PAD]
     "token_id_1e6": ("val", 3, "ids", (1,), 10**6, "vocab_size 64"),
     "nan_pixel": ("val", 1, "image", (0, 0, 0), np.nan, "pixel"),
     "pixel_1e30": ("train", 7, "image", (5, 9, 0), 1e30, "pixel"),
@@ -68,10 +68,10 @@ def test_corrupt_record_exits_2_before_any_output(tmp_path, capsys, case):
     getattr(splits, split)[field][(index, *position)] = value
     data.write_corpus(path, spec, splits)
     itemsize = data.record_dtype(spec.layout).itemsize
-    offset = 52  # magic, version, spec and the train count
-    for earlier in ("train", "val", "test")[:("train", "val", "test").index(split)]:
-        offset += len(getattr(splits, earlier)) * itemsize + 4
-    offset += index * itemsize
+    order = ("train", "val", "test")
+    earlier = order[:order.index(split)]
+    # magic, version, spec and the train count; then each earlier split
+    offset = 52 + sum(len(getattr(splits, s)) * itemsize + 4 for s in earlier) + index * itemsize
     capsys.readouterr()
     code, out = run(tmp_path, "pretrain", "run", f"corpus_path = {path}\n")
     assert code == 2
