@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crossdoc import autodiff as ad
+from crossdoc import data
 from crossdoc import encoders as enc
 from crossdoc.autodiff import Tensor
 from crossdoc.config import RunConfig
@@ -113,6 +114,25 @@ class TestPatchEmbed:
 
         err = ad.finite_diff_check(f, Tensor(params.proj.weight.data.copy(), requires_grad=True))
         assert err < 1e-4
+
+
+class TestTokenSequence:
+    def test_padding_and_mask(self):
+        """A generated sequence embeds with a mask over [CLS], its content and
+        [SEP] alone; every later position holds [PAD].  Three content tokens
+        in eight rows leave CLS + 3 + SEP = 5 real positions."""
+        cfg = small_cfg(height=4, width=28)
+        assert cfg.rows == 8
+        spec = data.SyntheticCorpusSpec(cfg, classes=2, samples_per_class=10, seed=3)
+        ids = data.generate_corpus(spec).train["ids"]
+        params = enc.TextEncoderParams.create(np.random.default_rng(9), cfg, FEATURE_DIM)
+        _, mask = enc.token_embed(params, cfg, ids)
+        real = mask.sum(axis=1)
+        np.testing.assert_array_equal(real, np.argmax(ids == enc.SEP_ID, axis=1) + 1)
+        assert real.min() == 5
+        for row_ids, row_mask, n in zip(ids, mask, real):
+            assert row_mask[:n].all()
+            np.testing.assert_array_equal(row_ids[n:], [enc.PAD_ID] * (cfg.rows - n))
 
 
 class TestTokenEmbed:
