@@ -1,10 +1,15 @@
-"""Dense float64 tensors with reverse-mode differentiation.
+"""Dense float64 or float32 tensors with reverse-mode differentiation.
 
 Every differentiable quantity in the model flows through :class:`Tensor`.
 Each operation records its output through :func:`_make_node`, with one
 vector-Jacobian product per input; calling :func:`backward` on a scalar
 replays the adjoints in reverse topological order, frees the graph as it
 goes and returns the :class:`GradTape` of leaves it reached.
+
+The ops are dtype-generic: a node takes the dtype of its first
+differentiable input and each gradient that of its tensor, so a float32
+model computes in float32 and a float64 model (the reference) in float64.
+Constants an op builds take its operand's dtype.
 """
 
 from __future__ import annotations
@@ -22,16 +27,19 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class Tensor:
-    """A dense float64 array plus an optional gradient accumulator.
+    """A dense float64 or float32 array plus an optional gradient accumulator.
 
-    Tensors are immutable after creation except for gradient accumulation;
-    ``grad`` exists from ``backward`` until the tape's ``clear()``.
+    float32 data stays float32; anything else (other float widths, ints,
+    lists, scalars) becomes float64.  Tensors are immutable after creation
+    except for gradient accumulation; ``grad`` exists from ``backward`` until
+    the tape's ``clear()``.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "op")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -84,21 +92,26 @@ def _make_node(data: np.ndarray, op: str, *edges: tuple[Tensor, Callable]) -> Te
 
     Each edge is ``(parent, vjp)``; ``vjp(g)`` maps the output's gradient to
     that parent's contribution before unbroadcasting.  Only parents that
-    require grad are recorded, and only their vjps run.  vjps close over
-    arrays, never over the output: the adjoint installed here is the one
-    closure that refers to its node, until ``backward`` replaces it.
+    require grad are recorded, and only their vjps run.  The node takes the
+    dtype of its first recorded parent and each contribution its parent's
+    dtype, so a float64 constant never widens a float32 graph (both casts are
+    no-ops in float64).  vjps close over arrays, never over the output: the
+    adjoint installed here is the one closure that refers to its node, until
+    ``backward`` replaces it.
     """
     out = Tensor(data)
     out.op = op
     edges = tuple((p, vjp) for p, vjp in edges if p.requires_grad)
     if edges:
+        out.data = out.data.astype(edges[0][0].data.dtype, copy=False)
         out.requires_grad = True
         out._parents = tuple(p for p, _ in edges)
 
         def _bw():
             g = out.grad
             for parent, vjp in edges:
-                parent.accumulate_grad(_unbroadcast(vjp(g), parent.shape))
+                parent.accumulate_grad(
+                    _unbroadcast(vjp(g), parent.shape).astype(parent.data.dtype, copy=False))
 
         out._backward = _bw
     return out
@@ -473,7 +486,7 @@ def attention_heads(q, k, v, num_heads: int, key_bias=None) -> tuple[Tensor, np.
     factor = 1.0 / math.sqrt(width // num_heads)
     scores = (qh @ kh.swapaxes(-1, -2)) * factor
     if key_bias is not None:
-        scores = scores + np.asarray(key_bias)[..., None, None, :]
+        scores = scores + np.asarray(key_bias, dtype=scores.dtype)[..., None, None, :]
     att, _ = _softmax_parts(scores, "attention_heads")
 
     shared = {}
@@ -503,7 +516,7 @@ def contrastive_sum(sim, weights: np.ndarray, temperature: float, exclude_diag: 
     ``(rowsum(W) * softmax - W) / T``.
     """
     sim = as_tensor(sim)
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = np.asarray(weights, dtype=sim.data.dtype)
     if sim.ndim != 2 or weights.shape != sim.shape:
         raise ShapeError(f"contrastive_sum needs matching 2-d operands: {sim.shape} vs {weights.shape}")
     scaled = sim.data * (1.0 / temperature)

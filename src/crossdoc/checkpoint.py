@@ -10,11 +10,14 @@ Layout (little-endian):
         u16 name length | utf-8 name | u8 ndim | u32 dims... | f64 raw values
 
 Values are stored as raw float64, so a save/load round trip is bit-exact;
-a non-finite value is refused on load.
+a non-finite value is refused on load.  A float32 model's parameters widen
+exactly on save and narrow back exactly when loaded into a float32 model
+(``CrossModalModel.load_arrays``); the moments are float64 in either dtype.
 
-``save_checkpoint`` streams: each parameter and moment goes to the file
-straight from its buffer (AdamW's flat buffers, whose per-name views are
-C-contiguous), so a save allocates no copy of the values.  It writes
+``save_checkpoint`` streams: each float64 parameter and moment goes to the
+file straight from its buffer (AdamW's flat buffers, whose per-name views are
+C-contiguous), so a save allocates no copy of the values; a float32
+parameter is widened one array at a time.  It writes
 ``<path>.tmp`` and renames it over ``path`` only when complete; a save that
 raises or is killed leaves the previous checkpoint whole and no ``.tmp``
 behind.  It does not ``fsync``: surviving power loss is out of scope, and a

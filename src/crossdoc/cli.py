@@ -98,8 +98,8 @@ def run(args) -> int:
         return 0 if all(entry.passed for entry in report) else 3
 
     if args.command == "gen-corpus":
-        out.mkdir(parents=True, exist_ok=True)
         spec = cfg.corpus_spec()
+        out.mkdir(parents=True, exist_ok=True)
         path = out / "corpus.bin"
         write_corpus(path, spec, generate_corpus(spec))
         print(f"written: {path}")

@@ -1,9 +1,11 @@
 """Run configuration: one flat dataclass, a flat ``key = value`` text format,
 and the two named presets.
 
-The ``desk`` preset (the defaults) finishes in minutes on one CPU core; the
-``paper`` preset carries the reference hyperparameters (768-wide features,
-batch 64, lr 2e-5, 100 epochs) and is not meant to be fast.
+The ``desk`` preset (the defaults) finishes in minutes on one CPU core and
+computes in float64, the reference; the ``paper`` preset carries the
+reference hyperparameters (768-wide features, batch 64, lr 2e-5, 100 epochs)
+and computes in float32, with AdamW's moments and the checkpoints still in
+float64.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .errors import ConfigError
 from .optim import Schedule
 
 PRESETS = ("desk", "paper")
+DTYPES = ("float64", "float32")
 
 
 @dataclass(frozen=True)
@@ -27,6 +30,7 @@ class RunConfig:
     depth: int = 2
     hidden_dim: int = 32  # projection head hidden width
     embed_dim: int = 16  # contrastive embedding width
+    dtype: str = "float64"  # parameters and compute: "float64" or "float32"
     # loss
     temperature: float = 0.1
     inter_weight: float = 0.5
@@ -78,6 +82,8 @@ class RunConfig:
             raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.embed_dim < 2:
             raise ConfigError(f"embed_dim must be >= 2, got {self.embed_dim}")
+        if self.dtype not in DTYPES:
+            raise ConfigError(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
         if not self.temperature > 0.0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
         if not self.inter_weight >= 0.0:
@@ -142,7 +148,7 @@ def apply_preset(name: str) -> RunConfig:
         steps = epochs * math.ceil(train_size / 64)
         return replace(
             cfg,
-            feature_dim=768, hidden_dim=768, embed_dim=384,
+            feature_dim=768, hidden_dim=768, embed_dim=384, dtype="float32",
             batch_size=64, base_lr=2e-5, steps=steps,
         )
     raise ConfigError(f"unknown preset {name!r} (choose from {PRESETS})")

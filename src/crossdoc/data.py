@@ -56,6 +56,10 @@ class SyntheticCorpusSpec:
             raise ConfigError("need >= 10 samples per class for an 80/10/10 split")
         if not (0.0 <= self.pixel_noise <= 1.0 and 0.0 <= self.token_corruption <= 1.0):
             raise ConfigError("noise levels must lie in [0, 1]")
+        if self.layout.rows < 3:
+            raise ConfigError(
+                f"layout has {self.layout.rows} rows, which leaves no room for a content "
+                f"token between [CLS] and [SEP]; a corpus needs rows >= 3 (two or more patches)")
         if self.content_vocab < self.classes:
             raise ConfigError(
                 f"vocab of {self.layout.vocab_size} cannot hold {self.classes} disjoint "

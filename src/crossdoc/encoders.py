@@ -85,13 +85,14 @@ class TextEncoderParams:
         )
 
 
-def patchify(layout: DocumentLayout, pixels: np.ndarray) -> np.ndarray:
-    """Cut (.., H, W, C) pixels into (.., num_patches, patch*patch*C) rows.
+def patchify(layout: DocumentLayout, pixels: np.ndarray, dtype) -> np.ndarray:
+    """Cut (.., H, W, C) pixels into (.., num_patches, patch*patch*C) rows
+    of ``dtype``.
 
     Patches are ordered row-major over the patch grid; each patch flattens
     row-major over (row, col, channel).
     """
-    pixels = np.asarray(pixels, dtype=np.float64)
+    pixels = np.asarray(pixels, dtype=dtype)
     expected = (layout.height, layout.width, layout.channels)
     if pixels.shape[-3:] != expected:
         raise ConfigError(
@@ -108,10 +109,10 @@ def patchify(layout: DocumentLayout, pixels: np.ndarray) -> np.ndarray:
 def patch_embed(params: VisionEncoderParams, layout: DocumentLayout, pixels: np.ndarray) -> Tensor:
     """Project flattened patches, prepend the learned [CLS] row, add positions.
 
-    ``pixels`` is a (.., H, W, C) array; a leading batch axis is carried
-    through.
+    ``pixels`` is a (.., H, W, C) array, cut into patches of the projection
+    weights' dtype; a leading batch axis is carried through.
     """
-    patches = patchify(layout, pixels)
+    patches = patchify(layout, pixels, params.proj.weight.data.dtype)
     projected = linear(params.proj, Tensor(patches))
     lead = patches.shape[:-2]
     cls = ad.broadcast_to(params.cls_row, lead + params.cls_row.shape)

@@ -20,7 +20,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, DataError, ShapeError
 
-NORM_TOLERANCE = 1e-9
+# How far from 1 an embedding's norm may be, per compute dtype.  The float32
+# bound is about 80 of float32's epsilons (1.2e-7).
+NORM_TOLERANCE = {np.dtype(np.float64): 1e-9, np.dtype(np.float32): 1e-5}
 
 
 def _check_temperature(temperature: float) -> None:
@@ -112,7 +114,7 @@ class EmbeddingBatch:
             raise ConfigError("inter-modality weight must be >= 0")
         for name, emb in (("vision", self.vision), ("text", self.text)):
             norms = np.sqrt((emb.data ** 2).sum(axis=-1))
-            if np.max(np.abs(norms - 1.0)) > NORM_TOLERANCE:
+            if np.max(np.abs(norms - 1.0)) > NORM_TOLERANCE[emb.data.dtype]:
                 raise ContractError(f"{name} embeddings are not unit-norm")
 
     @property
@@ -182,7 +184,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ShapeError(f"labels shape {labels.shape} does not match {n} rows")
     if labels.min() < 0 or labels.max() >= k:
         raise DataError(f"label outside [0, {k}) in cross entropy")
-    one_hot = np.zeros((n, k))
+    one_hot = np.zeros((n, k), dtype=logits.data.dtype)
     one_hot[np.arange(n), labels] = 1.0
     lse = ad.logsumexp_last(logits)
     true_logit = ad.tensor_sum(ad.mul(logits, Tensor(one_hot)), axis=-1)

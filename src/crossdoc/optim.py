@@ -71,7 +71,7 @@ def _plan_windows(spans: list[tuple[int, int]]) -> list[tuple]:
 
 def _gather(grads: list[np.ndarray], parts: list[tuple], out: np.ndarray) -> np.ndarray:
     """One window's gradient: its only part as it is, or every part copied
-    into ``out``."""
+    (and widened) into the float64 ``out``."""
     if len(parts) == 1:
         i, a, b = parts[0]
         return grads[i][a:b]
@@ -81,10 +81,11 @@ def _gather(grads: list[np.ndarray], parts: list[tuple], out: np.ndarray) -> np.
 class AdamW:
     """Decoupled-weight-decay Adam over a named parameter dict.
 
-    The constructor packs every parameter into one flat float64 buffer and
+    The constructor packs every parameter into one flat buffer of the
+    parameters' dtype (float64 or float32; a mix is a ``ContractError``) and
     rebinds each ``p.data`` to its view of it; the moments are one flat
-    buffer each, and ``m[name]``/``v[name]`` are views of them.  Every
-    parameter needs a gradient at every step: a missing one is a
+    float64 buffer each, and ``m[name]``/``v[name]`` are views of them.
+    Every parameter needs a gradient at every step: a missing one is a
     ``ContractError`` and a non-finite one a ``NumericError``, each naming
     the parameter and raised before anything is written.
     """
@@ -107,13 +108,17 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
+        dtypes = sorted({p.data.dtype.name for p in self.params.values()})
+        if len(dtypes) > 1:
+            raise ContractError(f"parameters mix dtypes {dtypes}")
         bounds = np.cumsum([0] + [p.data.size for p in self.params.values()])
         spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
         self._windows = _plan_windows(spans)
         total = int(bounds[-1])
         # The moments are written here rather than left to calloc's lazy zero
         # pages, so the first step does not pay their page faults.
-        self._p, self._m, self._v = np.empty(total), np.full(total, 0.0), np.full(total, 0.0)
+        self._p = np.empty(total, dtypes[0] if dtypes else np.float64)
+        self._m, self._v = np.full(total, 0.0), np.full(total, 0.0)
         self._views, self.m, self.v = {}, {}, {}
         for (name, p), (lo, hi) in zip(self.params.items(), spans):
             shape = p.data.shape
@@ -129,11 +134,13 @@ class AdamW:
         """One update of every parameter.
 
         The update is written in place over the flat buffers, window by
-        window (see ``_plan_windows``), with three scratch buffers.  Per
-        element it performs the IEEE operations of the whole-array formula,
-        in its order: ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``
-        and ``p -= lr*(m/bias1) / (sqrt(v/bias2) + eps)``, so results are
-        bit-identical to it.
+        window (see ``_plan_windows``), with three float64 scratch buffers.
+        Per element it performs the IEEE float64 operations of the
+        whole-array formula, in its order: ``m = b1*m + (1-b1)*g``,
+        ``v = b2*v + ((1-b2)*g)*g`` and ``p = p*decay - lr*(m/bias1) /
+        (sqrt(v/bias2) + eps)``, so float64 results are bit-identical to it.
+        A float32 gradient is widened exactly, and the new float32 parameter
+        is that float64 value rounded once.
         """
         grads = []
         for name, p in self.params.items():
@@ -153,13 +160,16 @@ class AdamW:
         t = self.step_count
         bias1 = 1.0 - b1 ** t
         bias2 = 1.0 - b2 ** t
-        decay = 1.0 - lr * self.weight_decay
+        # A float64 scalar: with a Python float, numpy would multiply a
+        # float32 parameter in float32.
+        decay = np.float64(1.0 - lr * self.weight_decay)
         for lo, hi, parts in self._windows:
             n = hi - lo
             pc, mc, vc, a, b = self._p[lo:hi], self._m[lo:hi], self._v[lo:hi], buf_a[:n], buf_b[:n]
             gc = _gather(grads, parts, buf_g[:n])
-            if self.weight_decay:
-                pc *= decay
+            if gc.dtype != buf_g.dtype:  # widened once, not in each product below
+                buf_g[:n] = gc
+                gc = buf_g[:n]
             mc *= b1
             np.multiply(gc, 1.0 - b1, out=a)
             mc += a
@@ -173,7 +183,11 @@ class AdamW:
             np.divide(mc, bias1, out=a)
             a *= lr
             a /= b
-            pc -= a
+            if self.weight_decay:
+                np.multiply(pc, decay, out=b)
+                np.subtract(b, a, out=pc)
+            else:
+                pc -= a
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Moment buffers keyed for checkpointing."""

@@ -126,11 +126,13 @@ def pretrain(
     cfg: RunConfig,
     out_dir,
     clock: Optional[Callable[[], float]] = None,
+    splits: Optional[CorpusSplits] = None,
 ) -> PretrainResult:
     """Optimize the contrastive objective; writes a metrics log and
-    checkpoints at the configured cadence plus a final one.  The corpus,
-    the model and the optimizer are built before the output directory is
-    created, so a run they reject writes nothing.
+    checkpoints at the configured cadence plus a final one.  The corpus
+    (``splits`` if given, else ``load_corpus``), the model and the optimizer
+    are built before the output directory is created, so a run they reject
+    writes nothing.
 
     A numeric failure in a step -- a non-finite loss, or a NaN or inf met
     by the forward, the backward or the optimizer -- aborts the run naming
@@ -141,7 +143,8 @@ def pretrain(
     clock.
     """
     clock = time.perf_counter if clock is None else clock
-    _, splits = load_corpus(cfg, cfg.layout())
+    if splits is None:
+        _, splits = load_corpus(cfg, cfg.layout())
     model = CrossModalModel.create(cfg, cfg.seed)
     params = model.parameters()
     opt = AdamW(params, (cfg.beta1, cfg.beta2), cfg.adam_eps, cfg.weight_decay)
@@ -218,11 +221,13 @@ def _fit_linear_probe(
     return float((logits.argmax(axis=1) == test_y).mean())
 
 
-def probe(cfg: RunConfig, ckpt_path) -> ProbeResult:
-    """Frozen-feature linear probing: per-modality test top-1 accuracy.
+def probe(cfg: RunConfig, ckpt_path, splits: Optional[CorpusSplits] = None) -> ProbeResult:
+    """Frozen-feature linear probing: per-modality test top-1 accuracy on
+    ``splits``, or on the configured corpus.
 
-    The encoder is rebuilt from the checkpoint's config echo and its
-    parameters are never updated; only the fresh linear classifiers train.
+    The encoder is rebuilt, in its dtype, from the checkpoint's config echo
+    and its parameters are never updated; only the fresh linear classifiers
+    train.
     """
     ckpt = load_checkpoint(ckpt_path)
     try:
@@ -234,22 +239,25 @@ def probe(cfg: RunConfig, ckpt_path) -> ProbeResult:
     for param in model.parameters().values():
         param.requires_grad = False  # frozen: embedding records no graph
 
-    spec, splits = load_corpus(cfg, model.layout)
+    if splits is None:
+        _, splits = load_corpus(cfg, model.layout)  # its classes are cfg.classes
     v_train, t_train, y_train = embed_records(model, splits.train)
     v_test, t_test, y_test = embed_records(model, splits.test)
     vision_acc = _fit_linear_probe(
-        v_train, y_train, v_test, y_test, spec.classes, cfg, cfg.seed + 11)
+        v_train, y_train, v_test, y_test, cfg.classes, cfg, cfg.seed + 11)
     text_acc = _fit_linear_probe(
-        t_train, y_train, t_test, y_test, spec.classes, cfg, cfg.seed + 12)
+        t_train, y_train, t_test, y_test, cfg.classes, cfg, cfg.seed + 12)
     return ProbeResult(vision_accuracy=vision_acc, text_accuracy=text_acc)
 
 
 def ablate(cfg: RunConfig, out_dir, clock: Optional[Callable[[], float]] = None) -> dict:
     """Run the architecture/objective grid over the configured seeds.
 
-    Each variant pretrains for ``ablate_steps`` and is probed per modality;
-    the result table carries per-seed accuracies and seed means.
+    Each variant pretrains for ``ablate_steps`` and is probed per modality,
+    all on the one corpus loaded here; the result table carries per-seed
+    accuracies and seed means.
     """
+    _, splits = load_corpus(cfg, cfg.layout())
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -261,8 +269,8 @@ def ablate(cfg: RunConfig, out_dir, clock: Optional[Callable[[], float]] = None)
                 use_cross=use_cross, use_gate=use_gate, loss_mode=loss_mode,
             )
             run_dir = out / f"{name}_seed{seed}"
-            result = pretrain(run_cfg, run_dir, clock=clock)
-            acc = probe(run_cfg, result.checkpoint_path)
+            result = pretrain(run_cfg, run_dir, clock=clock, splits=splits)
+            acc = probe(run_cfg, result.checkpoint_path, splits=splits)
             per_seed.append({
                 "seed": int(seed),
                 "vision": acc.vision_accuracy,

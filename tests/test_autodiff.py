@@ -149,6 +149,51 @@ class TestElementwise:
             ad.log(ad.Tensor([-1.0]))
 
 
+class TestDtype:
+    def test_float32_data_stays_float32(self):
+        x = np.arange(6, dtype=np.float32).reshape(2, 3)
+        t = ad.Tensor(x)
+        assert t.data is x
+
+    @pytest.mark.parametrize("value", [
+        [1, 2, 3], np.arange(3), 2, [0.5, 1.5], np.ones(2, np.float16), np.ones(2, np.float64),
+    ], ids=["int_list", "int_array", "int", "float_list", "float16", "float64"])
+    def test_everything_else_becomes_float64(self, value):
+        t = ad.Tensor(value)
+        assert t.data.dtype == np.float64
+        np.testing.assert_array_equal(t.data, np.asarray(value, dtype=np.float64))
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div, ad.matmul],
+                             ids=["add", "sub", "mul", "div", "matmul"])
+    @pytest.mark.parametrize("constant_first", [False, True])
+    def test_float64_constant_widens_neither_node_nor_grad(self, op, constant_first):
+        """The node takes its differentiable input's float32, and the
+        parent's gradient stays float32.  The node is the float64 value
+        rounded; the gradient may also round float32 intermediates."""
+        rng = np.random.default_rng(7)
+        x64 = rng.normal(size=(3, 3))
+        const = ad.Tensor(rng.normal(size=(3, 3)) + 4.0)  # float64, away from zero
+        x = ad.Tensor(x64.astype(np.float32), requires_grad=True)
+        operands = (const, x) if constant_first else (x, const)
+        out = op(*operands)
+        assert out.data.dtype == np.float32
+        ad.backward(ad.tensor_sum(out))
+        assert x.grad.dtype == np.float32
+
+        wide = ad.Tensor(x.data.astype(np.float64), requires_grad=True)
+        ref = op(*((const, wide) if constant_first else (wide, const)))
+        ad.backward(ad.tensor_sum(ref))
+        np.testing.assert_array_equal(out.data, ref.data.astype(np.float32))
+        np.testing.assert_allclose(x.grad, wide.grad, rtol=1e-6)
+
+    def test_python_scalar_keeps_float32(self):
+        x = ad.Tensor(np.ones(3, np.float32), requires_grad=True)
+        out = ad.add(ad.scale(x, 0.5), 1.0)
+        assert out.data.dtype == np.float32
+        ad.backward(ad.tensor_sum(out))
+        assert x.grad.dtype == np.float32
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)

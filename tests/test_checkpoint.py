@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crossdoc import cli
+from crossdoc import cli, train
 from crossdoc.autodiff import Tensor
 from crossdoc.checkpoint import load_checkpoint, save_checkpoint
-from crossdoc.config import RunConfig, format_config
+from crossdoc.config import RunConfig, format_config, parse_config
 from crossdoc.errors import FormatError
 from crossdoc.model import CrossModalModel
 from crossdoc.optim import AdamW
@@ -206,3 +206,72 @@ def test_save_and_load_hold_no_second_copy(tmp_path):
     assert returned >= 18 * MB and path.stat().st_size > returned
     assert save_peak < MB
     assert load_peak - base < returned + MB
+
+
+TINY_FLOAT32 = RunConfig(feature_dim=8, num_heads=2, hidden_dim=8, embed_dim=4, image_size=8,
+                         vocab_size=16, samples_per_class=10, batch_size=4, steps=3,
+                         probe_steps=2, dtype="float32")
+
+
+@pytest.fixture
+def float32_run(tmp_path, monkeypatch):
+    """A tiny float32 pretrain: (checkpoint path, trained parameters)."""
+    optimizers = []
+    make_optimizer = train.AdamW
+
+    def capture(*args, **kwargs):
+        optimizers.append(make_optimizer(*args, **kwargs))
+        return optimizers[-1]
+
+    monkeypatch.setattr(train, "AdamW", capture)
+    result = train.pretrain(TINY_FLOAT32, tmp_path / "run")
+    monkeypatch.setattr(train, "AdamW", make_optimizer)
+    return result.checkpoint_path, optimizers[0].params
+
+
+def probe_dtypes(monkeypatch, ckpt_path):
+    """The parameter dtypes of the model ``probe`` embeds with."""
+    seen = set()
+    real = train.embed_records
+
+    def spy(model, records):
+        seen.update(str(p.data.dtype) for p in model.parameters().values())
+        return real(model, records)
+
+    monkeypatch.setattr(train, "embed_records", spy)
+    train.probe(TINY_FLOAT32, ckpt_path)
+    return seen
+
+
+def test_float32_parameters_are_saved_widened_exactly(float32_run):
+    path, params = float32_run
+    ckpt = load_checkpoint(path)
+    assert list(ckpt.params) == list(params)
+    for name, p in params.items():
+        assert p.data.dtype == np.float32 and ckpt.params[name].dtype == np.float64
+        np.testing.assert_array_equal(ckpt.params[name], p.data)
+    assert {a.dtype for a in ckpt.optimizer_arrays.values()} == {np.dtype(np.float64)}
+
+
+def test_float32_checkpoint_loads_into_a_bit_equal_model(float32_run):
+    path, params = float32_run
+    ckpt = load_checkpoint(path)
+    model = CrossModalModel.create(parse_config(ckpt.config_text), seed=0)
+    model.load_arrays(ckpt.params)
+    for name, p in model.parameters().items():
+        assert p.data.dtype == np.float32
+        assert p.data.tobytes() == params[name].data.tobytes()
+
+
+def test_probe_rebuilds_the_checkpoint_dtype(float32_run, monkeypatch):
+    assert probe_dtypes(monkeypatch, float32_run[0]) == {"float32"}
+
+
+def test_echo_without_a_dtype_line_probes_as_float64(float32_run, monkeypatch):
+    """A checkpoint from before the field existed echoes no dtype line."""
+    path = float32_run[0]
+    ckpt = load_checkpoint(path)
+    echo = ckpt.config_text.replace("dtype = float32\n", "")
+    assert echo != ckpt.config_text
+    save_checkpoint(path, ckpt.step, echo, {n: Tensor(a) for n, a in ckpt.params.items()})
+    assert probe_dtypes(monkeypatch, path) == {"float64"}

@@ -81,6 +81,31 @@ def test_corrupt_record_exits_2_before_any_output(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def test_layout_without_room_for_content_exits_1(tmp_path, capsys):
+    """One 4x4 patch gives 2 rows: [CLS] and [SEP] fill them."""
+    code, out = run(tmp_path, "gen-corpus", "corpus", "image_size = 4\n")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: layout has 2 rows")
+    assert not out.exists()
+
+
+def test_ablate_generates_its_corpus_once(tmp_path, monkeypatch):
+    """Every variant's pretrain and probe share the one corpus ``ablate``
+    loads (it was generated twice per variant)."""
+    calls = []
+    real = train.generate_corpus
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(train, "generate_corpus", counted)
+    code, out = run(tmp_path, "ablate", "ablate", "ablate_seeds = 0\nablate_steps = 1\n")
+    assert code == 0
+    assert len(calls) == 1
+    assert (out / "ablation.json").exists()
+
+
 def test_probe_checkpoint_of_another_layout(tmp_path, capsys):
     code, out = run(tmp_path, "pretrain", "small", "image_size = 8\n")
     assert code == 0

@@ -4,12 +4,12 @@ from dataclasses import fields
 
 import pytest
 
-from crossdoc.config import RunConfig, format_config, parse_config
+from crossdoc.config import RunConfig, apply_preset, format_config, parse_config
 from crossdoc.errors import ConfigError
 
 # One value per RunConfig field, each different from the field's default.
 OFF_DEFAULT = dict(
-    feature_dim=48, num_heads=3, depth=3, hidden_dim=40, embed_dim=12,
+    feature_dim=48, num_heads=3, depth=3, hidden_dim=40, embed_dim=12, dtype="float32",
     temperature=0.07, inter_weight=0.25, include_own_pair=True, loss_mode="scl",
     use_cross=False, use_gate=False, corpus_path="corpora/one doc.bin",
     classes=5, samples_per_class=30, image_size=8, channels=3, patch_size=2,
@@ -52,6 +52,17 @@ def test_model_and_loss_fields_validated(key, value):
 def test_optimizer_fields_validated(key, value):
     with pytest.raises(ConfigError, match=f"{key} must"):
         RunConfig(**{key: value})
+
+
+@pytest.mark.parametrize("dtype", ["float16", "f32", "Float32", ""])
+def test_unknown_dtype_rejected(dtype):
+    with pytest.raises(ConfigError, match="dtype must be one of"):
+        RunConfig(dtype=dtype)
+
+
+def test_presets_pick_their_dtype():
+    assert apply_preset("desk").dtype == "float64"
+    assert apply_preset("paper").dtype == "float32"
 
 
 def test_optimizer_field_boundaries_accepted():

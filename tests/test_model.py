@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crossdoc.autodiff import backward
+from crossdoc.autodiff import _topo_order, backward
 from crossdoc.config import RunConfig
 from crossdoc.data import collate, generate_corpus, make_batch
 from crossdoc.errors import DataError
@@ -80,6 +80,33 @@ class TestParameterTree:
         assert "stack.blocks.1.gate_text.layer.ff.fc2.bias" in names
         assert names[-1] == "stack.head_text.fc2.bias"
         assert len(names) == len(set(names))
+
+
+class TestDtype:
+    @pytest.mark.parametrize("cfg", [tiny_config(dtype="float32"), RunConfig()],
+                             ids=["tiny_float32", "desk_float64"])
+    def test_one_dtype_through_the_step(self, cfg):
+        """Every graph node of ``batch_loss``, every parameter and every
+        parameter gradient has the model's dtype: nothing widens a float32
+        step, and nothing in a desk step is float32."""
+        model = CrossModalModel.create(cfg, seed=0)
+        records = make_batch(generate_corpus(cfg.corpus_spec()).train, cfg.batch_size,
+                             np.random.default_rng(0))
+        loss = batch_loss(model, records, cfg).total
+        nodes = {str(n.data.dtype) for n in _topo_order(loss)}
+        backward(loss)
+        params = model.parameters().values()
+        assert nodes == {cfg.dtype}
+        assert {str(p.data.dtype) for p in params} == {cfg.dtype}
+        assert {str(p.grad.dtype) for p in params} == {cfg.dtype}
+
+    def test_float32_model_is_the_float64_model_rounded(self):
+        reference = CrossModalModel.create(tiny_config(), seed=3).parameters()
+        rounded = CrossModalModel.create(tiny_config(dtype="float32"), seed=3).parameters()
+        assert list(rounded) == list(reference)
+        for name, p in rounded.items():
+            assert p.data.dtype == np.float32
+            np.testing.assert_array_equal(p.data, reference[name].data.astype(np.float32))
 
 
 class TestLoadArrays:

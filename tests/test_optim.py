@@ -137,6 +137,39 @@ class TestAdamW:
             np.testing.assert_array_equal(opt.m[name], ref_m)
             np.testing.assert_array_equal(opt.v[name], ref_v)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_float32_parameters_round_the_float64_update_once(self, weight_decay):
+        """float32 parameters keep a float32 flat buffer and float64 moments.
+        Each step equals the whole-array float64 formula on the widened
+        parameter and gradient, rounded once into the parameter; the moments
+        equal the formula's exactly."""
+        rng = np.random.default_rng(17)
+        shapes = {"big": (5, _CHUNK // 2), "small": (3, 7)}
+        params = {k: Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+                  for k, s in shapes.items()}
+        moments = {k: [np.zeros(p.shape), np.zeros(p.shape)] for k, p in params.items()}
+        opt = AdamW(params, weight_decay=weight_decay)
+        assert opt._p.dtype == np.float32 and opt._m.dtype == opt._v.dtype == np.float64
+        for t in range(1, 6):
+            lr = 1e-3 * t
+            expected = {}
+            for name, p in params.items():
+                p.grad = wide_range_grad(rng, p.shape).astype(np.float32)
+                expected[name] = p.data.astype(np.float64)
+                reference_adamw_step(expected[name], *moments[name], p.grad.astype(np.float64),
+                                     lr, t, weight_decay=weight_decay)
+            opt.step(lr)
+            for name, p in params.items():
+                assert p.data.dtype == np.float32
+                np.testing.assert_array_equal(p.data, expected[name].astype(np.float32))
+                np.testing.assert_array_equal(opt.m[name], moments[name][0])
+                np.testing.assert_array_equal(opt.v[name], moments[name][1])
+
+    def test_mixed_parameter_dtypes_rejected(self):
+        params = {"a": Tensor(np.zeros(3, np.float32)), "b": Tensor(np.zeros(3))}
+        with pytest.raises(ContractError, match=r"mix dtypes \['float32', 'float64'\]"):
+            AdamW(params)
+
     def test_non_finite_in_last_chunk_leaves_state_unchanged(self):
         name = "stack.block1.ff.weight"
         rng = np.random.default_rng(15)
