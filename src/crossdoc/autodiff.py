@@ -268,41 +268,36 @@ def gelu(a) -> Tensor:
 # linear algebra and shape ops
 # ---------------------------------------------------------------------------
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    if b.ndim == 2 and a.ndim > 2:
-        return _matmul_flat(a, b)
-    x, y = a.data, b.data
-    return _make_node(
-        x @ y, "matmul",
-        (a, lambda g: g @ np.swapaxes(y, -1, -2)),
-        (b, lambda g: np.swapaxes(x, -1, -2) @ g),
-    )
+def matmul(a, b, bias=None) -> Tensor:
+    """``a @ b``, plus ``bias`` if given: a stack of rows times one matrix.
 
-
-def _matmul_flat(a: Tensor, b: Tensor) -> Tensor:
-    """A stack of rows times one weight matrix, as single 2-d GEMMs.
-
-    The leading axes of ``a`` are folded into the row axis, so the forward
-    and both adjoints are one BLAS call each.  In particular the weight
-    gradient is ``a2.T @ g2`` rather than a per-batch stack reduced by
-    ``_unbroadcast``.
+    ``b`` is (k, n) and ``a`` is (..., k); the leading axes of ``a`` fold
+    into the row axis, so the forward and both adjoints are one 2-d GEMM
+    each, and the weight gradient is ``a2.T @ g2`` rather than a per-batch
+    stack reduced by ``_unbroadcast``.  A ``bias`` of shape (n,) is added in
+    place to the GEMM output and is the node's third edge, so a dense layer
+    ``x @ W + b`` is one node.
     """
+    a, b = as_tensor(a), as_tensor(b)
+    if a.ndim < 1 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul needs (..., k) @ (k, n) operands, got {a.shape} @ {b.shape}")
     x, w = a.data, b.data
     k, n = w.shape
-    rows = x.reshape(-1, k) @ w
+    out = (x.reshape(-1, k) @ w).reshape(x.shape[:-1] + (n,))
     # ``x`` is re-flattened in the adjoint rather than captured flat, so a
     # non-contiguous ``x`` does not keep a row copy alive for the graph's
     # lifetime.
-    return _make_node(
-        rows.reshape(x.shape[:-1] + (n,)), "matmul",
+    edges = [
         (a, lambda g: (g.reshape(-1, n) @ w.T).reshape(x.shape)),
         (b, lambda g: x.reshape(-1, k).T @ g.reshape(-1, n)),
-    )
+    ]
+    if bias is not None:
+        bias = as_tensor(bias)
+        if bias.shape != (n,):
+            raise ShapeError(f"matmul bias must have shape ({n},), got {bias.shape}")
+        out += bias.data
+        edges.append((bias, lambda g: g))
+    return _make_node(out, "matmul", *edges)
 
 
 def transpose_last2(a) -> Tensor:

@@ -104,6 +104,13 @@ class RunConfig:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not self.probe_lr > 0.0:
             raise ConfigError(f"probe_lr must be positive, got {self.probe_lr}")
+        if self.probe_steps < 1:
+            raise ConfigError(f"probe_steps must be >= 1, got {self.probe_steps}")
+        seeds = self.ablate_seeds
+        if not seeds or len(set(seeds)) != len(seeds):
+            raise ConfigError(f"ablate_seeds must be non-empty and distinct, got {seeds}")
+        if self.ablate_steps < 0:
+            raise ConfigError(f"ablate_steps must be >= 0, got {self.ablate_steps}")
         if self.loss_mode not in ("cross", "scl"):
             raise ConfigError(f"loss_mode must be 'cross' or 'scl', got {self.loss_mode!r}")
         # parse_config cuts values at '#' and at line breaks, and strips them

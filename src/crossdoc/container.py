@@ -14,7 +14,8 @@ until the disk has taken the whole file (782 MB at paper width).
 Reading streams from the open file: ``Reader.array`` allocates each array and
 fills it with ``readinto``, so a load holds its arrays once and never a
 whole-file buffer besides.  Malformed input of any kind surfaces as a
-``FormatError`` naming the byte offset.
+``FormatError`` naming the byte offset; a file that cannot be opened (missing,
+a directory, unreadable) as a ``DataError`` naming the container and path.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DataError, FormatError
 
 
 def _raw(arr: np.ndarray) -> memoryview:
@@ -78,7 +79,11 @@ class Reader:
 
 @contextmanager
 def open_container(path, magic: bytes, version: int, kind: str) -> Iterator[Reader]:
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise DataError(f"cannot open {kind} {path}: {e.strerror}") from e
+    with f:
         reader = Reader(f, kind)
         if reader.take(len(magic)) != magic:
             raise FormatError(f"bad magic bytes at byte 0: not a {kind}")

@@ -63,13 +63,9 @@ class LinearParams:
 
 
 def linear(p: LinearParams, x: Tensor) -> Tensor:
-    """x @ W + b over the trailing axis."""
-    if x.shape[-1] != p.d_in:
-        raise ShapeError(f"linear expects trailing dim {p.d_in}, got {x.shape}")
-    if x.ndim == 1:
-        out = ad.matmul(ad.reshape(x, (1, -1)), p.weight)
-        return ad.reshape(ad.add(out, p.bias), (p.d_out,))
-    return ad.add(ad.matmul(x, p.weight), p.bias)
+    """x @ W + b over the trailing axis of an (..., d_in) input, as one
+    ``matmul`` node."""
+    return ad.matmul(x, p.weight, p.bias)
 
 
 LAYER_NORM_EPS = 1e-5  # added to the variance before the square root

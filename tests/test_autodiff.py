@@ -43,6 +43,16 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
 
+    def test_batched_right_operand_rejected(self):
+        with pytest.raises(ShapeError, match=r"\(4, 2, 6\) @ \(4, 6, 3\)"):
+            ad.matmul(ad.Tensor(np.ones((4, 2, 6))), ad.Tensor(np.ones((4, 6, 3))))
+
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3), (4,), ()])
+    def test_bias_of_another_shape_rejected(self, shape):
+        with pytest.raises(ShapeError, match="bias must have shape"):
+            ad.matmul(ad.Tensor(np.ones((2, 5))), ad.Tensor(np.ones((5, 3))),
+                      ad.Tensor(np.ones(shape)))
+
     def test_batched_broadcast(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(4, 3, 5))
@@ -405,12 +415,19 @@ class TestGradientsMatchFiniteDifferences:
         assert ad.finite_diff_check(f_left, x) < 1e-4
         assert ad.finite_diff_check(f_right, w) < 1e-4
 
-    def test_batched_matmul(self):
-        rng = np.random.default_rng(7)
-        b = ad.Tensor(rng.normal(size=(4, 6, 3)))
-        x = rand(rng, 4, 2, 6)
-        err = ad.finite_diff_check(lambda t: ad.tensor_sum(ad.mul(ad.matmul(t, b), ad.matmul(t, b))), x)
-        assert err < 1e-4
+    @pytest.mark.parametrize("edge", [0, 1, 2], ids=["x", "w", "bias"])
+    def test_matmul_with_bias(self, edge):
+        """``x @ w + bias`` over a (2, 3, 5) stack, one operand probed at a
+        time; the bias adjoint sums the output gradient over the rows."""
+        rng = np.random.default_rng(9)
+        values = [rng.normal(size=(2, 3, 5)), rng.normal(size=(5, 4)), rng.normal(size=4)]
+        c = ad.Tensor(rng.normal(size=(2, 3, 4)))
+
+        def f(t):
+            operands = [t if i == edge else ad.Tensor(v) for i, v in enumerate(values)]
+            return ad.tensor_sum(ad.mul(ad.gelu(ad.matmul(*operands)), c))
+
+        assert ad.finite_diff_check(f, ad.Tensor(values[edge], requires_grad=True)) < 1e-4
 
     def test_broadcast_add(self):
         rng = np.random.default_rng(8)

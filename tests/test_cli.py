@@ -106,6 +106,35 @@ def test_ablate_generates_its_corpus_once(tmp_path, monkeypatch):
     assert (out / "ablation.json").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("ablate_seeds", ""), ("ablate_seeds", "3,3"), ("ablate_steps", -1), ("probe_steps", -3),
+])
+def test_ablation_that_cannot_run_exits_1_before_any_output(tmp_path, capsys, key, value):
+    code, out = run(tmp_path, "ablate", "ablate", f"{key} = {value}\n")
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"config error: {key} must")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_probe_of_an_unopenable_checkpoint_exits_2(tmp_path, capsys, target):
+    ckpt = tmp_path / "ckpt"
+    if target == "directory":
+        ckpt.mkdir()
+    code, _ = run(tmp_path, "probe", "probe", "", ["--ckpt", str(ckpt)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"data error: cannot open checkpoint {ckpt}: ")
+
+
+def test_pretrain_on_a_missing_corpus_exits_2_before_any_output(tmp_path, capsys):
+    corpus = tmp_path / "absent.bin"
+    code, out = run(tmp_path, "pretrain", "run", f"corpus_path = {corpus}\n")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"data error: cannot open corpus file {corpus}: No such file or directory\n")
+    assert not out.exists()
+
+
 def test_probe_checkpoint_of_another_layout(tmp_path, capsys):
     code, out = run(tmp_path, "pretrain", "small", "image_size = 8\n")
     assert code == 0

@@ -16,7 +16,7 @@ OFF_DEFAULT = dict(
     vocab_size=40, pixel_noise=0.2, token_corruption=0.3, corpus_seed=7,
     steps=12, batch_size=6, base_lr=1.5e-4, warmup_frac=0.2, weight_decay=0.0,
     beta1=0.8, beta2=0.99, adam_eps=1e-6, seed=11, log_every=3,
-    checkpoint_every=5, probe_steps=7, probe_lr=0.1, ablate_seeds=(),
+    checkpoint_every=5, probe_steps=7, probe_lr=0.1, ablate_seeds=(4, 2),
     ablate_steps=4,
 )
 
@@ -52,6 +52,19 @@ def test_model_and_loss_fields_validated(key, value):
 def test_optimizer_fields_validated(key, value):
     with pytest.raises(ConfigError, match=f"{key} must"):
         RunConfig(**{key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("probe_steps", 0), ("probe_steps", -3), ("ablate_seeds", ()), ("ablate_seeds", (1, 2, 1)),
+    ("ablate_steps", -1),
+])
+def test_ablation_fields_validated(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must"):
+        RunConfig(**{key: value})
+
+
+def test_ablation_field_boundaries_accepted():
+    RunConfig(probe_steps=1, ablate_seeds=(7,), ablate_steps=0)
 
 
 @pytest.mark.parametrize("dtype", ["float16", "f32", "Float32", ""])

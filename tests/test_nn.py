@@ -50,6 +50,18 @@ class TestLinear:
         assert out.shape == (4,)
         np.testing.assert_allclose(out.data, scalar_linear(p.weight.data, p.bias.data, x)[0], atol=1e-12)
 
+    def test_stack_input_is_one_node(self):
+        """x @ W + b over an (N, rows, d) input records one matmul node whose
+        parents are the input, the weight and the bias."""
+        rng = np.random.default_rng(3)
+        p = nn.LinearParams.create(rng, 5, 4)
+        x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        out = nn.linear(p, x)
+        nodes = ad._topo_order(out)
+        assert [n.op for n in nodes if n.op != "leaf"] == ["matmul"]
+        assert out._parents == (x, p.weight, p.bias)
+        np.testing.assert_allclose(out.data, x.data @ p.weight.data + p.bias.data, rtol=1e-12)
+
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
             nn.linear(identity_linear(3), Tensor(np.ones((2, 4))))

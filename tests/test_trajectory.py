@@ -3,11 +3,16 @@ reproduces these 20 desk-preset ``total`` values to 1e-9 relative, and the
 same run in float32 stays within ``FLOAT32_REL_TOLERANCE`` of them."""
 
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from crossdoc import autodiff as ad
 from crossdoc.config import RunConfig
-from crossdoc.train import pretrain
+from crossdoc.data import make_batch
+from crossdoc.model import CrossModalModel
+from crossdoc.train import batch_loss, load_corpus, pretrain
 
 # `crossdoc pretrain --preset desk --seed 1` with steps = 20, log_every = 1.
 DESK_SEED1_TOTALS = [
@@ -39,3 +44,17 @@ def test_float32_desk_pretrain_follows_the_trajectory(tmp_path):
     got = totals(cfg, tmp_path)
     assert got != DESK_SEED1_TOTALS
     assert got == pytest.approx(DESK_SEED1_TOTALS, rel=FLOAT32_REL_TOLERANCE, abs=0.0)
+
+
+def test_desk_step_graph_census():
+    """One desk ``batch_loss`` graph: 298 nodes, 150 of them parameter
+    leaves.  Each dense layer is one ``matmul`` node with its bias, so of
+    the 25 ``add`` nodes none is a bias add.  A change that fuses or splits
+    ops updates these counts on purpose."""
+    cfg = RunConfig(seed=1)
+    _, splits = load_corpus(cfg, cfg.layout())
+    model = CrossModalModel.create(cfg, cfg.seed)
+    records = make_batch(splits.train, cfg.batch_size, np.random.default_rng(0))
+    ops = Counter(node.op for node in ad._topo_order(batch_loss(model, records, cfg).total))
+    assert (sum(ops.values()), ops["leaf"]) == (298, 150)
+    assert (ops["matmul"], ops["add"]) == (61, 25)
