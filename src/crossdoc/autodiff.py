@@ -502,12 +502,12 @@ def attention_heads(q, k, v, num_heads: int, key_bias=None) -> tuple[Tensor, np.
     return out, att
 
 
-def contrastive_sum(sim, weights: np.ndarray, temperature: float, exclude_diag: bool) -> Tensor:
+def contrastive_sum(sim, weights: np.ndarray, temperature: float) -> Tensor:
     """``-sum_ij W[i, j] * log_softmax(sim / T)[i, j]`` over rows of ``sim``.
 
-    With ``exclude_diag`` each row's diagonal entry leaves the softmax
+    Each row's diagonal entry -- the anchor's own index -- leaves the softmax
     denominator; the log-ratios themselves come from the unmasked logits, so
-    zero-weight cells stay finite.  The adjoint is
+    zero-weight cells (the diagonal among them) stay finite.  The adjoint is
     ``(rowsum(W) * softmax - W) / T``.
     """
     sim = as_tensor(sim)
@@ -515,10 +515,8 @@ def contrastive_sum(sim, weights: np.ndarray, temperature: float, exclude_diag: 
     if sim.ndim != 2 or weights.shape != sim.shape:
         raise ShapeError(f"contrastive_sum needs matching 2-d operands: {sim.shape} vs {weights.shape}")
     scaled = sim.data * (1.0 / temperature)
-    denom = scaled
-    if exclude_diag:
-        denom = scaled.copy()
-        np.fill_diagonal(denom, -np.inf)
+    denom = scaled.copy()
+    np.fill_diagonal(denom, -np.inf)
     softmax, lse = _softmax_parts(denom, "contrastive_sum")
     row_weight = weights.sum(axis=-1, keepdims=True)
     return _make_node(

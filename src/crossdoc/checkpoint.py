@@ -33,6 +33,11 @@ checkpoint names only the stages it runs (no ``cross`` arrays without
 cross-attention, no ``gate_*`` arrays without the gate), and loading requires
 exactly the model's names, so a file that still holds a disabled stage's
 arrays is refused.
+
+The config echo is read back with ``config.parse_config``, so an echo naming
+a key ``RunConfig`` no longer has is refused: checkpoints written while the
+own-pair switch existed echo ``include_own_pair = false``, and ``probe``
+rejects them as an invalid echo (exit 2) naming that key.
 """
 
 from __future__ import annotations

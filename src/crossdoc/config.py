@@ -6,6 +6,13 @@ computes in float64, the reference; the ``paper`` preset carries the
 reference hyperparameters (768-wide features, batch 64, lr 2e-5, 100 epochs)
 and computes in float32, with AdamW's moments and the checkpoints still in
 float64.
+
+A key may appear once in a file.  There is no ``include_own_pair`` key: an
+anchor's own index is always out of its positives and its denominator (see
+``losses``), so a file or a checkpoint echo that names it is refused as an
+unknown key.  Values a run cannot use -- a negative seed, a feature width
+below 2, an infinite rate, weight or temperature -- are refused here, before
+any command writes output.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ class RunConfig:
     # loss
     temperature: float = 0.1
     inter_weight: float = 0.5
-    include_own_pair: bool = False
     loss_mode: str = "cross"  # "cross" (four-term objective) or "scl" (intra only)
     # architecture switches (stage absent when false)
     use_cross: bool = True
@@ -70,6 +76,8 @@ class RunConfig:
     ablate_steps: int = 300
 
     def __post_init__(self):
+        if self.feature_dim < 2:  # layer norm needs two features
+            raise ConfigError(f"feature_dim must be >= 2, got {self.feature_dim}")
         if self.num_heads < 1:
             raise ConfigError(f"num_heads must be >= 1, got {self.num_heads}")
         if self.feature_dim % self.num_heads != 0:
@@ -84,31 +92,33 @@ class RunConfig:
             raise ConfigError(f"embed_dim must be >= 2, got {self.embed_dim}")
         if self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
-        if not self.temperature > 0.0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
-        if not self.inter_weight >= 0.0:
-            raise ConfigError(f"inter_weight must be >= 0, got {self.inter_weight}")
         if self.batch_size < 4 or self.batch_size % 2:
             raise ConfigError(f"batch_size must be even and >= 4, got {self.batch_size}")
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
-        if self.log_every < 1 or self.checkpoint_every < 1:
-            raise ConfigError("log/checkpoint cadences must be >= 1")
+        for key in ("log_every", "checkpoint_every"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         self.schedule()  # raises on an invalid base_lr or warmup_frac
         for key in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ConfigError(f"{key} must lie in [0, 1), got {getattr(self, key)}")
-        if not self.adam_eps > 0.0:
-            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
-        if not self.weight_decay >= 0.0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if not self.probe_lr > 0.0:
-            raise ConfigError(f"probe_lr must be positive, got {self.probe_lr}")
+        # NaN fails both comparisons
+        for key in ("temperature", "adam_eps", "probe_lr"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be finite and positive, got {getattr(self, key)}")
+        for key in ("inter_weight", "weight_decay"):
+            if not 0.0 <= getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
+        for key in ("seed", "corpus_seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.probe_steps < 1:
             raise ConfigError(f"probe_steps must be >= 1, got {self.probe_steps}")
         seeds = self.ablate_seeds
-        if not seeds or len(set(seeds)) != len(seeds):
-            raise ConfigError(f"ablate_seeds must be non-empty and distinct, got {seeds}")
+        if not seeds or len(set(seeds)) != len(seeds) or min(seeds) < 0:
+            raise ConfigError(
+                f"ablate_seeds must be non-empty, distinct and >= 0, got {seeds}")
         if self.ablate_steps < 0:
             raise ConfigError(f"ablate_steps must be >= 0, got {self.ablate_steps}")
         if self.loss_mode not in ("cross", "scl"):
@@ -203,9 +213,10 @@ def _parse_value(field_type, raw: str, key: str):
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse flat ``key = value`` lines; '#' starts a comment."""
+    """Parse flat ``key = value`` lines; '#' starts a comment, and a key may
+    appear once."""
     known = {f.name: f for f in fields(RunConfig)}
-    values = {}
+    values, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -215,6 +226,10 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ConfigError(
+                f"line {lineno}: config key {key!r} already set on line {first_line[key]}")
+        first_line[key] = lineno
         field = known[key]
         ftype = field.type if isinstance(field.type, type) else _TYPE_BY_NAME[field.type]
         values[key] = _parse_value(ftype, raw, key)

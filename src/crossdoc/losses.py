@@ -1,12 +1,13 @@
 """Contrastive objectives over paired, labeled, unit-norm embeddings.
 
-The training objective combines four temperature-scaled terms: one
-within-modality term per modality and one cross-modality term per anchor
-direction.  Positives for an anchor are the other same-class samples in the
-batch; by default an anchor's own paired sample in the other modality is
-excluded from both its positives and its denominator.  Anchors without any
-positive contribute zero.  Terms are summed over anchors (no 1/N); the
-report exposes a per-anchor mean for logging only.
+The training objective is one supervised-contrastive term (SupCon, Khosla
+et al. 2020) used four times: on (vision, vision) and (text, text) within
+each modality, and on (vision, text) and (text, vision) across them.  For
+anchor i the positives are the other same-class samples in the batch, and
+the denominator runs over every index but i: an anchor's own index -- itself
+within a modality, its paired sample across modalities -- is always out of
+both.  Anchors without any positive contribute zero.  Terms are summed over
+anchors (no 1/N); the report exposes a per-anchor mean for logging only.
 """
 
 from __future__ import annotations
@@ -25,65 +26,24 @@ from .errors import ConfigError, ContractError, DataError, ShapeError
 NORM_TOLERANCE = {np.dtype(np.float64): 1e-9, np.dtype(np.float32): 1e-5}
 
 
-def _check_temperature(temperature: float) -> None:
-    if not temperature > 0.0:  # NaN fails too
-        raise ConfigError(f"temperature must be positive, got {temperature}")
-
-
-def _positive_weights(labels: np.ndarray, include_self: bool) -> np.ndarray:
-    """Row-normalized positive-pair indicator: W[i, j] = 1/|pos(i)| on positives.
+def positive_weights(labels: np.ndarray) -> np.ndarray:
+    """Row-normalized positive-pair indicator: W[i, j] = 1/|pos(i)| on the
+    same-class j != i.
 
     Rows whose anchor has no positive are all zero, implementing the
     contribute-zero rule.
     """
-    labels = np.asarray(labels)
     pos = (labels[:, None] == labels[None, :]).astype(np.float64)
-    if not include_self:
-        np.fill_diagonal(pos, 0.0)
-    counts = pos.sum(axis=1, keepdims=True)
-    return pos / np.maximum(counts, 1.0)
+    np.fill_diagonal(pos, 0.0)
+    return pos / np.maximum(pos.sum(axis=1, keepdims=True), 1.0)
 
 
-def intra_modality_term(embeddings: Tensor, labels, temperature: float) -> Tensor:
-    """Supervised contrastive sum within one modality.
-
-    For each anchor i the candidates are all other samples of the same
-    modality; the denominator runs over every k != i.
-    """
-    _check_temperature(temperature)
-    if embeddings.ndim != 2:
-        raise ShapeError(f"embeddings must be (N, d), got {embeddings.shape}")
-    n = embeddings.shape[0]
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ShapeError(f"labels shape {labels.shape} does not match {n} embeddings")
-    sim = ad.matmul(embeddings, ad.transpose_last2(embeddings))
-    weights = _positive_weights(labels, include_self=False)
-    return ad.contrastive_sum(sim, weights, temperature, exclude_diag=True)
-
-
-def inter_modality_term(
-    anchors: Tensor,
-    others: Tensor,
-    labels,
-    temperature: float,
-    include_own_pair: bool = False,
-) -> Tensor:
-    """Cross-modality contrastive sum: anchors score against the other
-    modality's embeddings.
-
-    By default index i (the anchor's own paired sample) is excluded from both
-    positives and the denominator; ``include_own_pair`` lifts both exclusions.
-    """
-    _check_temperature(temperature)
-    if anchors.shape != others.shape or anchors.ndim != 2:
-        raise ShapeError(f"paired embeddings must match: {anchors.shape} vs {others.shape}")
-    labels = np.asarray(labels)
-    if labels.shape != (anchors.shape[0],):
-        raise ShapeError("labels do not match batch size")
-    sim = ad.matmul(anchors, ad.transpose_last2(others))
-    weights = _positive_weights(labels, include_self=include_own_pair)
-    return ad.contrastive_sum(sim, weights, temperature, exclude_diag=not include_own_pair)
+def contrastive_term(anchors: Tensor, others: Tensor, weights: np.ndarray,
+                     temperature: float) -> Tensor:
+    """The supervised contrastive sum of ``anchors`` (N, d) scored against
+    ``others`` (N, d), with ``weights`` from ``positive_weights``; row i of
+    ``others`` is anchor i's own index and stays out of its denominator."""
+    return ad.contrastive_sum(ad.matmul(anchors, ad.transpose_last2(others)), weights, temperature)
 
 
 @dataclass
@@ -95,7 +55,6 @@ class EmbeddingBatch:
     labels: np.ndarray  # (N,) integer class ids
     temperature: float = 0.1
     inter_weight: float = 0.5
-    include_own_pair: bool = False
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels)
@@ -109,7 +68,8 @@ class EmbeddingBatch:
             raise ContractError("contrastive batches need at least two samples")
         if self.labels.shape != (n,):
             raise ShapeError(f"labels shape {self.labels.shape} does not match N={n}")
-        _check_temperature(self.temperature)
+        if not self.temperature > 0.0:  # NaN fails too
+            raise ConfigError(f"temperature must be positive, got {self.temperature}")
         if not self.inter_weight >= 0.0:
             raise ConfigError("inter-modality weight must be >= 0")
         for name, emb in (("vision", self.vision), ("text", self.text)):
@@ -132,7 +92,7 @@ class ContrastiveLossReport:
     text_to_vision: Optional[Tensor]
     text_intra: Tensor
     vision_to_text: Optional[Tensor]
-    batch_size: int = 0
+    batch_size: int
 
     def values(self) -> dict[str, float]:
         terms = {
@@ -143,8 +103,7 @@ class ContrastiveLossReport:
             "vision_to_text": self.vision_to_text,
         }
         out = {name: term.item() for name, term in terms.items() if term is not None}
-        if self.batch_size:
-            out["total_per_anchor"] = out["total"] / self.batch_size
+        out["total_per_anchor"] = out["total"] / self.batch_size
         return out
 
 
@@ -152,15 +111,15 @@ def cross_modal_contrastive_loss(batch: EmbeddingBatch) -> ContrastiveLossReport
     """Combine the four terms; the intra pair and the weighted inter pair are
     each summed commutatively, so swapping the modalities leaves the total
     bit-identical.  At ``inter_weight`` 0 the inter terms are not computed."""
-    vv = intra_modality_term(batch.vision, batch.labels, batch.temperature)
-    ll = intra_modality_term(batch.text, batch.labels, batch.temperature)
+    weights = positive_weights(batch.labels)
+    t = batch.temperature
+    vv = contrastive_term(batch.vision, batch.vision, weights, t)
+    ll = contrastive_term(batch.text, batch.text, weights, t)
     total = ad.add(vv, ll)
     lv = vl = None
     if batch.inter_weight > 0.0:
-        lv = inter_modality_term(batch.vision, batch.text, batch.labels,
-                                 batch.temperature, batch.include_own_pair)
-        vl = inter_modality_term(batch.text, batch.vision, batch.labels,
-                                 batch.temperature, batch.include_own_pair)
+        lv = contrastive_term(batch.vision, batch.text, weights, t)
+        vl = contrastive_term(batch.text, batch.vision, weights, t)
         total = ad.add(total, ad.scale(ad.add(lv, vl), batch.inter_weight))
     return ContrastiveLossReport(
         total=total,

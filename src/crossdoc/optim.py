@@ -3,6 +3,7 @@ learning-rate schedule."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +26,9 @@ class Schedule:
         if self.total_steps < 1:
             raise ConfigError("schedule needs at least one step")
         if not (0.0 <= self.warmup_frac < 1.0):
-            raise ConfigError("warmup fraction must lie in [0, 1)")
-        if not self.base_lr > 0.0:
-            raise ConfigError("base learning rate must be positive")
+            raise ConfigError(f"warmup_frac must lie in [0, 1), got {self.warmup_frac}")
+        if not 0.0 < self.base_lr < math.inf:  # NaN fails too
+            raise ConfigError(f"base_lr must be finite and positive, got {self.base_lr}")
 
     @property
     def warmup_steps(self) -> int:

@@ -39,9 +39,10 @@ from .encoders import DocumentLayout, token_embed
 from .errors import ConfigError, DataError, NumericError
 from .losses import (
     EmbeddingBatch,
+    contrastive_term,
     cross_entropy,
     cross_modal_contrastive_loss,
-    intra_modality_term,
+    positive_weights,
 )
 from .model import CrossModalModel
 from .nn import FeedForwardParams, LayerNormParams, LinearParams, MHAParams, l2_normalize, layer_norm, linear, multi_head_attention, project_and_normalize
@@ -102,7 +103,6 @@ def batch_loss(model: CrossModalModel, records: np.ndarray, cfg: RunConfig):
     batch = EmbeddingBatch(
         vision=v_emb, text=t_emb, labels=labels,
         temperature=cfg.temperature, inter_weight=inter_weight,
-        include_own_pair=cfg.include_own_pair,
     )
     return cross_modal_contrastive_loss(batch)
 
@@ -322,7 +322,9 @@ class GradCheckEntry:
 
 
 def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
-    """Small-dimension probes covering every differentiable block."""
+    """Small-dimension probes covering every differentiable block, each
+    with respect to its input, then the parameter adjoints of a dense layer
+    and a layer norm."""
     rng = np.random.default_rng(2024)
     d, heads, rows, batch = 8, 2, 3, 4
     checks = []
@@ -378,11 +380,12 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
     checks.append(("cross_modal_contrastive_loss", f_crosscl, x_loss))
 
     x_intra = Tensor(rng.normal(size=(batch, 4)), requires_grad=True)
-    checks.append((
-        "intra_modality_term",
-        lambda t: intra_modality_term(l2_normalize(t), labels, 0.1),
-        x_intra,
-    ))
+
+    def f_intra(t):
+        e = l2_normalize(t)
+        return contrastive_term(e, e, positive_weights(labels), 0.1)
+
+    checks.append(("intra_modality_term", f_intra, x_intra))
 
     ce_labels = rng.integers(0, 3, size=batch)
     x_ce = Tensor(rng.normal(size=(batch, 3)), requires_grad=True)
@@ -422,6 +425,29 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
             ad.attention_heads(t, k_heads, v_heads, heads, key_bias)[0], heads_target)),
         x_heads,
     ))
+
+    # Parameter adjoints, each under a squared readout.  The dense layer's
+    # input is 3-d, so its bias gradient sums over two axes.
+    dense = LinearParams(Tensor(rng.normal(size=(d, d)), requires_grad=True),
+                         Tensor(rng.normal(size=d), requires_grad=True))
+    x_dense = Tensor(rng.normal(size=(batch, rows, d)))
+    ln = LayerNormParams(Tensor(rng.normal(size=d), requires_grad=True),
+                         Tensor(rng.normal(size=d), requires_grad=True))
+    x_ln = Tensor(rng.normal(size=(rows, d)))
+
+    def squared(out):
+        return ad.tensor_sum(ad.mul(out, out))
+
+    checks += [
+        ("linear.weight",
+         lambda w: squared(linear(LinearParams(w, dense.bias), x_dense)), dense.weight),
+        ("linear.bias",
+         lambda b: squared(linear(LinearParams(dense.weight, b), x_dense)), dense.bias),
+        ("layer_norm.gamma",
+         lambda g: squared(layer_norm(LayerNormParams(g, ln.beta), x_ln)), ln.gamma),
+        ("layer_norm.beta",
+         lambda b: squared(layer_norm(LayerNormParams(ln.gamma, b), x_ln)), ln.beta),
+    ]
     return checks
 
 

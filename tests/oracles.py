@@ -97,47 +97,22 @@ def scalar_gated_self_attention(p, previous, updated, key_mask=None):
     return scalar_transformer_layer(p.layer, fused, fused, key_mask)
 
 
-def scalar_intra_term(emb, labels, temperature):
-    """Double-loop supervised contrastive term over one modality."""
-    emb = np.asarray(emb, dtype=float)
-    n = emb.shape[0]
-    total = 0.0
-    for i in range(n):
-        positives = [j for j in range(n) if j != i and labels[j] == labels[i]]
-        if not positives:
-            continue
-        denom = 0.0
-        for k in range(n):
-            if k == i:
-                continue
-            denom += math.exp(float(np.dot(emb[i], emb[k])) / temperature)
-        acc = 0.0
-        for j in positives:
-            num = math.exp(float(np.dot(emb[i], emb[j])) / temperature)
-            acc += math.log(num / denom)
-        total += -acc / len(positives)
-    return total
-
-
-def scalar_inter_term(anchors, others, labels, temperature, include_own_pair=False):
-    """Double-loop cross-modality term: anchors from one modality, candidates
-    from the other.  By default the anchor's own paired sample is excluded
-    from both positives and the denominator."""
+def scalar_contrastive_term(anchors, others, labels, temperature):
+    """Double-loop supervised contrastive term: each anchor scored against
+    every ``others`` row but its own index (itself within a modality, its
+    paired sample across them), which is out of both its positives and its
+    denominator."""
     anchors = np.asarray(anchors, dtype=float)
     others = np.asarray(others, dtype=float)
     n = anchors.shape[0]
     total = 0.0
     for i in range(n):
-        if include_own_pair:
-            positives = [j for j in range(n) if labels[j] == labels[i]]
-            denom_idx = list(range(n))
-        else:
-            positives = [j for j in range(n) if j != i and labels[j] == labels[i]]
-            denom_idx = [k for k in range(n) if k != i]
+        positives = [j for j in range(n) if j != i and labels[j] == labels[i]]
         if not positives:
             continue
         denom = sum(
-            math.exp(float(np.dot(anchors[i], others[k])) / temperature) for k in denom_idx
+            math.exp(float(np.dot(anchors[i], others[k])) / temperature)
+            for k in range(n) if k != i
         )
         acc = 0.0
         for j in positives:
@@ -147,12 +122,12 @@ def scalar_inter_term(anchors, others, labels, temperature, include_own_pair=Fal
     return total
 
 
-def scalar_cross_modal_loss(x, t, labels, temperature, inter_weight, include_own_pair=False):
+def scalar_cross_modal_loss(x, t, labels, temperature, inter_weight):
     """The four-term objective, combined symmetrically."""
-    vv = scalar_intra_term(x, labels, temperature)
-    ll = scalar_intra_term(t, labels, temperature)
-    lv = scalar_inter_term(x, t, labels, temperature, include_own_pair)
-    vl = scalar_inter_term(t, x, labels, temperature, include_own_pair)
+    vv = scalar_contrastive_term(x, x, labels, temperature)
+    ll = scalar_contrastive_term(t, t, labels, temperature)
+    lv = scalar_contrastive_term(x, t, labels, temperature)
+    vl = scalar_contrastive_term(t, x, labels, temperature)
     return {
         "vision_intra": vv,
         "text_intra": ll,

@@ -96,6 +96,16 @@ def test_corrupt_config_echo_in_probe_is_a_data_error(saved, capsys, line, corru
     assert message in capsys.readouterr().err
 
 
+def test_echo_naming_the_removed_own_pair_switch_is_refused(saved, capsys):
+    """Checkpoints written while ``include_own_pair`` was a config field echo
+    it; they probe as an invalid echo, naming the key."""
+    path, config_text, params, opt = saved
+    save_checkpoint(path, 3, config_text + "include_own_pair = false\n", params, opt)
+    assert cli.main(["probe", "--ckpt", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config echo" in err and "unknown config key 'include_own_pair'" in err
+
+
 def test_trailing_bytes_rejected(saved):
     path = saved[0]
     size = path.stat().st_size

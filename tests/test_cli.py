@@ -22,8 +22,11 @@ probe_steps = 1
 
 
 def run(tmp_path, command, name, extra="", args=()):
+    """``crossdoc command`` on TINY, with each ``key = value`` line of
+    ``extra`` in place of TINY's line for that key (a key may appear once)."""
+    lines = dict(line.split(" = ", 1) for line in (TINY + extra).splitlines())
     config = tmp_path / f"{name}.txt"
-    config.write_text(TINY + extra)
+    config.write_text("".join(f"{key} = {value}\n" for key, value in lines.items()))
     out = tmp_path / name
     return cli.main([command, "--config", str(config), "--out", str(out), *args]), out
 
@@ -183,6 +186,41 @@ def test_invalid_model_or_loss_field_exits_1(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, extra, args, key", [
+    ("pretrain", "feature_dim = 0\n", (), "feature_dim"),
+    ("pretrain", "feature_dim = 1\nnum_heads = 1\n", (), "feature_dim"),
+    ("pretrain", "seed = -1\n", (), "seed"),
+    ("pretrain", "", ("--seed", "-5"), "seed"),
+    ("pretrain", "corpus_seed = -1\n", (), "corpus_seed"),
+    ("ablate", "ablate_seeds = 0,-1\n", (), "ablate_seeds"),
+    ("pretrain", "temperature = inf\n", (), "temperature"),
+    ("pretrain", "inter_weight = inf\n", (), "inter_weight"),
+    ("pretrain", "base_lr = inf\n", (), "base_lr"),
+    ("pretrain", "weight_decay = inf\n", (), "weight_decay"),
+    ("pretrain", "adam_eps = inf\n", (), "adam_eps"),
+    ("ablate", "probe_lr = inf\n", (), "probe_lr"),
+    ("pretrain", "checkpoint_every = 0\n", (), "checkpoint_every"),
+], ids=["feature_dim_0", "feature_dim_1", "seed", "seed_flag", "corpus_seed", "ablate_seeds",
+        "temperature", "inter_weight", "base_lr", "weight_decay", "adam_eps", "probe_lr",
+        "checkpoint_every"])
+def test_value_that_cannot_run_exits_1_before_any_output(
+        tmp_path, capsys, command, extra, args, key):
+    """Negative seeds, a feature width below 2, infinite rates or weights
+    and a zero cadence: each is named as the config is read, before any
+    output."""
+    code, out = run(tmp_path, command, "run", extra, args)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"config error: {key} must")
+    assert not out.exists()
+
+
+def test_removed_own_pair_switch_exits_1(tmp_path, capsys):
+    code, out = run(tmp_path, "pretrain", "run", "include_own_pair = false\n")
+    assert code == 1
+    assert "unknown config key 'include_own_pair'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("base_lr", 0.0), ("base_lr", "nan"), ("warmup_frac", 1.5), ("beta1", 1.0),
     ("adam_eps", 0.0), ("adam_eps", "nan"), ("weight_decay", -1.0), ("weight_decay", "nan"),
@@ -191,7 +229,7 @@ def test_invalid_model_or_loss_field_exits_1(tmp_path, capsys, key, value):
 def test_invalid_schedule_or_optimizer_field_writes_nothing(tmp_path, capsys, key, value):
     code, out = run(tmp_path, "pretrain", "run", f"{key} = {value}\n")
     assert code == 1
-    assert capsys.readouterr().err.startswith("config error: ")
+    assert capsys.readouterr().err.startswith(f"config error: {key} must")
     assert not out.exists()
 
 

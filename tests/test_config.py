@@ -10,7 +10,7 @@ from crossdoc.errors import ConfigError
 # One value per RunConfig field, each different from the field's default.
 OFF_DEFAULT = dict(
     feature_dim=48, num_heads=3, depth=3, hidden_dim=40, embed_dim=12, dtype="float32",
-    temperature=0.07, inter_weight=0.25, include_own_pair=True, loss_mode="scl",
+    temperature=0.07, inter_weight=0.25, loss_mode="scl",
     use_cross=False, use_gate=False, corpus_path="corpora/one doc.bin",
     classes=5, samples_per_class=30, image_size=8, channels=3, patch_size=2,
     vocab_size=40, pixel_noise=0.2, token_corruption=0.3, corpus_seed=7,
@@ -95,3 +95,13 @@ def test_odd_batch_size_rejected(batch_size):
 def test_corpus_path_the_text_format_cannot_carry_rejected(corpus_path):
     with pytest.raises(ConfigError, match="corpus_path"):
         RunConfig(corpus_path=corpus_path)
+
+
+def test_key_given_twice_rejected_naming_both_lines():
+    with pytest.raises(ConfigError, match="line 3: config key 'steps' already set on line 1"):
+        parse_config("steps = 2\n# the same key again\nsteps = 3\n")
+
+
+def test_value_boundaries_accepted():
+    RunConfig(feature_dim=2, num_heads=1, seed=0, corpus_seed=0, ablate_seeds=(0,),
+              inter_weight=0.0, weight_decay=0.0)

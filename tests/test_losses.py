@@ -12,9 +12,9 @@ from crossdoc.errors import ConfigError, ContractError, DataError
 from crossdoc.nn import l2_normalize
 
 from oracles import (
+    scalar_contrastive_term,
     scalar_cross_entropy,
     scalar_cross_modal_loss,
-    scalar_intra_term,
 )
 
 
@@ -31,7 +31,6 @@ FIXTURE_LABELS = np.array([0, 0, 1, 1])
 # below (temperature 0.1, inter weight 0.5).
 INTRA_FIXTURE_VALUE = 0.0008299632542118933
 INTER_FIXTURE_VALUE = 0.049920506282826654
-INTER_FIXTURE_OWN_PAIR_VALUE = 3.0154057037738835
 CROSS_FIXTURE = {
     "vision_intra": 0.0008299632542118933,
     "text_intra": 0.0008299632542118933,
@@ -47,6 +46,12 @@ def random_unit(rng, n, d):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def term(anchors, others, labels, temperature=0.1):
+    """The contrastive term of ``anchors`` scored against ``others``."""
+    weights = losses.positive_weights(np.asarray(labels))
+    return losses.contrastive_term(Tensor(anchors), Tensor(others), weights, temperature)
+
+
 def make_batch(rng, n=6, d=4, k=3, **kw):
     x = random_unit(rng, n, d)
     t = random_unit(rng, n, d)
@@ -57,62 +62,44 @@ def make_batch(rng, n=6, d=4, k=3, **kw):
 class TestIntraTerm:
     def test_identical_one_class_batch_is_4_ln3(self):
         """Four identical same-class embeddings: each log-ratio is -ln 3."""
-        emb = Tensor(np.tile([1.0, 0.0], (4, 1)))
-        value = losses.intra_modality_term(emb, [7, 7, 7, 7], 0.1).item()
+        emb = np.tile([1.0, 0.0], (4, 1))
+        value = term(emb, emb, [7, 7, 7, 7]).item()
         assert abs(value - 4.0 * math.log(3.0)) < 1e-9
 
     def test_no_positives_contribute_zero(self):
-        emb = Tensor(planar([0.0, 90.0]))
-        assert losses.intra_modality_term(emb, [0, 1], 0.1).item() == 0.0
+        emb = planar([0.0, 90.0])
+        assert term(emb, emb, [0, 1]).item() == 0.0
 
     def test_planar_fixture_matches_frozen_oracle_value(self):
-        emb = Tensor(planar(FIXTURE_ANGLES))
-        value = losses.intra_modality_term(emb, FIXTURE_LABELS, 0.1).item()
+        emb = planar(FIXTURE_ANGLES)
+        value = term(emb, emb, FIXTURE_LABELS).item()
         assert abs(value - INTRA_FIXTURE_VALUE) < 1e-12
-
-    def test_temperature_validation(self):
-        with pytest.raises(ConfigError):
-            losses.intra_modality_term(Tensor(planar([0, 10])), [0, 0], 0.0)
-        with pytest.raises(ConfigError):
-            losses.intra_modality_term(Tensor(planar([0, 10])), [0, 0], -1.0)
 
 
 class TestInterTerm:
     def test_constant_similarity_forces_n_log_nminus1(self):
         """Identical anchors vs identical others at any angle: N * ln(N-1)."""
-        anchors = Tensor(np.tile(planar([0.0])[0], (4, 1)))
-        others = Tensor(np.tile(planar([40.0])[0], (4, 1)))
-        value = losses.inter_modality_term(anchors, others, [3, 3, 3, 3], 0.1).item()
+        anchors = np.tile(planar([0.0])[0], (4, 1))
+        others = np.tile(planar([40.0])[0], (4, 1))
+        value = term(anchors, others, [3, 3, 3, 3]).item()
         assert abs(value - 4.0 * math.log(3.0)) < 1e-9
 
     def test_no_positives_contribute_zero(self):
-        anchors, others = Tensor(planar([0.0, 90.0])), Tensor(planar([45.0, 135.0]))
-        assert losses.inter_modality_term(anchors, others, [0, 1], 0.1).item() == 0.0
+        anchors, others = planar([0.0, 90.0]), planar([45.0, 135.0])
+        assert term(anchors, others, [0, 1]).item() == 0.0
 
     def test_fixture_matches_frozen_oracle_value(self):
-        anchors = Tensor(planar(FIXTURE_ANGLES))
-        others = Tensor(planar([20.0, 30.0, 70.0, 120.0]))
-        value = losses.inter_modality_term(anchors, others, FIXTURE_LABELS, 0.1).item()
+        anchors = planar(FIXTURE_ANGLES)
+        others = planar([20.0, 30.0, 70.0, 120.0])
+        value = term(anchors, others, FIXTURE_LABELS).item()
         assert abs(value - INTER_FIXTURE_VALUE) < 1e-12
-
-    def test_include_own_pair_flag(self):
-        anchors = Tensor(planar(FIXTURE_ANGLES))
-        others = Tensor(planar([20.0, 30.0, 70.0, 120.0]))
-        value = losses.inter_modality_term(
-            anchors, others, FIXTURE_LABELS, 0.1, include_own_pair=True).item()
-        assert abs(value - INTER_FIXTURE_OWN_PAIR_VALUE) < 1e-12
 
     def test_own_pair_excluded_by_default(self):
         """With N=2 and one class, each anchor's only candidate is its
-        non-pair, so the ratio is exactly 1 and the term collapses to zero;
-        including the own pair makes it positive."""
+        non-pair, so the ratio is exactly 1 and the term collapses to zero."""
         rng = np.random.default_rng(42)
         anchors, others = random_unit(rng, 2, 3), random_unit(rng, 2, 3)
-        excluded = losses.inter_modality_term(Tensor(anchors), Tensor(others), [5, 5], 0.1)
-        assert excluded.item() == 0.0
-        included = losses.inter_modality_term(
-            Tensor(anchors), Tensor(others), [5, 5], 0.1, include_own_pair=True)
-        assert included.item() > 0.0
+        assert term(anchors, others, [5, 5]).item() == 0.0
 
 
 class TestEmbeddingBatch:
@@ -135,9 +122,9 @@ class TestEmbeddingBatch:
             losses.EmbeddingBatch(Tensor(x), Tensor(x), [0, 0], inter_weight=math.nan)
 
 
+# The terms take the temperature as given; the batch, the only way into the
+# objective, checks it.
 TEMPERATURE_ENTRY_POINTS = {
-    "intra_modality_term": lambda x, t: losses.intra_modality_term(x, [0, 0], t),
-    "inter_modality_term": lambda x, t: losses.inter_modality_term(x, x, [0, 0], t),
     "EmbeddingBatch": lambda x, t: losses.EmbeddingBatch(x, x, [0, 0], temperature=t),
 }
 
@@ -154,8 +141,8 @@ class TestCrossModalLoss:
         rng = np.random.default_rng(1)
         batch = make_batch(rng, inter_weight=0.0)
         report = losses.cross_modal_contrastive_loss(batch)
-        vv = losses.intra_modality_term(batch.vision, batch.labels, batch.temperature).item()
-        ll = losses.intra_modality_term(batch.text, batch.labels, batch.temperature).item()
+        vv = term(batch.vision.data, batch.vision.data, batch.labels, batch.temperature).item()
+        ll = term(batch.text.data, batch.text.data, batch.labels, batch.temperature).item()
         assert report.total.item() == (vv + ll)
         # the inter terms are not computed, and not reported
         assert report.text_to_vision is None and report.vision_to_text is None
@@ -260,22 +247,26 @@ class TestCrossModalLoss:
 class TestSupervisedContrastiveBaseline:
     def test_zero_for_all_distinct_classes(self):
         x = random_unit(np.random.default_rng(10), 4, 3)
-        assert losses.intra_modality_term(Tensor(x), [0, 1, 2, 3], 0.1).item() == 0.0
+        assert term(x, x, [0, 1, 2, 3]).item() == 0.0
 
     def test_fixture_vs_oracle(self):
         rng = np.random.default_rng(11)
         x = random_unit(rng, 6, 3)
         y = rng.integers(0, 2, size=6)
-        got = losses.intra_modality_term(Tensor(x), y, 0.1).item()
-        assert abs(got - scalar_intra_term(x, y, 0.1)) < 1e-10
+        got = term(x, x, y).item()
+        assert abs(got - scalar_contrastive_term(x, x, y, 0.1)) < 1e-10
 
     def test_gradient(self):
         rng = np.random.default_rng(12)
         y = rng.integers(0, 2, size=4)
+        weights = losses.positive_weights(y)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        err = ad.finite_diff_check(
-            lambda t: losses.intra_modality_term(l2_normalize(t), y, 0.1), x)
-        assert err < 1e-4
+
+        def f(t):
+            e = l2_normalize(t)
+            return losses.contrastive_term(e, e, weights, 0.1)
+
+        assert ad.finite_diff_check(f, x) < 1e-4
 
 
 class TestCrossEntropy:

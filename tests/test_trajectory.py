@@ -1,6 +1,7 @@
 """The fixed-seed loss trajectory: a refactor that leaves the numbers alone
-reproduces these 20 desk-preset ``total`` values to 1e-9 relative, and the
-same run in float32 stays within ``FLOAT32_REL_TOLERANCE`` of them."""
+reproduces these 20 desk-preset ``total`` values to 1e-9 relative, for the
+four-term objective and for the intra-only ``scl`` one, and the four-term
+run in float32 stays within ``FLOAT32_REL_TOLERANCE`` of them."""
 
 import json
 from collections import Counter
@@ -23,6 +24,14 @@ DESK_SEED1_TOTALS = [
     86.97036656508146, 73.29932579165842, 73.17814623844342, 67.01320917455567,
 ]
 
+# The same run with loss_mode = scl (the intra terms only, as in `full_scl`).
+DESK_SEED1_SCL_TOTALS = [
+    89.42089344316469, 82.35201012208546, 83.70137933543805, 78.54943777969176,
+    66.0364192796458, 53.43755319215313, 60.707460141176426, 43.41496217549686,
+    45.21553141296161, 38.745131001579324, 37.079278779371606, 38.508716656683035,
+    37.11932661305458, 37.02732435658861, 36.10109252552092, 35.75617893812482,
+    40.07483694071445, 36.45712075213197, 38.68184277629618, 35.49149942637527,
+]
 
 # The float32 run's largest gap over these 20 steps is 1.1e-6 relative.
 FLOAT32_REL_TOLERANCE = 1e-5
@@ -37,6 +46,11 @@ def totals(cfg, out_dir):
 def test_desk_pretrain_reproduces_the_recorded_trajectory(tmp_path):
     cfg = RunConfig(seed=1, steps=20, log_every=1)
     assert totals(cfg, tmp_path) == pytest.approx(DESK_SEED1_TOTALS, rel=1e-9, abs=0.0)
+
+
+def test_scl_desk_pretrain_reproduces_the_recorded_trajectory(tmp_path):
+    cfg = RunConfig(seed=1, steps=20, log_every=1, loss_mode="scl")
+    assert totals(cfg, tmp_path) == pytest.approx(DESK_SEED1_SCL_TOTALS, rel=1e-9, abs=0.0)
 
 
 def test_float32_desk_pretrain_follows_the_trajectory(tmp_path):
