@@ -5,14 +5,17 @@ Layout (little-endian):
     magic "XCKP" | u16 version=3 | u64 step
     | u32 config-text length | utf-8 config text
     | named-array section (parameters)
-    | u8 has-optimizer | [u64 optimizer step | named-array section (moments)]
+    | u8 has-optimizer=1 | u64 optimizer step | named-array section (moments)
     named-array section: u32 count, then per array:
         u16 name length | utf-8 name | u8 ndim | u32 dims... | f64 raw values
 
-Values are stored as raw float64, so a save/load round trip is bit-exact;
-a non-finite value is refused on load.  A float32 model's parameters widen
-exactly on save and narrow back exactly when loaded into a float32 model
-(``CrossModalModel.load_arrays``); the moments are float64 in either dtype.
+Every checkpoint carries the AdamW moments: ``save_checkpoint`` takes the
+optimizer, and a has-optimizer byte other than 1 is refused on load, naming
+its byte offset.  Values are stored as raw float64, so a save/load round
+trip is bit-exact; a non-finite value is refused on load.  A float32 model's
+parameters widen exactly on save and narrow back exactly when loaded into a
+float32 model (``CrossModalModel.load_arrays``); the moments are float64 in
+either dtype.
 
 ``save_checkpoint`` streams: each float64 parameter and moment goes to the
 file straight from its buffer (AdamW's flat buffers, whose per-name views are
@@ -43,7 +46,6 @@ rejects them as an invalid echo (exit 2) naming that key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -61,8 +63,8 @@ class CheckpointData:
     step: int
     config_text: str
     params: dict[str, np.ndarray]
-    optimizer_step: Optional[int] = None
-    optimizer_arrays: Optional[dict[str, np.ndarray]] = None
+    optimizer_step: int
+    optimizer_arrays: dict[str, np.ndarray]
 
 
 def _write_arrays(writer: Writer, arrays: dict[str, np.ndarray]) -> None:
@@ -78,17 +80,14 @@ def save_checkpoint(
     step: int,
     config_text: str,
     params: dict[str, Tensor],
-    optimizer: Optional[AdamW] = None,
+    optimizer: AdamW,
 ) -> None:
     with write_container(path, MAGIC, VERSION) as writer:
         writer.pack("<Q", step)
         writer.text("<I", config_text)
         _write_arrays(writer, {name: p.data for name, p in params.items()})
-        if optimizer is None:
-            writer.pack("<B", 0)
-        else:
-            writer.pack("<BQ", 1, optimizer.step_count)
-            _write_arrays(writer, optimizer.state_arrays())
+        writer.pack("<BQ", 1, optimizer.step_count)
+        _write_arrays(writer, optimizer.state_arrays())
 
 
 def _read_arrays(reader: Reader) -> dict[str, np.ndarray]:
@@ -116,12 +115,13 @@ def load_checkpoint(path) -> CheckpointData:
         (cfg_len,) = reader.unpack("<I")
         config_text = reader.text(cfg_len)
         params = _read_arrays(reader)
+        has_opt_offset = reader.offset
         (has_opt,) = reader.unpack("<B")
-        opt_step = None
-        opt_arrays = None
-        if has_opt:
-            (opt_step,) = reader.unpack("<Q")
-            opt_arrays = _read_arrays(reader)
+        if has_opt != 1:
+            raise FormatError(
+                f"checkpoint has-optimizer flag {has_opt} at byte {has_opt_offset}, expected 1")
+        (opt_step,) = reader.unpack("<Q")
+        opt_arrays = _read_arrays(reader)
         reader.finish()
     return CheckpointData(
         step=step, config_text=config_text, params=params,

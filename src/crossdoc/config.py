@@ -7,6 +7,10 @@ reference hyperparameters (768-wide features, batch 64, lr 2e-5, 100 epochs)
 and computes in float32, with AdamW's moments and the checkpoints still in
 float64.
 
+``RunConfig`` is the one place a run setting has a default: the library
+constructors it feeds (``SyntheticCorpusSpec``, ``Schedule``, ``AdamW``,
+``CrossModalStack.create``, ``EmbeddingBatch``) take every setting explicitly.
+
 A key may appear once in a file.  There is no ``include_own_pair`` key: an
 anchor's own index is always out of its positives and its denominator (see
 ``losses``), so a file or a checkpoint echo that names it is refused as an
@@ -230,9 +234,7 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
             raise ConfigError(
                 f"line {lineno}: config key {key!r} already set on line {first_line[key]}")
         first_line[key] = lineno
-        field = known[key]
-        ftype = field.type if isinstance(field.type, type) else _TYPE_BY_NAME[field.type]
-        values[key] = _parse_value(ftype, raw, key)
+        values[key] = _parse_value(_TYPE_BY_NAME[known[key].type], raw, key)
     cfg = base if base is not None else RunConfig()
     return replace(cfg, **values)
 

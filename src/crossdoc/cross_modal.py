@@ -179,14 +179,12 @@ class CrossModalStack:
         rng: np.random.Generator,
         feature_dim: int,
         num_heads: int,
-        depth: int = 2,
-        hidden_dim: Optional[int] = None,
-        embed_dim: Optional[int] = None,
-        use_cross: bool = True,
-        use_gate: bool = True,
+        depth: int,
+        hidden_dim: int,
+        embed_dim: int,
+        use_cross: bool,
+        use_gate: bool,
     ) -> "CrossModalStack":
-        hidden_dim = feature_dim if hidden_dim is None else hidden_dim
-        embed_dim = max(2, feature_dim // 2) if embed_dim is None else embed_dim
         return cls(
             blocks=[BlockParams.create(rng, feature_dim, num_heads, use_cross, use_gate)
                     for _ in range(depth)],

@@ -43,11 +43,11 @@ VERSION = 1
 @dataclass(frozen=True)
 class SyntheticCorpusSpec:
     layout: DocumentLayout
-    classes: int = 4
-    samples_per_class: int = 100
-    pixel_noise: float = 0.08
-    token_corruption: float = 0.1
-    seed: int = 0
+    classes: int
+    samples_per_class: int
+    pixel_noise: float
+    token_corruption: float
+    seed: int
 
     def __post_init__(self):
         if self.classes < 2:

@@ -53,8 +53,8 @@ class EmbeddingBatch:
     vision: Tensor  # (N, d), rows unit-norm
     text: Tensor  # (N, d), rows unit-norm, row i paired with vision row i
     labels: np.ndarray  # (N,) integer class ids
-    temperature: float = 0.1
-    inter_weight: float = 0.5
+    temperature: float
+    inter_weight: float
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels)

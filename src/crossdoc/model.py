@@ -45,12 +45,12 @@ class CrossModalModel:
     stack: CrossModalStack
 
     @classmethod
-    def create(cls, cfg: RunConfig, seed: int) -> "CrossModalModel":
-        """Build a freshly initialized model in ``cfg.dtype``; one seed fixes
-        every parameter.  The draws are float64 whatever the dtype, and each
-        parameter is rounded once, so a float32 model is the float64 model
-        rounded."""
-        rng = _RoundedDraws(np.random.default_rng(seed), cfg.dtype)
+    def create(cls, cfg: RunConfig) -> "CrossModalModel":
+        """Build a freshly initialized model in ``cfg.dtype``; ``cfg.seed``
+        fixes every parameter.  The draws are float64 whatever the dtype, and
+        each parameter is rounded once, so a float32 model is the float64
+        model rounded."""
+        rng = _RoundedDraws(np.random.default_rng(cfg.seed), cfg.dtype)
         layout = cfg.layout()
         model = cls(
             layout=layout,

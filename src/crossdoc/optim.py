@@ -20,7 +20,7 @@ _CHUNK = 1 << 14
 class Schedule:
     total_steps: int
     base_lr: float
-    warmup_frac: float = 0.1
+    warmup_frac: float
 
     def __post_init__(self):
         if self.total_steps < 1:
@@ -94,9 +94,9 @@ class AdamW:
     def __init__(
         self,
         params: dict[str, Tensor],
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
+        betas: tuple[float, float],
+        eps: float,
+        weight_decay: float,
     ):
         if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
             raise ConfigError("betas must lie in [0, 1)")
@@ -139,7 +139,8 @@ class AdamW:
         Per element it performs the IEEE float64 operations of the
         whole-array formula, in its order: ``m = b1*m + (1-b1)*g``,
         ``v = b2*v + ((1-b2)*g)*g`` and ``p = p*decay - lr*(m/bias1) /
-        (sqrt(v/bias2) + eps)``, so float64 results are bit-identical to it.
+        (sqrt(v/bias2) + eps)``, so float64 results are bit-identical to it;
+        at zero weight decay ``p*decay`` is ``p`` exactly.
         A float32 gradient is widened exactly, and the new float32 parameter
         is that float64 value rounded once.
         """
@@ -184,11 +185,8 @@ class AdamW:
             np.divide(mc, bias1, out=a)
             a *= lr
             a /= b
-            if self.weight_decay:
-                np.multiply(pc, decay, out=b)
-                np.subtract(b, a, out=pc)
-            else:
-                pc -= a
+            np.multiply(pc, decay, out=b)
+            np.subtract(b, a, out=pc)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Moment buffers keyed for checkpointing."""

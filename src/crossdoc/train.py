@@ -128,8 +128,9 @@ def pretrain(
     clock: Optional[Callable[[], float]] = None,
     splits: Optional[CorpusSplits] = None,
 ) -> PretrainResult:
-    """Optimize the contrastive objective; writes a metrics log and
-    checkpoints at the configured cadence plus a final one.  The corpus
+    """Optimize the contrastive objective; writes a metrics log and a
+    checkpoint before the first step, every ``checkpoint_every`` steps and
+    after the last step, saving a step that is both once.  The corpus
     (``splits`` if given, else ``load_corpus``), the model and the optimizer
     are built before the output directory is created, so a run they reject
     writes nothing.
@@ -145,7 +146,7 @@ def pretrain(
     clock = time.perf_counter if clock is None else clock
     if splits is None:
         _, splits = load_corpus(cfg, cfg.layout())
-    model = CrossModalModel.create(cfg, cfg.seed)
+    model = CrossModalModel.create(cfg)
     params = model.parameters()
     opt = AdamW(params, (cfg.beta1, cfg.beta2), cfg.adam_eps, cfg.weight_decay)
     out = Path(out_dir)
@@ -180,9 +181,8 @@ def pretrain(
                 record.update(report.values())
                 record["wall_time"] = clock() - start
                 metrics_file.write(json.dumps(record) + "\n")
-            if (step + 1) % cfg.checkpoint_every == 0:
+            if (step + 1) % cfg.checkpoint_every == 0 or step + 1 == cfg.steps:
                 save_checkpoint(ckpt_path, step + 1, config_text, params, opt)
-    save_checkpoint(ckpt_path, cfg.steps, config_text, params, opt)
     return PretrainResult(ckpt_path, metrics_path, cfg.steps, final_loss)
 
 
@@ -232,7 +232,7 @@ def probe(cfg: RunConfig, ckpt_path, splits: Optional[CorpusSplits] = None) -> P
     ckpt = load_checkpoint(ckpt_path)
     try:
         ckpt_cfg = parse_config(ckpt.config_text)
-        model = CrossModalModel.create(ckpt_cfg, ckpt_cfg.seed)
+        model = CrossModalModel.create(ckpt_cfg)
     except ConfigError as e:
         raise DataError(f"checkpoint {ckpt_path} has an invalid config echo: {e}") from e
     model.load_arrays(ckpt.params)
@@ -373,7 +373,7 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
     raw_t = Tensor(rng.normal(size=(batch, 4)))
 
     def f_crosscl(t):
-        emb_batch = EmbeddingBatch(l2_normalize(t), l2_normalize(raw_t), labels)
+        emb_batch = EmbeddingBatch(l2_normalize(t), l2_normalize(raw_t), labels, 0.1, 0.5)
         return cross_modal_contrastive_loss(emb_batch).total
 
     x_loss = Tensor(rng.normal(size=(batch, 4)), requires_grad=True)
@@ -393,8 +393,8 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
 
     tiny = RunConfig(feature_dim=d, num_heads=heads, depth=2, hidden_dim=d,
                      embed_dim=4, image_size=8, patch_size=4, vocab_size=16,
-                     classes=2, samples_per_class=10)
-    model = CrossModalModel.create(tiny, seed=5)
+                     classes=2, samples_per_class=10, seed=5)
+    model = CrossModalModel.create(tiny)
     ids = np.array([[1, 5, 4, 2, 0], [1, 7, 2, 0, 0], [1, 9, 9, 2, 0], [1, 4, 2, 0, 0]])
     loss_labels = np.array([0, 0, 1, 1])
 
@@ -402,7 +402,7 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
         # raw vision features in, full depth-2 stack and loss on top
         text, mask = token_embed(model.text_encoder, model.layout, ids)
         v_emb, t_emb = model.stack.forward(raw_vision, text, text_mask=mask)
-        emb_batch = EmbeddingBatch(v_emb, t_emb, loss_labels)
+        emb_batch = EmbeddingBatch(v_emb, t_emb, loss_labels, 0.1, 0.5)
         return cross_modal_contrastive_loss(emb_batch).total
 
     x_model = Tensor(rng.normal(size=(batch, 5, d)), requires_grad=True)

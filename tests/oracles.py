@@ -148,10 +148,11 @@ def scalar_cross_entropy(logits, labels):
     return total / n
 
 
-def reference_adamw_step(p, m, v, g, lr, t, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
+def reference_adamw_step(p, m, v, g, lr, t, cfg):
     """Whole-array AdamW update at step number ``t`` (1-based), in place on
-    p, m and v.  Decoupled decay first, then the bias-corrected Adam step."""
-    b1, b2 = betas
+    p, m and v, with the betas, epsilon and weight decay of the ``RunConfig``
+    ``cfg``.  Decoupled decay first, then the bias-corrected Adam step."""
+    b1, b2, eps, weight_decay = cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
     if weight_decay:

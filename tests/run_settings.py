@@ -1,0 +1,43 @@
+"""Library objects built from a ``RunConfig``'s run settings, as the program
+builds them.
+
+``RunConfig`` is the one place a run setting has a default; the library
+constructors take every setting explicitly.  A test that needs the usual
+values builds through here, passing only the settings it changes, so it
+runs the values the program reads from its config.
+"""
+
+from crossdoc.config import RunConfig
+from crossdoc.cross_modal import CrossModalStack
+from crossdoc.data import SyntheticCorpusSpec
+from crossdoc.encoders import DocumentLayout
+from crossdoc.losses import EmbeddingBatch
+from crossdoc.optim import AdamW
+
+
+def adamw(params, **settings) -> AdamW:
+    """AdamW with the optimizer settings ``train.pretrain`` passes."""
+    cfg = RunConfig(**settings)
+    return AdamW(params, (cfg.beta1, cfg.beta2), cfg.adam_eps, cfg.weight_decay)
+
+
+def embedding_batch(vision, text, labels, **settings) -> EmbeddingBatch:
+    """A batch with the loss settings ``train.batch_loss`` passes."""
+    cfg = RunConfig(**settings)
+    return EmbeddingBatch(vision, text, labels, cfg.temperature, cfg.inter_weight)
+
+
+def stack(rng, **settings) -> CrossModalStack:
+    """A block stack drawn from ``rng`` as ``CrossModalModel.create`` draws it."""
+    cfg = RunConfig(**settings)
+    return CrossModalStack.create(
+        rng, cfg.feature_dim, cfg.num_heads, depth=cfg.depth, hidden_dim=cfg.hidden_dim,
+        embed_dim=cfg.embed_dim, use_cross=cfg.use_cross, use_gate=cfg.use_gate)
+
+
+def corpus_spec(layout: DocumentLayout, **settings) -> SyntheticCorpusSpec:
+    """``RunConfig.corpus_spec`` for a ``layout`` the config's square image
+    fields need not describe."""
+    cfg = RunConfig(**settings)
+    return SyntheticCorpusSpec(layout, cfg.classes, cfg.samples_per_class,
+                               cfg.pixel_noise, cfg.token_corruption, cfg.corpus_seed)

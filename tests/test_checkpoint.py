@@ -2,6 +2,7 @@
 write and a load that holds its arrays once."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,22 +15,25 @@ from crossdoc.errors import FormatError
 from crossdoc.model import CrossModalModel
 from crossdoc.optim import AdamW
 
+from run_settings import adamw
+
 # magic (4) | u16 version | u64 step | u32 config-text length
 CONFIG_TEXT_OFFSET = 18
+
+TINY = RunConfig(feature_dim=8, num_heads=2, hidden_dim=8, embed_dim=4, image_size=8,
+                 vocab_size=16, samples_per_class=10, batch_size=4)
 
 
 @pytest.fixture
 def saved(tmp_path):
     """A tiny model's checkpoint: (path, config text, parameters, optimizer)."""
-    cfg = RunConfig(feature_dim=8, num_heads=2, hidden_dim=8, embed_dim=4,
-                    image_size=8, vocab_size=16, samples_per_class=10, batch_size=4)
-    params = CrossModalModel.create(cfg, seed=0).parameters()
-    opt = AdamW(params)
+    params = CrossModalModel.create(TINY).parameters()
+    opt = adamw(params)
     for p in params.values():
         p.grad = np.full(p.shape, 0.5)
     opt.step(1e-3)
     path = tmp_path / "checkpoint.bin"
-    config_text = format_config(cfg)
+    config_text = format_config(TINY)
     save_checkpoint(path, 3, config_text, params, opt)
     return path, config_text, params, opt
 
@@ -41,6 +45,15 @@ def first_payload_offset(config_text, params):
     name = next(iter(params))
     return (CONFIG_TEXT_OFFSET + len(config_text.encode()) + 4 + 2 + len(name.encode())
             + 1 + 4 * params[name].ndim)
+
+
+def parameter_section_end(config_text, params):
+    """Where the has-optimizer byte sits: past the config text, the u32 array
+    count and each parameter's name, dims and values."""
+    end = CONFIG_TEXT_OFFSET + len(config_text.encode()) + 4
+    for name, p in params.items():
+        end += 2 + len(name.encode()) + 1 + 4 * p.ndim + 8 * p.size
+    return end
 
 
 def overwrite(path, offset, payload):
@@ -104,6 +117,20 @@ def test_echo_naming_the_removed_own_pair_switch_is_refused(saved, capsys):
     assert cli.main(["probe", "--ckpt", str(path)]) == 2
     err = capsys.readouterr().err
     assert "invalid config echo" in err and "unknown config key 'include_own_pair'" in err
+
+
+@pytest.mark.parametrize("flag", [0, 2])
+def test_checkpoint_without_optimizer_flag_refused(saved, capsys, flag):
+    """Every checkpoint carries the moments; any other has-optimizer byte is
+    a format error naming its offset."""
+    path, config_text, params = saved[:3]
+    end = parameter_section_end(config_text, params)
+    overwrite(path, end, bytes([flag]))
+    message = f"has-optimizer flag {flag} at byte {end}, expected 1"
+    with pytest.raises(FormatError, match=message):
+        load_checkpoint(path)
+    assert cli.main(["probe", "--ckpt", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_trailing_bytes_rejected(saved):
@@ -171,9 +198,7 @@ def test_crash_mid_write_keeps_previous_checkpoint(saved, monkeypatch, disk_full
             save_checkpoint(path, 4, config_text, params, opt)
         assert seen_tmp == [True]
     else:
-        without_moments = path.with_name("without_moments.bin")
-        save_checkpoint(without_moments, 4, config_text, params)
-        disk_full_beyond(without_moments.stat().st_size)
+        disk_full_beyond(parameter_section_end(config_text, params))
         with pytest.raises(OSError):
             save_checkpoint(path, 4, config_text, params, opt)
     assert not tmp.exists()
@@ -195,7 +220,7 @@ def test_save_and_load_hold_no_second_copy(tmp_path):
     and 12 MB of moments."""
     rng = np.random.default_rng(0)
     params = {f"p{i}": Tensor(rng.normal(size=(256, 512))) for i in range(6)}
-    opt = AdamW(params)
+    opt = adamw(params)
     for p in params.values():
         p.grad = rng.normal(size=p.shape)
     opt.step(1e-3)
@@ -218,9 +243,7 @@ def test_save_and_load_hold_no_second_copy(tmp_path):
     assert load_peak - base < returned + MB
 
 
-TINY_FLOAT32 = RunConfig(feature_dim=8, num_heads=2, hidden_dim=8, embed_dim=4, image_size=8,
-                         vocab_size=16, samples_per_class=10, batch_size=4, steps=3,
-                         probe_steps=2, dtype="float32")
+TINY_FLOAT32 = replace(TINY, steps=3, probe_steps=2, dtype="float32")
 
 
 @pytest.fixture
@@ -266,7 +289,7 @@ def test_float32_parameters_are_saved_widened_exactly(float32_run):
 def test_float32_checkpoint_loads_into_a_bit_equal_model(float32_run):
     path, params = float32_run
     ckpt = load_checkpoint(path)
-    model = CrossModalModel.create(parse_config(ckpt.config_text), seed=0)
+    model = CrossModalModel.create(parse_config(ckpt.config_text))
     model.load_arrays(ckpt.params)
     for name, p in model.parameters().items():
         assert p.data.dtype == np.float32
@@ -283,5 +306,26 @@ def test_echo_without_a_dtype_line_probes_as_float64(float32_run, monkeypatch):
     ckpt = load_checkpoint(path)
     echo = ckpt.config_text.replace("dtype = float32\n", "")
     assert echo != ckpt.config_text
-    save_checkpoint(path, ckpt.step, echo, {n: Tensor(a) for n, a in ckpt.params.items()})
+    params = {n: Tensor(a) for n, a in ckpt.params.items()}
+    opt = adamw(params)
+    opt.load_state(ckpt.optimizer_step, ckpt.optimizer_arrays)
+    save_checkpoint(path, ckpt.step, echo, params, opt)
     assert probe_dtypes(monkeypatch, path) == {"float64"}
+
+
+@pytest.mark.parametrize("steps, every, saved_steps", [
+    (4, 2, [0, 2, 4]), (5, 2, [0, 2, 4, 5]), (0, 2, [0]),
+], ids=["last_step_on_cadence", "last_step_off_cadence", "no_steps"])
+def test_pretrain_writes_each_checkpoint_once(tmp_path, monkeypatch, steps, every, saved_steps):
+    """One save before the first step, one every ``checkpoint_every`` steps
+    and one after the last step; a last step on the cadence is saved once."""
+    saves = []
+    real = train.save_checkpoint
+
+    def count(path, step, *args):
+        saves.append(step)
+        real(path, step, *args)
+
+    monkeypatch.setattr(train, "save_checkpoint", count)
+    train.pretrain(replace(TINY, steps=steps, checkpoint_every=every), tmp_path / "run")
+    assert saves == saved_steps

@@ -1,11 +1,17 @@
 """Run configuration: validation and the flat text format."""
 
+import inspect
 from dataclasses import fields
 
 import pytest
 
 from crossdoc.config import RunConfig, apply_preset, format_config, parse_config
+from crossdoc.cross_modal import CrossModalStack
+from crossdoc.data import SyntheticCorpusSpec
 from crossdoc.errors import ConfigError
+from crossdoc.losses import EmbeddingBatch
+from crossdoc.model import CrossModalModel
+from crossdoc.optim import AdamW, Schedule
 
 # One value per RunConfig field, each different from the field's default.
 OFF_DEFAULT = dict(
@@ -105,3 +111,25 @@ def test_key_given_twice_rejected_naming_both_lines():
 def test_value_boundaries_accepted():
     RunConfig(feature_dim=2, num_heads=1, seed=0, corpus_seed=0, ablate_seeds=(0,),
               inter_weight=0.0, weight_decay=0.0)
+
+
+# The library constructors the program passes RunConfig values to.  Each
+# parameter is a run setting, whose one default is RunConfig's, or an input
+# with no default at all.
+SETTING_CONSTRUCTORS = {
+    "SyntheticCorpusSpec": SyntheticCorpusSpec,
+    "Schedule": Schedule,
+    "AdamW": AdamW,
+    "CrossModalStack.create": CrossModalStack.create,
+    "EmbeddingBatch": EmbeddingBatch,
+}
+
+
+@pytest.mark.parametrize("name", SETTING_CONSTRUCTORS)
+def test_run_settings_have_their_default_in_run_config_only(name):
+    parameters = inspect.signature(SETTING_CONSTRUCTORS[name]).parameters.values()
+    assert [p.name for p in parameters if p.default is not p.empty] == []
+
+
+def test_model_seed_comes_from_the_config():
+    assert list(inspect.signature(CrossModalModel.create).parameters) == ["cfg"]

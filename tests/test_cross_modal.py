@@ -10,10 +10,18 @@ from crossdoc.autodiff import Tensor
 from crossdoc.errors import ConfigError, ShapeError
 
 from oracles import scalar_cross_attention_block, scalar_gated_self_attention, scalar_layer_norm
+from run_settings import stack as build_stack
 
 
 def feats(arr):
     return Tensor(np.asarray(arr, dtype=float))
+
+
+def small_stack(rng, **settings):
+    """A stack of 8-wide features, 2 heads, 8-wide head hidden layers and
+    4-wide embeddings; every other setting is a default ``RunConfig``'s."""
+    return build_stack(rng, **{"feature_dim": 8, "num_heads": 2, "hidden_dim": 8,
+                               "embed_dim": 4, **settings})
 
 
 def zero_linear(p):
@@ -114,7 +122,7 @@ class TestGatedSelfAttention:
 class TestStack:
     def test_depth_one_equals_manual_composition(self):
         rng = np.random.default_rng(9)
-        stack = cm.CrossModalStack.create(rng, 8, 2, depth=1, embed_dim=4)
+        stack = small_stack(rng, depth=1)
         v_in = feats(rng.normal(size=(5, 8)))
         t_in = feats(rng.normal(size=(5, 8)))
         mask = np.array([True, True, True, False, False])
@@ -133,19 +141,19 @@ class TestStack:
 
     def test_output_embeddings_unit_norm(self):
         rng = np.random.default_rng(10)
-        stack = cm.CrossModalStack.create(rng, 8, 4, depth=2, embed_dim=4)
+        stack = small_stack(rng, num_heads=4, depth=2)
         v_emb, t_emb = stack.forward(feats(rng.normal(size=(5, 8))),
                                      feats(rng.normal(size=(5, 8))))
         assert abs(np.dot(v_emb.data, v_emb.data) - 1.0) < 1e-12
         assert abs(np.dot(t_emb.data, t_emb.data) - 1.0) < 1e-12
 
     def test_default_depth_is_two(self):
-        stack = cm.CrossModalStack.create(np.random.default_rng(11), 8, 2)
+        stack = small_stack(np.random.default_rng(11))
         assert len(stack.blocks) == 2
 
     def test_shape_preserved_at_every_block(self):
         rng = np.random.default_rng(12)
-        stack = cm.CrossModalStack.create(rng, 8, 2, depth=3)
+        stack = small_stack(rng, depth=3)
         v, t = stack.run_blocks(feats(rng.normal(size=(4, 8))), feats(rng.normal(size=(4, 8))))
         assert v.shape == (4, 8)
         assert t.shape == (4, 8)
@@ -154,7 +162,7 @@ class TestStack:
         """Permuting non-CLS rows of both raw inputs (and the mask) permutes
         non-CLS output rows identically and leaves embeddings unchanged."""
         rng = np.random.default_rng(13)
-        stack = cm.CrossModalStack.create(rng, 8, 2, depth=2, embed_dim=4)
+        stack = small_stack(rng, depth=2)
         m = 6
         v = rng.normal(size=(m, 8))
         t = rng.normal(size=(m, 8))
@@ -173,7 +181,7 @@ class TestStack:
 
     def test_gradient_through_depth2_stack(self):
         rng = np.random.default_rng(14)
-        stack = cm.CrossModalStack.create(rng, 8, 2, depth=2, embed_dim=4)
+        stack = small_stack(rng, depth=2)
         t_in = feats(rng.normal(size=(3, 8)))
         target = Tensor(rng.normal(size=4))
 
@@ -186,7 +194,7 @@ class TestStack:
 
     def test_gradient_reaches_block_params(self):
         rng = np.random.default_rng(15)
-        stack = cm.CrossModalStack.create(rng, 8, 2, depth=2, embed_dim=4)
+        stack = small_stack(rng, depth=2)
         fuse_w = stack.blocks[1].gate_text.fuse.weight
         v_in = feats(rng.normal(size=(3, 8)))
         t_in = feats(rng.normal(size=(3, 8)))
@@ -207,7 +215,7 @@ class TestStack:
         x = np.random.default_rng(99).normal(size=(4, 8))
         outs = []
         for _ in range(2):
-            stack = cm.CrossModalStack.create(np.random.default_rng(42), 8, 2, depth=2, embed_dim=4)
+            stack = small_stack(np.random.default_rng(42), depth=2)
             v_emb, t_emb = stack.forward(feats(x), feats(x + 1.0))
             outs.append((v_emb.data.copy(), t_emb.data.copy()))
         np.testing.assert_array_equal(outs[0][0], outs[1][0])
@@ -218,8 +226,7 @@ class TestIdentityReplacement:
     def test_disable_both_reduces_to_independent_heads(self):
         """With both stages off, each embedding depends only on its own modality."""
         rng = np.random.default_rng(16)
-        stack = cm.CrossModalStack.create(rng, 8, 2, depth=2, embed_dim=4,
-                                          use_cross=False, use_gate=False)
+        stack = small_stack(rng, depth=2, use_cross=False, use_gate=False)
         v = rng.normal(size=(4, 8))
         t = rng.normal(size=(4, 8))
         v_emb1, t_emb1 = stack.forward(feats(v), feats(t))
@@ -229,7 +236,7 @@ class TestIdentityReplacement:
 
     def test_disable_gate_keeps_cross_only(self):
         rng = np.random.default_rng(17)
-        stack = cm.CrossModalStack.create(rng, 8, 2, depth=1, embed_dim=4, use_gate=False)
+        stack = small_stack(rng, depth=1, use_gate=False)
         v_in = feats(rng.normal(size=(3, 8)))
         t_in = feats(rng.normal(size=(3, 8)))
         v, t = stack.run_blocks(v_in, t_in)
@@ -239,7 +246,7 @@ class TestIdentityReplacement:
 
     def test_disable_cross_gates_against_itself(self):
         rng = np.random.default_rng(18)
-        stack = cm.CrossModalStack.create(rng, 8, 2, depth=1, embed_dim=4, use_cross=False)
+        stack = small_stack(rng, depth=1, use_cross=False)
         v_in = feats(rng.normal(size=(3, 8)))
         t_in = feats(rng.normal(size=(3, 8)))
         v, _ = stack.run_blocks(v_in, t_in)

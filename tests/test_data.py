@@ -8,12 +8,13 @@ from crossdoc.config import RunConfig
 from crossdoc.encoders import CLS_ID, NUM_RESERVED_IDS, PAD_ID, SEP_ID, DocumentLayout
 from crossdoc.errors import ConfigError, FormatError
 
+from run_settings import corpus_spec
 
-def tiny_spec(vocab_size=32, **kw):
-    defaults = dict(classes=3, samples_per_class=20, seed=7)
-    defaults.update(kw)
+
+def tiny_spec(vocab_size=32, **settings):
     layout = DocumentLayout(height=8, width=8, channels=1, patch=4, vocab_size=vocab_size)
-    return data.SyntheticCorpusSpec(layout, **defaults)
+    settings = {"classes": 3, "samples_per_class": 20, "corpus_seed": 7, **settings}
+    return corpus_spec(layout, **settings)
 
 
 class TestSpec:
@@ -228,7 +229,7 @@ class TestContainer:
         path = tmp_path / "corpus.bin"
         data.write_corpus(path, spec, data.generate_corpus(spec))
         before = path.read_bytes()
-        other = tiny_spec(seed=8)
+        other = tiny_spec(corpus_seed=8)
         splits = data.generate_corpus(other)
         disk_full_beyond(len(before) // 2)
         with pytest.raises(OSError):

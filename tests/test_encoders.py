@@ -10,6 +10,8 @@ from crossdoc.autodiff import Tensor
 from crossdoc.config import RunConfig
 from crossdoc.errors import ConfigError, DataError
 
+from run_settings import corpus_spec
+
 
 FEATURE_DIM = 6
 
@@ -123,7 +125,7 @@ class TestTokenSequence:
         in eight rows leave CLS + 3 + SEP = 5 real positions."""
         cfg = small_cfg(height=4, width=28)
         assert cfg.rows == 8
-        spec = data.SyntheticCorpusSpec(cfg, classes=2, samples_per_class=10, seed=3)
+        spec = corpus_spec(cfg, classes=2, samples_per_class=10, corpus_seed=3)
         ids = data.generate_corpus(spec).train["ids"]
         params = enc.TextEncoderParams.create(np.random.default_rng(9), cfg, FEATURE_DIM)
         _, mask = enc.token_embed(params, cfg, ids)

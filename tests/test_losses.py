@@ -8,6 +8,7 @@ import pytest
 from crossdoc import autodiff as ad
 from crossdoc import losses
 from crossdoc.autodiff import Tensor
+from crossdoc.config import RunConfig
 from crossdoc.errors import ConfigError, ContractError, DataError
 from crossdoc.nn import l2_normalize
 
@@ -16,6 +17,7 @@ from oracles import (
     scalar_cross_entropy,
     scalar_cross_modal_loss,
 )
+from run_settings import embedding_batch
 
 
 def planar(degrees):
@@ -23,6 +25,8 @@ def planar(degrees):
     r = np.deg2rad(np.asarray(degrees, dtype=float))
     return np.stack([np.cos(r), np.sin(r)], axis=1)
 
+
+RUN = RunConfig()
 
 FIXTURE_ANGLES = [0.0, 10.0, 90.0, 100.0]
 FIXTURE_LABELS = np.array([0, 0, 1, 1])
@@ -46,7 +50,7 @@ def random_unit(rng, n, d):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def term(anchors, others, labels, temperature=0.1):
+def term(anchors, others, labels, temperature=RUN.temperature):
     """The contrastive term of ``anchors`` scored against ``others``."""
     weights = losses.positive_weights(np.asarray(labels))
     return losses.contrastive_term(Tensor(anchors), Tensor(others), weights, temperature)
@@ -56,7 +60,7 @@ def make_batch(rng, n=6, d=4, k=3, **kw):
     x = random_unit(rng, n, d)
     t = random_unit(rng, n, d)
     y = rng.integers(0, k, size=n)
-    return losses.EmbeddingBatch(Tensor(x), Tensor(t), y, **kw)
+    return embedding_batch(Tensor(x), Tensor(t), y, **kw)
 
 
 class TestIntraTerm:
@@ -108,24 +112,24 @@ class TestEmbeddingBatch:
         x = random_unit(rng, 4, 3)
         bad = x * 1.001
         with pytest.raises(ContractError):
-            losses.EmbeddingBatch(Tensor(bad), Tensor(x), [0, 0, 1, 1])
+            embedding_batch(Tensor(bad), Tensor(x), [0, 0, 1, 1])
 
     def test_rejects_tiny_batch(self):
         with pytest.raises(ContractError):
-            losses.EmbeddingBatch(Tensor(planar([0.0])), Tensor(planar([0.0])), [0])
+            embedding_batch(Tensor(planar([0.0])), Tensor(planar([0.0])), [0])
 
     def test_rejects_bad_hyperparameters(self):
         x = planar([0.0, 10.0])
         with pytest.raises(ConfigError):
-            losses.EmbeddingBatch(Tensor(x), Tensor(x), [0, 0], inter_weight=-0.1)
+            losses.EmbeddingBatch(Tensor(x), Tensor(x), [0, 0], RUN.temperature, -0.1)
         with pytest.raises(ConfigError):
-            losses.EmbeddingBatch(Tensor(x), Tensor(x), [0, 0], inter_weight=math.nan)
+            losses.EmbeddingBatch(Tensor(x), Tensor(x), [0, 0], RUN.temperature, math.nan)
 
 
 # The terms take the temperature as given; the batch, the only way into the
 # objective, checks it.
 TEMPERATURE_ENTRY_POINTS = {
-    "EmbeddingBatch": lambda x, t: losses.EmbeddingBatch(x, x, [0, 0], temperature=t),
+    "EmbeddingBatch": lambda x, t: losses.EmbeddingBatch(x, x, [0, 0], t, RUN.inter_weight),
 }
 
 
@@ -161,7 +165,7 @@ class TestCrossModalLoss:
 
     def test_default_fixture_matches_frozen_oracle_values(self):
         """tau=0.1, inter weight 0.5 on the planar fixture."""
-        batch = losses.EmbeddingBatch(
+        batch = embedding_batch(
             Tensor(planar(FIXTURE_ANGLES)),
             Tensor(planar([5.0, 15.0, 95.0, 105.0])),
             FIXTURE_LABELS,
@@ -185,7 +189,7 @@ class TestCrossModalLoss:
         rng = np.random.default_rng(4)
         batch = make_batch(rng, n=7)
         perm = rng.permutation(7)
-        permuted = losses.EmbeddingBatch(
+        permuted = embedding_batch(
             Tensor(batch.vision.data[perm]), Tensor(batch.text.data[perm]),
             batch.labels[perm])
         a = losses.cross_modal_contrastive_loss(batch).values()
@@ -201,7 +205,7 @@ class TestCrossModalLoss:
         y = rng.integers(0, 3, size=6)
         vals = []
         for c in (1.0, 3.0, 0.01):
-            batch = losses.EmbeddingBatch(
+            batch = embedding_batch(
                 l2_normalize(Tensor(raw_x * c)), l2_normalize(Tensor(raw_t * c)), y)
             vals.append(losses.cross_modal_contrastive_loss(batch).total.item())
         assert abs(vals[0] - vals[1]) <= 1e-9
@@ -217,8 +221,8 @@ class TestCrossModalLoss:
             t = random_unit(rng, n, 3)
             y = rng.integers(0, k, size=n)
             report = losses.cross_modal_contrastive_loss(
-                losses.EmbeddingBatch(Tensor(x), Tensor(t), y))
-            expected = scalar_cross_modal_loss(x, t, y, 0.1, 0.5)
+                embedding_batch(Tensor(x), Tensor(t), y))
+            expected = scalar_cross_modal_loss(x, t, y, RUN.temperature, RUN.inter_weight)
             got = report.values()
             for key in expected:
                 assert abs(got[key] - expected[key]) < 1e-10, key
@@ -230,7 +234,7 @@ class TestCrossModalLoss:
         y = rng.integers(0, 2, size=5)
 
         def f(raw_x):
-            batch = losses.EmbeddingBatch(
+            batch = embedding_batch(
                 l2_normalize(raw_x), l2_normalize(raw_t), y)
             return losses.cross_modal_contrastive_loss(batch).total
 
@@ -254,7 +258,7 @@ class TestSupervisedContrastiveBaseline:
         x = random_unit(rng, 6, 3)
         y = rng.integers(0, 2, size=6)
         got = term(x, x, y).item()
-        assert abs(got - scalar_contrastive_term(x, x, y, 0.1)) < 1e-10
+        assert abs(got - scalar_contrastive_term(x, x, y, RUN.temperature)) < 1e-10
 
     def test_gradient(self):
         rng = np.random.default_rng(12)
@@ -264,7 +268,7 @@ class TestSupervisedContrastiveBaseline:
 
         def f(t):
             e = l2_normalize(t)
-            return losses.contrastive_term(e, e, weights, 0.1)
+            return losses.contrastive_term(e, e, weights, RUN.temperature)
 
         assert ad.finite_diff_check(f, x) < 1e-4
 

@@ -37,7 +37,7 @@ class TestParameterTree:
         splits = generate_corpus(tiny_config().corpus_spec())
         for _, use_cross, use_gate, loss_mode in ABLATION_VARIANTS:
             cfg = tiny_config(use_cross=use_cross, use_gate=use_gate, loss_mode=loss_mode)
-            model = CrossModalModel.create(cfg, seed=0)
+            model = CrossModalModel.create(cfg)
             records = make_batch(splits.train, cfg.batch_size, np.random.default_rng(0))
             tape = backward(batch_loss(model, records, cfg).total)
             reached = {id(n) for n in tape.nodes if n.op == "leaf" and n.requires_grad}
@@ -49,9 +49,9 @@ class TestParameterTree:
     def test_variant_holds_only_its_live_stages(self, variant):
         name, use_cross, use_gate, loss_mode = variant
         cfg = replace(RunConfig(), use_cross=use_cross, use_gate=use_gate, loss_mode=loss_mode)
-        params = CrossModalModel.create(cfg, seed=0).parameters()
+        params = CrossModalModel.create(cfg).parameters()
         live = {"cross": use_cross, "gate_vision": use_gate, "gate_text": use_gate}
-        every = CrossModalModel.create(RunConfig(), seed=0).parameters()
+        every = CrossModalModel.create(RunConfig()).parameters()
         # stack.blocks.{i}.{stage}.... names belong to one stage of one block
         expected = {n for n in every if not n.startswith("stack.blocks.") or live[n.split(".")[3]]}
         assert set(params) == expected
@@ -61,8 +61,8 @@ class TestParameterTree:
     def test_frozen_model_embeds_without_a_graph(self):
         cfg = tiny_config()
         images, ids, _ = collate(generate_corpus(cfg.corpus_spec()).train[:4])
-        trainable = CrossModalModel.create(cfg, seed=0)
-        frozen = CrossModalModel.create(cfg, seed=0)
+        trainable = CrossModalModel.create(cfg)
+        frozen = CrossModalModel.create(cfg)
         for p in frozen.parameters().values():
             p.requires_grad = False
         for live, fixed in zip(trainable.embed(images, ids), frozen.embed(images, ids)):
@@ -70,7 +70,7 @@ class TestParameterTree:
             np.testing.assert_array_equal(live.data, fixed.data)
 
     def test_names_follow_the_dataclass_tree(self):
-        names = list(CrossModalModel.create(tiny_config(), seed=0).parameters())
+        names = list(CrossModalModel.create(tiny_config()).parameters())
         assert names[:5] == [
             "vision_encoder.proj.weight", "vision_encoder.proj.bias",
             "vision_encoder.cls_row", "vision_encoder.positions",
@@ -89,7 +89,7 @@ class TestDtype:
         """Every graph node of ``batch_loss``, every parameter and every
         parameter gradient has the model's dtype: nothing widens a float32
         step, and nothing in a desk step is float32."""
-        model = CrossModalModel.create(cfg, seed=0)
+        model = CrossModalModel.create(cfg)
         records = make_batch(generate_corpus(cfg.corpus_spec()).train, cfg.batch_size,
                              np.random.default_rng(0))
         loss = batch_loss(model, records, cfg).total
@@ -101,8 +101,8 @@ class TestDtype:
         assert {str(p.grad.dtype) for p in params} == {cfg.dtype}
 
     def test_float32_model_is_the_float64_model_rounded(self):
-        reference = CrossModalModel.create(tiny_config(), seed=3).parameters()
-        rounded = CrossModalModel.create(tiny_config(dtype="float32"), seed=3).parameters()
+        reference = CrossModalModel.create(tiny_config(seed=3)).parameters()
+        rounded = CrossModalModel.create(tiny_config(dtype="float32", seed=3)).parameters()
         assert list(rounded) == list(reference)
         for name, p in rounded.items():
             assert p.data.dtype == np.float32
@@ -111,11 +111,11 @@ class TestDtype:
 
 class TestLoadArrays:
     def arrays(self, seed):
-        model = CrossModalModel.create(tiny_config(), seed=seed)
+        model = CrossModalModel.create(tiny_config(seed=seed))
         return {name: p.data.copy() for name, p in model.parameters().items()}
 
     def test_round_trip(self):
-        model = CrossModalModel.create(tiny_config(), seed=0)
+        model = CrossModalModel.create(tiny_config())
         arrays = self.arrays(seed=1)
         model.load_arrays(arrays)
         for name, p in model.parameters().items():
@@ -127,7 +127,7 @@ class TestLoadArrays:
         ("shape", r"stack.head_text.fc2.bias has shape \(1,\)"),
     ])
     def test_mismatch_rejected_before_any_write(self, edit, message):
-        model = CrossModalModel.create(tiny_config(), seed=0)
+        model = CrossModalModel.create(tiny_config())
         before = {name: p.data.copy() for name, p in model.parameters().items()}
         arrays = self.arrays(seed=1)
         if edit == "drop":

@@ -5,10 +5,12 @@ import pytest
 
 from crossdoc import autodiff as ad
 from crossdoc.autodiff import Tensor
+from crossdoc.config import RunConfig
 from crossdoc.errors import ConfigError, ContractError, NumericError, ShapeError
 from crossdoc.optim import _CHUNK, AdamW, Schedule, lr_at
 
 from oracles import reference_adamw_step
+from run_settings import adamw
 
 
 def wide_range_grad(rng, shape):
@@ -31,7 +33,7 @@ class TestSchedule:
         assert lr_at(s, 110) == pytest.approx(0.5)
 
     def test_out_of_range_step(self):
-        s = Schedule(total_steps=10, base_lr=1.0)
+        s = Schedule(total_steps=10, base_lr=1.0, warmup_frac=0.1)
         with pytest.raises(ContractError):
             lr_at(s, 11)
         with pytest.raises(ContractError):
@@ -39,18 +41,18 @@ class TestSchedule:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            Schedule(total_steps=0, base_lr=1.0)
+            Schedule(total_steps=0, base_lr=1.0, warmup_frac=0.1)
         with pytest.raises(ConfigError):
             Schedule(total_steps=10, base_lr=1.0, warmup_frac=1.0)
         with pytest.raises(ConfigError):
-            Schedule(total_steps=10, base_lr=0.0)
+            Schedule(total_steps=10, base_lr=0.0, warmup_frac=0.1)
 
 
 class TestAdamW:
     def test_zero_grad_zero_decay_leaves_params(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
         w.grad = np.zeros(2)
-        opt = AdamW({"w": w}, weight_decay=0.0)
+        opt = adamw({"w": w}, weight_decay=0.0)
         opt.step(0.1)
         np.testing.assert_array_equal(w.data, [1.0, 2.0])
 
@@ -60,7 +62,7 @@ class TestAdamW:
         w = Tensor([1.0], requires_grad=True)
         loss = ad.scale(ad.tensor_sum(ad.mul(w, w)), 0.5)
         ad.backward(loss)
-        opt = AdamW({"w": w}, weight_decay=0.0)
+        opt = adamw({"w": w}, weight_decay=0.0)
         opt.step(0.1)
         assert abs(w.data[0] - 0.9) < 1e-6
 
@@ -68,14 +70,14 @@ class TestAdamW:
         """With zero gradients, decoupled decay gives w <- w * (1 - lr * d)."""
         w = Tensor([2.0, -4.0], requires_grad=True)
         w.grad = np.zeros(2)
-        opt = AdamW({"w": w}, weight_decay=0.5)
+        opt = adamw({"w": w}, weight_decay=0.5)
         opt.step(0.1)
         np.testing.assert_allclose(w.data, [2.0 * 0.95, -4.0 * 0.95], atol=1e-15)
 
     def test_non_finite_grad_names_parameter(self):
         w = Tensor([1.0], requires_grad=True)
         w.grad = np.array([np.nan])
-        opt = AdamW({"encoder.table": w})
+        opt = adamw({"encoder.table": w})
         with pytest.raises(NumericError, match="encoder.table"):
             opt.step(0.1)
 
@@ -83,7 +85,7 @@ class TestAdamW:
         def run():
             rng = np.random.default_rng(0)
             w = Tensor(rng.normal(size=4), requires_grad=True)
-            opt = AdamW({"w": w})
+            opt = adamw({"w": w})
             history = []
             for step in range(20):
                 loss = ad.scale(ad.tensor_sum(ad.mul(w, w)), 0.5)
@@ -102,7 +104,7 @@ class TestAdamW:
         w = Tensor(rng.normal(size=8), requires_grad=True)
         target = rng.normal(size=8)
         schedule = Schedule(total_steps=200, base_lr=0.05, warmup_frac=0.1)
-        opt = AdamW({"w": w}, weight_decay=0.0)
+        opt = adamw({"w": w}, weight_decay=0.0)
         losses = []
         for step in range(schedule.total_steps):
             diff = ad.sub(w, Tensor(target))
@@ -124,12 +126,12 @@ class TestAdamW:
         shapes = {"big": (5, _CHUNK // 2), "small": (3, 7)}
         params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
         ref = {k: [p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)] for k, p in params.items()}
-        opt = AdamW(params, weight_decay=weight_decay)
+        opt = adamw(params, weight_decay=weight_decay)
         for t in range(1, 21):
             lr = 1e-3 * t
             for name, p in params.items():
                 p.grad = wide_range_grad(rng, p.shape)
-                reference_adamw_step(*ref[name], p.grad, lr, t, weight_decay=weight_decay)
+                reference_adamw_step(*ref[name], p.grad, lr, t, RunConfig(weight_decay=weight_decay))
             opt.step(lr)
         for name, p in params.items():
             ref_p, ref_m, ref_v = ref[name]
@@ -148,7 +150,7 @@ class TestAdamW:
         params = {k: Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
                   for k, s in shapes.items()}
         moments = {k: [np.zeros(p.shape), np.zeros(p.shape)] for k, p in params.items()}
-        opt = AdamW(params, weight_decay=weight_decay)
+        opt = adamw(params, weight_decay=weight_decay)
         assert opt._p.dtype == np.float32 and opt._m.dtype == opt._v.dtype == np.float64
         for t in range(1, 6):
             lr = 1e-3 * t
@@ -157,7 +159,7 @@ class TestAdamW:
                 p.grad = wide_range_grad(rng, p.shape).astype(np.float32)
                 expected[name] = p.data.astype(np.float64)
                 reference_adamw_step(expected[name], *moments[name], p.grad.astype(np.float64),
-                                     lr, t, weight_decay=weight_decay)
+                                     lr, t, RunConfig(weight_decay=weight_decay))
             opt.step(lr)
             for name, p in params.items():
                 assert p.data.dtype == np.float32
@@ -168,13 +170,13 @@ class TestAdamW:
     def test_mixed_parameter_dtypes_rejected(self):
         params = {"a": Tensor(np.zeros(3, np.float32)), "b": Tensor(np.zeros(3))}
         with pytest.raises(ContractError, match=r"mix dtypes \['float32', 'float64'\]"):
-            AdamW(params)
+            adamw(params)
 
     def test_non_finite_in_last_chunk_leaves_state_unchanged(self):
         name = "stack.block1.ff.weight"
         rng = np.random.default_rng(15)
         w = Tensor(rng.normal(size=(5, _CHUNK // 2)), requires_grad=True)
-        opt = AdamW({name: w})
+        opt = adamw({name: w})
         w.grad = wide_range_grad(rng, w.shape)
         opt.step(1e-3)
         before = [w.data.copy(), opt.m[name].copy(), opt.v[name].copy()]
@@ -190,12 +192,12 @@ class TestAdamW:
         matches the oracle."""
         x = np.arange(12.0).reshape(3, 4).T
         w = Tensor(x, requires_grad=True)
-        opt = AdamW({"w": w})
+        opt = adamw({"w": w})
         assert w.data.flags.c_contiguous
         np.testing.assert_array_equal(w.data, x)
         ref = [x.copy(), np.zeros(x.shape), np.zeros(x.shape)]
         w.grad = np.ones(x.shape)
-        reference_adamw_step(*ref, w.grad, 1e-3, 1)
+        reference_adamw_step(*ref, w.grad, 1e-3, 1, RunConfig())
         opt.step(1e-3)
         np.testing.assert_array_equal(w.data, ref[0])
 
@@ -203,7 +205,7 @@ class TestAdamW:
         """Data swapped for another array after construction is not the
         optimizer's view; the step raises instead of updating the wrong array."""
         w = Tensor(np.zeros((4, _CHUNK)), requires_grad=True)
-        opt = AdamW({"w": w})
+        opt = adamw({"w": w})
         w.data = np.ones((4, _CHUNK))
         w.grad = np.ones(w.shape)
         with pytest.raises(ContractError, match="'w'"):
@@ -218,7 +220,7 @@ class TestAdamW:
         rng = np.random.default_rng(16)
         shapes = {"a": (3, 5), "big": (3, _CHUNK // 2), "c": (7,)}
         params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
-        opt = AdamW(params)
+        opt = adamw(params)
         for p in params.values():
             p.grad = wide_range_grad(rng, p.shape)
         opt.step(1e-3)
@@ -237,7 +239,7 @@ class TestAdamW:
         is reported under its name and nothing at all is written."""
         rng = np.random.default_rng(17)
         params = {f"p{i}": Tensor(rng.normal(size=(3, 4)), requires_grad=True) for i in range(3)}
-        opt = AdamW(params)
+        opt = adamw(params)
         for p in params.values():
             p.grad = wide_range_grad(rng, p.shape)
         opt.step(1e-3)
@@ -268,15 +270,15 @@ class TestAdamW:
         rng = np.random.default_rng(18)
         init = {k: rng.normal(size=s) for k, s in shapes.items()}
         straight = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
-        opt = AdamW(straight)
+        opt = adamw(straight)
         run(straight, opt, range(1, 7))
 
         first = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
-        opt_first = AdamW(first)
+        opt_first = adamw(first)
         run(first, opt_first, range(1, 4))
         saved = {k: v.copy() for k, v in opt_first.state_arrays().items()}
         resumed = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in first.items()}
-        opt_resumed = AdamW(resumed)
+        opt_resumed = adamw(resumed)
         opt_resumed.load_state(opt_first.step_count, saved)
         run(resumed, opt_resumed, range(4, 7))
 
@@ -287,13 +289,13 @@ class TestAdamW:
 
     def test_state_round_trip(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
-        opt = AdamW({"w": w})
+        opt = adamw({"w": w})
         w.grad = np.array([0.1, -0.2])
         opt.step(0.01)
         arrays = {k: v.copy() for k, v in opt.state_arrays().items()}
 
         w2 = Tensor([1.0, 2.0], requires_grad=True)
-        opt2 = AdamW({"w": w2})
+        opt2 = adamw({"w": w2})
         opt2.load_state(opt.step_count, arrays)
         assert opt2.step_count == 1
         np.testing.assert_array_equal(opt2.m["w"], opt.m["w"])
@@ -301,7 +303,7 @@ class TestAdamW:
 
     def test_load_state_of_another_shape_writes_nothing(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
-        opt = AdamW({"w": w})
+        opt = adamw({"w": w})
         with pytest.raises(ShapeError, match="m.w"):
             opt.load_state(3, {"m.w": np.ones(3), "v.w": np.ones(2)})
         assert opt.step_count == 0
@@ -310,8 +312,8 @@ class TestAdamW:
     def test_hyperparameter_validation(self):
         w = Tensor([1.0], requires_grad=True)
         with pytest.raises(ConfigError):
-            AdamW({"w": w}, betas=(1.0, 0.999))
+            AdamW({"w": w}, (1.0, 0.999), 1e-8, 0.01)
         with pytest.raises(ConfigError):
-            AdamW({"w": w}, eps=0.0)
+            AdamW({"w": w}, (0.9, 0.999), 0.0, 0.01)
         with pytest.raises(ConfigError):
-            AdamW({"w": w}, weight_decay=-1.0)
+            AdamW({"w": w}, (0.9, 0.999), 1e-8, -1.0)

@@ -67,7 +67,7 @@ def test_desk_step_graph_census():
     ops updates these counts on purpose."""
     cfg = RunConfig(seed=1)
     _, splits = load_corpus(cfg, cfg.layout())
-    model = CrossModalModel.create(cfg, cfg.seed)
+    model = CrossModalModel.create(cfg)
     records = make_batch(splits.train, cfg.batch_size, np.random.default_rng(0))
     ops = Counter(node.op for node in ad._topo_order(batch_loss(model, records, cfg).total))
     assert (sum(ops.values()), ops["leaf"]) == (298, 150)
