@@ -2,77 +2,91 @@
 
 Layout (little-endian):
 
-    magic "XCKP" | u16 version=3 | u64 step
+    magic "XCKP" | u16 version=4 | u64 step
     | u32 config-text length | utf-8 config text
     | named-array section (parameters)
     | u8 has-optimizer=1 | u64 optimizer step | named-array section (moments)
     named-array section: u32 count, then per array:
-        u16 name length | utf-8 name | u8 ndim | u32 dims... | f64 raw values
+        u16 name length | utf-8 name | u8 dtype code | u8 ndim | u32 dims...
+        | raw values
+    dtype code: the item size of the stored values, 8 for f8 and 4 for f4
+
+Every array is stored in its own dtype, which is the run's ``dtype``
+(float64 or float32) for the parameters and the AdamW moments alike, so a
+save/load round trip is bit-exact.  Loading parses the config echo first
+(an echo ``config.parse_config`` or ``RunConfig.layout`` refuses is a
+``DataError`` naming the file), then refuses, as a ``FormatError``, an
+unknown dtype code (naming its byte offset), an array whose dtype is not
+the echo's (naming the array) and a non-finite value (naming its byte
+offset).
 
 Every checkpoint carries the AdamW moments: ``save_checkpoint`` takes the
 optimizer, and a has-optimizer byte other than 1 is refused on load, naming
-its byte offset.  Values are stored as raw float64, so a save/load round
-trip is bit-exact; a non-finite value is refused on load.  A float32 model's
-parameters widen exactly on save and narrow back exactly when loaded into a
-float32 model (``CrossModalModel.load_arrays``); the moments are float64 in
-either dtype.
+its byte offset.  ``load_checkpoint`` reads the whole file, or with
+``moments=False`` stops before the moment arrays, for a reader that needs
+no moments (``train.probe``).
 
-``save_checkpoint`` streams: each float64 parameter and moment goes to the
-file straight from its buffer (AdamW's flat buffers, whose per-name views are
-C-contiguous), so a save allocates no copy of the values; a float32
-parameter is widened one array at a time.  It writes
+``save_checkpoint`` streams: each parameter and moment goes to the file
+straight from its buffer (AdamW's flat buffers, whose per-name views are
+C-contiguous), so a save allocates no copy of the values.  It writes
 ``<path>.tmp`` and renames it over ``path`` only when complete; a save that
 raises or is killed leaves the previous checkpoint whole and no ``.tmp``
 behind.  It does not ``fsync``: surviving power loss is out of scope, and a
 sync would hold training until the disk has taken the whole file (see
-``container``).  ``load_checkpoint`` allocates each array once and fills it
-with ``readinto``, so a load peaks at about one file's worth of memory.
+``container``).  A load allocates each array once and fills it with
+``readinto``, so it peaks at about the size of what it reads.
 
-Version 3 names the transformer sub-layers ``stack.blocks.{i}.cross.into_vision``,
-``...cross.into_text`` and ``...gate_{vision,text}.layer`` (each with ``attn``,
-``norm_attn``, ``ff``, ``norm_ff``) and the head MLPs ``stack.head_*.fc1/fc2``;
-versions 1 and 2 used other names and are refused.  An ablation variant's
-checkpoint names only the stages it runs (no ``cross`` arrays without
-cross-attention, no ``gate_*`` arrays without the gate), and loading requires
-exactly the model's names, so a file that still holds a disabled stage's
-arrays is refused.
+Version 4 added the dtype code; version 3 stored every array as float64 and
+is refused, as are versions 1 and 2, which named the parameters otherwise.
+The names are ``stack.blocks.{i}.cross.into_vision``, ``...cross.into_text``
+and ``...gate_{vision,text}.layer`` (each with ``attn``, ``norm_attn``,
+``ff``, ``norm_ff``) and the head MLPs ``stack.head_*.fc1/fc2``.  An
+ablation variant's checkpoint names only the stages it runs (no ``cross``
+arrays without cross-attention, no ``gate_*`` arrays without the gate), and
+loading into a model requires exactly the model's names, so a file that
+still holds a disabled stage's arrays is refused.
 
-The config echo is read back with ``config.parse_config``, so an echo naming
-a key ``RunConfig`` no longer has is refused: checkpoints written while the
-own-pair switch existed echo ``include_own_pair = false``, and ``probe``
-rejects them as an invalid echo (exit 2) naming that key.
+The config echo must name only keys ``RunConfig`` has: checkpoints written
+while the own-pair switch existed echo ``include_own_pair = false`` and are
+refused as an invalid echo naming that key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .autodiff import Tensor
+from .config import RunConfig, parse_config
 from .container import Reader, Writer, open_container, write_container
-from .errors import FormatError
+from .errors import ConfigError, DataError, FormatError
 from .optim import AdamW
 
 MAGIC = b"XCKP"
-VERSION = 3
+VERSION = 4
+# An array's dtype code is its item size.
+DTYPE_BY_CODE = {8: np.dtype("<f8"), 4: np.dtype("<f4")}
 
 
 @dataclass
 class CheckpointData:
     step: int
     config_text: str
+    config: RunConfig  # the config echo, parsed
     params: dict[str, np.ndarray]
     optimizer_step: int
-    optimizer_arrays: dict[str, np.ndarray]
+    optimizer_arrays: Optional[dict[str, np.ndarray]]
 
 
 def _write_arrays(writer: Writer, arrays: dict[str, np.ndarray]) -> None:
     writer.pack("<I", len(arrays))
     for name, arr in arrays.items():
+        code = arr.dtype.itemsize
         writer.text("<H", name)
-        writer.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
-        writer.array(arr, "<f8")
+        writer.pack(f"<BB{arr.ndim}I", code, arr.ndim, *arr.shape)
+        writer.array(arr, DTYPE_BY_CODE[code])
 
 
 def save_checkpoint(
@@ -90,40 +104,56 @@ def save_checkpoint(
         _write_arrays(writer, optimizer.state_arrays())
 
 
-def _read_arrays(reader: Reader) -> dict[str, np.ndarray]:
+def _read_arrays(reader: Reader, dtype: str) -> dict[str, np.ndarray]:
+    """One named-array section, every array of which must be ``dtype``."""
     (count,) = reader.unpack("<I")
     arrays = {}
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
         name = reader.text(name_len)
-        (ndim,) = reader.unpack("<B")
+        code_offset = reader.offset
+        code, ndim = reader.unpack("<BB")
+        if code not in DTYPE_BY_CODE:
+            raise FormatError(
+                f"checkpoint array {name!r} has unknown dtype code {code} at byte {code_offset}")
+        stored = DTYPE_BY_CODE[code]
+        if stored != dtype:
+            raise FormatError(
+                f"checkpoint array {name!r} is {stored.name}, but the config echo says {dtype}")
         shape = reader.unpack(f"<{ndim}I")
         start = reader.offset
-        arr = reader.array(shape, "<f8")
+        arr = reader.array(shape, stored)
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
             raise FormatError(
-                f"checkpoint array {name!r} has a non-finite value at byte {start + 8 * int(bad[0])}"
+                f"checkpoint array {name!r} has a non-finite value at byte {start + arr.itemsize * int(bad[0])}"
             )
         arrays[name] = arr
     return arrays
 
 
-def load_checkpoint(path) -> CheckpointData:
+def load_checkpoint(path, moments: bool = True) -> CheckpointData:
+    """Read a whole checkpoint, or with ``moments=False`` stop after the
+    optimizer step: the moments are then neither read nor checked, and
+    ``optimizer_arrays`` is ``None``."""
     with open_container(path, MAGIC, VERSION, "checkpoint") as reader:
         (step,) = reader.unpack("<Q")
         (cfg_len,) = reader.unpack("<I")
         config_text = reader.text(cfg_len)
-        params = _read_arrays(reader)
+        try:
+            config = parse_config(config_text)
+            config.layout()  # checks that the patch size divides the image
+        except ConfigError as e:
+            raise DataError(f"checkpoint {path} has an invalid config echo: {e}") from e
+        params = _read_arrays(reader, config.dtype)
         has_opt_offset = reader.offset
         (has_opt,) = reader.unpack("<B")
         if has_opt != 1:
             raise FormatError(
                 f"checkpoint has-optimizer flag {has_opt} at byte {has_opt_offset}, expected 1")
         (opt_step,) = reader.unpack("<Q")
-        opt_arrays = _read_arrays(reader)
+        if not moments:
+            return CheckpointData(step, config_text, config, params, opt_step, None)
+        opt_arrays = _read_arrays(reader, config.dtype)
         reader.finish()
-    return CheckpointData(
-        step=step, config_text=config_text, params=params,
-        optimizer_step=opt_step, optimizer_arrays=opt_arrays,
-    )
+    return CheckpointData(step, config_text, config, params, opt_step, opt_arrays)

@@ -9,7 +9,7 @@ the data; once the body is complete the temporary replaces ``path``
 keeps its previous contents, so a process that dies mid-write never leaves a
 torn file.  There is no ``fsync``: the rename already makes a process crash
 atomic, surviving power loss is out of scope, and a sync would hold training
-until the disk has taken the whole file (782 MB at paper width).
+until the disk has taken the whole file (391 MB at paper width).
 
 Reading streams from the open file: ``Reader.array`` allocates each array and
 fills it with ``readinto``, so a load holds its arrays once and never a

@@ -37,6 +37,20 @@ class _RoundedDraws:
         return self.rng.normal(*args, **kwargs).astype(self.dtype, copy=False)
 
 
+class _NoDraws:
+    """A draw source that draws nothing: ``uniform`` and ``normal`` return
+    unwritten ``dtype`` arrays of the requested size, which cost no memory
+    until written, for a model whose values are loaded next."""
+
+    def __init__(self, dtype: str):
+        self.dtype = dtype
+
+    def uniform(self, *args, size) -> np.ndarray:
+        return np.empty(size, self.dtype)
+
+    normal = uniform
+
+
 @dataclass
 class CrossModalModel:
     layout: DocumentLayout
@@ -45,12 +59,16 @@ class CrossModalModel:
     stack: CrossModalStack
 
     @classmethod
-    def create(cls, cfg: RunConfig) -> "CrossModalModel":
+    def create(cls, cfg: RunConfig, draw: bool = True) -> "CrossModalModel":
         """Build a freshly initialized model in ``cfg.dtype``; ``cfg.seed``
         fixes every parameter.  The draws are float64 whatever the dtype, and
         each parameter is rounded once, so a float32 model is the float64
-        model rounded."""
-        rng = _RoundedDraws(np.random.default_rng(cfg.seed), cfg.dtype)
+        model rounded.  With ``draw=False`` the drawn parameters are left
+        unwritten, for a caller that loads them next (``load_arrays``)."""
+        if draw:
+            rng = _RoundedDraws(np.random.default_rng(cfg.seed), cfg.dtype)
+        else:
+            rng = _NoDraws(cfg.dtype)
         layout = cfg.layout()
         model = cls(
             layout=layout,
@@ -76,10 +94,9 @@ class CrossModalModel:
         return self.stack.forward(vision, text, text_mask=mask)
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Overwrite every parameter in place from checkpointed arrays, in
-        the parameter's dtype (a float32 model's saved values narrow back
-        exactly); the names and shapes must be exactly the model's, or
-        nothing is written."""
+        """Overwrite every parameter in place from checkpointed arrays,
+        converted to the parameter's dtype; the names and shapes must be
+        exactly the model's, or nothing is written."""
         params = self.parameters()
         missing = sorted(params.keys() - arrays.keys())
         unknown = sorted(arrays.keys() - params.keys())

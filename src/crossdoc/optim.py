@@ -12,7 +12,8 @@ from .autodiff import Tensor
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 
 # Elements per window of the in-place AdamW update.  One window of p, m, v and g
-# plus the two scratch buffers is 6 x 128 KB, which stays in a core's L2 cache.
+# plus the two scratch buffers is 6 x 128 KB in float64 (half that in
+# float32), which stays in a core's L2 cache.
 _CHUNK = 1 << 14
 
 
@@ -72,7 +73,7 @@ def _plan_windows(spans: list[tuple[int, int]]) -> list[tuple]:
 
 def _gather(grads: list[np.ndarray], parts: list[tuple], out: np.ndarray) -> np.ndarray:
     """One window's gradient: its only part as it is, or every part copied
-    (and widened) into the float64 ``out``."""
+    into ``out``, which has the parameters' dtype."""
     if len(parts) == 1:
         i, a, b = parts[0]
         return grads[i][a:b]
@@ -85,10 +86,12 @@ class AdamW:
     The constructor packs every parameter into one flat buffer of the
     parameters' dtype (float64 or float32; a mix is a ``ContractError``) and
     rebinds each ``p.data`` to its view of it; the moments are one flat
-    float64 buffer each, and ``m[name]``/``v[name]`` are views of them.
-    Every parameter needs a gradient at every step: a missing one is a
-    ``ContractError`` and a non-finite one a ``NumericError``, each naming
-    the parameter and raised before anything is written.
+    buffer each of the same dtype, and ``m[name]``/``v[name]`` are views of
+    them.
+    Every parameter needs a gradient of its dtype at every step: a missing
+    one or one of another dtype is a ``ContractError`` and a non-finite one
+    a ``NumericError``, each naming the parameter and raised before anything
+    is written.
     """
 
     def __init__(
@@ -118,8 +121,9 @@ class AdamW:
         total = int(bounds[-1])
         # The moments are written here rather than left to calloc's lazy zero
         # pages, so the first step does not pay their page faults.
-        self._p = np.empty(total, dtypes[0] if dtypes else np.float64)
-        self._m, self._v = np.full(total, 0.0), np.full(total, 0.0)
+        dtype = dtypes[0] if dtypes else np.float64
+        self._p = np.empty(total, dtype)
+        self._m, self._v = np.full(total, 0.0, dtype), np.full(total, 0.0, dtype)
         self._views, self.m, self.v = {}, {}, {}
         for (name, p), (lo, hi) in zip(self.params.items(), spans):
             shape = p.data.shape
@@ -129,20 +133,20 @@ class AdamW:
             self.m[name] = self._m[lo:hi].reshape(shape)
             self.v[name] = self._v[lo:hi].reshape(shape)
         n = min(total, _CHUNK)
-        self._scratch = (np.empty(n), np.empty(n), np.empty(n))
+        self._scratch = (np.empty(n, dtype), np.empty(n, dtype), np.empty(n, dtype))
 
     def step(self, lr: float) -> None:
         """One update of every parameter.
 
         The update is written in place over the flat buffers, window by
-        window (see ``_plan_windows``), with three float64 scratch buffers.
-        Per element it performs the IEEE float64 operations of the
-        whole-array formula, in its order: ``m = b1*m + (1-b1)*g``,
+        window (see ``_plan_windows``), with three scratch buffers.  Every
+        operation is in the parameters' dtype, with each scalar rounded to
+        it.  Per element it performs the IEEE operations of the whole-array
+        formula, in its order: ``m = b1*m + (1-b1)*g``,
         ``v = b2*v + ((1-b2)*g)*g`` and ``p = p*decay - lr*(m/bias1) /
-        (sqrt(v/bias2) + eps)``, so float64 results are bit-identical to it;
-        at zero weight decay ``p*decay`` is ``p`` exactly.
-        A float32 gradient is widened exactly, and the new float32 parameter
-        is that float64 value rounded once.
+        (sqrt(v/bias2) + eps)``, so the results are bit-identical to it
+        evaluated in that dtype; at zero weight decay ``p*decay`` is ``p``
+        exactly.  A gradient of another dtype is a ``ContractError``.
         """
         grads = []
         for name, p in self.params.items():
@@ -150,6 +154,8 @@ class AdamW:
                 raise ContractError(f"parameter {name!r} no longer holds the optimizer's buffer")
             if p.grad is None:
                 raise ContractError(f"parameter {name!r} has no gradient")
+            if p.grad.dtype != self._p.dtype:
+                raise ContractError(f"parameter {name!r} has a {p.grad.dtype} gradient, not {self._p.dtype}")
             grads.append(p.grad.reshape(-1))
         buf_a, buf_b, buf_g = self._scratch
         # Every gradient is checked before anything is written.
@@ -162,16 +168,11 @@ class AdamW:
         t = self.step_count
         bias1 = 1.0 - b1 ** t
         bias2 = 1.0 - b2 ** t
-        # A float64 scalar: with a Python float, numpy would multiply a
-        # float32 parameter in float32.
-        decay = np.float64(1.0 - lr * self.weight_decay)
+        decay = 1.0 - lr * self.weight_decay
         for lo, hi, parts in self._windows:
             n = hi - lo
             pc, mc, vc, a, b = self._p[lo:hi], self._m[lo:hi], self._v[lo:hi], buf_a[:n], buf_b[:n]
             gc = _gather(grads, parts, buf_g[:n])
-            if gc.dtype != buf_g.dtype:  # widened once, not in each product below
-                buf_g[:n] = gc
-                gc = buf_g[:n]
             mc *= b1
             np.multiply(gc, 1.0 - b1, out=a)
             mc += a

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward, finite_diff_check
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, format_config, parse_config
+from .config import RunConfig, format_config
 from .cross_modal import (
     CrossAttentionBlockParams,
     GatedSelfAttentionParams,
@@ -36,7 +36,7 @@ from .data import (
     read_corpus,
 )
 from .encoders import DocumentLayout, token_embed
-from .errors import ConfigError, DataError, NumericError
+from .errors import DataError, NumericError
 from .losses import (
     EmbeddingBatch,
     contrastive_term,
@@ -226,16 +226,13 @@ def probe(cfg: RunConfig, ckpt_path, splits: Optional[CorpusSplits] = None) -> P
     ``splits``, or on the configured corpus.
 
     The encoder is rebuilt, in its dtype, from the checkpoint's config echo
-    and its parameters are never updated; only the fresh linear classifiers
-    train.
+    and parameters (its AdamW moments are not read), and its parameters are
+    never updated; only the fresh linear classifiers train.
     """
-    ckpt = load_checkpoint(ckpt_path)
-    try:
-        ckpt_cfg = parse_config(ckpt.config_text)
-        model = CrossModalModel.create(ckpt_cfg)
-    except ConfigError as e:
-        raise DataError(f"checkpoint {ckpt_path} has an invalid config echo: {e}") from e
+    ckpt = load_checkpoint(ckpt_path, moments=False)
+    model = CrossModalModel.create(ckpt.config, draw=False)
     model.load_arrays(ckpt.params)
+    del ckpt  # the model holds its own copy of the parameters
     for param in model.parameters().values():
         param.requires_grad = False  # frozen: embedding records no graph
 

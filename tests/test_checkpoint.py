@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from crossdoc import cli, train
+from crossdoc import model as model_module
 from crossdoc.autodiff import Tensor
 from crossdoc.checkpoint import load_checkpoint, save_checkpoint
 from crossdoc.config import RunConfig, format_config, parse_config
@@ -38,21 +39,26 @@ def saved(tmp_path):
     return path, config_text, params, opt
 
 
-def first_payload_offset(config_text, params):
-    """Where the first parameter's values start: past the config text, the
-    u32 array count, the u16 name length, the name, the u8 ndim and the u32
-    dims."""
+def first_code_offset(config_text, params):
+    """Where the first parameter's dtype code sits: past the config text,
+    the u32 array count, the u16 name length and the name."""
     name = next(iter(params))
-    return (CONFIG_TEXT_OFFSET + len(config_text.encode()) + 4 + 2 + len(name.encode())
-            + 1 + 4 * params[name].ndim)
+    return CONFIG_TEXT_OFFSET + len(config_text.encode()) + 4 + 2 + len(name.encode())
+
+
+def first_payload_offset(config_text, params):
+    """Where the first parameter's values start: past its dtype code, its
+    u8 ndim and its u32 dims."""
+    first = next(iter(params.values()))
+    return first_code_offset(config_text, params) + 1 + 1 + 4 * first.ndim
 
 
 def parameter_section_end(config_text, params):
     """Where the has-optimizer byte sits: past the config text, the u32 array
-    count and each parameter's name, dims and values."""
+    count and each parameter's name, dtype code, dims and values."""
     end = CONFIG_TEXT_OFFSET + len(config_text.encode()) + 4
     for name, p in params.items():
-        end += 2 + len(name.encode()) + 1 + 4 * p.ndim + 8 * p.size
+        end += 2 + len(name.encode()) + 1 + 1 + 4 * p.ndim + p.data.itemsize * p.size
     return end
 
 
@@ -73,10 +79,10 @@ def test_round_trip_is_bit_exact(saved):
         np.testing.assert_array_equal(ckpt.optimizer_arrays[name], a)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_old_version_refused(saved, capsys, version):
-    """Versions 1 and 2 name parameters differently; they are refused, not
-    read into the wrong fields."""
+    """Versions 1 and 2 name parameters differently and version 3 has no
+    dtype codes; they are refused, not read into the wrong fields."""
     path = saved[0]
     overwrite(path, 4, version.to_bytes(2, "little"))
     with pytest.raises(FormatError, match=f"version {version}"):
@@ -161,6 +167,36 @@ def test_non_finite_value_in_probe_is_a_format_error(saved, capsys):
     assert f"array {name!r} has a non-finite value at byte {offset}" in capsys.readouterr().err
 
 
+def test_unknown_dtype_code_refused_naming_its_offset(saved, capsys):
+    path, config_text, params = saved[:3]
+    offset = first_code_offset(config_text, params)
+    overwrite(path, offset, bytes([2]))
+    message = f"array {next(iter(params))!r} has unknown dtype code 2 at byte {offset}"
+    with pytest.raises(FormatError, match=message):
+        load_checkpoint(path)
+    assert cli.main(["probe", "--ckpt", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", ["array_code", "echo"])
+def test_array_dtype_other_than_the_echo_refused(saved, capsys, edit):
+    """A float64 file whose first array claims float32, and one whose echo
+    claims float32: each names the first array that disagrees."""
+    path, config_text, params = saved[:3]
+    name = next(iter(params))
+    if edit == "array_code":
+        overwrite(path, first_code_offset(config_text, params), bytes([4]))
+        message = f"array {name!r} is float32, but the config echo says float64"
+    else:
+        overwrite(path, CONFIG_TEXT_OFFSET + config_text.index("dtype = float64"),
+                  b"dtype = float32")
+        message = f"array {name!r} is float64, but the config echo says float32"
+    with pytest.raises(FormatError, match=message):
+        load_checkpoint(path)
+    assert cli.main(["probe", "--ckpt", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_ablated_checkpoint_holding_dead_stages_refused(saved, capsys):
     """A `neither` checkpoint that still carries every stage's arrays (as
     files did when switched-off stages stayed allocated) is refused by the
@@ -228,7 +264,7 @@ def test_save_and_load_hold_no_second_copy(tmp_path):
 
     tracemalloc.start()
     try:
-        save_checkpoint(path, 1, "config", params, opt)
+        save_checkpoint(path, 1, format_config(RunConfig()), params, opt)
         _, save_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         base, _ = tracemalloc.get_traced_memory()
@@ -248,7 +284,7 @@ TINY_FLOAT32 = replace(TINY, steps=3, probe_steps=2, dtype="float32")
 
 @pytest.fixture
 def float32_run(tmp_path, monkeypatch):
-    """A tiny float32 pretrain: (checkpoint path, trained parameters)."""
+    """A tiny float32 pretrain: (checkpoint path, its optimizer)."""
     optimizers = []
     make_optimizer = train.AdamW
 
@@ -259,7 +295,7 @@ def float32_run(tmp_path, monkeypatch):
     monkeypatch.setattr(train, "AdamW", capture)
     result = train.pretrain(TINY_FLOAT32, tmp_path / "run")
     monkeypatch.setattr(train, "AdamW", make_optimizer)
-    return result.checkpoint_path, optimizers[0].params
+    return result.checkpoint_path, optimizers[0]
 
 
 def probe_dtypes(monkeypatch, ckpt_path):
@@ -276,18 +312,41 @@ def probe_dtypes(monkeypatch, ckpt_path):
     return seen
 
 
-def test_float32_parameters_are_saved_widened_exactly(float32_run):
-    path, params = float32_run
+def test_float32_checkpoint_stores_f4_arrays_and_round_trips_exactly(float32_run):
+    """Parameters and moments alike are stored as f4 (code 4, four bytes a
+    value) and read back bit for bit."""
+    path, opt = float32_run
+    params = opt.params
     ckpt = load_checkpoint(path)
+    assert ckpt.config.dtype == "float32"
     assert list(ckpt.params) == list(params)
     for name, p in params.items():
-        assert p.data.dtype == np.float32 and ckpt.params[name].dtype == np.float64
-        np.testing.assert_array_equal(ckpt.params[name], p.data)
-    assert {a.dtype for a in ckpt.optimizer_arrays.values()} == {np.dtype(np.float64)}
+        assert p.data.dtype == ckpt.params[name].dtype == np.float32
+        assert ckpt.params[name].tobytes() == p.data.tobytes()
+    state = opt.state_arrays()
+    assert list(ckpt.optimizer_arrays) == list(state)
+    for name, a in state.items():
+        assert a.dtype == ckpt.optimizer_arrays[name].dtype == np.float32
+        assert ckpt.optimizer_arrays[name].tobytes() == a.tobytes()
+    config_text = ckpt.config_text
+    assert path.read_bytes()[first_code_offset(config_text, params)] == 4
+    moments = sum(2 + len(n.encode()) + 2 + 4 * a.ndim + 4 * a.size for n, a in state.items())
+    assert path.stat().st_size == parameter_section_end(config_text, params) + 1 + 8 + 4 + moments
+
+
+def test_non_finite_float32_value_offset_counts_four_byte_values(float32_run, capsys):
+    path, opt = float32_run
+    config_text = load_checkpoint(path).config_text
+    offset = first_payload_offset(config_text, opt.params) + 8  # two values in
+    overwrite(path, offset, np.array([np.inf], dtype="<f4").tobytes())
+    assert cli.main(["probe", "--ckpt", str(path)]) == 2
+    name = next(iter(opt.params))
+    assert f"array {name!r} has a non-finite value at byte {offset}" in capsys.readouterr().err
 
 
 def test_float32_checkpoint_loads_into_a_bit_equal_model(float32_run):
-    path, params = float32_run
+    path, opt = float32_run
+    params = opt.params
     ckpt = load_checkpoint(path)
     model = CrossModalModel.create(parse_config(ckpt.config_text))
     model.load_arrays(ckpt.params)
@@ -300,13 +359,31 @@ def test_probe_rebuilds_the_checkpoint_dtype(float32_run, monkeypatch):
     assert probe_dtypes(monkeypatch, float32_run[0]) == {"float32"}
 
 
+def test_probe_reads_no_moments_and_draws_no_model(float32_run, monkeypatch):
+    """A non-finite last moment value fails a full load but not ``probe``,
+    which stops before the moment arrays and builds its model without
+    drawing initial values."""
+    path = float32_run[0]
+    size = path.stat().st_size
+    overwrite(path, size - 4, np.array([np.nan], dtype="<f4").tobytes())
+    with pytest.raises(FormatError, match=f"non-finite value at byte {size - 4}"):
+        load_checkpoint(path)
+
+    def no_draws(*args):
+        raise AssertionError("probe drew initial values")
+
+    monkeypatch.setattr(model_module, "_RoundedDraws", no_draws)
+    assert probe_dtypes(monkeypatch, path) == {"float32"}
+
+
 def test_echo_without_a_dtype_line_probes_as_float64(float32_run, monkeypatch):
-    """A checkpoint from before the field existed echoes no dtype line."""
+    """A checkpoint from before the field existed echoes no dtype line, and
+    holds float64 arrays."""
     path = float32_run[0]
     ckpt = load_checkpoint(path)
     echo = ckpt.config_text.replace("dtype = float32\n", "")
     assert echo != ckpt.config_text
-    params = {n: Tensor(a) for n, a in ckpt.params.items()}
+    params = {n: Tensor(a.astype(np.float64)) for n, a in ckpt.params.items()}
     opt = adamw(params)
     opt.load_state(ckpt.optimizer_step, ckpt.optimizer_arrays)
     save_checkpoint(path, ckpt.step, echo, params, opt)

@@ -132,4 +132,6 @@ def test_run_settings_have_their_default_in_run_config_only(name):
 
 
 def test_model_seed_comes_from_the_config():
-    assert list(inspect.signature(CrossModalModel.create).parameters) == ["cfg"]
+    """``create`` takes no seed; ``draw`` only chooses between drawing and
+    leaving the values for ``load_arrays`` to write."""
+    assert list(inspect.signature(CrossModalModel.create).parameters) == ["cfg", "draw"]

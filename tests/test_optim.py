@@ -140,32 +140,33 @@ class TestAdamW:
             np.testing.assert_array_equal(opt.v[name], ref_v)
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_float32_parameters_round_the_float64_update_once(self, weight_decay):
-        """float32 parameters keep a float32 flat buffer and float64 moments.
-        Each step equals the whole-array float64 formula on the widened
-        parameter and gradient, rounded once into the parameter; the moments
-        equal the formula's exactly."""
+    def test_float32_update_is_the_reference_in_float32(self, weight_decay):
+        """float32 parameters keep float32 moments and update in float32:
+        over 5 steps, parameters and moments equal the whole-array formula
+        evaluated on float32 arrays bit for bit.  The 3x7 parameter shares a
+        window with the tail of the 2.5-chunk one and the head of the last
+        one, which spans the next window too, so gathered windows are
+        covered."""
         rng = np.random.default_rng(17)
-        shapes = {"big": (5, _CHUNK // 2), "small": (3, 7)}
+        shapes = {"big": (5, _CHUNK // 2), "small": (3, 7), "last": (_CHUNK + 5,)}
         params = {k: Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
                   for k, s in shapes.items()}
-        moments = {k: [np.zeros(p.shape), np.zeros(p.shape)] for k, p in params.items()}
+        ref = {k: [p.data.copy(), np.zeros(p.shape, np.float32), np.zeros(p.shape, np.float32)]
+               for k, p in params.items()}
         opt = adamw(params, weight_decay=weight_decay)
-        assert opt._p.dtype == np.float32 and opt._m.dtype == opt._v.dtype == np.float64
+        assert {a.dtype for a in (opt._p, opt._m, opt._v, *opt._scratch)} == {np.dtype(np.float32)}
+        assert any(len(parts) > 1 for _, _, parts in opt._windows)
         for t in range(1, 6):
             lr = 1e-3 * t
-            expected = {}
             for name, p in params.items():
                 p.grad = wide_range_grad(rng, p.shape).astype(np.float32)
-                expected[name] = p.data.astype(np.float64)
-                reference_adamw_step(expected[name], *moments[name], p.grad.astype(np.float64),
-                                     lr, t, RunConfig(weight_decay=weight_decay))
+                reference_adamw_step(*ref[name], p.grad, lr, t, RunConfig(weight_decay=weight_decay))
             opt.step(lr)
             for name, p in params.items():
-                assert p.data.dtype == np.float32
-                np.testing.assert_array_equal(p.data, expected[name].astype(np.float32))
-                np.testing.assert_array_equal(opt.m[name], moments[name][0])
-                np.testing.assert_array_equal(opt.v[name], moments[name][1])
+                ref_p, ref_m, ref_v = ref[name]
+                assert p.data.tobytes() == ref_p.tobytes()
+                assert opt.m[name].tobytes() == ref_m.tobytes()
+                assert opt.v[name].tobytes() == ref_v.tobytes()
 
     def test_mixed_parameter_dtypes_rejected(self):
         params = {"a": Tensor(np.zeros(3, np.float32)), "b": Tensor(np.zeros(3))}
@@ -233,6 +234,19 @@ class TestAdamW:
         for name, p in params.items():
             for got, expected in zip((p.data, opt.m[name], opt.v[name]), before[name]):
                 np.testing.assert_array_equal(got, expected)
+
+    def test_gradient_of_another_dtype_rejected_before_any_write(self):
+        """The update runs in the parameters' dtype; a float64 gradient for a
+        float32 parameter is a ContractError naming it, and nothing moves."""
+        params = {k: Tensor(np.ones(3, np.float32), requires_grad=True) for k in ("a", "b")}
+        opt = adamw(params)
+        params["a"].grad = np.ones(3, np.float32)
+        params["b"].grad = np.ones(3)
+        with pytest.raises(ContractError, match="'b' has a float64 gradient, not float32"):
+            opt.step(1e-3)
+        assert opt.step_count == 0
+        assert params["a"].data.tobytes() == np.ones(3, np.float32).tobytes()
+        assert not opt._m.any() and not opt._v.any()
 
     def test_non_finite_in_small_parameter_sharing_a_window(self):
         """Small parameters share one update window; a NaN in the middle one
