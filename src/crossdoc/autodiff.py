@@ -3,8 +3,9 @@
 Every differentiable quantity in the model flows through :class:`Tensor`.
 Each operation records its output through :func:`_make_node`, with one
 vector-Jacobian product per input; calling :func:`backward` on a scalar
-replays the adjoints in reverse topological order, frees the graph as it
-goes and returns the :class:`GradTape` of leaves it reached.
+replays the adjoints in reverse topological order, hands each leaf whose
+gradient is final to its ``grad_hook``, frees the graph as it goes and
+returns the :class:`GradTape` of leaves it reached.
 
 The ops are dtype-generic: a node takes the dtype of its first
 differentiable input and each gradient that of its tensor, so a float32
@@ -31,17 +32,21 @@ class Tensor:
 
     float32 data stays float32; anything else (other float widths, ints,
     lists, scalars) becomes float64.  Tensors are immutable after creation
-    except for gradient accumulation; ``grad`` exists from ``backward`` until
-    the tape's ``clear()``.
+    except for gradient accumulation.  A leaf's ``grad`` exists from
+    ``backward`` until the tape's ``clear()``, unless its ``grad_hook``
+    takes it first: ``backward`` calls a leaf's hook, with no arguments, as
+    soon as the leaf's gradient is final, and the hook may drop ``grad``
+    (``AdamW`` folds it into its moments and does).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "op")
+    __slots__ = ("data", "requires_grad", "grad", "grad_hook", "_parents", "_backward", "op")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self.grad_hook: Callable[[], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[], None] = _noop
         self.op = "leaf"
@@ -143,6 +148,14 @@ class GradTape:
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
+    """Every node ``root`` depends on, each after its inputs.
+
+    Each leaf (a node without parents) comes right before its first
+    consumer, so in reverse it comes right after the last adjoint that
+    feeds it, and its gradient can be used, and dropped, before the rest of
+    the graph is walked.  Where leaves sit does not change the order of the
+    other nodes, hence nor the order in which gradients are summed.
+    """
     # Iterative postorder DFS; the forward pass may nest a few hundred ops
     # deep, which would be uncomfortable for recursion.
     order: list[Tensor] = []
@@ -151,6 +164,10 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     while stack:
         node, expanded = stack.pop()
         if expanded:
+            for parent in reversed(node._parents):
+                if not parent._parents and id(parent) not in seen:
+                    seen.add(id(parent))
+                    order.append(parent)
             order.append(node)
             continue
         if id(node) in seen:
@@ -158,7 +175,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen:
+            if parent._parents and id(parent) not in seen:
                 stack.append((parent, False))
     return order
 
@@ -169,9 +186,12 @@ def backward(loss: Tensor) -> GradTape:
 
     Each node's adjoint runs once, in reverse topological order; the node
     then drops its grad, parents and adjoint, so reference counting frees the
-    intermediates once the caller drops the loss.  Leaf grads accumulate
-    until the returned tape's ``clear()``.  A consumed graph cannot be walked
-    again.
+    intermediates once the caller drops the loss.  A leaf is reached right
+    after the last adjoint that feeds it (see ``_topo_order``); its
+    ``grad_hook``, if set, is called then.  Leaf grads that no hook drops
+    live until the returned tape's ``clear()``.  An error a hook raises
+    stops the walk, leaving the graph partly consumed.  A consumed graph
+    cannot be walked again.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -188,6 +208,8 @@ def backward(loss: Tensor) -> GradTape:
             node._backward = _noop
         else:
             leaves.append(node)
+            if node.grad_hook is not None:
+                node.grad_hook()
     return GradTape(leaves)
 
 

@@ -333,6 +333,60 @@ class TestGradTape:
         np.testing.assert_array_equal(a.grad, [6.0, 8.0])
 
 
+class TestGradHook:
+    def test_hook_sees_the_final_gradient_of_a_leaf_used_twice(self):
+        """``x`` feeds the last op and the first one; its hook runs once,
+        after both contributions are summed."""
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        seen = []
+        x.grad_hook = lambda: seen.append(x.grad.copy())
+        deep = ad.exp(ad.scale(x, 3.0))
+        ad.backward(ad.tensor_sum(ad.mul(deep, x)))
+        assert len(seen) == 1
+        e = np.exp(3.0 * np.array([1.0, 2.0]))
+        np.testing.assert_array_equal(seen[0], x.grad)
+        np.testing.assert_allclose(x.grad, e + 3.0 * e * np.array([1.0, 2.0]), rtol=1e-12)
+
+    def test_hook_runs_right_after_the_last_adjoint_that_feeds_it(self):
+        """A leaf used only by the final op is handed its gradient before the
+        chain below that op is walked."""
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        w = ad.Tensor([3.0, 4.0], requires_grad=True)
+        grads_of_x_when_w_arrived = []
+        w.grad_hook = lambda: grads_of_x_when_w_arrived.append(x.grad)
+        chain = ad.exp(ad.scale(ad.exp(x), 0.5))
+        ad.backward(ad.tensor_sum(ad.mul(chain, w)))
+        assert grads_of_x_when_w_arrived == [None]
+        assert x.grad is not None
+
+    def test_hook_may_take_the_gradient(self):
+        """A hook that drops ``grad`` leaves the leaf without one; the tape
+        still lists the leaf."""
+        w = ad.Tensor([3.0, 4.0], requires_grad=True)
+        taken = []
+
+        def take():
+            taken.append(w.grad)
+            w.grad = None
+
+        w.grad_hook = take
+        tape = ad.backward(ad.tensor_sum(ad.mul(w, w)))
+        assert w.grad is None
+        np.testing.assert_array_equal(taken[0], [6.0, 8.0])
+        assert [id(n) for n in tape.nodes] == [id(w)]
+
+    def test_each_leaf_comes_right_before_its_first_consumer(self):
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        w = ad.Tensor([3.0, 4.0], requires_grad=True)
+        b = ad.Tensor([5.0, 6.0], requires_grad=True)
+        h = ad.exp(x)
+        y = ad.add(ad.mul(h, w), b)
+        loss = ad.tensor_sum(y)
+        order = ad._topo_order(loss)
+        ids = [id(n) for n in order]
+        assert ids == [id(x), id(h), id(w), id(y._parents[0]), id(b), id(y), id(loss)]
+
+
 class TestFiniteDiffOracle:
     def test_sum_has_zero_error(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,8 @@
 """Optimizer and schedule tests."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -323,6 +326,22 @@ class TestAdamW:
         assert opt.step_count == 0
         np.testing.assert_array_equal(opt.v["w"], 0.0)
 
+    def test_dropped_optimizer_is_freed_without_the_cyclic_gc(self):
+        """A parameter's hook holds its optimizer weakly: dropping the
+        optimizer frees it, and a later backward leaves the gradient in
+        place."""
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        opt = adamw({"w": w})
+        alive = weakref.ref(opt)
+        gc.disable()
+        try:
+            del opt
+            assert alive() is None
+        finally:
+            gc.enable()
+        ad.backward(ad.tensor_sum(ad.mul(w, w)))
+        np.testing.assert_array_equal(w.grad, [2.0, 4.0])
+
     def test_hyperparameter_validation(self):
         w = Tensor([1.0], requires_grad=True)
         with pytest.raises(ConfigError):
@@ -331,3 +350,92 @@ class TestAdamW:
             AdamW({"w": w}, (0.9, 0.999), 0.0, 0.01)
         with pytest.raises(ConfigError):
             AdamW({"w": w}, (0.9, 0.999), 1e-8, -1.0)
+
+
+# Three parameters whose flat spans cut across update windows: "small"
+# shares a window with the tail of "big" and the head of "last", which
+# spans the next window too.
+SPANNING_SHAPES = {"big": (5, _CHUNK // 2), "small": (3, 7), "last": (_CHUNK + 5,)}
+
+
+def product_loss(params, grads):
+    """``sum_name sum(p * g)``: its gradient for each ``p`` is ``g`` exactly."""
+    terms = [ad.tensor_sum(ad.mul(params[name], Tensor(g))) for name, g in grads.items()]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = ad.add(loss, term)
+    return loss
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+class TestFoldDuringBackward:
+    """The moment half of the update runs as ``backward`` delivers each
+    gradient; ``step`` writes the parameters."""
+
+    def setup_params(self, dtype, seed=21):
+        rng = np.random.default_rng(seed)
+        return {k: Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+                for k, s in SPANNING_SHAPES.items()}
+
+    def grads(self, rng, dtype):
+        return {k: wide_range_grad(rng, s).astype(dtype) for k, s in SPANNING_SHAPES.items()}
+
+    def test_folded_in_backward_equals_set_by_hand_and_the_reference(self, dtype):
+        folded, by_hand = self.setup_params(dtype), self.setup_params(dtype)
+        ref = {k: [p.data.copy(), np.zeros(p.shape, dtype), np.zeros(p.shape, dtype)]
+               for k, p in folded.items()}
+        opt_folded, opt_by_hand = adamw(folded), adamw(by_hand)
+        assert any(len(parts) > 1 for _, _, parts in opt_folded._windows)
+        rng = np.random.default_rng(22)
+        for t in range(1, 4):
+            lr = 1e-3 * t
+            grads = self.grads(rng, dtype)
+            tape = ad.backward(product_loss(folded, grads))
+            opt_folded.step(lr)
+            tape.clear()
+            for name, g in grads.items():
+                by_hand[name].grad = g
+                reference_adamw_step(*ref[name], g, lr, t, RunConfig())
+            opt_by_hand.step(lr)
+            for name in SPANNING_SHAPES:
+                ref_p, ref_m, ref_v = ref[name]
+                for opt, params in ((opt_folded, folded), (opt_by_hand, by_hand)):
+                    assert params[name].data.tobytes() == ref_p.tobytes()
+                    assert opt.m[name].tobytes() == ref_m.tobytes()
+                    assert opt.v[name].tobytes() == ref_v.tobytes()
+
+    def test_backward_leaves_no_parameter_gradient(self, dtype):
+        params = self.setup_params(dtype)
+        opt = adamw(params)
+        x = Tensor(np.ones(SPANNING_SHAPES["small"], dtype), requires_grad=True)
+        grads = self.grads(np.random.default_rng(23), dtype)
+        loss = ad.add(product_loss(params, grads), ad.tensor_sum(ad.mul(x, params["small"])))
+        ad.backward(loss)
+        assert all(p.grad is None for p in params.values())
+        assert x.grad is not None  # a leaf the optimizer does not own keeps its gradient
+        assert all(opt._folded)
+        opt.step(1e-3)
+        assert opt.step_count == 1
+
+    def test_nan_met_in_backward_names_the_parameter_and_writes_no_parameter(self, dtype):
+        params = self.setup_params(dtype)
+        opt = adamw(params)
+        before = {k: p.data.copy() for k, p in params.items()}
+        grads = self.grads(np.random.default_rng(24), dtype)
+        grads["small"][1, 2] = np.nan
+        with pytest.raises(NumericError, match="'small'"):
+            ad.backward(product_loss(params, grads))
+        assert opt.step_count == 0
+        for name, p in params.items():
+            assert p.data.tobytes() == before[name].tobytes()
+
+    def test_second_backward_before_step_rejected(self, dtype):
+        params = self.setup_params(dtype)
+        opt = adamw(params)
+        rng = np.random.default_rng(25)
+        ad.backward(product_loss(params, self.grads(rng, dtype)))
+        again = {"small": self.grads(rng, dtype)["small"]}
+        with pytest.raises(ContractError, match="'small' got a second gradient before step"):
+            ad.backward(product_loss(params, again))
+        opt.step(1e-3)
+        ad.backward(product_loss(params, self.grads(rng, dtype)))  # a new step takes it
