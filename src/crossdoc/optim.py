@@ -203,7 +203,7 @@ class AdamW:
         for w in self._touches[i]:
             self._waiting[w] -= 1
             if not self._waiting[w]:
-                self._fold(w, self._checked(w))
+                self._fold(w)
 
     def _checked(self, w: int) -> np.ndarray:
         """Window ``w``'s gradient, once it is known to be finite."""
@@ -214,9 +214,10 @@ class AdamW:
             raise NumericError(f"non-finite gradient for parameter {self._names[bad]!r}")
         return gc
 
-    def _fold(self, w: int, gc: np.ndarray) -> None:
-        """Fold window ``w``'s gradient ``gc`` into the moments; release the
-        gradient of each parameter with no window left to fold."""
+    def _fold(self, w: int) -> None:
+        """Fold window ``w``'s gradient into the moments once it is checked;
+        release the gradient of each parameter with no window left to fold."""
+        gc = self._checked(w)
         lo, hi, parts = self._windows[w]
         b1, b2 = self.betas
         mc, vc, a = self._m[lo:hi], self._v[lo:hi], self._scratch[0][:hi - lo]
@@ -261,7 +262,7 @@ class AdamW:
         for w in pending:
             self._checked(w)
         for w in pending:
-            self._fold(w, self._checked(w))
+            self._fold(w)
         b1, b2 = self.betas
         self.step_count += 1
         t = self.step_count
