@@ -185,13 +185,15 @@ def backward(loss: Tensor) -> GradTape:
     consume the graph.
 
     Each node's adjoint runs once, in reverse topological order; the node
-    then drops its grad, parents and adjoint, so reference counting frees the
-    intermediates once the caller drops the loss.  A leaf is reached right
-    after the last adjoint that feeds it (see ``_topo_order``); its
-    ``grad_hook``, if set, is called then.  Leaf grads that no hook drops
-    live until the returned tape's ``clear()``.  An error a hook raises
-    stops the walk, leaving the graph partly consumed.  A consumed graph
-    cannot be walked again.
+    then drops its grad, parents and adjoint.  The walk pops each node off
+    its order as it goes, so an intermediate that nothing outside the graph
+    holds is freed, with the arrays its adjoint kept, as soon as its adjoint
+    has run: the backward peak does not sit on top of the whole forward
+    graph.  A leaf is reached right after the last adjoint that feeds it
+    (see ``_topo_order``); its ``grad_hook``, if set, is called then.  Leaf
+    grads that no hook drops live until the returned tape's ``clear()``.
+    An error a hook raises stops the walk, leaving the graph partly
+    consumed.  A consumed graph cannot be walked again.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -200,7 +202,8 @@ def backward(loss: Tensor) -> GradTape:
         raise ContractError("backward through a graph an earlier backward consumed")
     loss.accumulate_grad(np.ones_like(loss.data))
     leaves = []
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         node._backward()
         if node._parents:
             node.grad = None
@@ -443,32 +446,45 @@ def logsumexp_last(a) -> Tensor:
 # fused ops: one node each, with closed-form adjoints
 # ---------------------------------------------------------------------------
 
-def layer_norm_last(x, gamma, beta, eps: float) -> Tensor:
-    """``gamma * (x - mean) / sqrt(var + eps) + beta`` over the final axis.
+def layer_norm_last(x, gamma, beta, eps: float, residual=None) -> Tensor:
+    """``gamma * (s - mean) / sqrt(var + eps) + beta`` over the final axis,
+    where ``s`` is ``x``, or ``x + residual`` if a residual is given.
 
-    The x adjoint is the closed form ``inv * (gg - mean(gg) - xhat *
+    The s adjoint is the closed form ``inv * (gg - mean(gg) - xhat *
     mean(gg * xhat))`` with ``gg = g * gamma`` (Ba et al. 2016), so the node
-    keeps only ``xhat`` and ``inv``.
+    keeps only ``xhat`` and ``inv``.  A residual is the node's fourth edge
+    and receives the same adjoint array as ``x``, so a post-norm residual
+    sum is never a node of its own and its (.., d) array is never kept.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    s = x.data
+    if residual is not None:
+        residual = as_tensor(residual)
+        if residual.shape != x.shape:
+            raise ShapeError(f"layer_norm residual {residual.shape} does not match {x.shape}")
+        s = s + residual.data
     d = x.shape[-1]
-    mu = x.data.sum(axis=-1, keepdims=True) * (1.0 / d)
-    centered = x.data - mu
+    mu = s.sum(axis=-1, keepdims=True) * (1.0 / d)
+    centered = s - mu
     var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / d)
     std = np.sqrt(var + eps)
     xhat = centered / std
     inv = 1.0 / std
     gam = gamma.data
+    shared = {}
 
     def vjp_x(g):
-        gg = g * gam
-        return inv * (gg - gg.mean(axis=-1, keepdims=True)
-                      - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+        # Computed once per backward for the x and residual edges.
+        if not shared:
+            gg = g * gam
+            shared["dx"] = inv * (gg - gg.mean(axis=-1, keepdims=True)
+                                  - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+        return shared["dx"]
 
-    return _make_node(
-        xhat * gam + beta.data, "layer_norm",
-        (x, vjp_x), (gamma, lambda g: g * xhat), (beta, lambda g: g),
-    )
+    edges = [(x, vjp_x), (gamma, lambda g: g * xhat), (beta, lambda g: g)]
+    if residual is not None:
+        edges.append((residual, vjp_x))
+    return _make_node(xhat * gam + beta.data, "layer_norm", *edges)
 
 
 def _head_view(x: np.ndarray, num_heads: int) -> np.ndarray:

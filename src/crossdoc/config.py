@@ -4,8 +4,8 @@ and the two named presets.
 The ``desk`` preset (the defaults) finishes in minutes on one CPU core and
 computes in float64, the reference; the ``paper`` preset carries the
 reference hyperparameters (768-wide features, batch 64, lr 2e-5, 100 epochs)
-and computes in float32, with AdamW's moments and the checkpoints still in
-float64.
+and computes in float32, as do AdamW's moments, and its checkpoints store
+every array in float32.
 
 ``RunConfig`` is the one place a run setting has a default: the library
 constructors it feeds (``SyntheticCorpusSpec``, ``Schedule``, ``AdamW``,

@@ -68,10 +68,10 @@ def transformer_layer(
     p: LayerParams, x: Tensor, kv: Tensor, key_mask: Optional[np.ndarray] = None
 ) -> Tensor:
     """``x`` attends to ``kv`` (``x`` itself for self-attention), then runs the
-    feed-forward; each step is wrapped in residual + layer norm."""
+    feed-forward; each step is wrapped in residual + layer norm, one node."""
     att = multi_head_attention(p.attn, x, kv, key_mask=key_mask)
-    mid = layer_norm(p.norm_attn, ad.add(att, x))
-    return layer_norm(p.norm_ff, ad.add(feed_forward(p.ff, mid), mid))
+    mid = layer_norm(p.norm_attn, att, residual=x)
+    return layer_norm(p.norm_ff, feed_forward(p.ff, mid), residual=mid)
 
 
 @dataclass

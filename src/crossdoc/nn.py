@@ -84,11 +84,12 @@ class LayerNormParams:
         )
 
 
-def layer_norm(p: LayerNormParams, x: Tensor) -> Tensor:
-    """Normalize the trailing axis to zero mean / unit variance, then affine."""
+def layer_norm(p: LayerNormParams, x: Tensor, residual: Optional[Tensor] = None) -> Tensor:
+    """Normalize the trailing axis to zero mean / unit variance, then affine.
+    A ``residual`` of ``x``'s shape is added to ``x`` first, in the same node."""
     if x.shape[-1] < 2:
         raise ShapeError(f"layer_norm needs trailing dim >= 2, got {x.shape}")
-    return ad.layer_norm_last(x, p.gamma, p.beta, LAYER_NORM_EPS)
+    return ad.layer_norm_last(x, p.gamma, p.beta, LAYER_NORM_EPS, residual)
 
 
 @dataclass

@@ -332,7 +332,7 @@ class GradCheckEntry:
 def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
     """Small-dimension probes covering every differentiable block, each
     with respect to its input, then the parameter adjoints of a dense layer
-    and a layer norm."""
+    and a layer norm, and the layer norm's residual adjoint."""
     rng = np.random.default_rng(2024)
     d, heads, rows, batch = 8, 2, 3, 4
     checks = []
@@ -434,14 +434,15 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
         x_heads,
     ))
 
-    # Parameter adjoints, each under a squared readout.  The dense layer's
-    # input is 3-d, so its bias gradient sums over two axes.
+    # Parameter adjoints and the residual's, each under a squared readout.
+    # The dense layer's input is 3-d, so its bias gradient sums over two axes.
     dense = LinearParams(Tensor(rng.normal(size=(d, d)), requires_grad=True),
                          Tensor(rng.normal(size=d), requires_grad=True))
     x_dense = Tensor(rng.normal(size=(batch, rows, d)))
     ln = LayerNormParams(Tensor(rng.normal(size=d), requires_grad=True),
                          Tensor(rng.normal(size=d), requires_grad=True))
     x_ln = Tensor(rng.normal(size=(rows, d)))
+    x_residual = Tensor(rng.normal(size=(rows, d)), requires_grad=True)
 
     def squared(out):
         return ad.tensor_sum(ad.mul(out, out))
@@ -455,6 +456,8 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
          lambda g: squared(layer_norm(LayerNormParams(g, ln.beta), x_ln)), ln.gamma),
         ("layer_norm.beta",
          lambda b: squared(layer_norm(LayerNormParams(ln.gamma, b), x_ln)), ln.beta),
+        ("layer_norm.residual",
+         lambda r: squared(layer_norm(ln, x_ln, residual=r)), x_residual),
     ]
     return checks
 

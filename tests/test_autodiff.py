@@ -312,6 +312,23 @@ class TestGradTape:
         finally:
             gc.enable()
 
+    def test_backward_frees_each_intermediate_once_its_adjoint_has_run(self):
+        """While the caller still holds the loss, an intermediate that only
+        the graph held is gone by the time the leaf below it is reached."""
+        w = ad.Tensor([1.0, 2.0], requires_grad=True)
+        gc.disable()
+        try:
+            hidden = ad.exp(w)
+            alive = weakref.ref(hidden.data)
+            loss = ad.tensor_sum(ad.scale(hidden, 3.0))
+            del hidden
+            freed_when_w_arrived = []
+            w.grad_hook = lambda: freed_when_w_arrived.append(alive() is None)
+            ad.backward(loss)
+            assert freed_when_w_arrived == [True]
+        finally:
+            gc.enable()
+
     def test_second_backward_over_a_consumed_graph_rejected(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
         loss = ad.tensor_sum(ad.exp(x))
@@ -538,18 +555,41 @@ class TestFusedOps:
     adjoint against central differences, < 1e-4."""
 
     @pytest.mark.parametrize("shape", [(6,), (3, 6), (2, 3, 5)], ids=["1d", "2d", "3d"])
-    @pytest.mark.parametrize("edge", ["x", "gamma", "beta"])
-    def test_layer_norm_last(self, edge, shape):
+    @pytest.mark.parametrize("edge, with_residual", [
+        ("x", False), ("gamma", False), ("beta", False),
+        ("x", True), ("gamma", True), ("beta", True), ("residual", True),
+    ], ids=["x", "gamma", "beta", "x+res", "gamma+res", "beta+res", "residual"])
+    def test_layer_norm_last(self, edge, with_residual, shape):
         rng = np.random.default_rng(30)
         d = shape[-1]
         args = {"x": rng.normal(size=shape), "gamma": rng.normal(size=d), "beta": rng.normal(size=d)}
         target = ad.Tensor(rng.normal(size=shape))
+        if with_residual:
+            args["residual"] = rng.normal(size=shape)
 
         def f(t):
             inputs = {name: t if name == edge else ad.Tensor(a) for name, a in args.items()}
             return ad.tensor_sum(ad.mul(ad.layer_norm_last(**inputs, eps=1e-5), target))
 
         assert ad.finite_diff_check(f, ad.Tensor(args[edge], requires_grad=True)) < 1e-4
+
+    def test_layer_norm_last_with_x_as_its_own_residual(self):
+        """Both edges hand back one shared adjoint array; the second is
+        summed into the first out of place."""
+        rng = np.random.default_rng(36)
+        gamma, beta = ad.Tensor(rng.normal(size=5)), ad.Tensor(rng.normal(size=5))
+        target = ad.Tensor(rng.normal(size=(3, 5)))
+
+        def f(t):
+            return ad.tensor_sum(ad.mul(ad.layer_norm_last(t, gamma, beta, 1e-5, residual=t), target))
+
+        assert ad.finite_diff_check(f, ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True)) < 1e-4
+
+    def test_layer_norm_last_residual_of_another_shape_rejected(self):
+        x = ad.Tensor(np.ones((3, 4)))
+        gamma, beta = ad.Tensor(np.ones(4)), ad.Tensor(np.zeros(4))
+        with pytest.raises(ShapeError, match=r"residual \(4,\) does not match \(3, 4\)"):
+            ad.layer_norm_last(x, gamma, beta, 1e-5, residual=ad.Tensor(np.ones(4)))
 
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
     @pytest.mark.parametrize("lead", [(), (2,)], ids=["2d", "3d"])

@@ -22,11 +22,12 @@ def test_cli_gradcheck_exits_zero(capsys):
 @pytest.mark.parametrize("op, edge, entry", [
     ("matmul", 1, "linear.weight"), ("matmul", 2, "linear.bias"),
     ("layer_norm", 1, "layer_norm.gamma"), ("layer_norm", 2, "layer_norm.beta"),
+    ("layer_norm", 3, "layer_norm.residual"),
 ])
 def test_a_halved_parameter_adjoint_fails_the_audit(monkeypatch, capsys, op, edge, entry):
-    """Halve one parameter edge's vector-Jacobian product: the entry that
-    differentiates with respect to that parameter fails, and so does the
-    command."""
+    """Halve one parameter edge's vector-Jacobian product, or the layer
+    norm's residual edge: the entry that differentiates with respect to that
+    input fails, and so does the command."""
     make_node = autodiff._make_node
 
     def halved(data, node_op, *edges):
