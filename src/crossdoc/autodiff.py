@@ -36,7 +36,8 @@ class Tensor:
     ``backward`` until the tape's ``clear()``, unless its ``grad_hook``
     takes it first: ``backward`` calls a leaf's hook, with no arguments, as
     soon as the leaf's gradient is final, and the hook may drop ``grad``
-    (``AdamW`` folds it into its moments and does).
+    (``AdamW`` folds it into its moments once the rest of the leaf's group
+    has arrived, and drops it then).
     """
 
     __slots__ = ("data", "requires_grad", "grad", "grad_hook", "_parents", "_backward", "op")

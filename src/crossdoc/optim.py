@@ -13,9 +13,9 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, NumericError, ShapeError
 
-# Elements per window of the in-place AdamW update.  Either half of the update
-# touches at most five window-sized arrays, 5 x 128 KB in float64 (half that
-# in float32), which stay in a core's L2 cache.
+# Elements per piece of the in-place AdamW update, and the most a fold group of
+# several parameters holds.  Either half of the update touches at most five
+# piece-sized arrays, 5 x 128 KB in float64 (half in float32), which stay in L2.
 _CHUNK = 1 << 14
 
 
@@ -50,45 +50,28 @@ def lr_at(schedule: Schedule, step: int) -> float:
     return schedule.base_lr * (schedule.total_steps - step) / (schedule.total_steps - w)
 
 
-def _plan_windows(spans: list[tuple[int, int]]) -> list[tuple]:
-    """``(lo, hi, parts)`` per update window of the flat buffers.
-
-    The buffers are cut into windows of ``_CHUNK`` elements (the last may be
-    shorter); ``parts`` are ``(parameter index, start, stop)`` slices of the
-    flat gradients that cover ``[lo, hi)``, in order.  A window inside one
-    parameter has one part, which the update reads directly.
-    """
-    windows, start, parts = [], 0, []
-    for i, (lo, hi) in enumerate(spans):
-        pos = lo
-        while pos < hi:
-            end = min(hi, start + _CHUNK)
-            parts.append((i, pos - lo, end - lo))
-            pos = end
-            if end - start == _CHUNK:
-                windows.append((start, end, parts))
-                start, parts = end, []
-    if parts:
-        windows.append((start, spans[-1][1], parts))
-    return windows
+def _plan_groups(sizes: list[int]) -> list[list]:
+    """``[lo, hi, members]`` per fold group of the flat buffers: a run of
+    consecutive parameters whose sizes sum to at most ``_CHUNK``, or one
+    larger parameter on its own.  No parameter is split, so a group can be
+    folded, and its gradients dropped, once each member's has arrived."""
+    groups, pos = [], 0
+    for i, n in enumerate(sizes):
+        if not groups or pos + n - groups[-1][0] > _CHUNK:
+            groups.append([pos, pos, []])
+        pos += n
+        groups[-1][1] = pos
+        groups[-1][2].append(i)
+    return groups
 
 
-def _gather(grads: list[np.ndarray], parts: list[tuple], out: np.ndarray) -> np.ndarray:
-    """One window's gradient: its only part as it is, or every part copied
-    into ``out``, which has the parameters' dtype."""
-    if len(parts) == 1:
-        i, a, b = parts[0]
-        return grads[i][a:b]
-    return np.concatenate([grads[i][a:b] for i, a, b in parts], out=out)
-
-
-def _deliver(ref: weakref.ref, i: int) -> None:
-    """A parameter's ``grad_hook``: hand its gradient to the optimizer, if
-    that still exists.  The hook holds the optimizer weakly, so a parameter
-    does not keep it alive."""
+def _deliver(ref: weakref.ref, i: int, k: int) -> None:
+    """Parameter ``i``'s ``grad_hook``: hand its gradient to the optimizer,
+    if that still exists, as a member of group ``k``.  The hook holds the
+    optimizer weakly, so a parameter does not keep it alive."""
     opt = ref()
     if opt is not None:
-        opt._arrive(i)
+        opt._arrive(i, k)
 
 
 class AdamW:
@@ -101,23 +84,22 @@ class AdamW:
     ``v[name]`` views of them.
 
     An update has two halves.  The moment half, ``m = b1*m + (1-b1)*g`` and
-    ``v = b2*v + ((1-b2)*g)*g``, needs the gradient but neither the learning
-    rate nor the step count, so it runs during ``backward``: the
-    constructor sets each parameter's ``grad_hook``, and once every
-    parameter of an update window (see ``_plan_windows``) has its final
-    gradient, that window is checked and folded into the moments, and a
-    parameter's ``grad`` is dropped once every window it touches is folded.
-    ``step(lr)`` folds whatever windows are still pending, from ``p.grad``
-    (gradients set by hand take this path), then writes the parameters.  The
-    last optimizer built over a parameter receives its gradients.
+    ``v = b2*v + ((1-b2)*g)*g``, needs neither the learning rate nor the
+    step count, so it runs during ``backward``: the constructor sets each
+    parameter's ``grad_hook``, and once each member of a group of whole
+    parameters (``_plan_groups``) has its final gradient, the group is
+    checked, folded into the moments and each member's ``grad`` dropped.
+    ``step(lr)`` writes the parameters.  No ``grad`` set by hand, or left by
+    a ``backward`` run before the optimizer existed, is read.  The last
+    optimizer built over a parameter receives its gradients.
 
     Every parameter needs one gradient of its dtype per step.  A missing
     gradient, one of another dtype, or a second one before ``step`` is a
-    ``ContractError``; a non-finite one is a ``NumericError``.  Each names
-    the parameter.  After any of these no parameter has been written and
-    ``step_count`` has not moved.  The moments of the windows folded during
-    ``backward`` before the failure have advanced, though, so the run must
-    not step on.
+    ``ContractError``; a non-finite one is a ``NumericError`` raised before
+    any of its group is folded.  Each names the parameter.  After any of
+    these no parameter has been written and ``step_count`` has not moved,
+    but the groups folded during ``backward`` before the failure have
+    advanced their moments, so the run must not step on.
     """
 
     def __init__(
@@ -143,7 +125,7 @@ class AdamW:
             raise ContractError(f"parameters mix dtypes {dtypes}")
         bounds = np.cumsum([0] + [p.data.size for p in self.params.values()])
         spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-        self._windows = _plan_windows(spans)
+        self._groups = _plan_groups([hi - lo for lo, hi in spans])
         total = int(bounds[-1])
         dtype = dtypes[0] if dtypes else np.float64
         self._p = np.empty(total, dtype)
@@ -162,107 +144,79 @@ class AdamW:
             self.v[name] = self._v[lo:hi].reshape(p.shape)
         n = min(total, _CHUNK)
         self._scratch = (np.empty(n, dtype), np.empty(n, dtype), np.empty(n, dtype))
-        # The windows each parameter touches, and the fold state of one step.
         self._names, self._tensors = list(self.params), list(self.params.values())
-        self._touches = [[] for _ in spans]
-        for w, (_, _, parts) in enumerate(self._windows):
-            for i, _, _ in parts:
-                self._touches[i].append(w)
         self._new_step()
         ref = weakref.ref(self)
-        for i, p in enumerate(self._tensors):
-            p.grad_hook = functools.partial(_deliver, ref, i)
+        for k, (_, _, members) in enumerate(self._groups):
+            for i in members:
+                self._tensors[i].grad_hook = functools.partial(_deliver, ref, i, k)
 
     def _new_step(self) -> None:
         """Forget the gradients of the step just written: no parameter has
-        arrived and no window is folded."""
-        self._grads = [None] * len(self._tensors)  # flat gradients in use
-        self._arrived = [False] * len(self._tensors)  # delivered by backward
-        self._waiting = [len(parts) for _, _, parts in self._windows]
-        self._open = [len(ws) for ws in self._touches]
-        self._folded = [False] * len(self._windows)
+        arrived, and each group waits for all of its members."""
+        self._arrived = [False] * len(self._tensors)
+        self._waiting = [len(members) for _, _, members in self._groups]
 
-    def _take(self, i: int) -> None:
-        """Hold parameter ``i``'s gradient, flattened, for the folds."""
+    def _arrive(self, i: int, k: int) -> None:
+        """Parameter ``i``'s gradient is final: fold its group ``k`` if that
+        was the last member it waited for."""
         p = self._tensors[i]
-        if p.grad is None:
-            raise ContractError(f"parameter {self._names[i]!r} has no gradient")
-        if p.grad.dtype != self._p.dtype:
-            raise ContractError(
-                f"parameter {self._names[i]!r} has a {p.grad.dtype} gradient, not {self._p.dtype}")
-        self._grads[i] = p.grad.reshape(-1)
-
-    def _arrive(self, i: int) -> None:
-        """Parameter ``i``'s gradient is final: fold every window it
-        completes."""
         if self._arrived[i]:
             raise ContractError(
                 f"parameter {self._names[i]!r} got a second gradient before step")
-        self._take(i)
+        if p.grad.dtype != self._p.dtype:
+            raise ContractError(
+                f"parameter {self._names[i]!r} has a {p.grad.dtype} gradient, not {self._p.dtype}")
         self._arrived[i] = True
-        for w in self._touches[i]:
-            self._waiting[w] -= 1
-            if not self._waiting[w]:
-                self._fold(w)
+        self._waiting[k] -= 1
+        if not self._waiting[k]:
+            self._fold(k)
 
-    def _checked(self, w: int) -> np.ndarray:
-        """Window ``w``'s gradient, once it is known to be finite."""
-        lo, hi, parts = self._windows[w]
-        gc = _gather(self._grads, parts, self._scratch[2][:hi - lo])
-        if not np.isfinite(gc).all():
-            bad = next(i for i, a, b in parts if not np.isfinite(self._grads[i][a:b]).all())
+    def _fold(self, k: int) -> None:
+        """Check group ``k``'s gradient, fold it into the moments piece by
+        piece, and drop each member's ``grad``."""
+        lo, hi, members = self._groups[k]
+        grads = [self._tensors[i].grad.reshape(-1) for i in members]
+        g = grads[0] if len(grads) == 1 else np.concatenate(grads, out=self._scratch[2][:hi - lo])
+        if not np.isfinite(g).all():
+            bad = next(i for i, gi in zip(members, grads) if not np.isfinite(gi).all())
             raise NumericError(f"non-finite gradient for parameter {self._names[bad]!r}")
-        return gc
-
-    def _fold(self, w: int) -> None:
-        """Fold window ``w``'s gradient into the moments once it is checked;
-        release the gradient of each parameter with no window left to fold."""
-        gc = self._checked(w)
-        lo, hi, parts = self._windows[w]
         b1, b2 = self.betas
-        mc, vc, a = self._m[lo:hi], self._v[lo:hi], self._scratch[0][:hi - lo]
-        mc *= b1
-        np.multiply(gc, 1.0 - b1, out=a)
-        mc += a
-        vc *= b2
-        np.multiply(gc, 1.0 - b2, out=a)
-        a *= gc
-        vc += a
-        self._folded[w] = True
-        for i, _, _ in parts:
-            self._open[i] -= 1
-            if not self._open[i]:
-                self._grads[i] = None
-                if self._arrived[i]:
-                    self._tensors[i].grad = None
+        m, v = self._m[lo:hi], self._v[lo:hi]
+        for s in range(0, hi - lo, _CHUNK):
+            gc, mc, vc = g[s:s + _CHUNK], m[s:s + _CHUNK], v[s:s + _CHUNK]
+            a = self._scratch[0][:gc.size]
+            mc *= b1
+            np.multiply(gc, 1.0 - b1, out=a)
+            mc += a
+            vc *= b2
+            np.multiply(gc, 1.0 - b2, out=a)
+            a *= gc
+            vc += a
+        for i in members:
+            self._tensors[i].grad = None
 
     def step(self, lr: float) -> None:
-        """Fold the pending windows, then write every parameter.
+        """Write every parameter from the moments ``backward`` folded.
 
-        Gradients ``backward`` did not deliver are read from ``p.grad``;
-        every one of them, and every pending window, is checked before any
-        pending window is folded.  The update runs in place over the flat
-        buffers, window by window, with three scratch buffers.  Every
-        operation is in the parameters' dtype, with each scalar rounded to
-        it.  Per element it performs the IEEE operations of the whole-array
-        formula, in its order: ``m = b1*m + (1-b1)*g``,
-        ``v = b2*v + ((1-b2)*g)*g`` and ``p = p*decay - lr*(m/bias1) /
-        (sqrt(v/bias2) + eps)``, so the results are bit-identical to it
-        evaluated in that dtype, whichever half ran during ``backward``; at
-        zero weight decay ``p*decay`` is ``p`` exactly.  The contract on
-        failures is the class docstring's.
+        The update runs in place over the flat buffers, ``_CHUNK`` elements
+        at a time, with three scratch buffers, every operation in the
+        parameters' dtype with each scalar rounded to it.  Per element the
+        two halves perform the IEEE operations of the whole-array formula,
+        in its order: ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``
+        and ``p = p*decay - lr*(m/bias1) / (sqrt(v/bias2) + eps)``, so the
+        results are bit-identical to it evaluated in that dtype; at zero
+        weight decay ``p*decay`` is ``p`` exactly.  The contract on failures
+        is the class docstring's.
         """
         for name, p in self.params.items():
             if p.data is not self._views[name]:
                 raise ContractError(f"parameter {name!r} no longer holds the optimizer's buffer")
-        for i, arrived in enumerate(self._arrived):
+        for name, arrived in zip(self._names, self._arrived):
             if not arrived:
-                self._take(i)
-        pending = [w for w, folded in enumerate(self._folded) if not folded]
-        for w in pending:
-            self._checked(w)
-        for w in pending:
-            self._fold(w)
+                raise ContractError(
+                    f"parameter {name!r} got no gradient from backward since the last step; "
+                    "a grad set any other way is not read")
         b1, b2 = self.betas
         self.step_count += 1
         t = self.step_count
@@ -270,9 +224,10 @@ class AdamW:
         bias2 = 1.0 - b2 ** t
         decay = 1.0 - lr * self.weight_decay
         buf_a, buf_b, _ = self._scratch
-        for lo, hi, _ in self._windows:
-            n = hi - lo
-            pc, mc, vc, a, b = self._p[lo:hi], self._m[lo:hi], self._v[lo:hi], buf_a[:n], buf_b[:n]
+        for lo in range(0, self._p.size, _CHUNK):
+            piece = slice(lo, lo + _CHUNK)
+            pc, mc, vc = self._p[piece], self._m[piece], self._v[piece]
+            a, b = buf_a[:pc.size], buf_b[:pc.size]
             np.divide(vc, bias2, out=b)
             np.sqrt(b, out=b)
             b += self.eps

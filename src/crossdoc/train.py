@@ -146,9 +146,10 @@ def pretrain(
     A numeric failure in a step -- a non-finite loss, or a NaN or inf met
     by the forward, the backward or the optimizer -- aborts the run naming
     the step, and leaves the last cadence checkpoint in place.  No parameter
-    of the failed step has been written, but ``AdamW`` folds gradients into
-    its moments during ``backward``, so the moments in memory may have
-    advanced; the checkpoint on disk has not.  Each save
+    of the failed step has been written, but ``AdamW`` folds each group of
+    gradients into its moments during ``backward``, so the moments of the
+    groups folded before the failure have advanced in memory; the checkpoint
+    on disk has not.  Each save
     writes a temporary file and renames it over the checkpoint, so a crash
     mid-write also leaves the previous checkpoint whole.  ``clock``
     exists so tests can pin wall times; the default is the real monotonic

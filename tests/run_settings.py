@@ -4,9 +4,12 @@ builds them.
 ``RunConfig`` is the one place a run setting has a default; the library
 constructors take every setting explicitly.  A test that needs the usual
 values builds through here, passing only the settings it changes, so it
-runs the values the program reads from its config.
+runs the values the program reads from its config.  Gradients reach an
+optimizer the one way the program delivers them, through ``backward``.
 """
 
+from crossdoc import autodiff as ad
+from crossdoc.autodiff import GradTape, Tensor
 from crossdoc.config import RunConfig
 from crossdoc.cross_modal import CrossModalStack
 from crossdoc.data import SyntheticCorpusSpec
@@ -19,6 +22,17 @@ def adamw(params, **settings) -> AdamW:
     """AdamW with the optimizer settings ``train.pretrain`` passes."""
     cfg = RunConfig(**settings)
     return AdamW(params, (cfg.beta1, cfg.beta2), cfg.adam_eps, cfg.weight_decay)
+
+
+def backward_grads(params, grads) -> GradTape:
+    """``backward`` on ``sum_name sum(p * g)`` over the names in ``grads``,
+    in their order: its gradient for each ``p`` is ``g`` exactly, and the
+    parameters receive them in that order."""
+    terms = [ad.tensor_sum(ad.mul(params[name], Tensor(g))) for name, g in grads.items()]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = ad.add(loss, term)
+    return ad.backward(loss)
 
 
 def embedding_batch(vision, text, labels, **settings) -> EmbeddingBatch:

@@ -16,7 +16,7 @@ from crossdoc.errors import FormatError
 from crossdoc.model import CrossModalModel
 from crossdoc.optim import AdamW
 
-from run_settings import adamw
+from run_settings import adamw, backward_grads
 
 # magic (4) | u16 version | u64 step | u32 config-text length
 CONFIG_TEXT_OFFSET = 18
@@ -30,8 +30,7 @@ def saved(tmp_path):
     """A tiny model's checkpoint: (path, config text, parameters, optimizer)."""
     params = CrossModalModel.create(TINY).parameters()
     opt = adamw(params)
-    for p in params.values():
-        p.grad = np.full(p.shape, 0.5)
+    backward_grads(params, {name: np.full(p.shape, 0.5) for name, p in params.items()})
     opt.step(1e-3)
     path = tmp_path / "checkpoint.bin"
     config_text = format_config(TINY)
@@ -220,6 +219,7 @@ def test_crash_mid_write_keeps_previous_checkpoint(saved, monkeypatch, disk_full
     before = path.read_bytes()
     old_params = {name: p.data.copy() for name, p in params.items()}
     old_moments = {name: a.copy() for name, a in opt.state_arrays().items()}
+    backward_grads(params, {name: np.full(p.shape, 0.5) for name, p in params.items()})
     opt.step(1e-3)  # the next save would differ from the previous one
     tmp = path.with_name(path.name + ".tmp")
     if failure == "exception":
@@ -255,10 +255,9 @@ def test_save_and_load_hold_no_second_copy(tmp_path):
     arrays it returns.  Six 128k-value parameters give 6 MB of parameters
     and 12 MB of moments."""
     rng = np.random.default_rng(0)
-    params = {f"p{i}": Tensor(rng.normal(size=(256, 512))) for i in range(6)}
+    params = {f"p{i}": Tensor(rng.normal(size=(256, 512)), requires_grad=True) for i in range(6)}
     opt = adamw(params)
-    for p in params.values():
-        p.grad = rng.normal(size=p.shape)
+    backward_grads(params, {name: rng.normal(size=p.shape) for name, p in params.items()})
     opt.step(1e-3)
     path = tmp_path / "checkpoint.bin"
 

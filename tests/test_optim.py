@@ -13,7 +13,7 @@ from crossdoc.errors import ConfigError, ContractError, NumericError, ShapeError
 from crossdoc.optim import _CHUNK, AdamW, Schedule, lr_at
 
 from oracles import reference_adamw_step
-from run_settings import adamw
+from run_settings import adamw, backward_grads
 
 
 def wide_range_grad(rng, shape):
@@ -21,6 +21,12 @@ def wide_range_grad(rng, shape):
     g = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8.0, 3.0, size=shape)
     g.reshape(-1)[::7] = 0.0
     return g
+
+
+# Parameters of every kind of fold group: "big" (2.5 chunks) and "last" (one
+# chunk and 5) are groups of their own, and "small" and "bias" share one.
+# "big" ends mid-chunk, in the same chunk of the flat buffer as "small".
+SPANNING_SHAPES = {"big": (5, _CHUNK // 2), "small": (3, 7), "bias": (7,), "last": (_CHUNK + 5,)}
 
 
 class TestSchedule:
@@ -54,8 +60,8 @@ class TestSchedule:
 class TestAdamW:
     def test_zero_grad_zero_decay_leaves_params(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
-        w.grad = np.zeros(2)
         opt = adamw({"w": w}, weight_decay=0.0)
+        backward_grads({"w": w}, {"w": np.zeros(2)})
         opt.step(0.1)
         np.testing.assert_array_equal(w.data, [1.0, 2.0])
 
@@ -63,26 +69,26 @@ class TestAdamW:
         """One step on f(w) = w^2/2 from w=1 at lr 0.1: bias correction makes
         the first update ~ lr * sign(grad), so w moves to ~0.9."""
         w = Tensor([1.0], requires_grad=True)
+        opt = adamw({"w": w}, weight_decay=0.0)
         loss = ad.scale(ad.tensor_sum(ad.mul(w, w)), 0.5)
         ad.backward(loss)
-        opt = adamw({"w": w}, weight_decay=0.0)
         opt.step(0.1)
         assert abs(w.data[0] - 0.9) < 1e-6
 
     def test_decay_only_shrinks_weights(self):
         """With zero gradients, decoupled decay gives w <- w * (1 - lr * d)."""
         w = Tensor([2.0, -4.0], requires_grad=True)
-        w.grad = np.zeros(2)
         opt = adamw({"w": w}, weight_decay=0.5)
+        backward_grads({"w": w}, {"w": np.zeros(2)})
         opt.step(0.1)
         np.testing.assert_allclose(w.data, [2.0 * 0.95, -4.0 * 0.95], atol=1e-15)
 
     def test_non_finite_grad_names_parameter(self):
         w = Tensor([1.0], requires_grad=True)
-        w.grad = np.array([np.nan])
         opt = adamw({"encoder.table": w})
         with pytest.raises(NumericError, match="encoder.table"):
-            opt.step(0.1)
+            backward_grads({"encoder.table": w}, {"encoder.table": np.array([np.nan])})
+        assert opt.step_count == 0 and w.data[0] == 1.0
 
     def test_deterministic_trajectories(self):
         def run():
@@ -132,9 +138,10 @@ class TestAdamW:
         opt = adamw(params, weight_decay=weight_decay)
         for t in range(1, 21):
             lr = 1e-3 * t
-            for name, p in params.items():
-                p.grad = wide_range_grad(rng, p.shape)
-                reference_adamw_step(*ref[name], p.grad, lr, t, RunConfig(weight_decay=weight_decay))
+            grads = {name: wide_range_grad(rng, p.shape) for name, p in params.items()}
+            for name, g in grads.items():
+                reference_adamw_step(*ref[name], g, lr, t, RunConfig(weight_decay=weight_decay))
+            backward_grads(params, grads)
             opt.step(lr)
         for name, p in params.items():
             ref_p, ref_m, ref_v = ref[name]
@@ -146,24 +153,24 @@ class TestAdamW:
     def test_float32_update_is_the_reference_in_float32(self, weight_decay):
         """float32 parameters keep float32 moments and update in float32:
         over 5 steps, parameters and moments equal the whole-array formula
-        evaluated on float32 arrays bit for bit.  The 3x7 parameter shares a
-        window with the tail of the 2.5-chunk one and the head of the last
-        one, which spans the next window too, so gathered windows are
-        covered."""
+        evaluated on float32 arrays bit for bit.  The shapes give a group of
+        two parameters, folded from the scratch buffer, and groups of one
+        larger than a chunk."""
         rng = np.random.default_rng(17)
-        shapes = {"big": (5, _CHUNK // 2), "small": (3, 7), "last": (_CHUNK + 5,)}
         params = {k: Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
-                  for k, s in shapes.items()}
+                  for k, s in SPANNING_SHAPES.items()}
         ref = {k: [p.data.copy(), np.zeros(p.shape, np.float32), np.zeros(p.shape, np.float32)]
                for k, p in params.items()}
         opt = adamw(params, weight_decay=weight_decay)
         assert {a.dtype for a in (opt._p, opt._m, opt._v, *opt._scratch)} == {np.dtype(np.float32)}
-        assert any(len(parts) > 1 for _, _, parts in opt._windows)
+        assert any(len(members) > 1 for _, _, members in opt._groups)
         for t in range(1, 6):
             lr = 1e-3 * t
-            for name, p in params.items():
-                p.grad = wide_range_grad(rng, p.shape).astype(np.float32)
-                reference_adamw_step(*ref[name], p.grad, lr, t, RunConfig(weight_decay=weight_decay))
+            grads = {name: wide_range_grad(rng, p.shape).astype(np.float32)
+                     for name, p in params.items()}
+            for name, g in grads.items():
+                reference_adamw_step(*ref[name], g, lr, t, RunConfig(weight_decay=weight_decay))
+            backward_grads(params, grads)
             opt.step(lr)
             for name, p in params.items():
                 ref_p, ref_m, ref_v = ref[name]
@@ -181,13 +188,13 @@ class TestAdamW:
         rng = np.random.default_rng(15)
         w = Tensor(rng.normal(size=(5, _CHUNK // 2)), requires_grad=True)
         opt = adamw({name: w})
-        w.grad = wide_range_grad(rng, w.shape)
+        backward_grads({name: w}, {name: wide_range_grad(rng, w.shape)})
         opt.step(1e-3)
         before = [w.data.copy(), opt.m[name].copy(), opt.v[name].copy()]
-        w.grad = wide_range_grad(rng, w.shape)
-        w.grad.reshape(-1)[-1] = np.nan
+        g = wide_range_grad(rng, w.shape)
+        g.reshape(-1)[-1] = np.nan
         with pytest.raises(NumericError, match=name):
-            opt.step(1e-3)
+            backward_grads({name: w}, {name: g})
         for after, expected in zip([w.data, opt.m[name], opt.v[name]], before):
             np.testing.assert_array_equal(after, expected)
 
@@ -200,72 +207,80 @@ class TestAdamW:
         assert w.data.flags.c_contiguous
         np.testing.assert_array_equal(w.data, x)
         ref = [x.copy(), np.zeros(x.shape), np.zeros(x.shape)]
-        w.grad = np.ones(x.shape)
-        reference_adamw_step(*ref, w.grad, 1e-3, 1, RunConfig())
+        reference_adamw_step(*ref, np.ones(x.shape), 1e-3, 1, RunConfig())
+        backward_grads({"w": w}, {"w": np.ones(x.shape)})
         opt.step(1e-3)
         np.testing.assert_array_equal(w.data, ref[0])
 
     def test_rebound_parameter_data_rejected(self):
         """Data swapped for another array after construction is not the
-        optimizer's view; the step raises instead of updating the wrong array."""
+        optimizer's view; the step raises instead of updating the wrong array.
+        The moments folded during backward have advanced, but no parameter
+        has been written and the step count has not moved."""
         w = Tensor(np.zeros((4, _CHUNK)), requires_grad=True)
         opt = adamw({"w": w})
         w.data = np.ones((4, _CHUNK))
-        w.grad = np.ones(w.shape)
-        with pytest.raises(ContractError, match="'w'"):
+        backward_grads({"w": w}, {"w": np.ones(w.shape)})
+        with pytest.raises(ContractError, match="'w' no longer holds the optimizer's buffer"):
             opt.step(1e-3)
         np.testing.assert_array_equal(w.data, 1.0)
-        np.testing.assert_array_equal(opt.m["w"], 0.0)
+        np.testing.assert_array_equal(opt._p, 0.0)
+        assert opt.step_count == 0
 
     @pytest.mark.parametrize("missing", ["a", "big", "c"])
     def test_missing_grad_rejected_before_any_write(self, missing):
-        """A parameter without a gradient is a ContractError naming it; no
-        parameter, moment or step count is written."""
+        """A parameter that got no gradient from backward is a ContractError
+        naming it, even with a ``grad`` set by hand, which is not read.  The
+        other parameters' moments were folded during backward, but no
+        parameter is written and the step count does not move."""
         rng = np.random.default_rng(16)
         shapes = {"a": (3, 5), "big": (3, _CHUNK // 2), "c": (7,)}
         params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
         opt = adamw(params)
-        for p in params.values():
-            p.grad = wide_range_grad(rng, p.shape)
+        backward_grads(params, {k: wide_range_grad(rng, p.shape) for k, p in params.items()})
         opt.step(1e-3)
-        before = {k: (p.data.copy(), opt.m[k].copy(), opt.v[k].copy()) for k, p in params.items()}
-        for name, p in params.items():
-            p.grad = None if name == missing else wide_range_grad(rng, p.shape)
-        with pytest.raises(ContractError, match=f"'{missing}' has no gradient"):
+        before = {k: p.data.copy() for k, p in params.items()}
+        backward_grads(params, {k: wide_range_grad(rng, p.shape)
+                                for k, p in params.items() if k != missing})
+        params[missing].grad = wide_range_grad(rng, params[missing].shape)
+        with pytest.raises(ContractError, match=(
+                f"'{missing}' got no gradient from backward since the last step; "
+                "a grad set any other way is not read")):
             opt.step(1e-3)
         assert opt.step_count == 1
         for name, p in params.items():
-            for got, expected in zip((p.data, opt.m[name], opt.v[name]), before[name]):
-                np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(p.data, before[name])
 
     def test_gradient_of_another_dtype_rejected_before_any_write(self):
         """The update runs in the parameters' dtype; a float64 gradient for a
         float32 parameter is a ContractError naming it, and nothing moves."""
         params = {k: Tensor(np.ones(3, np.float32), requires_grad=True) for k in ("a", "b")}
         opt = adamw(params)
+        # backward casts each gradient to its parameter's dtype, so the hook
+        # is handed one of another dtype directly.
         params["a"].grad = np.ones(3, np.float32)
+        params["a"].grad_hook()
         params["b"].grad = np.ones(3)
         with pytest.raises(ContractError, match="'b' has a float64 gradient, not float32"):
-            opt.step(1e-3)
+            params["b"].grad_hook()
         assert opt.step_count == 0
         assert params["a"].data.tobytes() == np.ones(3, np.float32).tobytes()
         assert not opt._m.any() and not opt._v.any()
 
     def test_non_finite_in_small_parameter_sharing_a_window(self):
-        """Small parameters share one update window; a NaN in the middle one
-        is reported under its name and nothing at all is written."""
+        """Small parameters share one fold group; a NaN in the middle one is
+        reported under its name and nothing at all is written."""
         rng = np.random.default_rng(17)
         params = {f"p{i}": Tensor(rng.normal(size=(3, 4)), requires_grad=True) for i in range(3)}
         opt = adamw(params)
-        for p in params.values():
-            p.grad = wide_range_grad(rng, p.shape)
+        assert [members for _, _, members in opt._groups] == [[0, 1, 2]]
+        backward_grads(params, {k: wide_range_grad(rng, p.shape) for k, p in params.items()})
         opt.step(1e-3)
         before = {k: [p.data.copy(), opt.m[k].copy(), opt.v[k].copy()] for k, p in params.items()}
-        for p in params.values():
-            p.grad = wide_range_grad(rng, p.shape)
-        params["p1"].grad[1, 2] = np.nan
+        grads = {k: wide_range_grad(rng, p.shape) for k, p in params.items()}
+        grads["p1"][1, 2] = np.nan
         with pytest.raises(NumericError, match="'p1'"):
-            opt.step(1e-3)
+            backward_grads(params, grads)
         for name, p in params.items():
             for got, expected in zip([p.data, opt.m[name], opt.v[name]], before[name]):
                 np.testing.assert_array_equal(got, expected)
@@ -280,8 +295,7 @@ class TestAdamW:
 
         def run(params, opt, steps):
             for t in steps:
-                for name, g in grads(t).items():
-                    params[name].grad = g
+                backward_grads(params, grads(t))
                 opt.step(1e-3 * t)
 
         rng = np.random.default_rng(18)
@@ -307,7 +321,7 @@ class TestAdamW:
     def test_state_round_trip(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
         opt = adamw({"w": w})
-        w.grad = np.array([0.1, -0.2])
+        backward_grads({"w": w}, {"w": np.array([0.1, -0.2])})
         opt.step(0.01)
         arrays = {k: v.copy() for k, v in opt.state_arrays().items()}
 
@@ -352,21 +366,6 @@ class TestAdamW:
             AdamW({"w": w}, (0.9, 0.999), 1e-8, -1.0)
 
 
-# Three parameters whose flat spans cut across update windows: "small"
-# shares a window with the tail of "big" and the head of "last", which
-# spans the next window too.
-SPANNING_SHAPES = {"big": (5, _CHUNK // 2), "small": (3, 7), "last": (_CHUNK + 5,)}
-
-
-def product_loss(params, grads):
-    """``sum_name sum(p * g)``: its gradient for each ``p`` is ``g`` exactly."""
-    terms = [ad.tensor_sum(ad.mul(params[name], Tensor(g))) for name, g in grads.items()]
-    loss = terms[0]
-    for term in terms[1:]:
-        loss = ad.add(loss, term)
-    return loss
-
-
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 class TestFoldDuringBackward:
     """The moment half of the update runs as ``backward`` delivers each
@@ -380,26 +379,26 @@ class TestFoldDuringBackward:
     def grads(self, rng, dtype):
         return {k: wide_range_grad(rng, s).astype(dtype) for k, s in SPANNING_SHAPES.items()}
 
-    def test_folded_in_backward_equals_set_by_hand_and_the_reference(self, dtype):
-        folded, by_hand = self.setup_params(dtype), self.setup_params(dtype)
+    def test_folded_in_backward_equals_the_reference_in_either_arrival_order(self, dtype):
+        forward, reverse = self.setup_params(dtype), self.setup_params(dtype)
         ref = {k: [p.data.copy(), np.zeros(p.shape, dtype), np.zeros(p.shape, dtype)]
-               for k, p in folded.items()}
-        opt_folded, opt_by_hand = adamw(folded), adamw(by_hand)
-        assert any(len(parts) > 1 for _, _, parts in opt_folded._windows)
+               for k, p in forward.items()}
+        opt_forward, opt_reverse = adamw(forward), adamw(reverse)
+        assert any(len(members) > 1 for _, _, members in opt_forward._groups)
         rng = np.random.default_rng(22)
         for t in range(1, 4):
             lr = 1e-3 * t
             grads = self.grads(rng, dtype)
-            tape = ad.backward(product_loss(folded, grads))
-            opt_folded.step(lr)
+            tape = backward_grads(forward, grads)
+            opt_forward.step(lr)
             tape.clear()
+            backward_grads(reverse, dict(reversed(grads.items())))
+            opt_reverse.step(lr)
             for name, g in grads.items():
-                by_hand[name].grad = g
                 reference_adamw_step(*ref[name], g, lr, t, RunConfig())
-            opt_by_hand.step(lr)
             for name in SPANNING_SHAPES:
                 ref_p, ref_m, ref_v = ref[name]
-                for opt, params in ((opt_folded, folded), (opt_by_hand, by_hand)):
+                for opt, params in ((opt_forward, forward), (opt_reverse, reverse)):
                     assert params[name].data.tobytes() == ref_p.tobytes()
                     assert opt.m[name].tobytes() == ref_m.tobytes()
                     assert opt.v[name].tobytes() == ref_v.tobytes()
@@ -409,11 +408,14 @@ class TestFoldDuringBackward:
         opt = adamw(params)
         x = Tensor(np.ones(SPANNING_SHAPES["small"], dtype), requires_grad=True)
         grads = self.grads(np.random.default_rng(23), dtype)
-        loss = ad.add(product_loss(params, grads), ad.tensor_sum(ad.mul(x, params["small"])))
+        terms = [ad.tensor_sum(ad.mul(params[k], Tensor(g))) for k, g in grads.items()]
+        loss = ad.tensor_sum(ad.mul(x, params["small"]))
+        for term in terms:
+            loss = ad.add(loss, term)
         ad.backward(loss)
         assert all(p.grad is None for p in params.values())
         assert x.grad is not None  # a leaf the optimizer does not own keeps its gradient
-        assert all(opt._folded)
+        assert all(opt._arrived)
         opt.step(1e-3)
         assert opt.step_count == 1
 
@@ -424,7 +426,7 @@ class TestFoldDuringBackward:
         grads = self.grads(np.random.default_rng(24), dtype)
         grads["small"][1, 2] = np.nan
         with pytest.raises(NumericError, match="'small'"):
-            ad.backward(product_loss(params, grads))
+            backward_grads(params, grads)
         assert opt.step_count == 0
         for name, p in params.items():
             assert p.data.tobytes() == before[name].tobytes()
@@ -433,9 +435,49 @@ class TestFoldDuringBackward:
         params = self.setup_params(dtype)
         opt = adamw(params)
         rng = np.random.default_rng(25)
-        ad.backward(product_loss(params, self.grads(rng, dtype)))
+        backward_grads(params, self.grads(rng, dtype))
         again = {"small": self.grads(rng, dtype)["small"]}
         with pytest.raises(ContractError, match="'small' got a second gradient before step"):
-            ad.backward(product_loss(params, again))
+            backward_grads(params, again)
         opt.step(1e-3)
-        ad.backward(product_loss(params, self.grads(rng, dtype)))  # a new step takes it
+        backward_grads(params, self.grads(rng, dtype))  # a new step takes it
+
+    def test_a_whole_parameter_is_dropped_on_arrival(self, dtype):
+        """A parameter is never split across groups, so "big", a group of
+        its own, is folded and its gradient dropped as soon as it arrives,
+        before its flat neighbour "small" does."""
+        params = self.setup_params(dtype)
+        opt = adamw(params)
+        arrived, big_dropped_when_small_arrived = [], []
+        hooks = {k: p.grad_hook for k, p in params.items()}
+
+        def watch(name):
+            arrived.append(name)
+            if name == "small":
+                big_dropped_when_small_arrived.append(params["big"].grad is None)
+            hooks[name]()
+
+        for name, p in params.items():
+            p.grad_hook = lambda name=name: watch(name)
+        backward_grads(params, self.grads(np.random.default_rng(26), dtype))
+        assert arrived == list(SPANNING_SHAPES)
+        assert big_dropped_when_small_arrived == [True]
+        opt.step(1e-3)
+
+    def test_nan_in_a_shared_group_folds_none_of_it(self, dtype):
+        """A NaN in "bias" is found before its group, which it shares with
+        "small", is folded: neither member's moments move, while "big",
+        which arrived first, has been folded."""
+        params = self.setup_params(dtype)
+        opt = adamw(params)
+        rng = np.random.default_rng(27)
+        backward_grads(params, self.grads(rng, dtype))
+        opt.step(1e-3)
+        before = {k: (opt.m[k].tobytes(), opt.v[k].tobytes()) for k in params}
+        grads = self.grads(rng, dtype)
+        grads["bias"][3] = np.nan
+        with pytest.raises(NumericError, match="'bias'"):
+            backward_grads(params, grads)
+        for name in ("small", "bias"):
+            assert (opt.m[name].tobytes(), opt.v[name].tobytes()) == before[name]
+        assert opt.m["big"].tobytes() != before["big"][0]
