@@ -152,14 +152,14 @@ class AdamW:
                 self._tensors[i].grad_hook = functools.partial(_deliver, ref, i, k)
 
     def _new_step(self) -> None:
-        """Forget the gradients of the step just written: no parameter has
-        arrived, and each group waits for all of its members."""
+        """Forget the step just written: each group waits for all its members."""
         self._arrived = [False] * len(self._tensors)
         self._waiting = [len(members) for _, _, members in self._groups]
 
     def _arrive(self, i: int, k: int) -> None:
         """Parameter ``i``'s gradient is final: fold its group ``k`` if that
-        was the last member it waited for."""
+        was the last member it waited for.  ``i`` counts as arrived only once
+        that fold is done, so ``step`` refuses a group whose fold failed."""
         p = self._tensors[i]
         if self._arrived[i]:
             raise ContractError(
@@ -167,10 +167,10 @@ class AdamW:
         if p.grad.dtype != self._p.dtype:
             raise ContractError(
                 f"parameter {self._names[i]!r} has a {p.grad.dtype} gradient, not {self._p.dtype}")
-        self._arrived[i] = True
         self._waiting[k] -= 1
         if not self._waiting[k]:
             self._fold(k)
+        self._arrived[i] = True
 
     def _fold(self, k: int) -> None:
         """Check group ``k``'s gradient, fold it into the moments piece by

@@ -467,7 +467,8 @@ class TestFoldDuringBackward:
     def test_nan_in_a_shared_group_folds_none_of_it(self, dtype):
         """A NaN in "bias" is found before its group, which it shares with
         "small", is folded: neither member's moments move, while "big",
-        which arrived first, has been folded."""
+        which arrived first, has been folded.  "bias" completed the group
+        whose fold failed, so it has not arrived and ``step`` refuses."""
         params = self.setup_params(dtype)
         opt = adamw(params)
         rng = np.random.default_rng(27)
@@ -481,3 +482,8 @@ class TestFoldDuringBackward:
         for name in ("small", "bias"):
             assert (opt.m[name].tobytes(), opt.v[name].tobytes()) == before[name]
         assert opt.m["big"].tobytes() != before["big"][0]
+        written = {k: p.data.tobytes() for k, p in params.items()}
+        with pytest.raises(ContractError, match="'bias' got no gradient from backward"):
+            opt.step(1e-3)
+        assert opt.step_count == 1
+        assert {k: p.data.tobytes() for k, p in params.items()} == written
