@@ -66,9 +66,8 @@ def _plan_groups(sizes: list[int]) -> list[list]:
 
 
 def _deliver(ref: weakref.ref, i: int, k: int) -> None:
-    """Parameter ``i``'s ``grad_hook``: hand its gradient to the optimizer,
-    if that still exists, as a member of group ``k``.  The hook holds the
-    optimizer weakly, so a parameter does not keep it alive."""
+    """Parameter ``i``'s ``grad_hook``, in group ``k``: hand its gradient to
+    the optimizer, if that still exists; the hook holds it only weakly."""
     opt = ref()
     if opt is not None:
         opt._arrive(i, k)
@@ -158,8 +157,9 @@ class AdamW:
 
     def _arrive(self, i: int, k: int) -> None:
         """Parameter ``i``'s gradient is final: fold its group ``k`` if that
-        was the last member it waited for.  ``i`` counts as arrived only once
-        that fold is done, so ``step`` refuses a group whose fold failed."""
+        was the last member it waited for.  ``i`` counts as arrived, and is
+        no longer waited for, only once that fold is done, so a group whose
+        fold failed still waits for it and ``step`` refuses."""
         p = self._tensors[i]
         if self._arrived[i]:
             raise ContractError(
@@ -167,9 +167,9 @@ class AdamW:
         if p.grad.dtype != self._p.dtype:
             raise ContractError(
                 f"parameter {self._names[i]!r} has a {p.grad.dtype} gradient, not {self._p.dtype}")
-        self._waiting[k] -= 1
-        if not self._waiting[k]:
+        if self._waiting[k] == 1:
             self._fold(k)
+        self._waiting[k] -= 1
         self._arrived[i] = True
 
     def _fold(self, k: int) -> None:
