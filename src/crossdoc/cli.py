@@ -79,11 +79,7 @@ def run(args) -> int:
         return 0
 
     if args.command == "probe":
-        result = probe(cfg, args.ckpt)
-        print(json.dumps({
-            "vision_accuracy": result.vision_accuracy,
-            "text_accuracy": result.text_accuracy,
-        }))
+        print(json.dumps(probe(cfg, args.ckpt)))
         return 0
 
     if args.command == "ablate":

@@ -59,7 +59,8 @@ class LayerParams:
         attns = [MHAParams.create(rng, feature_dim, num_heads) for _ in range(count)]
         return [
             cls(attn, LayerNormParams.create(feature_dim),
-                FeedForwardParams.create(rng, feature_dim), LayerNormParams.create(feature_dim))
+                FeedForwardParams.create(rng, feature_dim, feature_dim, feature_dim),
+                LayerNormParams.create(feature_dim))
             for attn in attns
         ]
 

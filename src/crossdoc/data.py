@@ -18,8 +18,8 @@ On-disk container (all little-endian):
 
 In memory each record set is one numpy array of ``record_dtype``, the same
 bytes as on disk.  ``read_corpus`` checks every record as it loads: label
-below ``classes``, ids ``[CLS] ... [SEP] [PAD]...`` below ``vocab_size``,
-pixels finite in [0, 1].
+below ``classes``, ids ``[CLS] content... [SEP] [PAD]...`` below
+``vocab_size`` with no reserved id in the content, pixels finite in [0, 1].
 
 ``write_corpus`` streams the records to ``<path>.tmp`` and renames it over
 ``path`` when complete (see ``container``), so an existing corpus survives a
@@ -205,10 +205,13 @@ def _check_records(spec: SyntheticCorpusSpec, records: np.ndarray, where: str, s
     ids = records["ids"]
     images = records["image"]
     last_real = layout.rows - 1 - np.argmax(ids[:, ::-1] != PAD_ID, axis=1)
+    position = np.arange(layout.rows)
+    content = (position > 0) & (position < last_real[:, None])
     problems = (
         (records["label"] >= spec.classes, f"label >= {spec.classes} classes"),
         (ids[:, 0] != CLS_ID, "token ids do not start with [CLS]"),
         (ids[np.arange(len(ids)), last_real] != SEP_ID, "last non-[PAD] token id is not [SEP]"),
+        ((content & (ids < NUM_RESERVED_IDS)).any(axis=1), "reserved token id between [CLS] and [SEP]"),
         ((ids >= layout.vocab_size).any(axis=1), f"token id >= vocab_size {layout.vocab_size}"),
         (~((images >= 0.0) & (images <= 1.0)).all(axis=(1, 2, 3)), "pixel not finite in [0, 1]"),
     )

@@ -35,6 +35,8 @@ class DocumentLayout:
     vocab_size: int
 
     def __post_init__(self):
+        if self.channels < 1:
+            raise ConfigError(f"channels must be >= 1, got {self.channels}")
         if self.patch < 1:
             raise ConfigError("patch size must be >= 1")
         if self.height % self.patch or self.width % self.patch:

@@ -7,13 +7,13 @@ anchor i the positives are the other same-class samples in the batch, and
 the denominator runs over every index but i: an anchor's own index -- itself
 within a modality, its paired sample across modalities -- is always out of
 both.  Anchors without any positive contribute zero.  Terms are summed over
-anchors (no 1/N); the report exposes a per-anchor mean for logging only.
+anchors (no 1/N); ``pretrain`` logs the per-anchor mean of the total beside
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -77,58 +77,25 @@ class EmbeddingBatch:
             if np.max(np.abs(norms - 1.0)) > NORM_TOLERANCE[emb.data.dtype]:
                 raise ContractError(f"{name} embeddings are not unit-norm")
 
-    @property
-    def size(self) -> int:
-        return self.vision.shape[0]
 
-
-@dataclass
-class ContrastiveLossReport:
-    """The combined objective and its components (gradient-carrying); the
-    inter terms are None at inter_weight 0, where they are not computed."""
-
-    total: Tensor
-    vision_intra: Tensor
-    text_to_vision: Optional[Tensor]
-    text_intra: Tensor
-    vision_to_text: Optional[Tensor]
-    batch_size: int
-
-    def values(self) -> dict[str, float]:
-        terms = {
-            "total": self.total,
-            "vision_intra": self.vision_intra,
-            "text_to_vision": self.text_to_vision,
-            "text_intra": self.text_intra,
-            "vision_to_text": self.vision_to_text,
-        }
-        out = {name: term.item() for name, term in terms.items() if term is not None}
-        out["total_per_anchor"] = out["total"] / self.batch_size
-        return out
-
-
-def cross_modal_contrastive_loss(batch: EmbeddingBatch) -> ContrastiveLossReport:
-    """Combine the four terms; the intra pair and the weighted inter pair are
-    each summed commutatively, so swapping the modalities leaves the total
-    bit-identical.  At ``inter_weight`` 0 the inter terms are not computed."""
+def cross_modal_contrastive_loss(batch: EmbeddingBatch) -> dict[str, Tensor]:
+    """The combined objective ``total`` and its terms, gradient-carrying, in
+    the order ``pretrain`` logs them.  The intra pair and the weighted inter
+    pair are each summed commutatively, so swapping the modalities leaves
+    the total bit-identical.  At ``inter_weight`` 0 the inter terms are not
+    computed, and are not in the record."""
     weights = positive_weights(batch.labels)
     t = batch.temperature
     vv = contrastive_term(batch.vision, batch.vision, weights, t)
     ll = contrastive_term(batch.text, batch.text, weights, t)
     total = ad.add(vv, ll)
-    lv = vl = None
-    if batch.inter_weight > 0.0:
-        lv = contrastive_term(batch.vision, batch.text, weights, t)
-        vl = contrastive_term(batch.text, batch.vision, weights, t)
-        total = ad.add(total, ad.scale(ad.add(lv, vl), batch.inter_weight))
-    return ContrastiveLossReport(
-        total=total,
-        vision_intra=vv,
-        text_to_vision=lv,
-        text_intra=ll,
-        vision_to_text=vl,
-        batch_size=batch.size,
-    )
+    if batch.inter_weight == 0.0:
+        return {"total": total, "vision_intra": vv, "text_intra": ll}
+    lv = contrastive_term(batch.vision, batch.text, weights, t)
+    vl = contrastive_term(batch.text, batch.vision, weights, t)
+    total = ad.add(total, ad.scale(ad.add(lv, vl), batch.inter_weight))
+    return {"total": total, "vision_intra": vv, "text_to_vision": lv,
+            "text_intra": ll, "vision_to_text": vl}
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -98,10 +98,7 @@ class FeedForwardParams:
     fc2: LinearParams
 
     @classmethod
-    def create(cls, rng: np.random.Generator, d: int, hidden: Optional[int] = None,
-               d_out: Optional[int] = None) -> "FeedForwardParams":
-        hidden = d if hidden is None else hidden
-        d_out = d if d_out is None else d_out
+    def create(cls, rng: np.random.Generator, d: int, hidden: int, d_out: int) -> "FeedForwardParams":
         return cls(LinearParams.create(rng, d, hidden), LinearParams.create(rng, hidden, d_out))
 
 

@@ -72,12 +72,6 @@ class PretrainResult:
     final_loss: float
 
 
-@dataclass
-class ProbeResult:
-    vision_accuracy: float
-    text_accuracy: float
-
-
 def load_corpus(cfg: RunConfig, layout: DocumentLayout) -> tuple[SyntheticCorpusSpec, CorpusSplits]:
     """Read the configured corpus container, or generate one inline; its
     documents must have the model's ``layout``."""
@@ -95,8 +89,9 @@ def load_corpus(cfg: RunConfig, layout: DocumentLayout) -> tuple[SyntheticCorpus
     return spec, splits
 
 
-def batch_loss(model: CrossModalModel, records: np.ndarray, cfg: RunConfig):
-    """Embed a batch and evaluate the configured objective on it."""
+def batch_loss(model: CrossModalModel, records: np.ndarray, cfg: RunConfig) -> dict[str, Tensor]:
+    """Embed a batch and evaluate the configured objective on it: the
+    ``cross_modal_contrastive_loss`` record of ``total`` and its terms."""
     images, ids, labels = collate(records)
     v_emb, t_emb = model.embed(images, ids)
     inter_weight = cfg.inter_weight if cfg.loss_mode == "cross" else 0.0
@@ -177,20 +172,21 @@ def pretrain(
         for step in range(cfg.steps):
             records = make_batch(splits.train, cfg.batch_size, batch_rng)
             try:
-                report = batch_loss(model, records, cfg)
-                final_loss = report.total.item()
+                terms = batch_loss(model, records, cfg)
+                final_loss = terms["total"].item()
                 if not math.isfinite(final_loss):
                     raise NumericError("non-finite loss")
                 lr = lr_at(schedule, step)
-                tape = backward(report.total)
+                tape = backward(terms["total"])
                 opt.step(lr)
             except NumericError as e:
                 raise NumericError(
                     f"step {step}: {e}; last checkpoint retained at {ckpt_path}") from e
             tape.clear()
             if (step + 1) % cfg.log_every == 0 or step + 1 == cfg.steps:
-                record = {"step": step + 1, "lr": lr}
-                record.update(report.values())
+                record = {"step": step + 1, "lr": lr,
+                          **{name: term.item() for name, term in terms.items()}}
+                record["total_per_anchor"] = record["total"] / cfg.batch_size
                 record["wall_time"] = clock() - start
                 metrics_file.write(json.dumps(record) + "\n")
             if (step + 1) % cfg.checkpoint_every == 0 or step + 1 == cfg.steps:
@@ -213,12 +209,12 @@ def embed_records(model: CrossModalModel, records: np.ndarray):
 
 def _fit_linear_probe(
     train_x: np.ndarray, train_y: np.ndarray,
-    test_x: np.ndarray, test_y: np.ndarray,
-    num_classes: int, cfg: RunConfig, seed: int,
+    test_x: np.ndarray, test_y: np.ndarray, cfg: RunConfig, seed: int,
 ) -> float:
-    """Train one linear classifier on frozen features; return test top-1."""
+    """Train one ``cfg.classes``-way linear classifier on frozen features;
+    return test top-1."""
     rng = np.random.default_rng(seed)
-    clf = LinearParams.create(rng, train_x.shape[1], num_classes)
+    clf = LinearParams.create(rng, train_x.shape[1], cfg.classes)
     opt = AdamW(
         {"probe.weight": clf.weight, "probe.bias": clf.bias},
         (cfg.beta1, cfg.beta2), cfg.adam_eps, weight_decay=0.0,
@@ -233,9 +229,11 @@ def _fit_linear_probe(
     return float((logits.argmax(axis=1) == test_y).mean())
 
 
-def probe(cfg: RunConfig, ckpt_path, splits: Optional[CorpusSplits] = None) -> ProbeResult:
-    """Frozen-feature linear probing: per-modality test top-1 accuracy on
-    ``splits``, or on the configured corpus.
+def probe(cfg: RunConfig, ckpt_path, splits: Optional[CorpusSplits] = None) -> dict[str, float]:
+    """Frozen-feature linear probing on ``splits``, or on the configured
+    corpus: ``{"vision": ..., "text": ...}``, each modality's test top-1
+    accuracy.  Every report takes its metrics from this record, in its
+    order: ``ablate``'s runs, means and text table, and ``crossdoc probe``.
 
     The encoder is rebuilt, in its dtype, from the checkpoint's config echo
     and parameters (its AdamW moments are not read), and its parameters are
@@ -252,26 +250,26 @@ def probe(cfg: RunConfig, ckpt_path, splits: Optional[CorpusSplits] = None) -> P
         _, splits = load_corpus(cfg, model.layout)  # its classes are cfg.classes
     v_train, t_train, y_train = embed_records(model, splits.train)
     v_test, t_test, y_test = embed_records(model, splits.test)
-    vision_acc = _fit_linear_probe(
-        v_train, y_train, v_test, y_test, cfg.classes, cfg, cfg.seed + 11)
-    text_acc = _fit_linear_probe(
-        t_train, y_train, t_test, y_test, cfg.classes, cfg, cfg.seed + 12)
-    return ProbeResult(vision_accuracy=vision_acc, text_accuracy=text_acc)
+    return {
+        "vision": _fit_linear_probe(v_train, y_train, v_test, y_test, cfg, cfg.seed + 11),
+        "text": _fit_linear_probe(t_train, y_train, t_test, y_test, cfg, cfg.seed + 12),
+    }
 
 
 def ablate(cfg: RunConfig, out_dir, clock: Optional[Callable[[], float]] = None) -> dict:
     """Run the architecture/objective grid over the configured seeds.
 
-    Each variant pretrains for ``ablate_steps`` and is probed per modality,
-    all on the one corpus loaded here; the result table carries per-seed
-    accuracies and seed means.
+    Each variant pretrains for ``ablate_steps`` and is probed, all on the
+    one corpus loaded here.  A row holds one run per seed, the seed and
+    every metric of ``probe``'s record, then each metric's seed mean as
+    ``<metric>_mean``.
     """
     _, splits = load_corpus(cfg, cfg.layout())
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for name, use_cross, use_gate, loss_mode in ABLATION_VARIANTS:
-        per_seed = []
+        runs = []
         for seed in cfg.ablate_seeds:
             run_cfg = replace(
                 cfg, seed=int(seed), steps=cfg.ablate_steps,
@@ -279,20 +277,15 @@ def ablate(cfg: RunConfig, out_dir, clock: Optional[Callable[[], float]] = None)
             )
             run_dir = out / f"{name}_seed{seed}"
             result = pretrain(run_cfg, run_dir, clock=clock, splits=splits)
-            acc = probe(run_cfg, result.checkpoint_path, splits=splits)
-            per_seed.append({
-                "seed": int(seed),
-                "vision": acc.vision_accuracy,
-                "text": acc.text_accuracy,
-            })
+            runs.append({"seed": int(seed), **probe(run_cfg, result.checkpoint_path, splits=splits)})
         rows.append({
             "variant": name,
             "cross_attention": use_cross,
             "gated_self_attention": use_gate,
             "objective": loss_mode,
-            "runs": per_seed,
-            "vision_mean": float(np.mean([r["vision"] for r in per_seed])),
-            "text_mean": float(np.mean([r["text"] for r in per_seed])),
+            "runs": runs,
+            **{f"{metric}_mean": float(np.mean([run[metric] for run in runs]))
+               for metric in _metrics(runs[0])},
         })
     table = {"seeds": [int(s) for s in cfg.ablate_seeds], "rows": rows}
     (out / "ablation.json").write_text(json.dumps(table, indent=2) + "\n")
@@ -300,20 +293,26 @@ def ablate(cfg: RunConfig, out_dir, clock: Optional[Callable[[], float]] = None)
     return table
 
 
+def _metrics(run: dict) -> list[str]:
+    """The metric names of an ablation run entry, in ``probe``'s order."""
+    return [key for key in run if key != "seed"]
+
+
 def render_ablation_table(table: dict) -> str:
-    """Text table: one row per (variant, modality), accuracy columns."""
+    """Text table: one line per (variant, metric), with the metric's seed
+    mean."""
     lines = [
         f"{'variant':<12} {'gate':<5} {'cross':<6} {'objective':<9} "
         f"{'modality':<8} {'mean_acc':>8}"
     ]
     for row in table["rows"]:
-        for modality in ("vision", "text"):
+        for metric in _metrics(row["runs"][0]):
             lines.append(
                 f"{row['variant']:<12} "
                 f"{'yes' if row['gated_self_attention'] else 'no':<5} "
                 f"{'yes' if row['cross_attention'] else 'no':<6} "
-                f"{row['objective']:<9} {modality:<8} "
-                f"{row[f'{modality}_mean']:>8.4f}"
+                f"{row['objective']:<9} {metric:<8} "
+                f"{row[f'{metric}_mean']:>8.4f}"
             )
     return "\n".join(lines) + "\n"
 
@@ -383,7 +382,7 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
 
     def f_crosscl(t):
         emb_batch = EmbeddingBatch(l2_normalize(t), l2_normalize(raw_t), labels, 0.1, 0.5)
-        return cross_modal_contrastive_loss(emb_batch).total
+        return cross_modal_contrastive_loss(emb_batch)["total"]
 
     x_loss = Tensor(rng.normal(size=(batch, 4)), requires_grad=True)
     checks.append(("cross_modal_contrastive_loss", f_crosscl, x_loss))
@@ -412,7 +411,7 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
         text, mask = token_embed(model.text_encoder, model.layout, ids)
         v_emb, t_emb = model.stack.forward(raw_vision, text, text_mask=mask)
         emb_batch = EmbeddingBatch(v_emb, t_emb, loss_labels, 0.1, 0.5)
-        return cross_modal_contrastive_loss(emb_batch).total
+        return cross_modal_contrastive_loss(emb_batch)["total"]
 
     x_model = Tensor(rng.normal(size=(batch, 5, d)), requires_grad=True)
     checks.append(("full_stack_loss", f_model, x_model))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crossdoc import cli, data, train
-from crossdoc.encoders import NUM_RESERVED_IDS
+from crossdoc.encoders import CLS_ID, NUM_RESERVED_IDS, PAD_ID, SEP_ID
 from crossdoc.errors import ContractError, ShapeError
 
 TINY = """\
@@ -53,6 +53,10 @@ CORRUPTIONS = {
     "no_cls": ("train", 0, "ids", (0,), NUM_RESERVED_IDS, "[CLS]"),
     "no_sep": ("test", 2, "ids", (-1,), NUM_RESERVED_IDS, "not [SEP]"),  # the last id was [SEP] or [PAD]
     "token_id_1e6": ("val", 3, "ids", (1,), 10**6, "vocab_size 64"),
+    # every record has a content token at position 1
+    "pad_in_content": ("train", 9, "ids", (1,), PAD_ID, "reserved token id"),
+    "cls_in_content": ("val", 2, "ids", (1,), CLS_ID, "reserved token id"),
+    "sep_in_content": ("test", 3, "ids", (1,), SEP_ID, "reserved token id"),
     "nan_pixel": ("val", 1, "image", (0, 0, 0), np.nan, "pixel"),
     "pixel_1e30": ("train", 7, "image", (5, 9, 0), 1e30, "pixel"),
 }
@@ -89,6 +93,16 @@ def test_layout_without_room_for_content_exits_1(tmp_path, capsys):
     code, out = run(tmp_path, "gen-corpus", "corpus", "image_size = 4\n")
     assert code == 1
     assert capsys.readouterr().err.startswith("config error: layout has 2 rows")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "gen-corpus"])
+@pytest.mark.parametrize("channels", [0, -1])
+def test_layout_without_channels_exits_1(tmp_path, capsys, command, channels):
+    """A config error before any output, not a numpy traceback."""
+    code, out = run(tmp_path, command, "run", f"channels = {channels}\n")
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: channels must be >= 1, got {channels}\n"
     assert not out.exists()
 
 

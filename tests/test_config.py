@@ -11,6 +11,7 @@ from crossdoc.data import SyntheticCorpusSpec
 from crossdoc.errors import ConfigError
 from crossdoc.losses import EmbeddingBatch
 from crossdoc.model import CrossModalModel
+from crossdoc.nn import FeedForwardParams
 from crossdoc.optim import AdamW, Schedule
 
 # One value per RunConfig field, each different from the field's default.
@@ -122,6 +123,7 @@ SETTING_CONSTRUCTORS = {
     "AdamW": AdamW,
     "CrossModalStack.create": CrossModalStack.create,
     "EmbeddingBatch": EmbeddingBatch,
+    "FeedForwardParams.create": FeedForwardParams.create,
 }
 
 

@@ -241,6 +241,7 @@ class TestContainer:
     @pytest.mark.parametrize("offset, value", [
         (18, 3),  # patch 3 does not divide the 8x8 image
         (6, 1),  # one class
+        (16, 0),  # no channel
     ])
     def test_invalid_spec_is_a_format_error(self, tmp_path, offset, value):
         spec = tiny_spec()

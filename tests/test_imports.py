@@ -1,5 +1,5 @@
-"""Every name the package and its tests import is used (stdlib ``ast`` only;
-no linter is assumed to be installed)."""
+"""Every name the package, its tests and the benchmark scripts import is
+used (stdlib ``ast`` only; no linter is assumed to be installed)."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "crossdoc").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+SOURCES = sorted([*(ROOT / "src" / "crossdoc").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                  *(ROOT / "bench").glob("*.py")])
 
 
 def _quoted_names(annotation: ast.AST) -> set[str]:

@@ -39,7 +39,7 @@ class TestParameterTree:
             cfg = tiny_config(use_cross=use_cross, use_gate=use_gate, loss_mode=loss_mode)
             model = CrossModalModel.create(cfg)
             records = make_batch(splits.train, cfg.batch_size, np.random.default_rng(0))
-            tape = backward(batch_loss(model, records, cfg).total)
+            tape = backward(batch_loss(model, records, cfg)["total"])
             reached = {id(n) for n in tape.nodes if n.op == "leaf" and n.requires_grad}
             params = model.parameters()
             assert {id(p) for p in params.values()} == reached
@@ -92,7 +92,7 @@ class TestDtype:
         model = CrossModalModel.create(cfg)
         records = make_batch(generate_corpus(cfg.corpus_spec()).train, cfg.batch_size,
                              np.random.default_rng(0))
-        loss = batch_loss(model, records, cfg).total
+        loss = batch_loss(model, records, cfg)["total"]
         nodes = {str(n.data.dtype) for n in _topo_order(loss)}
         backward(loss)
         params = model.parameters().values()

@@ -224,7 +224,7 @@ class TestFeedForward:
 
     def test_random_case_vs_scalar_oracle(self):
         rng = np.random.default_rng(15)
-        p = nn.FeedForwardParams.create(rng, 4)
+        p = nn.FeedForwardParams.create(rng, 4, 4, 4)
         x = rng.normal(size=(3, 4))
         expected = scalar_linear(
             p.fc2.weight.data, p.fc2.bias.data,
@@ -313,7 +313,7 @@ class TestBlockGradients:
 
     def test_feed_forward(self):
         rng = np.random.default_rng(23)
-        p = nn.FeedForwardParams.create(rng, 5)
+        p = nn.FeedForwardParams.create(rng, 5, 5, 5)
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         assert ad.finite_diff_check(lambda t: ad.tensor_sum(ad.mul(nn.feed_forward(p, t), nn.feed_forward(p, t))), x) < 1e-4
 

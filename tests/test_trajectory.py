@@ -70,6 +70,6 @@ def test_desk_step_graph_census():
     _, splits = load_corpus(cfg, cfg.layout())
     model = CrossModalModel.create(cfg)
     records = make_batch(splits.train, cfg.batch_size, np.random.default_rng(0))
-    ops = Counter(node.op for node in ad._topo_order(batch_loss(model, records, cfg).total))
+    ops = Counter(node.op for node in ad._topo_order(batch_loss(model, records, cfg)["total"]))
     assert (sum(ops.values()), ops["leaf"]) == (282, 150)
     assert (ops["matmul"], ops["add"]) == (61, 9)
