@@ -79,7 +79,7 @@ def test_probe_prints_the_keys_of_a_run_entry(ablation, tmp_path, capsys):
 @pytest.mark.parametrize("loss_mode, terms", [
     ("cross", ["total", "vision_intra", "text_to_vision", "text_intra", "vision_to_text"]),
     ("scl", ["total", "vision_intra", "text_intra"]),
-])
+], ids=["cross", "scl"])
 def test_metrics_log_columns_and_per_anchor_total(tmp_path, loss_mode, terms):
     """Every logged step has the loss terms in order (no inter terms under
     ``scl``), and ``total_per_anchor`` is ``total`` over the batch size."""
