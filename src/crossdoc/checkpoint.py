@@ -14,11 +14,10 @@ Layout (little-endian):
 Every array is stored in its own dtype, which is the run's ``dtype``
 (float64 or float32) for the parameters and the AdamW moments alike, so a
 save/load round trip is bit-exact.  Loading parses the config echo first
-(an echo ``config.parse_config`` or ``RunConfig.layout`` refuses is a
-``DataError`` naming the file), then refuses, as a ``FormatError``, an
-unknown dtype code (naming its byte offset), an array whose dtype is not
-the echo's (naming the array) and a non-finite value (naming its byte
-offset).
+(an echo ``config.parse_config`` refuses is a ``DataError`` naming the
+file), then refuses, as a ``FormatError``, an unknown dtype code (naming
+its byte offset), an array whose dtype is not the echo's (naming the array)
+and a non-finite value (naming its byte offset).
 
 Every checkpoint carries the AdamW moments: ``save_checkpoint`` takes the
 optimizer, and a has-optimizer byte other than 1 is refused on load, naming
@@ -142,7 +141,6 @@ def load_checkpoint(path, moments: bool = True) -> CheckpointData:
         config_text = reader.text(cfg_len)
         try:
             config = parse_config(config_text)
-            config.layout()  # checks that the patch size divides the image
         except ConfigError as e:
             raise DataError(f"checkpoint {path} has an invalid config echo: {e}") from e
         params = _read_arrays(reader, config.dtype)

@@ -10,6 +10,12 @@ every array in float32.
 ``RunConfig`` is the one place a run setting has a default: the library
 constructors it feeds (``SyntheticCorpusSpec``, ``Schedule``, ``AdamW``,
 ``CrossModalStack.create``, ``EmbeddingBatch``) take every setting explicitly.
+Each rule on a setting is written once, too.  The rules on the document
+layout and the corpus live in ``DocumentLayout`` and ``SyntheticCorpusSpec``,
+which a corpus header read from a file needs as well, and those on the
+learning-rate schedule in ``Schedule``; ``RunConfig`` applies them by
+building those types.  Every other rule lives in ``RunConfig`` alone, and
+the library takes those values as given.
 
 A key may appear once in a file.  There is no ``include_own_pair`` key: an
 anchor's own index is always out of its positives and its denominator (see
@@ -104,6 +110,7 @@ class RunConfig:
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         self.schedule()  # raises on an invalid base_lr or warmup_frac
+        self.corpus_spec()  # raises on an invalid layout or corpus field
         for key in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ConfigError(f"{key} must lie in [0, 1), got {getattr(self, key)}")

@@ -170,10 +170,6 @@ class CrossModalStack:
     head_vision: FeedForwardParams
     head_text: FeedForwardParams
 
-    def __post_init__(self):
-        if not self.blocks:
-            raise ConfigError("stack depth must be >= 1")
-
     @classmethod
     def create(
         cls,

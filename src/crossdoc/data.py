@@ -3,8 +3,11 @@
 Each class gets a distinct patch-grid intensity template and a disjoint block
 of the vocabulary, so the class is recoverable from either modality alone.
 Gaussian pixel noise and uniform token corruption control how clean each
-modality's signal is; zeroing one side's signal-to-noise simulates documents
-where only the other modality is informative.
+modality's signal is.  Only the text can be made uninformative: at
+``token_corruption`` 1 every content token is uniform, while ``pixel_noise``
+is capped at 1 and never removes the class template (a nearest-centroid
+classifier on raw pixels still scores 0.975 on the default corpus's test
+split at ``pixel_noise`` 1).
 
 On-disk container (all little-endian):
 
@@ -52,6 +55,10 @@ class SyntheticCorpusSpec:
     def __post_init__(self):
         if self.classes < 2:
             raise ConfigError("corpus needs at least two classes")
+        if self.classes > 0xFFFF:  # a label is a u16
+            raise ConfigError(f"classes must be <= 65535, got {self.classes}")
+        if self.seed >= 1 << 64:  # the header stores a u64
+            raise ConfigError(f"corpus seed must be < 2**64, got {self.seed}")
         if self.samples_per_class < 10:
             raise ConfigError("need >= 10 samples per class for an 80/10/10 split")
         if not (0.0 <= self.pixel_noise <= 1.0 and 0.0 <= self.token_corruption <= 1.0):
@@ -152,10 +159,6 @@ def generate_corpus(spec: SyntheticCorpusSpec) -> CorpusSplits:
 def make_batch(records: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
     """Class-balanced batch in which every sampled class appears at least
     twice, so no contrastive anchor has an empty positive set."""
-    if size < 4:
-        raise ConfigError("contrastive batches need size >= 4")
-    if size % 2 != 0:
-        raise ConfigError("batch size must be even")
     labels = records["label"]
     available = np.unique(labels)
     n_classes = min(len(available), size // 2)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, DataError, ShapeError
+from .errors import ContractError, DataError, ShapeError
 
 # How far from 1 an embedding's norm may be, per compute dtype.  The float32
 # bound is about 80 of float32's epsilons (1.2e-7).
@@ -68,10 +68,6 @@ class EmbeddingBatch:
             raise ContractError("contrastive batches need at least two samples")
         if self.labels.shape != (n,):
             raise ShapeError(f"labels shape {self.labels.shape} does not match N={n}")
-        if not self.temperature > 0.0:  # NaN fails too
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
-        if not self.inter_weight >= 0.0:
-            raise ConfigError("inter-modality weight must be >= 0")
         for name, emb in (("vision", self.vision), ("text", self.text)):
             norms = np.sqrt((emb.data ** 2).sum(axis=-1))
             if np.max(np.abs(norms - 1.0)) > NORM_TOLERANCE[emb.data.dtype]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, NumericError, ShapeError
+from .errors import ContractError, NumericError, ShapeError
 
 
 def named_tensors(tree, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
@@ -117,8 +117,6 @@ class MHAParams:
 
     @classmethod
     def create(cls, rng: np.random.Generator, feature_dim: int, num_heads: int) -> "MHAParams":
-        if num_heads < 1 or feature_dim % num_heads != 0:
-            raise ConfigError(f"feature dim {feature_dim} not divisible by {num_heads} heads")
         return cls(
             w_q=LinearParams.create(rng, feature_dim, feature_dim),
             w_k=LinearParams.create(rng, feature_dim, feature_dim),

@@ -108,12 +108,6 @@ class AdamW:
         eps: float,
         weight_decay: float,
     ):
-        if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
-            raise ConfigError("betas must lie in [0, 1)")
-        if not eps > 0.0:
-            raise ConfigError("epsilon must be positive")
-        if not weight_decay >= 0.0:
-            raise ConfigError("weight decay must be >= 0")
         self.params = dict(params)
         self.betas = betas
         self.eps = eps

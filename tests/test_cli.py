@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crossdoc import cli, data, train
+from crossdoc.config import parse_config
 from crossdoc.encoders import CLS_ID, NUM_RESERVED_IDS, PAD_ID, SEP_ID
 from crossdoc.errors import ContractError, ShapeError
 
@@ -104,6 +105,30 @@ def test_layout_without_channels_exits_1(tmp_path, capsys, command, channels):
     assert code == 1
     assert capsys.readouterr().err == f"config error: channels must be >= 1, got {channels}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "gen-corpus"])
+@pytest.mark.parametrize("extra, message", [
+    (f"corpus_seed = {2**64}\n", f"corpus seed must be < 2**64, got {2**64}"),
+    ("classes = 65536\nvocab_size = 70000\n", "classes must be <= 65535, got 65536"),
+], ids=["corpus_seed_2**64", "classes_65536"])
+def test_corpus_the_container_cannot_store_exits_1(tmp_path, capsys, command, extra, message):
+    """The corpus header stores the seed as a u64 and each label as a u16:
+    a config error before any output, not a ``struct.error`` traceback or
+    wrapped labels."""
+    code, out = run(tmp_path, command, "run", extra)
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_gen_corpus_echoes_the_config_of_its_corpus(tmp_path):
+    code, out = run(tmp_path, "gen-corpus", "corpus", "pixel_noise = 0.2\ncorpus_seed = 3\n")
+    assert code == 0
+    cfg = parse_config((tmp_path / "corpus.txt").read_text())
+    assert parse_config((out / "corpus_config.txt").read_text()) == cfg
+    spec, _ = data.read_corpus(out / "corpus.bin")
+    assert spec == cfg.corpus_spec()
 
 
 def test_ablate_generates_its_corpus_once(tmp_path, monkeypatch):

@@ -1,6 +1,9 @@
 """Run configuration: validation and the flat text format."""
 
+import ast
 import inspect
+import re
+import textwrap
 from dataclasses import fields
 
 import pytest
@@ -11,7 +14,7 @@ from crossdoc.data import SyntheticCorpusSpec
 from crossdoc.errors import ConfigError
 from crossdoc.losses import EmbeddingBatch
 from crossdoc.model import CrossModalModel
-from crossdoc.nn import FeedForwardParams
+from crossdoc.nn import FeedForwardParams, MHAParams
 from crossdoc.optim import AdamW, Schedule
 
 # One value per RunConfig field, each different from the field's default.
@@ -42,12 +45,21 @@ def test_format_parse_round_trip(cfg):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("num_heads", 0), ("hidden_dim", 0), ("embed_dim", 1), ("temperature", 0.0),
-    ("temperature", float("nan")), ("inter_weight", -0.1),
+    ("num_heads", 0), ("depth", 0), ("hidden_dim", 0), ("embed_dim", 1), ("temperature", 0.0),
+    ("temperature", float("nan")), ("inter_weight", -0.1), ("inter_weight", float("nan")),
 ])
 def test_model_and_loss_fields_validated(key, value):
     with pytest.raises(ConfigError, match=f"{key} must"):
         RunConfig(**{key: value})
+
+
+@pytest.mark.parametrize("settings, message", [
+    (dict(feature_dim=6, num_heads=4), "feature_dim 6 not divisible by 4 heads"),
+    (dict(batch_size=2), "batch_size must be even and >= 4, got 2"),
+], ids=["heads_6_by_4", "batch_size_2"])
+def test_head_width_and_batch_size_validated(settings, message):
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**settings)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -104,6 +116,29 @@ def test_corpus_path_the_text_format_cannot_carry_rejected(corpus_path):
         RunConfig(corpus_path=corpus_path)
 
 
+# Rules that a corpus header read from a file needs too live in
+# DocumentLayout and SyntheticCorpusSpec; RunConfig applies them by building
+# those types, so a config file gets the owner's message.
+OWNED_RULES = {
+    "image_15": ("image_size = 15", "image 15x15 not divisible by patch 4"),
+    "channels_0": ("channels = 0", "channels must be >= 1, got 0"),
+    "two_rows": ("image_size = 8\npatch_size = 8", "layout has 2 rows, which leaves no room"),
+    "classes_1": ("classes = 1", "corpus needs at least two classes"),
+    "classes_65536": ("classes = 65536", "classes must be <= 65535, got 65536"),
+    "samples_5": ("samples_per_class = 5", "need >= 10 samples per class"),
+    "pixel_noise_1.5": ("pixel_noise = 1.5", "noise levels must lie in [0, 1]"),
+    "vocab_6": ("vocab_size = 6", "vocab of 6 cannot hold 4 disjoint token blocks"),
+    "corpus_seed_2**64": (f"corpus_seed = {2**64}", "corpus seed must be < 2**64"),
+}
+
+
+@pytest.mark.parametrize("case", OWNED_RULES)
+def test_layout_and_corpus_rules_apply_to_the_config(case):
+    text, message = OWNED_RULES[case]
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
+
+
 def test_key_given_twice_rejected_naming_both_lines():
     with pytest.raises(ConfigError, match="line 3: config key 'steps' already set on line 1"):
         parse_config("steps = 2\n# the same key again\nsteps = 3\n")
@@ -131,6 +166,23 @@ SETTING_CONSTRUCTORS = {
 def test_run_settings_have_their_default_in_run_config_only(name):
     parameters = inspect.signature(SETTING_CONSTRUCTORS[name]).parameters.values()
     assert [p.name for p in parameters if p.default is not p.empty] == []
+
+
+# Library code that takes run settings RunConfig has already checked.
+CHECKED_BY_RUN_CONFIG = {
+    "AdamW.__init__": AdamW.__init__,
+    "EmbeddingBatch.__post_init__": EmbeddingBatch.__post_init__,
+    "MHAParams.create": MHAParams.create,
+    "CrossModalStack": CrossModalStack,
+}
+
+
+@pytest.mark.parametrize("name", CHECKED_BY_RUN_CONFIG)
+def test_run_settings_are_checked_in_run_config_only(name):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(CHECKED_BY_RUN_CONFIG[name])))
+    raised = {ident.id for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc
+              for ident in ast.walk(node.exc) if isinstance(ident, ast.Name)}
+    assert "ConfigError" not in raised
 
 
 def test_model_seed_comes_from_the_config():

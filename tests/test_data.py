@@ -140,13 +140,6 @@ class TestMakeBatch:
         b = data.make_batch(splits.train, 8, np.random.default_rng(3))
         np.testing.assert_array_equal(a, b)
 
-    def test_size_validation(self):
-        splits = data.generate_corpus(tiny_spec())
-        with pytest.raises(ConfigError):
-            data.make_batch(splits.train, 2, np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            data.make_batch(splits.train, 7, np.random.default_rng(0))
-
     def test_collate_shapes(self):
         spec = tiny_spec()
         splits = data.generate_corpus(spec)

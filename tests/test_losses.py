@@ -123,25 +123,18 @@ class TestEmbeddingBatch:
         with pytest.raises(ContractError):
             embedding_batch(Tensor(planar([0.0])), Tensor(planar([0.0])), [0])
 
-    def test_rejects_bad_hyperparameters(self):
-        x = planar([0.0, 10.0])
-        with pytest.raises(ConfigError):
-            losses.EmbeddingBatch(Tensor(x), Tensor(x), [0, 0], RUN.temperature, -0.1)
-        with pytest.raises(ConfigError):
-            losses.EmbeddingBatch(Tensor(x), Tensor(x), [0, 0], RUN.temperature, math.nan)
 
-
-# The terms take the temperature as given; the batch, the only way into the
-# objective, checks it.
+# The terms and the batch take the temperature as given; a run's temperature
+# reaches the batch only through ``RunConfig``, which checks it.
 TEMPERATURE_ENTRY_POINTS = {
-    "EmbeddingBatch": lambda x, t: losses.EmbeddingBatch(x, x, [0, 0], t, RUN.inter_weight),
+    "EmbeddingBatch": lambda x, t: embedding_batch(x, x, [0, 0], temperature=t),
 }
 
 
 @pytest.mark.parametrize("temperature", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
 @pytest.mark.parametrize("entry", TEMPERATURE_ENTRY_POINTS)
 def test_non_positive_temperature_is_a_config_error(entry, temperature):
-    with pytest.raises(ConfigError, match="temperature must be positive"):
+    with pytest.raises(ConfigError, match="temperature must be finite and positive"):
         TEMPERATURE_ENTRY_POINTS[entry](Tensor(planar([0.0, 10.0])), temperature)
 
 

@@ -6,7 +6,7 @@ import pytest
 from crossdoc import autodiff as ad
 from crossdoc import nn
 from crossdoc.autodiff import Tensor
-from crossdoc.errors import ConfigError, ContractError, NumericError, ShapeError
+from crossdoc.errors import ContractError, NumericError, ShapeError
 
 
 from oracles import scalar_gelu, scalar_linear, scalar_mha
@@ -182,11 +182,6 @@ class TestMultiHeadAttention:
                                     key_mask=np.array([False, False, False]))
 
     def test_head_config_validation(self):
-        rng = np.random.default_rng(12)
-        with pytest.raises(ConfigError):
-            nn.MHAParams.create(rng, 6, 4)
-        with pytest.raises(ConfigError):
-            nn.MHAParams.create(rng, 6, 0)
         for heads in (0, 3):  # the head width is derived, so the call checks it
             p = nn.MHAParams(identity_linear(4), identity_linear(4), identity_linear(4),
                              identity_linear(4), num_heads=heads)
