@@ -7,6 +7,9 @@ replays the adjoints in reverse topological order, hands each leaf whose
 gradient is final to its ``grad_hook``, frees the graph as it goes and
 returns the :class:`GradTape` of leaves it reached.
 
+Every op takes its operands as Tensors; ``Tensor(...)`` is the one place
+an array, list or scalar enters the graph.
+
 The ops are dtype-generic: a node takes the dtype of its first
 differentiable input and each gradient that of its tensor, so a float32
 model computes in float32 and a float64 model (the reference) in float64.
@@ -84,13 +87,6 @@ class Tensor:
 
 def _noop() -> None:
     return None
-
-
-def as_tensor(value) -> Tensor:
-    """Coerce scalars / arrays to a constant Tensor; pass Tensors through."""
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value)
 
 
 def _make_node(data: np.ndarray, op: str, *edges: tuple[Tensor, Callable]) -> Tensor:
@@ -221,65 +217,55 @@ def backward(loss: Tensor) -> GradTape:
 # elementwise ops
 # ---------------------------------------------------------------------------
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     return _make_node(a.data + b.data, "add", (a, lambda g: g), (b, lambda g: g))
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     return _make_node(a.data - b.data, "sub", (a, lambda g: g), (b, lambda g: -g))
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     x, y = a.data, b.data
     return _make_node(x * y, "mul", (a, lambda g: g * y), (b, lambda g: g * x))
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def div(a: Tensor, b: Tensor) -> Tensor:
     x, y = a.data, b.data
     return _make_node(x / y, "div", (a, lambda g: g / y), (b, lambda g: -g * x / (y * y)))
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
+def neg(a: Tensor) -> Tensor:
     return _make_node(-a.data, "neg", (a, lambda g: -g))
 
 
-def scale(a, factor: float) -> Tensor:
+def scale(a: Tensor, factor: float) -> Tensor:
     """Multiply by a plain python scalar."""
-    a = as_tensor(a)
     factor = float(factor)
     return _make_node(a.data * factor, "scale", (a, lambda g: g * factor))
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
+def exp(a: Tensor) -> Tensor:
     y = np.exp(a.data)
     return _make_node(y, "exp", (a, lambda g: g * y))
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
+def log(a: Tensor) -> Tensor:
     x = a.data
     if np.any(x <= 0.0):
         raise NumericError("log of non-positive value")
     return _make_node(np.log(x), "log", (a, lambda g: g / x))
 
 
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
+def sqrt(a: Tensor) -> Tensor:
     if np.any(a.data < 0.0):
         raise NumericError("sqrt of negative value")
     y = np.sqrt(a.data)
     return _make_node(y, "sqrt", (a, lambda g: g * 0.5 / y))
 
 
-def gelu(a) -> Tensor:
+def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, exact (erf) form."""
-    a = as_tensor(a)
     x = a.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
 
@@ -294,7 +280,7 @@ def gelu(a) -> Tensor:
 # linear algebra and shape ops
 # ---------------------------------------------------------------------------
 
-def matmul(a, b, bias=None) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """``a @ b``, plus ``bias`` if given: a stack of rows times one matrix.
 
     ``b`` is (k, n) and ``a`` is (..., k); the leading axes of ``a`` fold
@@ -304,7 +290,6 @@ def matmul(a, b, bias=None) -> Tensor:
     place to the GEMM output and is the node's third edge, so a dense layer
     ``x @ W + b`` is one node.
     """
-    a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 1 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul needs (..., k) @ (k, n) operands, got {a.shape} @ {b.shape}")
     x, w = a.data, b.data
@@ -318,7 +303,6 @@ def matmul(a, b, bias=None) -> Tensor:
         (b, lambda g: x.reshape(-1, k).T @ g.reshape(-1, n)),
     ]
     if bias is not None:
-        bias = as_tensor(bias)
         if bias.shape != (n,):
             raise ShapeError(f"matmul bias must have shape ({n},), got {bias.shape}")
         out += bias.data
@@ -326,8 +310,7 @@ def matmul(a, b, bias=None) -> Tensor:
     return _make_node(out, "matmul", *edges)
 
 
-def transpose_last2(a) -> Tensor:
-    a = as_tensor(a)
+def transpose_last2(a: Tensor) -> Tensor:
     if a.ndim < 2:
         raise ShapeError(f"transpose_last2 needs >=2-d input, got {a.shape}")
     return _make_node(
@@ -335,20 +318,17 @@ def transpose_last2(a) -> Tensor:
     )
 
 
-def reshape(a, shape: Sequence[int]) -> Tensor:
-    a = as_tensor(a)
+def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     old = a.shape
     return _make_node(a.data.reshape(shape), "reshape", (a, lambda g: g.reshape(old)))
 
 
-def broadcast_to(a, shape: Sequence[int]) -> Tensor:
-    a = as_tensor(a)
+def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _make_node(np.broadcast_to(a.data, shape).copy(), "broadcast_to", (a, lambda g: g))
 
 
-def narrow(a, axis: int, start: int, length: int) -> Tensor:
+def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Slice ``length`` entries starting at ``start`` along ``axis``."""
-    a = as_tensor(a)
     axis = axis % a.ndim
     if start < 0 or start + length > a.shape[axis]:
         raise ShapeError(
@@ -365,8 +345,8 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     return _make_node(x[index].copy(), "narrow", (a, vjp))
 
 
-def concat(parts: Iterable, axis: int = -1) -> Tensor:
-    parts = tuple(as_tensor(p) for p in parts)
+def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
+    parts = tuple(parts)
     if not parts:
         raise ShapeError("concat of zero tensors")
     data = np.concatenate([p.data for p in parts], axis=axis)
@@ -379,9 +359,8 @@ def concat(parts: Iterable, axis: int = -1) -> Tensor:
     return _make_node(data, "concat", *edges)
 
 
-def gather_rows(table, indices) -> Tensor:
+def gather_rows(table: Tensor, indices) -> Tensor:
     """Look up rows of a 2-d table; output shape is indices.shape + (row_dim,)."""
-    table = as_tensor(table)
     if table.ndim != 2:
         raise ShapeError(f"gather_rows table must be 2-d, got {table.shape}")
     idx = np.asarray(indices)
@@ -397,8 +376,7 @@ def gather_rows(table, indices) -> Tensor:
     return _make_node(t[idx], "gather_rows", (table, vjp))
 
 
-def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
+def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     shape = a.shape
 
     def vjp(g):
@@ -427,18 +405,16 @@ def _softmax_parts(x: np.ndarray, op: str) -> tuple[np.ndarray, np.ndarray]:
     return e / total, m + np.log(total)
 
 
-def softmax_last(a) -> Tensor:
+def softmax_last(a: Tensor) -> Tensor:
     """Softmax over the final axis (see ``_softmax_parts``)."""
-    a = as_tensor(a)
     y, _ = _softmax_parts(a.data, "softmax_last")
     return _make_node(
         y, "softmax_last", (a, lambda g: (g - np.sum(g * y, axis=-1, keepdims=True)) * y)
     )
 
 
-def logsumexp_last(a) -> Tensor:
+def logsumexp_last(a: Tensor) -> Tensor:
     """log(sum(exp(x))) over the final axis, stabilized; -inf entries drop out."""
-    a = as_tensor(a)
     softmax, lse = _softmax_parts(a.data, "logsumexp_last")
     return _make_node(lse[..., 0], "logsumexp_last", (a, lambda g: g[..., None] * softmax))
 
@@ -447,7 +423,8 @@ def logsumexp_last(a) -> Tensor:
 # fused ops: one node each, with closed-form adjoints
 # ---------------------------------------------------------------------------
 
-def layer_norm_last(x, gamma, beta, eps: float, residual=None) -> Tensor:
+def layer_norm_last(x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
+                    residual: Tensor | None = None) -> Tensor:
     """``gamma * (s - mean) / sqrt(var + eps) + beta`` over the final axis,
     where ``s`` is ``x``, or ``x + residual`` if a residual is given.
 
@@ -457,10 +434,8 @@ def layer_norm_last(x, gamma, beta, eps: float, residual=None) -> Tensor:
     and receives the same adjoint array as ``x``, so a post-norm residual
     sum is never a node of its own and its (.., d) array is never kept.
     """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     s = x.data
     if residual is not None:
-        residual = as_tensor(residual)
         if residual.shape != x.shape:
             raise ShapeError(f"layer_norm residual {residual.shape} does not match {x.shape}")
         s = s + residual.data
@@ -500,7 +475,8 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-3, -2).reshape(*lead, rows, heads * d)
 
 
-def attention_heads(q, k, v, num_heads: int, key_bias=None) -> tuple[Tensor, np.ndarray]:
+def attention_heads(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
+                    key_bias=None) -> tuple[Tensor, np.ndarray]:
     """Scaled dot-product attention over ``num_heads`` heads, as one node.
 
     ``q`` is (.., q_rows, D) and ``k``, ``v`` are (.., k_rows, D), already
@@ -510,7 +486,6 @@ def attention_heads(q, k, v, num_heads: int, key_bias=None) -> tuple[Tensor, np.
     (.., q_rows, D) context node and the (.., heads, q_rows, k_rows) softmax
     weights as a plain array.  The node keeps the softmax for its adjoint.
     """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     width = q.shape[-1]
     if k.shape != v.shape or k.shape[-1] != width or q.ndim < 2 or k.ndim < 2:
         raise ShapeError(f"attention operands disagree: q {q.shape}, k {k.shape}, v {v.shape}")
@@ -541,7 +516,7 @@ def attention_heads(q, k, v, num_heads: int, key_bias=None) -> tuple[Tensor, np.
     return out, att
 
 
-def contrastive_sum(sim, weights: np.ndarray, temperature: float) -> Tensor:
+def contrastive_sum(sim: Tensor, weights: np.ndarray, temperature: float) -> Tensor:
     """``-sum_ij W[i, j] * log_softmax(sim / T)[i, j]`` over rows of ``sim``.
 
     Each row's diagonal entry -- the anchor's own index -- leaves the softmax
@@ -549,7 +524,6 @@ def contrastive_sum(sim, weights: np.ndarray, temperature: float) -> Tensor:
     zero-weight cells (the diagonal among them) stay finite.  The adjoint is
     ``(rowsum(W) * softmax - W) / T``.
     """
-    sim = as_tensor(sim)
     weights = np.asarray(weights, dtype=sim.data.dtype)
     if sim.ndim != 2 or weights.shape != sim.shape:
         raise ShapeError(f"contrastive_sum needs matching 2-d operands: {sim.shape} vs {weights.shape}")

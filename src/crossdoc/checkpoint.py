@@ -44,10 +44,6 @@ ablation variant's checkpoint names only the stages it runs (no ``cross``
 arrays without cross-attention, no ``gate_*`` arrays without the gate), and
 loading into a model requires exactly the model's names, so a file that
 still holds a disabled stage's arrays is refused.
-
-The config echo must name only keys ``RunConfig`` has: checkpoints written
-while the own-pair switch existed echo ``include_own_pair = false`` and are
-refused as an invalid echo naming that key.
 """
 
 from __future__ import annotations

@@ -17,12 +17,10 @@ learning-rate schedule in ``Schedule``; ``RunConfig`` applies them by
 building those types.  Every other rule lives in ``RunConfig`` alone, and
 the library takes those values as given.
 
-A key may appear once in a file.  There is no ``include_own_pair`` key: an
-anchor's own index is always out of its positives and its denominator (see
-``losses``), so a file or a checkpoint echo that names it is refused as an
-unknown key.  Values a run cannot use -- a negative seed, a feature width
-below 2, an infinite rate, weight or temperature -- are refused here, before
-any command writes output.
+A key may appear once in a file, and must name a ``RunConfig`` field.
+Values a run cannot use -- a negative seed, a feature width below 2, an
+infinite rate, weight or temperature -- are refused here, before any command
+writes output.
 """
 
 from __future__ import annotations
@@ -109,6 +107,9 @@ class RunConfig:
         for key in ("log_every", "checkpoint_every"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("seed", "corpus_seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         self.schedule()  # raises on an invalid base_lr or warmup_frac
         self.corpus_spec()  # raises on an invalid layout or corpus field
         for key in ("beta1", "beta2"):
@@ -121,9 +122,6 @@ class RunConfig:
         for key in ("inter_weight", "weight_decay"):
             if not 0.0 <= getattr(self, key) < math.inf:
                 raise ConfigError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
-        for key in ("seed", "corpus_seed"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.probe_steps < 1:
             raise ConfigError(f"probe_steps must be >= 1, got {self.probe_steps}")
         seeds = self.ablate_seeds

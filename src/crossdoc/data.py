@@ -12,9 +12,7 @@ split at ``pixel_noise`` 1).
 On-disk container (all little-endian):
 
     magic "XCLC" | u16 version=1 | spec | 3 x record set (train, val, test)
-    spec: u16 classes | u32 samples_per_class | u16 height | u16 width
-          | u16 channels | u16 patch | u32 vocab_size
-          | f64 pixel_noise | f64 token_corruption | u64 seed
+    spec: the fields of ``SPEC_HEADER``, in its order and widths
     record set: u32 count | count x record
     record: ``record_dtype(layout)``, packed: f32[height, width, channels]
             image | u32[rows] token ids | u16 label
@@ -31,6 +29,7 @@ failed write.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -41,6 +40,14 @@ from .errors import ConfigError, FormatError
 
 MAGIC = b"XCLC"
 VERSION = 1
+# The corpus header after the version: each field of a spec and of its
+# layout, in file order, with its struct code.
+SPEC_HEADER = (
+    ("classes", "H"), ("samples_per_class", "I"), ("height", "H"), ("width", "H"),
+    ("channels", "H"), ("patch", "H"), ("vocab_size", "I"),
+    ("pixel_noise", "d"), ("token_corruption", "d"), ("seed", "Q"),
+)
+_SPEC_FMT = "<" + "".join(code for _, code in SPEC_HEADER)
 
 
 @dataclass(frozen=True)
@@ -53,12 +60,14 @@ class SyntheticCorpusSpec:
     seed: int
 
     def __post_init__(self):
+        values = self.header_values()
+        for name, code in SPEC_HEADER:
+            bits = 8 * struct.calcsize("<" + code)
+            if code != "d" and not 0 <= values[name] < 1 << bits:
+                raise ConfigError(f"{name} must lie in [0, {(1 << bits) - 1}], a u{bits} "
+                                  f"in the corpus header, got {values[name]}")
         if self.classes < 2:
             raise ConfigError("corpus needs at least two classes")
-        if self.classes > 0xFFFF:  # a label is a u16
-            raise ConfigError(f"classes must be <= 65535, got {self.classes}")
-        if self.seed >= 1 << 64:  # the header stores a u64
-            raise ConfigError(f"corpus seed must be < 2**64, got {self.seed}")
         if self.samples_per_class < 10:
             raise ConfigError("need >= 10 samples per class for an 80/10/10 split")
         if not (0.0 <= self.pixel_noise <= 1.0 and 0.0 <= self.token_corruption <= 1.0):
@@ -72,6 +81,12 @@ class SyntheticCorpusSpec:
                 f"vocab of {self.layout.vocab_size} cannot hold {self.classes} disjoint "
                 f"token blocks after {NUM_RESERVED_IDS} reserved ids"
             )
+
+    def header_values(self) -> dict:
+        """The values the corpus header stores, by ``SPEC_HEADER`` name."""
+        named = {f.name: getattr(self.layout, f.name) for f in fields(self.layout)}
+        named.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "layout")
+        return named
 
     @property
     def content_vocab(self) -> int:
@@ -183,21 +198,14 @@ def collate(records: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # on-disk container
 # ---------------------------------------------------------------------------
 
-_SPEC_FMT = "<HIHHHHIddQ"
-
-
 def write_corpus(path, spec: SyntheticCorpusSpec, splits: CorpusSplits) -> None:
-    layout = spec.layout
+    values = spec.header_values()
     with write_container(path, MAGIC, VERSION) as writer:
-        writer.pack(
-            _SPEC_FMT, spec.classes, spec.samples_per_class, layout.height, layout.width,
-            layout.channels, layout.patch, layout.vocab_size,
-            spec.pixel_noise, spec.token_corruption, spec.seed,
-        )
+        writer.pack(_SPEC_FMT, *(values[name] for name, _ in SPEC_HEADER))
         for split in fields(splits):
             records = getattr(splits, split.name)
             writer.pack("<I", len(records))
-            writer.array(records, record_dtype(layout))
+            writer.array(records, record_dtype(spec.layout))
 
 
 def _check_records(spec: SyntheticCorpusSpec, records: np.ndarray, where: str, start: int) -> None:
@@ -228,13 +236,10 @@ def read_corpus(path) -> tuple[SyntheticCorpusSpec, CorpusSplits]:
     """Read a corpus container; every record is checked as it loads."""
     with open_container(path, MAGIC, VERSION, "corpus file") as reader:
         spec_offset = reader.offset
-        values = reader.unpack(_SPEC_FMT)
+        values = dict(zip((name for name, _ in SPEC_HEADER), reader.unpack(_SPEC_FMT)))
         try:
-            layout = DocumentLayout(*values[2:7])
-            spec = SyntheticCorpusSpec(
-                layout, classes=values[0], samples_per_class=values[1],
-                pixel_noise=values[7], token_corruption=values[8], seed=values[9],
-            )
+            layout = DocumentLayout(**{f.name: values.pop(f.name) for f in fields(DocumentLayout)})
+            spec = SyntheticCorpusSpec(layout, **values)
         except ConfigError as e:
             raise FormatError(f"invalid corpus spec at byte {spec_offset}: {e}") from e
         parts = {}

@@ -117,10 +117,9 @@ def _keep_freed_heap() -> None:
     With it, a steady-state step faults no page at desk and about 5 at paper
     width (``ru_minflt`` per phase, 2-core x86, at batch 8 and 64).  At
     paper width that rests on ``AdamW`` dropping each gradient during
-    ``backward``, where later arrays reuse its memory: when the tape's
-    ``clear()`` freed all 130 MB of gradients at once, more than the trim
-    threshold, glibc trimmed them and the next step faulted about 61K pages
-    back in at batch 8.
+    ``backward``, where later arrays reuse its memory: freeing all 130 MB of
+    gradients at once, more than the trim threshold, would let glibc trim
+    them, and the next step would fault about 61K pages back in at batch 8.
     """
     np.empty(16 << 20, np.uint8)
 
@@ -177,12 +176,11 @@ def pretrain(
                 if not math.isfinite(final_loss):
                     raise NumericError("non-finite loss")
                 lr = lr_at(schedule, step)
-                tape = backward(terms["total"])
+                backward(terms["total"])
                 opt.step(lr)
             except NumericError as e:
                 raise NumericError(
                     f"step {step}: {e}; last checkpoint retained at {ckpt_path}") from e
-            tape.clear()
             if (step + 1) % cfg.log_every == 0 or step + 1 == cfg.steps:
                 record = {"step": step + 1, "lr": lr,
                           **{name: term.item() for name, term in terms.items()}}
@@ -222,9 +220,8 @@ def _fit_linear_probe(
     features = Tensor(train_x)
     for _ in range(cfg.probe_steps):
         loss = cross_entropy(linear(clf, features), train_y)
-        tape = backward(loss)
+        backward(loss)
         opt.step(cfg.probe_lr)
-        tape.clear()
     logits = linear(clf, Tensor(test_x)).data
     return float((logits.argmax(axis=1) == test_y).mean())
 

@@ -109,13 +109,18 @@ def test_layout_without_channels_exits_1(tmp_path, capsys, command, channels):
 
 @pytest.mark.parametrize("command", ["pretrain", "gen-corpus"])
 @pytest.mark.parametrize("extra, message", [
-    (f"corpus_seed = {2**64}\n", f"corpus seed must be < 2**64, got {2**64}"),
-    ("classes = 65536\nvocab_size = 70000\n", "classes must be <= 65535, got 65536"),
-], ids=["corpus_seed_2**64", "classes_65536"])
+    (f"corpus_seed = {2**64}\n",
+     f"seed must lie in [0, {2**64 - 1}], a u64 in the corpus header, got {2**64}"),
+    ("classes = 65536\nvocab_size = 70000\n",
+     "classes must lie in [0, 65535], a u16 in the corpus header, got 65536"),
+    (f"vocab_size = {2**32 + 8}\n",
+     f"vocab_size must lie in [0, {2**32 - 1}], a u32 in the corpus header, got {2**32 + 8}"),
+    ("image_size = 65536\n", "height must lie in [0, 65535], a u16 in the corpus header, got 65536"),
+], ids=["corpus_seed_2**64", "classes_65536", "vocab_size_2**32+8", "image_size_65536"])
 def test_corpus_the_container_cannot_store_exits_1(tmp_path, capsys, command, extra, message):
-    """The corpus header stores the seed as a u64 and each label as a u16:
-    a config error before any output, not a ``struct.error`` traceback or
-    wrapped labels."""
+    """Each corpus header field has a fixed width (u64 seed, u16 classes and
+    height, u32 vocab): a value beyond it is a config error naming the field
+    before any output, not a ``struct.error`` traceback or wrapped labels."""
     code, out = run(tmp_path, command, "run", extra)
     assert code == 1
     assert capsys.readouterr().err == f"config error: {message}\n"

@@ -121,14 +121,15 @@ def test_corpus_path_the_text_format_cannot_carry_rejected(corpus_path):
 # those types, so a config file gets the owner's message.
 OWNED_RULES = {
     "image_15": ("image_size = 15", "image 15x15 not divisible by patch 4"),
+    "image_-8": ("image_size = -8", "height must lie in [0, 65535], a u16 in the corpus header"),
     "channels_0": ("channels = 0", "channels must be >= 1, got 0"),
     "two_rows": ("image_size = 8\npatch_size = 8", "layout has 2 rows, which leaves no room"),
     "classes_1": ("classes = 1", "corpus needs at least two classes"),
-    "classes_65536": ("classes = 65536", "classes must be <= 65535, got 65536"),
+    "classes_65536": ("classes = 65536", "classes must lie in [0, 65535], a u16 in the corpus header"),
     "samples_5": ("samples_per_class = 5", "need >= 10 samples per class"),
     "pixel_noise_1.5": ("pixel_noise = 1.5", "noise levels must lie in [0, 1]"),
     "vocab_6": ("vocab_size = 6", "vocab of 6 cannot hold 4 disjoint token blocks"),
-    "corpus_seed_2**64": (f"corpus_seed = {2**64}", "corpus seed must be < 2**64"),
+    "corpus_seed_2**64": (f"corpus_seed = {2**64}", f"seed must lie in [0, {2**64 - 1}], a u64"),
 }
 
 

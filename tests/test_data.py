@@ -1,5 +1,7 @@
 """Synthetic corpus tests: determinism, splits, batching, container format."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,14 @@ class TestContainer:
         for part, part2 in zip((splits.train, splits.val, splits.test),
                                (splits2.train, splits2.val, splits2.test)):
             np.testing.assert_array_equal(part, part2)
+
+    def test_header_stores_every_spec_and_layout_field_once(self):
+        """A field added to ``DocumentLayout`` or ``SyntheticCorpusSpec``
+        without a ``SPEC_HEADER`` entry would not survive a round trip."""
+        names = [name for name, _ in data.SPEC_HEADER]
+        expected = [f.name for f in fields(DocumentLayout)]
+        expected += [f.name for f in fields(data.SyntheticCorpusSpec) if f.name != "layout"]
+        assert sorted(names) == sorted(expected)
 
     def test_write_read_write_is_stable(self, tmp_path):
         spec = tiny_spec()
