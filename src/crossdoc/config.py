@@ -14,8 +14,9 @@ Each rule on a setting is written once, too.  The rules on the document
 layout and the corpus live in ``DocumentLayout`` and ``SyntheticCorpusSpec``,
 which a corpus header read from a file needs as well, and those on the
 learning-rate schedule in ``Schedule``; ``RunConfig`` applies them by
-building those types.  Every other rule lives in ``RunConfig`` alone, and
-the library takes those values as given.
+building those types.  Their fields carry the ``RunConfig`` keys' names, as
+the header does, so a refusal names the key.  Every other rule lives in
+``RunConfig`` alone, and the library takes those values as given.
 
 A key may appear once in a file, and must name a ``RunConfig`` field.
 Values a run cannot use -- a negative seed, a feature width below 2, an
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .data import SyntheticCorpusSpec
+from .data import SyntheticCorpusSpec, split_sizes
 from .encoders import DocumentLayout
 from .errors import ConfigError
 from .optim import Schedule
@@ -140,21 +141,10 @@ class RunConfig:
                 f"with whitespace: {path!r}")
 
     def layout(self) -> DocumentLayout:
-        """The document geometry the flat image/patch/vocab fields describe."""
-        return DocumentLayout(
-            height=self.image_size, width=self.image_size, channels=self.channels,
-            patch=self.patch_size, vocab_size=self.vocab_size,
-        )
+        return self.corpus_spec().layout
 
     def corpus_spec(self) -> SyntheticCorpusSpec:
-        return SyntheticCorpusSpec(
-            self.layout(),
-            classes=self.classes,
-            samples_per_class=self.samples_per_class,
-            pixel_noise=self.pixel_noise,
-            token_corruption=self.token_corruption,
-            seed=self.corpus_seed,
-        )
+        return SyntheticCorpusSpec.from_values(vars(self))
 
     def schedule(self) -> Schedule:
         return Schedule(
@@ -169,7 +159,7 @@ def apply_preset(name: str) -> RunConfig:
     if name == "desk":
         return cfg
     if name == "paper":
-        train_size = int(0.8 * cfg.classes * cfg.samples_per_class)
+        train_size = cfg.classes * split_sizes(cfg.samples_per_class)[0]
         epochs = 100
         steps = epochs * math.ceil(train_size / 64)
         return replace(

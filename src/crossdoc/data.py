@@ -11,11 +11,11 @@ split at ``pixel_noise`` 1).
 
 On-disk container (all little-endian):
 
-    magic "XCLC" | u16 version=1 | spec | 3 x record set (train, val, test)
+    magic "XCLC" | u16 version=2 | spec | 3 x record set (train, val, test)
     spec: the fields of ``SPEC_HEADER``, in its order and widths
     record set: u32 count | count x record
-    record: ``record_dtype(layout)``, packed: f32[height, width, channels]
-            image | u32[rows] token ids | u16 label
+    record: ``record_dtype(layout)``, packed: f32[image_size, image_size,
+            channels] image | u32[rows] token ids | u16 label
 
 In memory each record set is one numpy array of ``record_dtype``, the same
 bytes as on disk.  ``read_corpus`` checks every record as it loads: label
@@ -30,7 +30,7 @@ failed write.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -39,13 +39,14 @@ from .encoders import CLS_ID, NUM_RESERVED_IDS, PAD_ID, SEP_ID, DocumentLayout
 from .errors import ConfigError, FormatError
 
 MAGIC = b"XCLC"
-VERSION = 1
+VERSION = 2
 # The corpus header after the version: each field of a spec and of its
-# layout, in file order, with its struct code.
+# layout, in file order, with its struct code.  Each name is a ``RunConfig``
+# key as well, so one name runs from the config file to the corpus file.
 SPEC_HEADER = (
-    ("classes", "H"), ("samples_per_class", "I"), ("height", "H"), ("width", "H"),
-    ("channels", "H"), ("patch", "H"), ("vocab_size", "I"),
-    ("pixel_noise", "d"), ("token_corruption", "d"), ("seed", "Q"),
+    ("classes", "H"), ("samples_per_class", "I"), ("image_size", "H"),
+    ("channels", "H"), ("patch_size", "H"), ("vocab_size", "I"),
+    ("pixel_noise", "d"), ("token_corruption", "d"), ("corpus_seed", "Q"),
 )
 _SPEC_FMT = "<" + "".join(code for _, code in SPEC_HEADER)
 
@@ -57,7 +58,14 @@ class SyntheticCorpusSpec:
     samples_per_class: int
     pixel_noise: float
     token_corruption: float
-    seed: int
+    corpus_seed: int
+
+    @classmethod
+    def from_values(cls, values) -> "SyntheticCorpusSpec":
+        """The spec, with its layout, of a mapping of every ``SPEC_HEADER``
+        name to its value: a ``RunConfig``'s fields or a corpus header's."""
+        layout = DocumentLayout(**{f.name: values[f.name] for f in fields(DocumentLayout)})
+        return cls(layout, **{f.name: values[f.name] for f in fields(cls) if f.name != "layout"})
 
     def __post_init__(self):
         values = self.header_values()
@@ -83,10 +91,10 @@ class SyntheticCorpusSpec:
             )
 
     def header_values(self) -> dict:
-        """The values the corpus header stores, by ``SPEC_HEADER`` name."""
-        named = {f.name: getattr(self.layout, f.name) for f in fields(self.layout)}
-        named.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "layout")
-        return named
+        """The inverse of ``from_values``: each ``SPEC_HEADER`` name's value."""
+        values = asdict(self)
+        values.update(values.pop("layout"))
+        return values
 
     @property
     def content_vocab(self) -> int:
@@ -102,9 +110,8 @@ class SyntheticCorpusSpec:
 
     def class_templates(self) -> np.ndarray:
         """Per-class patch-grid intensities in [0.1, 0.9], pairwise distinct."""
-        rng = np.random.default_rng(self.seed)
-        layout = self.layout
-        grid = (layout.height // layout.patch, layout.width // layout.patch, layout.channels)
+        rng = np.random.default_rng(self.corpus_seed)
+        grid = (self.layout.grid, self.layout.grid, self.layout.channels)
         while True:
             templates = rng.uniform(0.1, 0.9, size=(self.classes,) + grid)
             flat = templates.reshape(self.classes, -1)
@@ -120,7 +127,7 @@ def record_dtype(layout: DocumentLayout) -> np.dtype:
     """One document, packed: its pixels in [0, 1], its token ids
     ``[CLS] content... [SEP] [PAD]...`` and its class.  The corpus holds each
     split as one array of these, and writes it byte for byte."""
-    image_shape = (layout.height, layout.width, layout.channels)
+    image_shape = (layout.image_size, layout.image_size, layout.channels)
     return np.dtype([("image", "<f4", image_shape), ("ids", "<u4", (layout.rows,)), ("label", "<u2")])
 
 
@@ -133,21 +140,23 @@ class CorpusSplits:
     test: np.ndarray
 
 
-def generate_corpus(spec: SyntheticCorpusSpec) -> CorpusSplits:
-    """Deterministically generate balanced train/val/test record sets.
+def split_sizes(samples_per_class: int) -> tuple[int, int]:
+    """Per class, the train and val counts: 80%, 10%, and the rest is test."""
+    return int(0.8 * samples_per_class), int(0.1 * samples_per_class)
 
-    Per class: 80% train, 10% val, remainder test; splits are disjoint and
-    exhaustive.
-    """
+
+def generate_corpus(spec: SyntheticCorpusSpec) -> CorpusSplits:
+    """Deterministically generate balanced train/val/test record sets, each
+    class split by ``split_sizes``; splits are disjoint and exhaustive."""
     layout = spec.layout
     templates = spec.class_templates()
-    rng = np.random.default_rng(spec.seed + 1)  # templates consumed seed itself
+    rng = np.random.default_rng(spec.corpus_seed + 1)  # templates consumed the seed itself
     records = np.zeros((spec.classes, spec.samples_per_class), record_dtype(layout))
     images, ids = records["image"], records["ids"]
     records["label"] = np.arange(spec.classes)[:, None]
     max_content = layout.rows - 2
     for label in range(spec.classes):
-        clean = np.kron(templates[label], np.ones((layout.patch, layout.patch, 1)))
+        clean = np.kron(templates[label], np.ones((layout.patch_size, layout.patch_size, 1)))
         lo, hi = spec.class_token_range(label)
         for i in range(spec.samples_per_class):
             pixels = clean
@@ -162,8 +171,7 @@ def generate_corpus(spec: SyntheticCorpusSpec) -> CorpusSplits:
                 content = np.where(corrupt, noise, content)
             ids[label, i, :length + 2] = [CLS_ID, *content, SEP_ID]
 
-    n_train = int(0.8 * spec.samples_per_class)
-    n_val = int(0.1 * spec.samples_per_class)
+    n_train, n_val = split_sizes(spec.samples_per_class)
     return CorpusSplits(
         train=records[:, :n_train].ravel(),
         val=records[:, n_train:n_train + n_val].ravel(),
@@ -238,15 +246,14 @@ def read_corpus(path) -> tuple[SyntheticCorpusSpec, CorpusSplits]:
         spec_offset = reader.offset
         values = dict(zip((name for name, _ in SPEC_HEADER), reader.unpack(_SPEC_FMT)))
         try:
-            layout = DocumentLayout(**{f.name: values.pop(f.name) for f in fields(DocumentLayout)})
-            spec = SyntheticCorpusSpec(layout, **values)
+            spec = SyntheticCorpusSpec.from_values(values)
         except ConfigError as e:
             raise FormatError(f"invalid corpus spec at byte {spec_offset}: {e}") from e
         parts = {}
         for split in fields(CorpusSplits):
             (count,) = reader.unpack("<I")
             start = reader.offset
-            parts[split.name] = reader.array((count,), record_dtype(layout))
+            parts[split.name] = reader.array((count,), record_dtype(spec.layout))
             _check_records(spec, parts[split.name], f"{reader.kind} {split.name}", start)
         reader.finish()
     return spec, CorpusSplits(**parts)

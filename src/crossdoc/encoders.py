@@ -25,30 +25,34 @@ NUM_RESERVED_IDS = 3
 
 @dataclass(frozen=True)
 class DocumentLayout:
-    """Geometry shared by a document's two modalities: square patches over
-    the image, and token sequences sized to the patch rows."""
+    """Geometry shared by a document's two modalities: square patches of
+    ``patch_size`` over a square ``image_size`` image, and token sequences
+    sized to the patch rows.  Each field has its ``RunConfig`` key's name."""
 
-    height: int
-    width: int
+    image_size: int
     channels: int
-    patch: int
+    patch_size: int
     vocab_size: int
 
     def __post_init__(self):
         if self.channels < 1:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")
-        if self.patch < 1:
-            raise ConfigError("patch size must be >= 1")
-        if self.height % self.patch or self.width % self.patch:
-            raise ConfigError(
-                f"image {self.height}x{self.width} not divisible by patch {self.patch}"
-            )
+        if self.patch_size < 1:
+            raise ConfigError(f"patch_size must be >= 1, got {self.patch_size}")
+        if self.image_size % self.patch_size:
+            size = self.image_size
+            raise ConfigError(f"image {size}x{size} not divisible by patch {self.patch_size}")
         if self.vocab_size <= NUM_RESERVED_IDS:
             raise ConfigError("vocab must be larger than the reserved ids")
 
     @property
+    def grid(self) -> int:
+        """Patches along each side of the image."""
+        return self.image_size // self.patch_size
+
+    @property
     def num_patches(self) -> int:
-        return (self.height // self.patch) * (self.width // self.patch)
+        return self.grid * self.grid
 
     @property
     def rows(self) -> int:
@@ -66,7 +70,7 @@ class VisionEncoderParams:
 
     @classmethod
     def create(cls, rng: np.random.Generator, layout: DocumentLayout, feature_dim: int) -> "VisionEncoderParams":
-        patch_dim = layout.patch * layout.patch * layout.channels
+        patch_dim = layout.patch_size * layout.patch_size * layout.channels
         return cls(
             proj=LinearParams.create(rng, patch_dim, feature_dim),
             cls_row=Tensor(rng.normal(0.0, 0.02, size=(1, feature_dim)), requires_grad=True),
@@ -95,17 +99,16 @@ def patchify(layout: DocumentLayout, pixels: np.ndarray, dtype) -> np.ndarray:
     row-major over (row, col, channel).
     """
     pixels = np.asarray(pixels, dtype=dtype)
-    expected = (layout.height, layout.width, layout.channels)
+    expected = (layout.image_size, layout.image_size, layout.channels)
     if pixels.shape[-3:] != expected:
         raise ConfigError(
             f"image shape {pixels.shape[-3:]} does not match configured {expected}"
         )
-    p = layout.patch
+    p, grid = layout.patch_size, layout.grid
     lead = pixels.shape[:-3]
-    grid_h, grid_w = layout.height // p, layout.width // p
-    x = pixels.reshape(lead + (grid_h, p, grid_w, p, layout.channels))
-    x = np.moveaxis(x, -4, -3)  # (.., grid_h, grid_w, p, p, C)
-    return x.reshape(lead + (grid_h * grid_w, p * p * layout.channels))
+    x = pixels.reshape(lead + (grid, p, grid, p, layout.channels))
+    x = np.moveaxis(x, -4, -3)  # (.., grid, grid, p, p, C)
+    return x.reshape(lead + (grid * grid, p * p * layout.channels))
 
 
 def patch_embed(params: VisionEncoderParams, layout: DocumentLayout, pixels: np.ndarray) -> Tensor:

@@ -50,8 +50,6 @@ def stack(rng, **settings) -> CrossModalStack:
 
 
 def corpus_spec(layout: DocumentLayout, **settings) -> SyntheticCorpusSpec:
-    """``RunConfig.corpus_spec`` for a ``layout`` the config's square image
-    fields need not describe."""
-    cfg = RunConfig(**settings)
-    return SyntheticCorpusSpec(layout, cfg.classes, cfg.samples_per_class,
-                               cfg.pixel_noise, cfg.token_corruption, cfg.corpus_seed)
+    """``RunConfig.corpus_spec`` of a config whose layout keys are
+    ``layout``'s fields, which carry the same names."""
+    return RunConfig(**vars(layout), **settings).corpus_spec()

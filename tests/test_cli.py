@@ -2,6 +2,8 @@
 match the model is a data error (exit 2) before any file is written, and
 every other error class ends in its documented exit code."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -79,7 +81,9 @@ def test_corrupt_record_exits_2_before_any_output(tmp_path, capsys, case):
     order = ("train", "val", "test")
     earlier = order[:order.index(split)]
     # magic, version, spec and the train count; then each earlier split
-    offset = 52 + sum(len(getattr(splits, s)) * itemsize + 4 for s in earlier) + index * itemsize
+    header = len(data.MAGIC) + struct.calcsize("<H" + "".join(c for _, c in data.SPEC_HEADER))
+    offset = header + 4 + sum(len(getattr(splits, s)) * itemsize + 4 for s in earlier)
+    offset += index * itemsize
     capsys.readouterr()
     code, out = run(tmp_path, "pretrain", "run", f"corpus_path = {path}\n")
     assert code == 2
@@ -110,17 +114,19 @@ def test_layout_without_channels_exits_1(tmp_path, capsys, command, channels):
 @pytest.mark.parametrize("command", ["pretrain", "gen-corpus"])
 @pytest.mark.parametrize("extra, message", [
     (f"corpus_seed = {2**64}\n",
-     f"seed must lie in [0, {2**64 - 1}], a u64 in the corpus header, got {2**64}"),
+     f"corpus_seed must lie in [0, {2**64 - 1}], a u64 in the corpus header, got {2**64}"),
     ("classes = 65536\nvocab_size = 70000\n",
      "classes must lie in [0, 65535], a u16 in the corpus header, got 65536"),
     (f"vocab_size = {2**32 + 8}\n",
      f"vocab_size must lie in [0, {2**32 - 1}], a u32 in the corpus header, got {2**32 + 8}"),
-    ("image_size = 65536\n", "height must lie in [0, 65535], a u16 in the corpus header, got 65536"),
+    ("image_size = 65536\n",
+     "image_size must lie in [0, 65535], a u16 in the corpus header, got 65536"),
 ], ids=["corpus_seed_2**64", "classes_65536", "vocab_size_2**32+8", "image_size_65536"])
 def test_corpus_the_container_cannot_store_exits_1(tmp_path, capsys, command, extra, message):
-    """Each corpus header field has a fixed width (u64 seed, u16 classes and
-    height, u32 vocab): a value beyond it is a config error naming the field
-    before any output, not a ``struct.error`` traceback or wrapped labels."""
+    """Each corpus header field has a fixed width (u64 corpus_seed, u16
+    classes and image_size, u32 vocab_size): a value beyond it is a config
+    error naming the config key, which is also the field's name, before any
+    output, not a ``struct.error`` traceback or wrapped labels."""
     code, out = run(tmp_path, command, "run", extra)
     assert code == 1
     assert capsys.readouterr().err == f"config error: {message}\n"

@@ -10,7 +10,7 @@ import pytest
 
 from crossdoc.config import RunConfig, apply_preset, format_config, parse_config
 from crossdoc.cross_modal import CrossModalStack
-from crossdoc.data import SyntheticCorpusSpec
+from crossdoc.data import SPEC_HEADER, SyntheticCorpusSpec
 from crossdoc.errors import ConfigError
 from crossdoc.losses import EmbeddingBatch
 from crossdoc.model import CrossModalModel
@@ -121,7 +121,7 @@ def test_corpus_path_the_text_format_cannot_carry_rejected(corpus_path):
 # those types, so a config file gets the owner's message.
 OWNED_RULES = {
     "image_15": ("image_size = 15", "image 15x15 not divisible by patch 4"),
-    "image_-8": ("image_size = -8", "height must lie in [0, 65535], a u16 in the corpus header"),
+    "image_-8": ("image_size = -8", "image_size must lie in [0, 65535], a u16 in the corpus header"),
     "channels_0": ("channels = 0", "channels must be >= 1, got 0"),
     "two_rows": ("image_size = 8\npatch_size = 8", "layout has 2 rows, which leaves no room"),
     "classes_1": ("classes = 1", "corpus needs at least two classes"),
@@ -129,7 +129,8 @@ OWNED_RULES = {
     "samples_5": ("samples_per_class = 5", "need >= 10 samples per class"),
     "pixel_noise_1.5": ("pixel_noise = 1.5", "noise levels must lie in [0, 1]"),
     "vocab_6": ("vocab_size = 6", "vocab of 6 cannot hold 4 disjoint token blocks"),
-    "corpus_seed_2**64": (f"corpus_seed = {2**64}", f"seed must lie in [0, {2**64 - 1}], a u64"),
+    "corpus_seed_2**64": (f"corpus_seed = {2**64}",
+                          f"corpus_seed must lie in [0, {2**64 - 1}], a u64"),
 }
 
 
@@ -138,6 +139,16 @@ def test_layout_and_corpus_rules_apply_to_the_config(case):
     text, message = OWNED_RULES[case]
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config(text)
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(**OFF_DEFAULT)],
+                         ids=["defaults", "off_default"])
+def test_corpus_header_fields_are_config_keys(cfg):
+    """A layout or corpus setting has one name, from the config file to the
+    corpus header, and the spec a config builds stores each key's value."""
+    names = [name for name, _ in SPEC_HEADER]
+    assert set(names) <= {f.name for f in fields(RunConfig)}
+    assert cfg.corpus_spec().header_values() == {name: getattr(cfg, name) for name in names}
 
 
 def test_key_given_twice_rejected_naming_both_lines():

@@ -1,5 +1,6 @@
 """Synthetic corpus tests: determinism, splits, batching, container format."""
 
+import struct
 from dataclasses import fields
 
 import numpy as np
@@ -14,9 +15,17 @@ from run_settings import corpus_spec
 
 
 def tiny_spec(vocab_size=32, **settings):
-    layout = DocumentLayout(height=8, width=8, channels=1, patch=4, vocab_size=vocab_size)
+    layout = DocumentLayout(image_size=8, channels=1, patch_size=4, vocab_size=vocab_size)
     settings = {"classes": 3, "samples_per_class": 20, "corpus_seed": 7, **settings}
     return corpus_spec(layout, **settings)
+
+
+def header_offset(name=None) -> int:
+    """Byte offset of the corpus header field ``name``, after the magic and
+    the u16 version; with no ``name``, of the first byte after the header."""
+    names = [field for field, _ in data.SPEC_HEADER]
+    before = data.SPEC_HEADER[:names.index(name)] if name else data.SPEC_HEADER
+    return len(data.MAGIC) + struct.calcsize("<H" + "".join(code for _, code in before))
 
 
 class TestSpec:
@@ -103,7 +112,8 @@ class TestGenerate:
         """Nearest-template and token-histogram classifiers clear 1/K easily."""
         spec = RunConfig().corpus_spec()
         splits = data.generate_corpus(spec)
-        full = np.kron(spec.class_templates(), np.ones((spec.layout.patch, spec.layout.patch, 1)))
+        patch = spec.layout.patch_size
+        full = np.kron(spec.class_templates(), np.ones((patch, patch, 1)))
         img_hits = tok_hits = 0
         for r in splits.test:
             dist = ((full - r["image"][None].astype(float)) ** 2).sum(axis=(1, 2, 3))
@@ -189,7 +199,7 @@ class TestContainer:
         path = tmp_path / "corpus.bin"
         data.write_corpus(path, spec, splits)
         raw = path.read_bytes()
-        offset = 48  # magic, version and spec
+        offset = header_offset()
         for part in (splits.train, splits.val, splits.test):
             assert int.from_bytes(raw[offset:offset + 4], "little") == len(part)
             assert raw[offset + 4:offset + 4 + part.nbytes] == part.tobytes()
@@ -211,10 +221,13 @@ class TestContainer:
         path = tmp_path / "corpus.bin"
         data.write_corpus(path, spec, data.generate_corpus(spec))
         raw = bytearray(path.read_bytes())
-        raw[4:6] = (99).to_bytes(2, "little")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="version"):
-            data.read_corpus(path)
+        at = len(data.MAGIC)
+        for version in (99, 1):  # 1: the format with a separate image width
+            raw[at:at + 2] = version.to_bytes(2, "little")
+            path.write_bytes(bytes(raw))
+            with pytest.raises(FormatError,
+                               match=rf"version {version} at byte {at} \(expected 2\)"):
+                data.read_corpus(path)
 
     def test_truncation_reports_byte_offset(self, tmp_path):
         spec = tiny_spec()
@@ -241,17 +254,19 @@ class TestContainer:
         assert path.read_bytes() == before
         assert data.read_corpus(path)[0] == spec
 
-    @pytest.mark.parametrize("offset, value", [
-        (18, 3),  # patch 3 does not divide the 8x8 image
-        (6, 1),  # one class
-        (16, 0),  # no channel
+    @pytest.mark.parametrize("name, value", [
+        ("patch_size", 3),  # patch 3 does not divide the 8x8 image
+        ("classes", 1),
+        ("channels", 0),
     ])
-    def test_invalid_spec_is_a_format_error(self, tmp_path, offset, value):
+    def test_invalid_spec_is_a_format_error(self, tmp_path, name, value):
         spec = tiny_spec()
         path = tmp_path / "corpus.bin"
         data.write_corpus(path, spec, data.generate_corpus(spec))
         raw = bytearray(path.read_bytes())
-        raw[offset:offset + 2] = value.to_bytes(2, "little")
+        field, at = struct.pack("<" + dict(data.SPEC_HEADER)[name], value), header_offset(name)
+        raw[at:at + len(field)] = field
         path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="invalid corpus spec at byte 6"):
+        spec_offset = len(data.MAGIC) + 2  # after the u16 version
+        with pytest.raises(FormatError, match=f"invalid corpus spec at byte {spec_offset}"):
             data.read_corpus(path)

@@ -17,7 +17,7 @@ FEATURE_DIM = 6
 
 
 def small_cfg(**kw):
-    defaults = dict(height=8, width=8, channels=1, patch=4, vocab_size=16)
+    defaults = dict(image_size=8, channels=1, patch_size=4, vocab_size=16)
     defaults.update(kw)
     return enc.DocumentLayout(**defaults)
 
@@ -36,12 +36,12 @@ class TestConfig:
         assert cfg.rows == 5
 
     def test_single_patch(self):
-        cfg = small_cfg(height=4, width=4)
+        cfg = small_cfg(image_size=4)
         assert cfg.num_patches == 1
 
     def test_divisibility_enforced(self):
         with pytest.raises(ConfigError):
-            small_cfg(height=10)
+            small_cfg(image_size=10)
 
     def test_default_desk_geometry(self):
         cfg = RunConfig().layout()
@@ -121,17 +121,18 @@ class TestPatchEmbed:
 class TestTokenSequence:
     def test_padding_and_mask(self):
         """A generated sequence embeds with a mask over [CLS], its content and
-        [SEP] alone; every later position holds [PAD].  Three content tokens
-        in eight rows leave CLS + 3 + SEP = 5 real positions."""
-        cfg = small_cfg(height=4, width=28)
-        assert cfg.rows == 8
+        [SEP] alone; every later position holds [PAD].  A 12x12 image in 4x4
+        patches gives 10 rows; the shortest content, half of the 8 rows
+        between [CLS] and [SEP], leaves CLS + 4 + SEP = 6 real positions."""
+        cfg = small_cfg(image_size=12)
+        assert cfg.rows == cfg.num_patches + 1 == 10
         spec = corpus_spec(cfg, classes=2, samples_per_class=10, corpus_seed=3)
         ids = data.generate_corpus(spec).train["ids"]
         params = enc.TextEncoderParams.create(np.random.default_rng(9), cfg, FEATURE_DIM)
         _, mask = enc.token_embed(params, cfg, ids)
         real = mask.sum(axis=1)
         np.testing.assert_array_equal(real, np.argmax(ids == enc.SEP_ID, axis=1) + 1)
-        assert real.min() == 5
+        assert real.min() == (cfg.rows - 2) // 2 + 2
         for row_ids, row_mask, n in zip(ids, mask, real):
             assert row_mask[:n].all()
             np.testing.assert_array_equal(row_ids[n:], [enc.PAD_ID] * (cfg.rows - n))
