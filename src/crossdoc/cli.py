@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Subcommands: pretrain, probe, ablate, gradcheck, gen-corpus.
-Exit codes: 0 success, 1 configuration error, 2 data/file error,
-3 numeric failure (or a failed gradient audit), 4 contract or shape
-violation: an operation called outside its contract, which no valid input
-should reach.  Every ``CrossdocError`` ends in one of these codes with a
+Exit codes: 0 success, 1 configuration error, 2 data/file error (including
+an ``OSError``: an output path the OS refuses, a full disk), 3 numeric
+failure (or a failed gradient audit), 4 contract or shape violation: an
+operation called outside its contract, which no valid input should reach.
+Every ``CrossdocError`` and ``OSError`` ends in one of these codes with a
 one-line message on stderr, never in a traceback.
 """
 
@@ -57,11 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args) -> RunConfig:
     cfg = apply_preset(args.preset)
     if args.config is not None:
-        try:
-            text = Path(args.config).read_text()
-        except OSError as e:
-            raise DataError(f"cannot read config file {args.config}: {e}") from e
-        cfg = parse_config(text, base=cfg)
+        cfg = parse_config(Path(args.config).read_text(), base=cfg)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
@@ -113,7 +110,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (DataError, FormatError) as e:
+    except (DataError, FormatError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .data import SyntheticCorpusSpec, split_sizes
+from .data import SyntheticCorpusSpec, train_per_class
 from .encoders import DocumentLayout
 from .errors import ConfigError
 from .optim import Schedule
@@ -159,7 +159,7 @@ def apply_preset(name: str) -> RunConfig:
     if name == "desk":
         return cfg
     if name == "paper":
-        train_size = cfg.classes * split_sizes(cfg.samples_per_class)[0]
+        train_size = cfg.classes * train_per_class(cfg.samples_per_class)
         epochs = 100
         steps = epochs * math.ceil(train_size / 64)
         return replace(

@@ -2,9 +2,10 @@
 
 The CLI maps every one of these onto a process exit code: configuration
 problems (``ConfigError``) exit 1, data/file problems (``DataError``,
-``FormatError``) exit 2, numeric failures (``NumericError``) exit 3, and
-contract or shape violations (``ContractError``, ``ShapeError``, or any other
-``CrossdocError``) exit 4.
+``FormatError``, and any ``OSError`` the OS raises, such as an output path
+that is a file or a full disk) exit 2, numeric failures (``NumericError``)
+exit 3, and contract or shape violations (``ContractError``, ``ShapeError``,
+or any other ``CrossdocError``) exit 4.
 """
 
 

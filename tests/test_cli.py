@@ -3,6 +3,7 @@ match the model is a data error (exit 2) before any file is written, and
 every other error class ends in its documented exit code."""
 
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -55,12 +56,12 @@ CORRUPTIONS = {
     "label": ("train", 5, "label", (), 4, "label >= 4 classes"),
     "no_cls": ("train", 0, "ids", (0,), NUM_RESERVED_IDS, "[CLS]"),
     "no_sep": ("test", 2, "ids", (-1,), NUM_RESERVED_IDS, "not [SEP]"),  # the last id was [SEP] or [PAD]
-    "token_id_1e6": ("val", 3, "ids", (1,), 10**6, "vocab_size 64"),
+    "token_id_1e6": ("test", 5, "ids", (1,), 10**6, "vocab_size 64"),
     # every record has a content token at position 1
     "pad_in_content": ("train", 9, "ids", (1,), PAD_ID, "reserved token id"),
-    "cls_in_content": ("val", 2, "ids", (1,), CLS_ID, "reserved token id"),
+    "cls_in_content": ("train", 2, "ids", (1,), CLS_ID, "reserved token id"),
     "sep_in_content": ("test", 3, "ids", (1,), SEP_ID, "reserved token id"),
-    "nan_pixel": ("val", 1, "image", (0, 0, 0), np.nan, "pixel"),
+    "nan_pixel": ("test", 1, "image", (0, 0, 0), np.nan, "pixel"),
     "pixel_1e30": ("train", 7, "image", (5, 9, 0), 1e30, "pixel"),
 }
 
@@ -78,7 +79,7 @@ def test_corrupt_record_exits_2_before_any_output(tmp_path, capsys, case):
     getattr(splits, split)[field][(index, *position)] = value
     data.write_corpus(path, spec, splits)
     itemsize = data.record_dtype(spec.layout).itemsize
-    order = ("train", "val", "test")
+    order = [f.name for f in fields(data.CorpusSplits)]
     earlier = order[:order.index(split)]
     # magic, version, spec and the train count; then each earlier split
     header = len(data.MAGIC) + struct.calcsize("<H" + "".join(c for _, c in data.SPEC_HEADER))
@@ -177,6 +178,48 @@ def test_probe_of_an_unopenable_checkpoint_exits_2(tmp_path, capsys, target):
     code, _ = run(tmp_path, "probe", "probe", "", ["--ckpt", str(ckpt)])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"data error: cannot open checkpoint {ckpt}: ")
+
+
+@pytest.mark.parametrize("command", ["pretrain", "ablate", "gen-corpus"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under_file"])
+def test_output_path_the_os_refuses_exits_2(tmp_path, capsys, command, below):
+    """``--out`` naming an existing file, or a path under one: the OS
+    refuses the directory, and that is one ``data error`` line, not a
+    traceback with the config-error code."""
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out = blocker / "x" if below else blocker
+    config = tmp_path / "tiny.txt"
+    config.write_text(TINY)
+    code = cli.main([command, "--config", str(config), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert str(out) in err
+    assert blocker.read_text() == "kept\n"
+
+
+def test_checkpoint_the_disk_refuses_exits_2(tmp_path, capsys, disk_full_beyond):
+    disk_full_beyond(4096)
+    code, out = run(tmp_path, "pretrain", "run")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert not (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unreadable_config_file_exits_2_before_any_output(tmp_path, capsys, target):
+    config = tmp_path / "config"
+    if target == "directory":
+        config.mkdir()
+    out = tmp_path / "run"
+    code = cli.main(["pretrain", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert str(config) in err
+    assert not out.exists()
 
 
 def test_pretrain_on_a_missing_corpus_exits_2_before_any_output(tmp_path, capsys):

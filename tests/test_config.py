@@ -97,6 +97,13 @@ def test_presets_pick_their_dtype():
     assert apply_preset("paper").dtype == "float32"
 
 
+def test_paper_preset_carries_the_reference_hyperparameters():
+    """100 epochs of the 320 training records at batch 64 is 500 steps."""
+    cfg = apply_preset("paper")
+    assert (cfg.steps, cfg.batch_size, cfg.base_lr) == (500, 64, 2e-5)
+    assert (cfg.feature_dim, cfg.hidden_dim, cfg.embed_dim) == (768, 768, 384)
+
+
 def test_optimizer_field_boundaries_accepted():
     RunConfig(beta1=0.0, beta2=0.0, weight_decay=0.0)
 

@@ -58,17 +58,33 @@ class TestSpec:
 
 class TestGenerate:
     def test_split_sizes_and_balance(self):
-        """4 classes x 100 samples split 80/10/10 per class."""
+        """4 classes x 100 samples split 80/20 per class."""
         splits = data.generate_corpus(RunConfig().corpus_spec())
-        assert (len(splits.train), len(splits.val), len(splits.test)) == (320, 40, 40)
-        for part in (splits.train, splits.val, splits.test):
-            counts = np.bincount(part["label"], minlength=4)
-            assert np.all(counts == counts[0])
+        assert (len(splits.train), len(splits.test)) == (320, 80)
+        for part, per_class in ((splits.train, 80), (splits.test, 20)):
+            assert np.bincount(part["label"], minlength=4).tolist() == [per_class] * 4
+
+    def test_test_records_follow_train_records_in_generation_order(self):
+        """Each class's records are drawn in turn: its first 80% are train,
+        the rest test, both in draw order.  Class 0 is drawn first, so its
+        records are a prefix of class 0 in a corpus with more per class."""
+        spec = tiny_spec()
+        splits = data.generate_corpus(spec)
+        n_train = data.train_per_class(spec.samples_per_class)
+        n_test = spec.samples_per_class - n_train
+        labels = np.arange(spec.classes)
+        assert splits.train["label"].tolist() == np.repeat(labels, n_train).tolist()
+        assert splits.test["label"].tolist() == np.repeat(labels, n_test).tolist()
+        longer = data.generate_corpus(tiny_spec(samples_per_class=spec.samples_per_class + 5))
+        drawn = np.concatenate([longer.train, longer.test])
+        drawn = drawn[drawn["label"] == 0][:spec.samples_per_class]
+        class_0 = np.concatenate([splits.train[:n_train], splits.test[:n_test]])
+        np.testing.assert_array_equal(drawn, class_0)
 
     def test_splits_disjoint_and_exhaustive(self):
         spec = tiny_spec()
         splits = data.generate_corpus(spec)
-        total = np.concatenate([splits.train, splits.val, splits.test])
+        total = np.concatenate([splits.train, splits.test])
         assert len(total) == spec.classes * spec.samples_per_class
         fingerprints = {r.tobytes() for r in total}
         assert len(fingerprints) == len(total)
@@ -78,7 +94,7 @@ class TestGenerate:
         spec = tiny_spec(pixel_noise=0.0, token_corruption=0.0)
         splits = data.generate_corpus(spec)
         by_class = {}
-        for r in np.concatenate([splits.train, splits.val, splits.test]):
+        for r in np.concatenate([splits.train, splits.test]):
             by_class.setdefault(int(r["label"]), []).append(r)
         for label, records in by_class.items():
             first = records[0]["image"]
@@ -100,7 +116,7 @@ class TestGenerate:
     def test_token_sequences_well_formed(self):
         """[CLS], content ids, [SEP], then only [PAD] up to the row count."""
         splits = data.generate_corpus(tiny_spec())
-        for r in np.concatenate([splits.train, splits.val, splits.test]):
+        for r in np.concatenate([splits.train, splits.test]):
             ids = r["ids"]
             assert len(ids) == 5  # 8x8 / 4x4 patches + CLS
             assert ids[0] == CLS_ID
@@ -170,8 +186,7 @@ class TestContainer:
         data.write_corpus(path, spec, splits)
         spec2, splits2 = data.read_corpus(path)
         assert spec2 == spec
-        for part, part2 in zip((splits.train, splits.val, splits.test),
-                               (splits2.train, splits2.val, splits2.test)):
+        for part, part2 in ((splits.train, splits2.train), (splits.test, splits2.test)):
             np.testing.assert_array_equal(part, part2)
 
     def test_header_stores_every_spec_and_layout_field_once(self):
@@ -200,7 +215,7 @@ class TestContainer:
         data.write_corpus(path, spec, splits)
         raw = path.read_bytes()
         offset = header_offset()
-        for part in (splits.train, splits.val, splits.test):
+        for part in (splits.train, splits.test):
             assert int.from_bytes(raw[offset:offset + 4], "little") == len(part)
             assert raw[offset + 4:offset + 4 + part.nbytes] == part.tobytes()
             offset += 4 + part.nbytes
@@ -222,11 +237,12 @@ class TestContainer:
         data.write_corpus(path, spec, data.generate_corpus(spec))
         raw = bytearray(path.read_bytes())
         at = len(data.MAGIC)
-        for version in (99, 1):  # 1: the format with a separate image width
+        # 2: the format with a val split; 1: with a separate image width
+        for version in (99, 2, 1):
             raw[at:at + 2] = version.to_bytes(2, "little")
             path.write_bytes(bytes(raw))
             with pytest.raises(FormatError,
-                               match=rf"version {version} at byte {at} \(expected 2\)"):
+                               match=rf"version {version} at byte {at} \(expected 3\)"):
                 data.read_corpus(path)
 
     def test_truncation_reports_byte_offset(self, tmp_path):

@@ -119,3 +119,23 @@ def test_a_new_probe_metric_reaches_every_report(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert cli.main(["probe", "--config", str(config), "--ckpt", str(ckpt)]) == 0
     assert list(json.loads(capsys.readouterr().out)) == ["vision", "text", "extra"]
+
+
+def test_probe_fits_on_the_train_split_and_scores_the_test_split(tmp_path, monkeypatch):
+    """At desk the probe embeds the 320 train records, then every one of
+    the 80 held-out records: the corpus has no split the probe skips."""
+    cfg = RunConfig(steps=0, probe_steps=1)
+    splits = train.generate_corpus(cfg.corpus_spec())
+    ckpt = train.pretrain(cfg, tmp_path / "run").checkpoint_path
+    embedded = []
+    real = train.embed_records
+
+    def spy(model, records):
+        embedded.append(records)
+        return real(model, records)
+
+    monkeypatch.setattr(train, "embed_records", spy)
+    train.probe(cfg, ckpt)
+    assert [len(records) for records in embedded] == [320, 80]
+    np.testing.assert_array_equal(embedded[0], splits.train)
+    np.testing.assert_array_equal(embedded[1], splits.test)
