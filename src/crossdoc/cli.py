@@ -1,6 +1,11 @@
 """Command-line surface.
 
-Subcommands: pretrain, probe, ablate, gradcheck, gen-corpus.
+Subcommands, each with only the options it reads:
+    pretrain    --config --preset --seed --out
+    probe       --config --preset --seed --ckpt
+    ablate      --config --preset --out    (each run's seed is from ablate_seeds)
+    gen-corpus  --config --preset --out    (the corpus reads corpus_seed)
+    gradcheck   none: the audit reads no run config
 Exit codes: 0 success, 1 configuration error, 2 data/file error (including
 an ``OSError``: an output path the OS refuses, a full disk), 3 numeric
 failure (or a failed gradient audit), 4 contract or shape violation: an
@@ -20,14 +25,8 @@ from pathlib import Path
 from .config import PRESETS, RunConfig, apply_preset, format_config, parse_config
 from .data import generate_corpus, write_corpus
 from .errors import ConfigError, CrossdocError, DataError, FormatError, NumericError
-from .train import (
-    ablate,
-    gradcheck_report,
-    pretrain,
-    probe,
-    render_ablation_table,
-    render_gradcheck_report,
-)
+from .gradcheck import gradcheck_report, render_gradcheck_report
+from .train import ablate, pretrain, probe, render_ablation_table
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,22 +35,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cross-modal contrastive pretraining on synthetic documents",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config, seed, out = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    config.add_argument("--config", type=Path, default=None, help="flat key = value file")
+    config.add_argument("--preset", choices=PRESETS, default="desk")
+    seed.add_argument("--seed", type=int, default=None, help="override the config seed")
+    out.add_argument("--out", type=Path, default=Path("runs/out"), help="output directory")
 
-    def common(p):
-        p.add_argument("--config", type=Path, default=None, help="flat key = value file")
-        p.add_argument("--preset", choices=PRESETS, default="desk")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", type=Path, default=Path("runs/out"), help="output directory")
-
-    common(sub.add_parser("pretrain", help="optimize the contrastive objective"))
-
-    p_probe = sub.add_parser("probe", help="linear probing on frozen embeddings")
-    common(p_probe)
+    sub.add_parser("pretrain", parents=[config, seed, out], help="optimize the contrastive objective")
+    p_probe = sub.add_parser("probe", parents=[config, seed], help="linear probing on frozen embeddings")
     p_probe.add_argument("--ckpt", type=Path, required=True, help="checkpoint to probe")
-
-    common(sub.add_parser("ablate", help="attention/objective ablation grid"))
-    common(sub.add_parser("gradcheck", help="finite-difference gradient audit"))
-    common(sub.add_parser("gen-corpus", help="generate and write a corpus container"))
+    sub.add_parser("ablate", parents=[config, out], help="attention/objective ablation grid")
+    sub.add_parser("gradcheck", help="finite-difference gradient audit")
+    sub.add_parser("gen-corpus", parents=[config, out], help="generate and write a corpus container")
     return parser
 
 
@@ -59,17 +54,21 @@ def resolve_config(args) -> RunConfig:
     cfg = apply_preset(args.preset)
     if args.config is not None:
         cfg = parse_config(Path(args.config).read_text(), base=cfg)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
 def run(args) -> int:
+    if args.command == "gradcheck":
+        report = gradcheck_report()
+        print(render_gradcheck_report(report), end="")
+        return 0 if all(entry.passed for entry in report) else 3
+
     cfg = resolve_config(args)
-    out: Path = args.out
 
     if args.command == "pretrain":
-        result = pretrain(cfg, out)
+        result = pretrain(cfg, args.out)
         print(f"checkpoint: {result.checkpoint_path}")
         print(f"metrics:    {result.metrics_path}")
         print(f"final loss: {result.final_loss:.6f} after {result.steps} steps")
@@ -80,23 +79,18 @@ def run(args) -> int:
         return 0
 
     if args.command == "ablate":
-        table = ablate(cfg, out)
+        table = ablate(cfg, args.out)
         print(render_ablation_table(table), end="")
-        print(f"written: {out / 'ablation.json'}")
+        print(f"written: {args.out / 'ablation.json'}")
         return 0
-
-    if args.command == "gradcheck":
-        report = gradcheck_report()
-        print(render_gradcheck_report(report), end="")
-        return 0 if all(entry.passed for entry in report) else 3
 
     if args.command == "gen-corpus":
         spec = cfg.corpus_spec()
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "corpus.bin"
+        args.out.mkdir(parents=True, exist_ok=True)
+        path = args.out / "corpus.bin"
         write_corpus(path, spec, generate_corpus(spec))
         print(f"written: {path}")
-        config_echo = out / "corpus_config.txt"
+        config_echo = args.out / "corpus_config.txt"
         config_echo.write_text(format_config(cfg))
         return 0
 

@@ -32,7 +32,8 @@ def run(tmp_path, command, name, extra="", args=()):
     config = tmp_path / f"{name}.txt"
     config.write_text("".join(f"{key} = {value}\n" for key, value in lines.items()))
     out = tmp_path / name
-    return cli.main([command, "--config", str(config), "--out", str(out), *args]), out
+    out_args = [] if command == "probe" else ["--out", str(out)]  # probe writes no files
+    return cli.main([command, "--config", str(config), *out_args, *args]), out
 
 
 @pytest.mark.parametrize("corpus_fields, run_fields", [
@@ -258,6 +259,26 @@ def test_probe_embeds_with_a_frozen_encoder(tmp_path, monkeypatch):
     code, _ = run(tmp_path, "probe", "probe", "image_size = 8\n", ckpt)
     assert code == 0
     assert trainable and not any(trainable)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["gradcheck", "--config", "run.txt"], "--config"),
+    (["gradcheck", "--preset", "desk"], "--preset"),
+    (["gradcheck", "--seed", "1"], "--seed"),
+    (["gradcheck", "--out", "runs/x"], "--out"),
+    (["probe", "--ckpt", "checkpoint.bin", "--out", "runs/x"], "--out"),
+    (["ablate", "--seed", "1"], "--seed"),
+    (["gen-corpus", "--seed", "1"], "--seed"),
+], ids=["gradcheck_config", "gradcheck_preset", "gradcheck_seed", "gradcheck_out",
+        "probe_out", "ablate_seed", "gen_corpus_seed"])
+def test_option_the_command_does_not_read_is_refused(capsys, argv, option):
+    """The audit reads no run config, ``probe`` writes no files, and
+    ``ablate`` and ``gen-corpus`` take their seeds from ``ablate_seeds`` and
+    ``corpus_seed``: each option they would ignore is a usage error."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_invalid_config_exits_1(tmp_path, capsys):

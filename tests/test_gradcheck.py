@@ -1,9 +1,18 @@
 """The finite-difference gradient audit, through the library and the CLI."""
 
+import numpy as np
 import pytest
 
-from crossdoc import autodiff, cli
-from crossdoc.train import gradcheck_report
+from crossdoc import autodiff, cli, gradcheck
+from crossdoc.errors import ConfigError
+from crossdoc.gradcheck import gradcheck_report, render_gradcheck_report
+
+ENTRIES = [
+    "multi_head_attention", "cross_attention_block", "gated_self_attention", "projection_head",
+    "cross_modal_contrastive_loss", "intra_modality_term", "cross_entropy", "full_stack_loss",
+    "layer_norm", "attention_heads", "linear.weight", "linear.bias", "layer_norm.gamma",
+    "layer_norm.beta", "layer_norm.residual",
+]
 
 
 def test_every_gradcheck_entry_passes():
@@ -13,10 +22,41 @@ def test_every_gradcheck_entry_passes():
     assert not failed
 
 
+def test_gradcheck_report_names_every_entry_in_order():
+    assert [entry.name for entry in gradcheck_report()] == ENTRIES
+
+
 def test_cli_gradcheck_exits_zero(capsys):
     assert cli.main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "full_stack_loss" in out and "FAIL" not in out
+
+
+def test_cli_gradcheck_reads_no_run_config(monkeypatch, capsys):
+    """The audit runs before any config is resolved, so a config that could
+    not be read cannot fail it."""
+    def refuse(args):
+        raise ConfigError("the audit read a run config")
+
+    monkeypatch.setattr(cli, "resolve_config", refuse)
+    assert cli.main(["gradcheck"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_check_whose_forward_overflows_fails_the_audit(monkeypatch, capsys):
+    """A ``NumericError`` inside a check becomes a failed entry with an
+    infinite error and the error's message, not a raise."""
+    x = autodiff.Tensor(np.array([1000.0]), requires_grad=True)
+    overflow = ("overflow", lambda t: autodiff.tensor_sum(autodiff.exp(t)), x)
+    monkeypatch.setattr(gradcheck, "_standard_checks", lambda: [overflow])
+    [entry] = gradcheck_report()
+    assert entry.max_rel_error == np.inf and not entry.passed
+    message = "non-finite value while probing coordinate 0"
+    assert entry.message == message
+    assert render_gradcheck_report([entry]).splitlines()[1].endswith(f"FAIL {message}")
+    assert cli.main(["gradcheck"]) == 3
+    assert capsys.readouterr().out.splitlines()[1].endswith(f"FAIL {message}")
 
 
 @pytest.mark.parametrize("op, edge, entry", [

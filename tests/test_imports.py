@@ -56,3 +56,15 @@ def test_scan_finds_an_unused_import():
         "    x: 'Iterable[int]'\n"
     )
     assert unused_imports(source) == ["line 1: field", "line 2: math"]
+
+
+def test_train_imports_no_audit_names():
+    """``train`` holds the pipeline; the gradient audit, which alone needs
+    the ``cross_modal`` blocks, ``finite_diff_check`` and the op namespace,
+    lives in ``gradcheck``."""
+    tree = ast.parse((ROOT / "src" / "crossdoc" / "train.py").read_text())
+    imports = [(node.module, alias.name, alias.asname) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert [entry for entry in imports if entry[0] == "cross_modal"] == []
+    assert [entry for entry in imports if entry[1] == "finite_diff_check"] == []
+    assert (None, "autodiff", "ad") not in imports
