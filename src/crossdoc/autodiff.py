@@ -14,6 +14,13 @@ The ops are dtype-generic: a node takes the dtype of its first
 differentiable input and each gradient that of its tensor, so a float32
 model computes in float32 and a float64 model (the reference) in float64.
 Constants an op builds take its operand's dtype.
+
+numpy is the one numeric dependency.  ``gelu``'s erf is :func:`_erf`, a
+numpy evaluation of the Cephes approximations that ``scipy.special.erf``
+runs.  scipy was imported for that one function alone, and importing
+``scipy.special`` made up more than half of every process start: on a
+2-core x86 host, ``import crossdoc.cli`` takes 0.17 s and 30 MB without it
+and took 0.45 s and 54 MB with it (medians of 10).
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractError, NumericError, ShapeError
 
@@ -264,10 +270,71 @@ def sqrt(a: Tensor) -> Tensor:
     return _make_node(y, "sqrt", (a, lambda g: g * 0.5 / y))
 
 
+# Cephes ``ndtr.c`` (S. L. Moshier) coefficients, highest power first; a
+# leading 1.0 marks a monic denominator.  erf(x) = x T(x^2) / U(x^2) for
+# |x| <= 1, and 1 - exp(-x^2) P(|x|) / Q(|x|) above (erfc's x < 8 branch).
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _polevl(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
+    """Horner's rule in a fresh array, in Cephes' ``polevl`` operation order."""
+    y = x * coefs[0]
+    y += coefs[1]
+    for c in coefs[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf of every element, computed in float64 and cast to ``x``'s dtype.
+
+    The small-argument form runs on every element and the tail form only
+    on those with |x| > 1, scattered back through flat views of C-ordered
+    arrays: evaluating both forms everywhere and selecting with ``np.where``
+    took 1.3-1.8x as long at the benchmark's shapes.  ``copysign`` restores
+    the sign, so erf(-0.0) is -0.0; NaN stays NaN and +-inf gives +-1.  No
+    element raises a floating-point error.
+    """
+    a = np.abs(x, dtype=np.float64, order="C")
+    # erf(6) is already 1.0 in float64, so clamping |x| to 6 changes no
+    # result and keeps x^2 and exp(-x^2) finite and normal for every input.
+    np.minimum(a, 6.0, out=a)
+    z = a * a
+    out = a * _polevl(z, _ERF_T)
+    out /= _polevl(z, _ERF_U)
+    tail = np.flatnonzero(a > 1.0)
+    if tail.size:
+        t = a.reshape(-1)[tail]
+        y = np.exp(-t * t)
+        y *= _polevl(t, _ERFC_P)
+        y /= _polevl(t, _ERFC_Q)
+        out.reshape(-1)[tail] = 1.0 - y
+    np.copysign(out, x, out=out)
+    return out.astype(x.dtype, copy=False)
+
+
 def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit, exact (erf) form."""
+    """Gaussian error linear unit, exact (erf) form.
+
+    erf comes from :func:`_erf`, the Cephes approximations scipy also runs.
+    In float64 it is within 1 ulp of ``scipy.special.erf`` (identical on
+    99.95% of a 1M-point grid over [-7, 7]; every mismatch is at |x| > 1,
+    where ``np.exp`` and libm's ``exp`` differ) and within 3 ulp of libm's
+    ``erf``.  Like scipy's, it computes a float32 input in float64 and
+    rounds the result to float32.
+    """
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
 
     def vjp(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI

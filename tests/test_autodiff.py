@@ -159,6 +159,54 @@ class TestElementwise:
             ad.log(ad.Tensor([-1.0]))
 
 
+ERF_EDGES = np.array([
+    np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+    np.nextafter(-1.0, 0.0), -1.0, np.nextafter(-1.0, -2.0),
+    6.0, -6.0, 0.0, -0.0, 1e300, -1e300,
+])
+
+
+def ulp_gap(a, b):
+    """Units in the last place between float64 arrays of the same signs."""
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+class TestErf:
+    """``gelu``'s numpy erf against the stdlib's (libm's) ``math.erf``."""
+
+    def test_within_4_ulp_of_libm(self):
+        x = np.concatenate([np.linspace(-7.0, 7.0, 140_001), ERF_EDGES])
+        expected = np.array([math.erf(v) for v in x])
+        assert ulp_gap(ad._erf(x), expected).max() <= 4
+
+    def test_zero_keeps_its_sign(self):
+        out = ad._erf(np.array([0.0, -0.0]))
+        assert out.tolist() == [0.0, 0.0]
+        assert np.signbit(out).tolist() == [False, True]
+
+    def test_infinities_and_nan(self):
+        out = ad._erf(np.array([np.inf, -np.inf, np.nan]))
+        assert out[:2].tolist() == [1.0, -1.0]
+        assert np.isnan(out[2])
+
+    def test_float32_input_returns_float32(self):
+        x = np.linspace(-3.0, 3.0, 61, dtype=np.float32)
+        out = ad._erf(x)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, ad._erf(x.astype(np.float64)).astype(np.float32))
+        assert ad.gelu(ad.Tensor(x)).data.dtype == np.float32
+
+    def test_layout_of_the_input_does_not_matter(self):
+        x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        np.testing.assert_array_equal(ad._erf(x.T), ad._erf(x).T)
+        np.testing.assert_array_equal(ad._erf(x[:, ::2]), ad._erf(x)[:, ::2])
+
+    def test_edge_inputs_raise_no_floating_point_error(self):
+        with np.errstate(all="raise"):
+            ad._erf(np.concatenate([ERF_EDGES, [np.inf, -np.inf, np.nan]]))
+
+
 class TestDtype:
     def test_float32_data_stays_float32(self):
         x = np.arange(6, dtype=np.float32).reshape(2, 3)

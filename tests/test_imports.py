@@ -1,7 +1,11 @@
 """Every name the package, its tests and the benchmark scripts import is
-used (stdlib ``ast`` only; no linter is assumed to be installed)."""
+used (stdlib ``ast`` only; no linter is assumed to be installed), and the
+package imports nothing it does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +72,11 @@ def test_train_imports_no_audit_names():
     assert [entry for entry in imports if entry[0] == "cross_modal"] == []
     assert [entry for entry in imports if entry[1] == "finite_diff_check"] == []
     assert (None, "autodiff", "ad") not in imports
+
+
+def test_cli_import_leaves_scipy_out():
+    """numpy is the one numeric dependency: importing the CLI, which every
+    command does, loads no scipy module."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-c", "import crossdoc.cli, sys; assert 'scipy' not in sys.modules"],
+                   env=env, check=True)
