@@ -16,7 +16,8 @@ Every array is stored in its own dtype, which is the run's ``dtype``
 save/load round trip is bit-exact.  Loading parses the config echo first
 (an echo ``config.parse_config`` refuses is a ``DataError`` naming the
 file), then refuses, as a ``FormatError``, an unknown dtype code (naming
-its byte offset), an array whose dtype is not the echo's (naming the array)
+its byte offset), an array whose dtype is not the echo's (naming the array),
+a name given twice in one section (naming the second entry's byte offset)
 and a non-finite value (naming its byte offset).
 
 Every checkpoint carries the AdamW moments: ``save_checkpoint`` takes the
@@ -104,8 +105,12 @@ def _read_arrays(reader: Reader, dtype: str) -> dict[str, np.ndarray]:
     (count,) = reader.unpack("<I")
     arrays = {}
     for _ in range(count):
+        entry_offset = reader.offset
         (name_len,) = reader.unpack("<H")
         name = reader.text(name_len)
+        if name in arrays:
+            raise FormatError(
+                f"checkpoint array {name!r} appears a second time at byte {entry_offset}")
         code_offset = reader.offset
         code, ndim = reader.unpack("<BB")
         if code not in DTYPE_BY_CODE:

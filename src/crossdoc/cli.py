@@ -22,7 +22,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import PRESETS, RunConfig, apply_preset, format_config, parse_config
+from .config import PRESETS, RunConfig, apply_preset, format_config, read_config
 from .data import generate_corpus, write_corpus
 from .errors import ConfigError, CrossdocError, DataError, FormatError, NumericError
 from .gradcheck import gradcheck_report, render_gradcheck_report
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 def resolve_config(args) -> RunConfig:
     cfg = apply_preset(args.preset)
     if args.config is not None:
-        cfg = parse_config(Path(args.config).read_text(), base=cfg)
+        cfg = read_config(args.config, base=cfg)
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
@@ -84,17 +84,14 @@ def run(args) -> int:
         print(f"written: {args.out / 'ablation.json'}")
         return 0
 
-    if args.command == "gen-corpus":
-        spec = cfg.corpus_spec()
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / "corpus.bin"
-        write_corpus(path, spec, generate_corpus(spec))
-        print(f"written: {path}")
-        config_echo = args.out / "corpus_config.txt"
-        config_echo.write_text(format_config(cfg))
-        return 0
-
-    raise ConfigError(f"unknown command {args.command!r}")
+    # gen-corpus: argparse admits no other command
+    spec = cfg.corpus_spec()
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / "corpus.bin"
+    write_corpus(path, spec, generate_corpus(spec))
+    print(f"written: {path}")
+    (args.out / "corpus_config.txt").write_text(format_config(cfg), encoding="utf-8")
+    return 0
 
 
 def main(argv=None) -> int:

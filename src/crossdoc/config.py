@@ -8,31 +8,31 @@ and computes in float32, as do AdamW's moments, and its checkpoints store
 every array in float32.
 
 ``RunConfig`` is the one place a run setting has a default: the library
-constructors it feeds (``SyntheticCorpusSpec``, ``Schedule``, ``AdamW``,
-``CrossModalStack.create``, ``EmbeddingBatch``) take every setting explicitly.
-Each rule on a setting is written once, too.  The rules on the document
-layout and the corpus live in ``DocumentLayout`` and ``SyntheticCorpusSpec``,
-which a corpus header read from a file needs as well, and those on the
-learning-rate schedule in ``Schedule``; ``RunConfig`` applies them by
-building those types.  Their fields carry the ``RunConfig`` keys' names, as
-the header does, so a refusal names the key.  Every other rule lives in
+functions it feeds (``SyntheticCorpusSpec``, ``AdamW``,
+``CrossModalStack.create``, ``cross_modal_contrastive_loss``) take every
+setting explicitly.  Each rule on a setting is written once, too.  The rules
+on the document layout and the corpus live in ``DocumentLayout`` and
+``SyntheticCorpusSpec``, which a corpus header read from a file needs as
+well; ``RunConfig`` applies them by building those types.  Their fields
+carry the ``RunConfig`` keys' names, as the header does, so a refusal names
+the key.  Every other rule, the learning-rate schedule's included, lives in
 ``RunConfig`` alone, and the library takes those values as given.
 
 A key may appear once in a file, and must name a ``RunConfig`` field.
 Values a run cannot use -- a negative seed, a feature width below 2, an
 infinite rate, weight or temperature -- are refused here, before any command
-writes output.
+writes output.  A config file is read as UTF-8.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 from .data import SyntheticCorpusSpec, train_per_class
 from .encoders import DocumentLayout
-from .errors import ConfigError
-from .optim import Schedule
+from .errors import ConfigError, ContractError
 
 PRESETS = ("desk", "paper")
 DTYPES = ("float64", "float32")
@@ -111,13 +111,12 @@ class RunConfig:
         for key in ("seed", "corpus_seed"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
-        self.schedule()  # raises on an invalid base_lr or warmup_frac
         self.corpus_spec()  # raises on an invalid layout or corpus field
-        for key in ("beta1", "beta2"):
+        for key in ("beta1", "beta2", "warmup_frac"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ConfigError(f"{key} must lie in [0, 1), got {getattr(self, key)}")
         # NaN fails both comparisons
-        for key in ("temperature", "adam_eps", "probe_lr"):
+        for key in ("temperature", "adam_eps", "probe_lr", "base_lr"):
             if not 0.0 < getattr(self, key) < math.inf:
                 raise ConfigError(f"{key} must be finite and positive, got {getattr(self, key)}")
         for key in ("inter_weight", "weight_decay"):
@@ -146,12 +145,17 @@ class RunConfig:
     def corpus_spec(self) -> SyntheticCorpusSpec:
         return SyntheticCorpusSpec.from_values(vars(self))
 
-    def schedule(self) -> Schedule:
-        return Schedule(
-            total_steps=max(self.steps, 1),
-            base_lr=self.base_lr,
-            warmup_frac=self.warmup_frac,
-        )
+    def lr_at(self, step: int) -> float:
+        """The learning rate of ``step`` over ``max(steps, 1)`` steps: linear
+        0 -> ``base_lr`` over the first ``warmup_frac`` of them, then linear
+        ``base_lr`` -> 0 at the end."""
+        total = max(self.steps, 1)
+        if step < 0 or step > total:
+            raise ContractError(f"step {step} outside schedule [0, {total}]")
+        w = round(self.warmup_frac * total)
+        if w > 0 and step <= w:
+            return self.base_lr * step / w
+        return self.base_lr * (total - step) / (total - w)
 
 
 def apply_preset(name: str) -> RunConfig:
@@ -209,6 +213,17 @@ def _parse_value(field_type, raw: str, key: str):
         except ValueError as e:
             raise ConfigError(f"bad integer list for {key}: {raw!r}") from e
     return raw
+
+
+def read_config(path, base: RunConfig) -> RunConfig:
+    """``parse_config`` of the UTF-8 file at ``path``, over ``base``."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(
+            f"config file {path} is not UTF-8: byte {e.start} is {raw[e.start]:#04x}") from e
+    return parse_config(text, base=base)
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:

@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoders import pool_cls
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .nn import (
     FeedForwardParams,
     LayerNormParams,
@@ -108,10 +108,6 @@ class GatedSelfAttentionParams:
 
     fuse: LinearParams  # feature_dim -> feature_dim
     layer: LayerParams
-
-    def __post_init__(self):
-        if self.fuse.d_in != self.fuse.d_out:
-            raise ConfigError("fusion layer must preserve the feature dim")
 
     @classmethod
     def create(cls, rng: np.random.Generator, feature_dim: int, num_heads: int) -> "GatedSelfAttentionParams":

@@ -36,7 +36,7 @@ import numpy as np
 
 from .container import open_container, write_container
 from .encoders import CLS_ID, NUM_RESERVED_IDS, PAD_ID, SEP_ID, DocumentLayout
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, ContractError, FormatError
 
 MAGIC = b"XCLC"
 VERSION = 3
@@ -177,12 +177,14 @@ def generate_corpus(spec: SyntheticCorpusSpec) -> CorpusSplits:
 
 def make_batch(records: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
     """Class-balanced batch in which every sampled class appears at least
-    twice, so no contrastive anchor has an empty positive set."""
+    twice, so no contrastive anchor has an empty positive set.  ``records``
+    must hold two classes or more (``train.load_corpus`` refuses a train
+    split that does not)."""
     labels = records["label"]
     available = np.unique(labels)
     n_classes = min(len(available), size // 2)
     if n_classes < 2:
-        raise ConfigError("need at least two distinct classes to form a batch")
+        raise ContractError("need at least two distinct classes to form a batch")
     chosen = rng.choice(available, size=n_classes, replace=False)
     base, extra = divmod(size, n_classes)
     picks = []

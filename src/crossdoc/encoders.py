@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeError
 from .nn import LinearParams, linear
 
 PAD_ID = 0
@@ -101,9 +101,7 @@ def patchify(layout: DocumentLayout, pixels: np.ndarray, dtype) -> np.ndarray:
     pixels = np.asarray(pixels, dtype=dtype)
     expected = (layout.image_size, layout.image_size, layout.channels)
     if pixels.shape[-3:] != expected:
-        raise ConfigError(
-            f"image shape {pixels.shape[-3:]} does not match configured {expected}"
-        )
+        raise ShapeError(f"image shape {pixels.shape[-3:]} does not match configured {expected}")
     p, grid = layout.patch_size, layout.grid
     lead = pixels.shape[:-3]
     x = pixels.reshape(lead + (grid, p, grid, p, layout.channels))

@@ -18,7 +18,7 @@ from .config import RunConfig
 from .cross_modal import CrossAttentionBlockParams, GatedSelfAttentionParams, cross_attention_block, gated_self_attention
 from .encoders import token_embed
 from .errors import NumericError
-from .losses import EmbeddingBatch, contrastive_term, cross_entropy, cross_modal_contrastive_loss, positive_weights
+from .losses import contrastive_term, cross_entropy, cross_modal_contrastive_loss, positive_weights
 from .model import CrossModalModel
 from .nn import FeedForwardParams, LayerNormParams, LinearParams, MHAParams, l2_normalize, layer_norm, linear, multi_head_attention, project_and_normalize
 
@@ -85,8 +85,7 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
     raw_t = Tensor(rng.normal(size=(batch, 4)))
 
     def f_crosscl(t):
-        emb_batch = EmbeddingBatch(l2_normalize(t), l2_normalize(raw_t), labels, 0.1, 0.5)
-        return cross_modal_contrastive_loss(emb_batch)["total"]
+        return cross_modal_contrastive_loss(l2_normalize(t), l2_normalize(raw_t), labels, 0.1, 0.5)["total"]
 
     x_loss = Tensor(rng.normal(size=(batch, 4)), requires_grad=True)
     checks.append(("cross_modal_contrastive_loss", f_crosscl, x_loss))
@@ -114,8 +113,7 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
         # raw vision features in, full depth-2 stack and loss on top
         text, mask = token_embed(model.text_encoder, model.layout, ids)
         v_emb, t_emb = model.stack.forward(raw_vision, text, text_mask=mask)
-        emb_batch = EmbeddingBatch(v_emb, t_emb, loss_labels, 0.1, 0.5)
-        return cross_modal_contrastive_loss(emb_batch)["total"]
+        return cross_modal_contrastive_loss(v_emb, t_emb, loss_labels, 0.1, 0.5)["total"]
 
     x_model = Tensor(rng.normal(size=(batch, 5, d)), requires_grad=True)
     checks.append(("full_stack_loss", f_model, x_model))

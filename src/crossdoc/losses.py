@@ -8,12 +8,11 @@ the denominator runs over every index but i: an anchor's own index -- itself
 within a modality, its paired sample across modalities -- is always out of
 both.  Anchors without any positive contribute zero.  Terms are summed over
 anchors (no 1/N); ``pretrain`` logs the per-anchor mean of the total beside
-them.
+them.  ``cross_modal_contrastive_loss`` takes its two settings, the
+temperature and the inter weight, as given: ``RunConfig`` checks them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,50 +45,37 @@ def contrastive_term(anchors: Tensor, others: Tensor, weights: np.ndarray,
     return ad.contrastive_sum(ad.matmul(anchors, ad.transpose_last2(others)), weights, temperature)
 
 
-@dataclass
-class EmbeddingBatch:
-    """Paired unit-norm embeddings with class labels and loss hyperparameters."""
-
-    vision: Tensor  # (N, d), rows unit-norm
-    text: Tensor  # (N, d), rows unit-norm, row i paired with vision row i
-    labels: np.ndarray  # (N,) integer class ids
-    temperature: float
-    inter_weight: float
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels)
-        n = self.vision.shape[0] if self.vision.ndim == 2 else 0
-        if self.vision.ndim != 2 or self.text.ndim != 2 or self.vision.shape != self.text.shape:
-            raise ShapeError(
-                f"batch embeddings must be matching (N, d): "
-                f"{self.vision.shape} vs {self.text.shape}"
-            )
-        if n < 2:
-            raise ContractError("contrastive batches need at least two samples")
-        if self.labels.shape != (n,):
-            raise ShapeError(f"labels shape {self.labels.shape} does not match N={n}")
-        for name, emb in (("vision", self.vision), ("text", self.text)):
-            norms = np.sqrt((emb.data ** 2).sum(axis=-1))
-            if np.max(np.abs(norms - 1.0)) > NORM_TOLERANCE[emb.data.dtype]:
-                raise ContractError(f"{name} embeddings are not unit-norm")
-
-
-def cross_modal_contrastive_loss(batch: EmbeddingBatch) -> dict[str, Tensor]:
+def cross_modal_contrastive_loss(vision: Tensor, text: Tensor, labels, temperature: float,
+                                 inter_weight: float) -> dict[str, Tensor]:
     """The combined objective ``total`` and its terms, gradient-carrying, in
-    the order ``pretrain`` logs them.  The intra pair and the weighted inter
-    pair are each summed commutatively, so swapping the modalities leaves
-    the total bit-identical.  At ``inter_weight`` 0 the inter terms are not
-    computed, and are not in the record."""
-    weights = positive_weights(batch.labels)
-    t = batch.temperature
-    vv = contrastive_term(batch.vision, batch.vision, weights, t)
-    ll = contrastive_term(batch.text, batch.text, weights, t)
+    the order ``pretrain`` logs them, of unit-norm (N, d) ``vision`` and
+    ``text`` embeddings, row i of each paired, with (N,) integer class
+    ``labels``.  The intra pair and the weighted inter pair are each summed
+    commutatively, so swapping the modalities leaves the total
+    bit-identical.  At ``inter_weight`` 0 the inter terms are not computed,
+    and are not in the record."""
+    labels = np.asarray(labels)
+    if vision.ndim != 2 or text.ndim != 2 or vision.shape != text.shape:
+        raise ShapeError(
+            f"batch embeddings must be matching (N, d): {vision.shape} vs {text.shape}")
+    n = vision.shape[0]
+    if n < 2:
+        raise ContractError("contrastive batches need at least two samples")
+    if labels.shape != (n,):
+        raise ShapeError(f"labels shape {labels.shape} does not match N={n}")
+    for name, emb in (("vision", vision), ("text", text)):
+        norms = np.sqrt((emb.data ** 2).sum(axis=-1))
+        if np.max(np.abs(norms - 1.0)) > NORM_TOLERANCE[emb.data.dtype]:
+            raise ContractError(f"{name} embeddings are not unit-norm")
+    weights = positive_weights(labels)
+    vv = contrastive_term(vision, vision, weights, temperature)
+    ll = contrastive_term(text, text, weights, temperature)
     total = ad.add(vv, ll)
-    if batch.inter_weight == 0.0:
+    if inter_weight == 0.0:
         return {"total": total, "vision_intra": vv, "text_intra": ll}
-    lv = contrastive_term(batch.vision, batch.text, weights, t)
-    vl = contrastive_term(batch.text, batch.vision, weights, t)
-    total = ad.add(total, ad.scale(ad.add(lv, vl), batch.inter_weight))
+    lv = contrastive_term(vision, text, weights, temperature)
+    vl = contrastive_term(text, vision, weights, temperature)
+    total = ad.add(total, ad.scale(ad.add(lv, vl), inter_weight))
     return {"total": total, "vision_intra": vv, "text_to_vision": lv,
             "text_intra": ll, "vision_to_text": vl}
 

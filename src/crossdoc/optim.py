@@ -1,53 +1,20 @@
-"""AdamW with decoupled weight decay and a linear warmup / linear decay
-learning-rate schedule."""
+"""AdamW with decoupled weight decay.  The learning rate of each step is
+the caller's (``RunConfig.lr_at``)."""
 
 from __future__ import annotations
 
 import functools
-import math
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, NumericError, ShapeError
+from .errors import ContractError, NumericError, ShapeError
 
 # Elements per piece of the in-place AdamW update, and the most a fold group of
 # several parameters holds.  Either half of the update touches at most five
 # piece-sized arrays, 5 x 128 KB in float64 (half in float32), which stay in L2.
 _CHUNK = 1 << 14
-
-
-@dataclass(frozen=True)
-class Schedule:
-    total_steps: int
-    base_lr: float
-    warmup_frac: float
-
-    def __post_init__(self):
-        if self.total_steps < 1:
-            raise ConfigError("schedule needs at least one step")
-        if not (0.0 <= self.warmup_frac < 1.0):
-            raise ConfigError(f"warmup_frac must lie in [0, 1), got {self.warmup_frac}")
-        if not 0.0 < self.base_lr < math.inf:  # NaN fails too
-            raise ConfigError(f"base_lr must be finite and positive, got {self.base_lr}")
-
-    @property
-    def warmup_steps(self) -> int:
-        return round(self.warmup_frac * self.total_steps)
-
-
-def lr_at(schedule: Schedule, step: int) -> float:
-    """Linear 0 -> base over the warmup, then linear base -> 0 at the end."""
-    if step < 0 or step > schedule.total_steps:
-        raise ContractError(
-            f"step {step} outside schedule [0, {schedule.total_steps}]"
-        )
-    w = schedule.warmup_steps
-    if w > 0 and step <= w:
-        return schedule.base_lr * step / w
-    return schedule.base_lr * (schedule.total_steps - step) / (schedule.total_steps - w)
 
 
 def _plan_groups(sizes: list[int]) -> list[list]:

@@ -31,10 +31,10 @@ from .data import (
 )
 from .encoders import DocumentLayout
 from .errors import DataError, NumericError
-from .losses import EmbeddingBatch, cross_entropy, cross_modal_contrastive_loss
+from .losses import cross_entropy, cross_modal_contrastive_loss
 from .model import CrossModalModel
 from .nn import LinearParams, linear
-from .optim import AdamW, lr_at
+from .optim import AdamW
 
 CHECKPOINT_NAME = "checkpoint.bin"
 METRICS_NAME = "metrics.jsonl"
@@ -61,13 +61,20 @@ class PretrainResult:
 
 def load_corpus(cfg: RunConfig, layout: DocumentLayout) -> tuple[SyntheticCorpusSpec, CorpusSplits]:
     """Read the configured corpus container, or generate one inline; its
-    documents must have the model's ``layout``."""
+    documents must have the model's ``layout``.  A corpus file's train split
+    must hold two classes or more, as ``make_batch`` needs, and its test
+    split a record or more, as the probe needs."""
     if cfg.corpus_path:
         spec, splits = read_corpus(cfg.corpus_path)
+        where = f"corpus file {cfg.corpus_path}"
         if spec.classes != cfg.classes:
+            raise DataError(f"{where} has {spec.classes} classes but config says {cfg.classes}")
+        train_classes = len(np.unique(splits.train["label"]))
+        if train_classes < 2:
             raise DataError(
-                f"corpus file has {spec.classes} classes but config says {cfg.classes}"
-            )
+                f"{where}: the train split holds {train_classes} class(es), and a batch needs two")
+        if not len(splits.test):
+            raise DataError(f"{where}: the test split holds 0 records, and the probe needs one")
     else:
         spec = cfg.corpus_spec()
         splits = generate_corpus(spec)
@@ -82,11 +89,7 @@ def batch_loss(model: CrossModalModel, records: np.ndarray, cfg: RunConfig) -> d
     images, ids, labels = collate(records)
     v_emb, t_emb = model.embed(images, ids)
     inter_weight = cfg.inter_weight if cfg.loss_mode == "cross" else 0.0
-    batch = EmbeddingBatch(
-        vision=v_emb, text=t_emb, labels=labels,
-        temperature=cfg.temperature, inter_weight=inter_weight,
-    )
-    return cross_modal_contrastive_loss(batch)
+    return cross_modal_contrastive_loss(v_emb, t_emb, labels, cfg.temperature, inter_weight)
 
 
 def _keep_freed_heap() -> None:
@@ -150,7 +153,6 @@ def pretrain(
     save_checkpoint(ckpt_path, 0, config_text, params, opt)
 
     _keep_freed_heap()
-    schedule = cfg.schedule()
     batch_rng = np.random.default_rng(cfg.seed + 1_000_003)
     start = clock()
     final_loss = math.nan
@@ -162,7 +164,7 @@ def pretrain(
                 final_loss = terms["total"].item()
                 if not math.isfinite(final_loss):
                     raise NumericError("non-finite loss")
-                lr = lr_at(schedule, step)
+                lr = cfg.lr_at(step)
                 backward(terms["total"])
                 opt.step(lr)
             except NumericError as e:
@@ -196,10 +198,10 @@ def _fit_linear_probe(
     train_x: np.ndarray, train_y: np.ndarray,
     test_x: np.ndarray, test_y: np.ndarray, cfg: RunConfig, seed: int,
 ) -> float:
-    """Train one ``cfg.classes``-way linear classifier on frozen features;
-    return test top-1."""
+    """Train a linear classifier on frozen features, one output per class
+    up to the largest label in ``train_y``; return test top-1."""
     rng = np.random.default_rng(seed)
-    clf = LinearParams.create(rng, train_x.shape[1], cfg.classes)
+    clf = LinearParams.create(rng, train_x.shape[1], int(train_y.max()) + 1)
     opt = AdamW(
         {"probe.weight": clf.weight, "probe.bias": clf.bias},
         (cfg.beta1, cfg.beta2), cfg.adam_eps, weight_decay=0.0,

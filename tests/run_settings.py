@@ -14,7 +14,7 @@ from crossdoc.config import RunConfig
 from crossdoc.cross_modal import CrossModalStack
 from crossdoc.data import SyntheticCorpusSpec
 from crossdoc.encoders import DocumentLayout
-from crossdoc.losses import EmbeddingBatch
+from crossdoc.losses import cross_modal_contrastive_loss
 from crossdoc.optim import AdamW
 
 
@@ -35,10 +35,11 @@ def backward_grads(params, grads) -> GradTape:
     return ad.backward(loss)
 
 
-def embedding_batch(vision, text, labels, **settings) -> EmbeddingBatch:
-    """A batch with the loss settings ``train.batch_loss`` passes."""
+def contrastive_loss(vision, text, labels, **settings) -> dict:
+    """``cross_modal_contrastive_loss`` with the loss settings
+    ``train.batch_loss`` passes."""
     cfg = RunConfig(**settings)
-    return EmbeddingBatch(vision, text, labels, cfg.temperature, cfg.inter_weight)
+    return cross_modal_contrastive_loss(vision, text, labels, cfg.temperature, cfg.inter_weight)
 
 
 def stack(rng, **settings) -> CrossModalStack:

@@ -1,6 +1,7 @@
 """Checkpoint container: round trip, strict reading, an atomic streamed
 write and a load that holds its arrays once."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -191,6 +192,27 @@ def test_array_dtype_other_than_the_echo_refused(saved, capsys, edit):
                   b"dtype = float32")
         message = f"array {name!r} is float64, but the config echo says float32"
     with pytest.raises(FormatError, match=message):
+        load_checkpoint(path)
+    assert cli.main(["probe", "--ckpt", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_array_named_twice_refused_naming_the_second_entry(saved, capsys):
+    """A hand-built file whose parameter section holds the first parameter
+    a second time, with other values, right after the first: the later copy
+    would win silently, since loading compares only the set of names."""
+    path, config_text, params = saved[:3]
+    name, first = next(iter(params.items()))
+    count_at = CONFIG_TEXT_OFFSET + len(config_text.encode())
+    second_at = first_code_offset(config_text, params) + 1 + 1 + 4 * first.ndim + first.data.nbytes
+    raw = path.read_bytes()
+    entry = bytearray(raw[count_at + 4:second_at])
+    entry[-first.data.nbytes:] = np.full(first.shape, 0.25).astype("<f8").tobytes()
+    count = int.from_bytes(raw[count_at:count_at + 4], "little")
+    path.write_bytes(raw[:count_at] + (count + 1).to_bytes(4, "little")
+                     + raw[count_at + 4:second_at] + bytes(entry) + raw[second_at:])
+    message = f"array {name!r} appears a second time at byte {second_at}"
+    with pytest.raises(FormatError, match=re.escape(message)):
         load_checkpoint(path)
     assert cli.main(["probe", "--ckpt", str(path)]) == 2
     assert message in capsys.readouterr().err

@@ -95,6 +95,75 @@ def test_corrupt_record_exits_2_before_any_output(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# Each edit leaves a corpus whose every record is valid but whose splits
+# cannot serve a run: (split, what the error says about it).
+UNUSABLE_SPLITS = {
+    "one_train_class": (
+        lambda splits: data.CorpusSplits(splits.train[splits.train["label"] == 2], splits.test),
+        "the train split holds 1 class(es), and a batch needs two"),
+    "empty_test": (
+        lambda splits: data.CorpusSplits(splits.train, splits.test[:0]),
+        "the test split holds 0 records, and the probe needs one"),
+}
+
+
+@pytest.mark.parametrize("command", ["pretrain", "ablate"])
+@pytest.mark.parametrize("case", UNUSABLE_SPLITS)
+def test_corpus_whose_splits_cannot_serve_a_run_exits_2_before_any_output(
+        tmp_path, capsys, command, case):
+    """One class left in the train split, or no test record: a data error
+    naming the file and the split, raised as the corpus loads (``pretrain``
+    wrote its checkpoint and metrics first; ``ablate`` pretrained a variant
+    and then failed with a numpy traceback)."""
+    edit, what = UNUSABLE_SPLITS[case]
+    code, corpus_dir = run(tmp_path, "gen-corpus", "corpus")
+    assert code == 0
+    path = corpus_dir / "corpus.bin"
+    spec, splits = data.read_corpus(path)
+    data.write_corpus(path, spec, edit(splits))
+    capsys.readouterr()
+    code, out = run(tmp_path, command, "run", f"corpus_path = {path}\nablate_seeds = 0\n")
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: corpus file {path}: {what}\n"
+    assert not out.exists()
+
+
+def test_corpus_of_another_class_count_exits_2_naming_the_file(tmp_path, capsys):
+    code, corpus_dir = run(tmp_path, "gen-corpus", "corpus", "classes = 5\n")
+    assert code == 0
+    path = corpus_dir / "corpus.bin"
+    capsys.readouterr()
+    code, out = run(tmp_path, "pretrain", "run", f"corpus_path = {path}\n")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"data error: corpus file {path} has 5 classes but config says 4\n")
+    assert not out.exists()
+
+
+def test_config_file_that_is_not_utf8_exits_1_before_any_output(tmp_path, capsys):
+    """The config is read as UTF-8 whatever the locale; a byte that does not
+    decode is one ``config error`` line naming the file and the byte, not a
+    ``UnicodeDecodeError`` traceback."""
+    config = tmp_path / "run.txt"
+    config.write_bytes(b"steps = 1\n# caf\xe9\n")
+    out = tmp_path / "run"
+    code = cli.main(["pretrain", "--config", str(config), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"config error: config file {config} is not UTF-8: byte 15 is 0xe9\n")
+    assert not out.exists()
+
+
+def test_config_and_its_echo_are_utf8(tmp_path):
+    """A non-ASCII value is read from UTF-8 and echoed as UTF-8."""
+    config = tmp_path / "run.txt"
+    config.write_bytes((TINY + "corpus_path = corpora/données.bin\n").encode("utf-8"))
+    out = tmp_path / "corpus"
+    assert cli.main(["gen-corpus", "--config", str(config), "--out", str(out)]) == 0
+    echo = (out / "corpus_config.txt").read_bytes().decode("utf-8")
+    assert "corpus_path = corpora/données.bin\n" in echo
+
+
 def test_layout_without_room_for_content_exits_1(tmp_path, capsys):
     """One 4x4 patch gives 2 rows: [CLS] and [SEP] fill them."""
     code, out = run(tmp_path, "gen-corpus", "corpus", "image_size = 4\n")

@@ -7,7 +7,7 @@ from crossdoc import autodiff as ad
 from crossdoc import cross_modal as cm
 from crossdoc import nn
 from crossdoc.autodiff import Tensor
-from crossdoc.errors import ConfigError, ShapeError
+from crossdoc.errors import ShapeError
 
 from oracles import scalar_cross_attention_block, scalar_gated_self_attention, scalar_layer_norm
 from run_settings import stack as build_stack
@@ -111,12 +111,6 @@ class TestGatedSelfAttention:
         p = cm.GatedSelfAttentionParams.create(rng, 6, 2)
         with pytest.raises(ShapeError):
             cm.gated_self_attention(p, feats(np.zeros((3, 6))), feats(np.zeros((4, 6))))
-
-    def test_fusion_must_preserve_dim(self):
-        rng = np.random.default_rng(8)
-        good = cm.GatedSelfAttentionParams.create(rng, 6, 2)
-        with pytest.raises(ConfigError):
-            cm.GatedSelfAttentionParams(fuse=nn.LinearParams.create(rng, 6, 4), layer=good.layer)
 
 
 class TestStack:

@@ -9,7 +9,7 @@ import pytest
 from crossdoc import data
 from crossdoc.config import RunConfig
 from crossdoc.encoders import CLS_ID, NUM_RESERVED_IDS, PAD_ID, SEP_ID, DocumentLayout
-from crossdoc.errors import ConfigError, FormatError
+from crossdoc.errors import ConfigError, ContractError, FormatError
 
 from run_settings import corpus_spec
 
@@ -161,6 +161,13 @@ class TestMakeBatch:
             assert len(batch) == 10
             for y in labels:
                 assert (labels == y).sum() >= 2
+
+    def test_one_class_is_a_contract_error(self):
+        """``load_corpus`` refuses such a train split before any batch."""
+        splits = data.generate_corpus(tiny_spec())
+        one_class = splits.train[splits.train["label"] == 0]
+        with pytest.raises(ContractError, match="two distinct classes"):
+            data.make_batch(one_class, 8, np.random.default_rng(0))
 
     def test_reproducible_under_fixed_seed(self):
         splits = data.generate_corpus(tiny_spec())

@@ -8,7 +8,7 @@ from crossdoc import data
 from crossdoc import encoders as enc
 from crossdoc.autodiff import Tensor
 from crossdoc.config import RunConfig
-from crossdoc.errors import ConfigError, DataError
+from crossdoc.errors import ConfigError, DataError, ShapeError
 
 from run_settings import corpus_spec
 
@@ -89,7 +89,7 @@ class TestPatchEmbed:
         cfg = small_cfg()
         rng = np.random.default_rng(3)
         params = enc.VisionEncoderParams.create(rng, cfg, FEATURE_DIM)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ShapeError, match=r"image shape \(6, 8, 1\) does not match"):
             enc.patch_embed(params, cfg, np.zeros((6, 8, 1)))
 
     def test_batched_matches_per_sample(self):

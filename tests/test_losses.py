@@ -9,7 +9,7 @@ from crossdoc import autodiff as ad
 from crossdoc import losses
 from crossdoc.autodiff import Tensor
 from crossdoc.config import RunConfig
-from crossdoc.errors import ConfigError, ContractError, DataError
+from crossdoc.errors import ConfigError, ContractError, DataError, ShapeError
 from crossdoc.nn import l2_normalize
 
 from oracles import (
@@ -17,7 +17,7 @@ from oracles import (
     scalar_cross_entropy,
     scalar_cross_modal_loss,
 )
-from run_settings import embedding_batch
+from run_settings import contrastive_loss
 
 
 def planar(degrees):
@@ -56,11 +56,12 @@ def term(anchors, others, labels, temperature=RUN.temperature):
     return losses.contrastive_term(Tensor(anchors), Tensor(others), weights, temperature)
 
 
-def make_batch(rng, n=6, d=4, k=3, **kw):
+def make_batch(rng, n=6, d=4, k=3):
+    """Random unit-norm (vision, text) embeddings and their labels."""
     x = random_unit(rng, n, d)
     t = random_unit(rng, n, d)
     y = rng.integers(0, k, size=n)
-    return embedding_batch(Tensor(x), Tensor(t), y, **kw)
+    return Tensor(x), Tensor(t), y
 
 
 def values(terms):
@@ -112,22 +113,35 @@ class TestInterTerm:
 
 
 class TestEmbeddingBatch:
+    """The paired embeddings and labels ``cross_modal_contrastive_loss``
+    refuses."""
+
     def test_rejects_non_unit_norm(self):
         rng = np.random.default_rng(0)
         x = random_unit(rng, 4, 3)
         bad = x * 1.001
-        with pytest.raises(ContractError):
-            embedding_batch(Tensor(bad), Tensor(x), [0, 0, 1, 1])
+        with pytest.raises(ContractError, match="vision embeddings are not unit-norm"):
+            contrastive_loss(Tensor(bad), Tensor(x), [0, 0, 1, 1])
 
     def test_rejects_tiny_batch(self):
         with pytest.raises(ContractError):
-            embedding_batch(Tensor(planar([0.0])), Tensor(planar([0.0])), [0])
+            contrastive_loss(Tensor(planar([0.0])), Tensor(planar([0.0])), [0])
+
+    def test_rejects_unpaired_shapes(self):
+        x = planar([0.0, 10.0, 90.0])
+        with pytest.raises(ShapeError, match="matching"):
+            contrastive_loss(Tensor(x), Tensor(x[:2]), [0, 0, 1])
+
+    def test_rejects_a_label_count_other_than_n(self):
+        x = planar([0.0, 10.0, 90.0])
+        with pytest.raises(ShapeError, match="labels shape"):
+            contrastive_loss(Tensor(x), Tensor(x), [0, 0])
 
 
-# The terms and the batch take the temperature as given; a run's temperature
-# reaches the batch only through ``RunConfig``, which checks it.
+# The terms and the loss take the temperature as given; a run's temperature
+# reaches the loss only through ``RunConfig``, which checks it.
 TEMPERATURE_ENTRY_POINTS = {
-    "EmbeddingBatch": lambda x, t: embedding_batch(x, x, [0, 0], temperature=t),
+    "cross_modal_contrastive_loss": lambda x, t: contrastive_loss(x, x, [0, 0], temperature=t),
 }
 
 
@@ -141,21 +155,19 @@ def test_non_positive_temperature_is_a_config_error(entry, temperature):
 class TestCrossModalLoss:
     def test_zero_inter_weight_reduces_to_intra_sums(self):
         rng = np.random.default_rng(1)
-        batch = make_batch(rng, inter_weight=0.0)
-        report = losses.cross_modal_contrastive_loss(batch)
-        vv = term(batch.vision.data, batch.vision.data, batch.labels, batch.temperature).item()
-        ll = term(batch.text.data, batch.text.data, batch.labels, batch.temperature).item()
+        vision, text, y = make_batch(rng)
+        report = contrastive_loss(vision, text, y, inter_weight=0.0)
+        vv = term(vision.data, vision.data, y).item()
+        ll = term(text.data, text.data, y).item()
         assert report["total"].item() == (vv + ll)
         # the inter terms are not computed, and not reported
         assert list(report) == ["total", "vision_intra", "text_intra"]
 
     def test_modality_swap_symmetry_is_exact(self):
         rng = np.random.default_rng(2)
-        batch = make_batch(rng)
-        swapped = losses.EmbeddingBatch(batch.text, batch.vision, batch.labels,
-                                        batch.temperature, batch.inter_weight)
-        a = losses.cross_modal_contrastive_loss(batch)
-        b = losses.cross_modal_contrastive_loss(swapped)
+        vision, text, y = make_batch(rng)
+        a = contrastive_loss(vision, text, y)
+        b = contrastive_loss(text, vision, y)
         assert list(a) == ["total", "vision_intra", "text_to_vision", "text_intra", "vision_to_text"]
         assert a["total"].item() == b["total"].item()
         assert a["vision_intra"].item() == b["text_intra"].item()
@@ -163,13 +175,12 @@ class TestCrossModalLoss:
 
     def test_default_fixture_matches_frozen_oracle_values(self):
         """tau=0.1, inter weight 0.5 on the planar fixture."""
-        batch = embedding_batch(
+        assert RUN.temperature == 0.1 and RUN.inter_weight == 0.5
+        got = values(contrastive_loss(
             Tensor(planar(FIXTURE_ANGLES)),
             Tensor(planar([5.0, 15.0, 95.0, 105.0])),
             FIXTURE_LABELS,
-        )
-        assert batch.temperature == 0.1 and batch.inter_weight == 0.5
-        got = values(losses.cross_modal_contrastive_loss(batch))
+        ))
         for key, expected in CROSS_FIXTURE.items():
             assert abs(got[key] - expected) < 1e-12, key
 
@@ -178,18 +189,15 @@ class TestCrossModalLoss:
         for _ in range(25):
             n = int(rng.integers(2, 9))
             batch = make_batch(rng, n=n, d=int(rng.integers(2, 6)), k=int(rng.integers(2, 5)))
-            for key, value in values(losses.cross_modal_contrastive_loss(batch)).items():
+            for key, value in values(contrastive_loss(*batch)).items():
                 assert value >= 0.0, key
 
     def test_batch_permutation_invariance(self):
         rng = np.random.default_rng(4)
-        batch = make_batch(rng, n=7)
+        vision, text, y = make_batch(rng, n=7)
         perm = rng.permutation(7)
-        permuted = embedding_batch(
-            Tensor(batch.vision.data[perm]), Tensor(batch.text.data[perm]),
-            batch.labels[perm])
-        a = values(losses.cross_modal_contrastive_loss(batch))
-        b = values(losses.cross_modal_contrastive_loss(permuted))
+        a = values(contrastive_loss(vision, text, y))
+        b = values(contrastive_loss(Tensor(vision.data[perm]), Tensor(text.data[perm]), y[perm]))
         for key in a:
             assert abs(a[key] - b[key]) <= 1e-9, key
 
@@ -201,9 +209,9 @@ class TestCrossModalLoss:
         y = rng.integers(0, 3, size=6)
         vals = []
         for c in (1.0, 3.0, 0.01):
-            batch = embedding_batch(
+            loss = contrastive_loss(
                 l2_normalize(Tensor(raw_x * c)), l2_normalize(Tensor(raw_t * c)), y)
-            vals.append(losses.cross_modal_contrastive_loss(batch)["total"].item())
+            vals.append(loss["total"].item())
         assert abs(vals[0] - vals[1]) <= 1e-9
         assert abs(vals[0] - vals[2]) <= 1e-9
 
@@ -216,8 +224,7 @@ class TestCrossModalLoss:
             x = random_unit(rng, n, 3)
             t = random_unit(rng, n, 3)
             y = rng.integers(0, k, size=n)
-            got = values(losses.cross_modal_contrastive_loss(
-                embedding_batch(Tensor(x), Tensor(t), y)))
+            got = values(contrastive_loss(Tensor(x), Tensor(t), y))
             expected = scalar_cross_modal_loss(x, t, y, RUN.temperature, RUN.inter_weight)
             for key in expected:
                 assert abs(got[key] - expected[key]) < 1e-10, key
@@ -229,9 +236,7 @@ class TestCrossModalLoss:
         y = rng.integers(0, 2, size=5)
 
         def f(raw_x):
-            batch = embedding_batch(
-                l2_normalize(raw_x), l2_normalize(raw_t), y)
-            return losses.cross_modal_contrastive_loss(batch)["total"]
+            return contrastive_loss(l2_normalize(raw_x), l2_normalize(raw_t), y)["total"]
 
         x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         assert ad.finite_diff_check(f, x) < 1e-4

@@ -1,6 +1,7 @@
 """Optimizer and schedule tests."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ from crossdoc import autodiff as ad
 from crossdoc.autodiff import Tensor
 from crossdoc.config import RunConfig
 from crossdoc.errors import ConfigError, ContractError, NumericError, ShapeError
-from crossdoc.optim import _CHUNK, Schedule, lr_at
+from crossdoc.optim import _CHUNK
 
 from oracles import reference_adamw_step
 from run_settings import adamw, backward_grads
@@ -30,31 +31,37 @@ SPANNING_SHAPES = {"big": (5, _CHUNK // 2), "small": (3, 7), "bias": (7,), "last
 
 
 class TestSchedule:
+    """``RunConfig.lr_at``: linear warmup over ``warmup_frac`` of the steps,
+    then linear decay to 0 at ``steps``."""
+
     def test_boundary_values(self):
-        s = Schedule(total_steps=100, base_lr=2e-5, warmup_frac=0.1)
-        assert lr_at(s, 0) == 0.0
-        assert lr_at(s, 10) == pytest.approx(2e-5)
-        assert lr_at(s, 100) == 0.0
+        cfg = RunConfig(steps=100, base_lr=2e-5, warmup_frac=0.1)
+        assert cfg.lr_at(0) == 0.0
+        assert cfg.lr_at(10) == pytest.approx(2e-5)
+        assert cfg.lr_at(100) == 0.0
 
     def test_linear_in_both_phases(self):
-        s = Schedule(total_steps=200, base_lr=1.0, warmup_frac=0.1)
-        assert lr_at(s, 10) == pytest.approx(0.5)
-        assert lr_at(s, 110) == pytest.approx(0.5)
+        cfg = RunConfig(steps=200, base_lr=1.0, warmup_frac=0.1)
+        assert cfg.lr_at(10) == pytest.approx(0.5)
+        assert cfg.lr_at(110) == pytest.approx(0.5)
 
     def test_out_of_range_step(self):
-        s = Schedule(total_steps=10, base_lr=1.0, warmup_frac=0.1)
+        cfg = RunConfig(steps=10, base_lr=1.0, warmup_frac=0.1)
         with pytest.raises(ContractError):
-            lr_at(s, 11)
+            cfg.lr_at(11)
         with pytest.raises(ContractError):
-            lr_at(s, -1)
+            cfg.lr_at(-1)
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            Schedule(total_steps=0, base_lr=1.0, warmup_frac=0.1)
-        with pytest.raises(ConfigError):
-            Schedule(total_steps=10, base_lr=1.0, warmup_frac=1.0)
-        with pytest.raises(ConfigError):
-            Schedule(total_steps=10, base_lr=0.0, warmup_frac=0.1)
+        with pytest.raises(ConfigError, match=re.escape("warmup_frac must lie in [0, 1), got 1.0")):
+            RunConfig(warmup_frac=1.0)
+        with pytest.raises(ConfigError, match="base_lr must be finite and positive, got 0.0"):
+            RunConfig(base_lr=0.0)
+        # zero steps train nothing; the schedule still spans one step
+        cfg = RunConfig(steps=0, base_lr=1.0)
+        assert (cfg.lr_at(0), cfg.lr_at(1)) == (1.0, 0.0)
+        with pytest.raises(ContractError):
+            cfg.lr_at(2)
 
 
 class TestAdamW:
@@ -112,17 +119,17 @@ class TestAdamW:
         rng = np.random.default_rng(1)
         w = Tensor(rng.normal(size=8), requires_grad=True)
         target = rng.normal(size=8)
-        schedule = Schedule(total_steps=200, base_lr=0.05, warmup_frac=0.1)
+        cfg = RunConfig(steps=200, base_lr=0.05, warmup_frac=0.1)
         opt = adamw({"w": w}, weight_decay=0.0)
         losses = []
-        for step in range(schedule.total_steps):
+        for step in range(cfg.steps):
             diff = ad.sub(w, Tensor(target))
             loss = ad.tensor_sum(ad.mul(diff, diff))
             losses.append(loss.item())
             tape = ad.backward(loss)
-            opt.step(lr_at(schedule, step))
+            opt.step(cfg.lr_at(step))
             tape.clear()
-        after_warmup = losses[schedule.warmup_steps:]
+        after_warmup = losses[round(cfg.warmup_frac * cfg.steps):]
         diffs = np.diff(after_warmup)
         assert np.all(diffs <= 1e-12)
 

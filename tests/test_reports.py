@@ -139,3 +139,21 @@ def test_probe_fits_on_the_train_split_and_scores_the_test_split(tmp_path, monke
     assert [len(records) for records in embedded] == [320, 80]
     np.testing.assert_array_equal(embedded[0], splits.train)
     np.testing.assert_array_equal(embedded[1], splits.test)
+
+
+def test_probe_classifier_has_one_output_per_label_it_fits(monkeypatch):
+    """Its width comes from the labels, not from ``classes``: a probe fitted
+    on labels 0 and 1 of a 4-class config has two outputs."""
+    widths = []
+    real = train.LinearParams.create
+
+    def spy(rng, d_in, d_out):
+        widths.append(d_out)
+        return real(rng, d_in, d_out)
+
+    monkeypatch.setattr(train.LinearParams, "create", spy)
+    rng = np.random.default_rng(0)
+    x, y = rng.normal(size=(8, 3)), np.array([0, 1] * 4)
+    accuracy = train._fit_linear_probe(x, y, x, y, TINY, seed=0)
+    assert TINY.classes == 4 and widths == [2]
+    assert 0.0 <= accuracy <= 1.0
