@@ -3,6 +3,7 @@
 import ast
 import inspect
 import re
+import textwrap
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from crossdoc.data import SPEC_HEADER, SyntheticCorpusSpec
 from crossdoc.errors import ConfigError
 from crossdoc.losses import cross_modal_contrastive_loss
 from crossdoc.model import CrossModalModel
-from crossdoc.nn import FeedForwardParams
+from crossdoc.nn import FeedForwardParams, MHAParams
 from crossdoc.optim import AdamW
 
 # One value per RunConfig field, each different from the field's default.
@@ -206,7 +207,24 @@ def config_error_scopes(path: Path) -> list[str]:
     return scopes
 
 
-def test_run_settings_are_checked_in_run_config_only():
+# Library code that takes run settings RunConfig has already checked.
+CHECKED_BY_RUN_CONFIG = {
+    "AdamW.__init__": AdamW.__init__,
+    "cross_modal_contrastive_loss": cross_modal_contrastive_loss,
+    "MHAParams.create": MHAParams.create,
+    "CrossModalStack": CrossModalStack,
+}
+
+
+@pytest.mark.parametrize("name", CHECKED_BY_RUN_CONFIG)
+def test_run_settings_are_checked_in_run_config_only(name):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(CHECKED_BY_RUN_CONFIG[name])))
+    raised = {ident.id for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc
+              for ident in ast.walk(node.exc) if isinstance(ident, ast.Name)}
+    assert "ConfigError" not in raised
+
+
+def test_config_errors_are_raised_by_config_and_corpus_header_only():
     """A rule on a run setting is a ``ConfigError`` from ``config.py``, or
     from the two types a corpus header read from a file needs as well; the
     rest of the library takes every setting as given."""
