@@ -605,6 +605,24 @@ def contrastive_sum(sim: Tensor, weights: np.ndarray, temperature: float) -> Ten
     )
 
 
+def cross_entropy_mean(logits: Tensor, one_hot: np.ndarray) -> Tensor:
+    """``mean_i(logsumexp(x_i) - x_i . one_hot_i)`` over the rows of 2-d
+    ``logits``.  The adjoint is ``g/N * softmax - g/N * one_hot``, the two
+    contributions the logsumexp, product, sum and scale chain summed, so the
+    gradient is the chain's to the bit.
+    """
+    x = logits.data
+    factor = 1.0 / x.shape[0]
+    softmax, lse = _softmax_parts(x, "cross_entropy")
+    true_logit = np.sum(x * one_hot, axis=-1)
+
+    def vjp(g):
+        scaled = g * factor
+        return scaled * softmax - scaled * one_hot
+
+    return _make_node(np.sum(lse[..., 0] - true_logit) * factor, "cross_entropy", (logits, vjp))
+
+
 # ---------------------------------------------------------------------------
 # verification oracle
 # ---------------------------------------------------------------------------

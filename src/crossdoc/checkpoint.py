@@ -28,7 +28,10 @@ no moments (``train.probe``).
 
 ``save_checkpoint`` streams: each parameter and moment goes to the file
 straight from its buffer (AdamW's flat buffers, whose per-name views are
-C-contiguous), so a save allocates no copy of the values.  It writes
+C-contiguous), so a save allocates no copy of the values.  An array whose
+bytes are all zero, such as every moment of a step-0 checkpoint, is a hole
+in the file (see ``container``): the layout above is unchanged and a load
+reads zeros there, so only the disk blocks and the writeback shrink.  It writes
 ``<path>.tmp`` and renames it over ``path`` only when complete; a save that
 raises or is killed leaves the previous checkpoint whole and no ``.tmp``
 behind.  It does not ``fsync``: surviving power loss is out of scope, and a

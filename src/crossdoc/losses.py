@@ -94,6 +94,4 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise DataError(f"label outside [0, {k}) in cross entropy")
     one_hot = np.zeros((n, k), dtype=logits.data.dtype)
     one_hot[np.arange(n), labels] = 1.0
-    lse = ad.logsumexp_last(logits)
-    true_logit = ad.tensor_sum(ad.mul(logits, Tensor(one_hot)), axis=-1)
-    return ad.scale(ad.tensor_sum(ad.sub(lse, true_logit)), 1.0 / n)
+    return ad.cross_entropy_mean(logits, one_hot)

@@ -104,12 +104,18 @@ def _keep_freed_heap() -> None:
     does by itself.  ``np.empty`` touches no page of the block, so this
     costs no memory.
 
-    With it, a steady-state step faults no page at desk and about 5 at paper
-    width (``ru_minflt`` per phase, 2-core x86, at batch 8 and 64).  At
-    paper width that rests on ``AdamW`` dropping each gradient during
-    ``backward``, where later arrays reuse its memory: freeing all 130 MB of
-    gradients at once, more than the trim threshold, would let glibc trim
-    them, and the next step would fault about 61K pages back in at batch 8.
+    With it, a steady-state step faults no page at desk.  At paper width
+    (batch 8, ``ru_minflt`` per step, 2-core x86) a run's steps 2 and 3
+    either fault 3 to 112 pages each or about 9,000 (36 MB) each, with up
+    to 46 ms of system time per step.  Which one depends on the heap
+    layout, not the seed: one seed gave both over reruns, and source edits
+    off the step's path move the share of runs that fault.  The 9,000 are glibc trimming the
+    top of the heap once more than the 32 MB trim threshold lies free there
+    during a step: a 256 MB trim threshold (``GLIBC_TUNABLES``) leaves 3 to
+    7 faults per step.  The 3-to-112 case rests on ``AdamW`` dropping each
+    gradient during ``backward``, where later arrays reuse its memory:
+    freeing all 130 MB of gradients at once would let glibc trim them, and
+    the next step would fault about 61K pages back in at batch 8.
     """
     np.empty(16 << 20, np.uint8)
 

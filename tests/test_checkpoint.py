@@ -1,6 +1,8 @@
 """Checkpoint container: round trip, strict reading, an atomic streamed
-write and a load that holds its arrays once."""
+write whose all-zero arrays are holes, and a load that holds its arrays
+once."""
 
+import os
 import re
 import tracemalloc
 from dataclasses import replace
@@ -13,6 +15,7 @@ from crossdoc import model as model_module
 from crossdoc.autodiff import Tensor
 from crossdoc.checkpoint import load_checkpoint, save_checkpoint
 from crossdoc.config import RunConfig, format_config, parse_config
+from crossdoc.container import Writer
 from crossdoc.errors import FormatError
 from crossdoc.model import CrossModalModel
 from crossdoc.optim import AdamW
@@ -62,6 +65,14 @@ def parameter_section_end(config_text, params):
     return end
 
 
+def checkpoint_size(config_text, params, state):
+    """A checkpoint's size: the parameter section, the has-optimizer byte,
+    the u64 optimizer step, and the moment section's u32 count and each
+    moment's name, dtype code, dims and values."""
+    moments = sum(2 + len(n.encode()) + 2 + 4 * a.ndim + a.nbytes for n, a in state.items())
+    return parameter_section_end(config_text, params) + 1 + 8 + 4 + moments
+
+
 def overwrite(path, offset, payload):
     raw = bytearray(path.read_bytes())
     raw[offset:offset + len(payload)] = payload
@@ -77,6 +88,65 @@ def test_round_trip_is_bit_exact(saved):
         np.testing.assert_array_equal(ckpt.params[name], p.data)
     for name, a in opt.state_arrays().items():
         np.testing.assert_array_equal(ckpt.optimizer_arrays[name], a)
+
+
+def test_step0_checkpoint_ending_in_zero_moments_keeps_its_size(tmp_path):
+    """A step-0 checkpoint's moments are all zero, the file's last array
+    among them: they are not written, yet the file has its full size and
+    reads back bit for bit."""
+    params = CrossModalModel.create(TINY).parameters()
+    opt = adamw(params)
+    state = opt.state_arrays()
+    assert not any(a.any() for a in state.values())
+    path = tmp_path / "checkpoint.bin"
+    config_text = format_config(TINY)
+    save_checkpoint(path, 0, config_text, params, opt)
+    assert path.stat().st_size == checkpoint_size(config_text, params, state)
+    ckpt = load_checkpoint(path)
+    for name, p in params.items():
+        assert ckpt.params[name].tobytes() == p.data.tobytes()
+    for name, a in state.items():
+        assert ckpt.optimizer_arrays[name].tobytes() == a.tobytes()
+
+
+def test_negative_zero_is_written_and_keeps_its_sign(tmp_path):
+    """An array of ``-0.0`` is zero by value but not by bytes: it is
+    written, where a hole would read back ``+0.0``."""
+    params = {"p": Tensor(np.full((4, 8), -0.0), requires_grad=True)}
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(path, 0, format_config(RunConfig()), params, adamw(params))
+    loaded = load_checkpoint(path).params["p"]
+    assert np.signbit(loaded).all() and not loaded.any()
+
+
+def filesystem_keeps_holes(directory) -> bool:
+    """Whether a file in ``directory`` that skips its first MiB reports a
+    hole there (``SEEK_HOLE`` reports the end of file where holes are not
+    tracked)."""
+    if not hasattr(os, "SEEK_HOLE"):
+        return False
+    probe = directory / "hole_probe"
+    with probe.open("wb") as f:
+        f.seek(MB)
+        f.write(b"\x01")
+    with probe.open("rb") as f:
+        found = os.lseek(f.fileno(), 0, os.SEEK_HOLE)
+    probe.unlink()
+    return found < MB
+
+
+def test_step0_float32_checkpoint_has_a_hole(tmp_path):
+    """The zero moments of a step-0 float32 pretrain are not written: the
+    filesystem reports a hole before the end of the file.  Holes are whole
+    filesystem blocks, so the feed-forward moments are 64 KB each."""
+    if not filesystem_keeps_holes(tmp_path):
+        pytest.skip("the filesystem reports no holes")
+    cfg = replace(TINY_FLOAT32, steps=0, feature_dim=64, hidden_dim=256)
+    path = train.pretrain(cfg, tmp_path / "run").checkpoint_path
+    with path.open("rb") as f:
+        hole = os.lseek(f.fileno(), 0, os.SEEK_HOLE)
+    assert hole < path.stat().st_size
+    assert not any(a.any() for a in load_checkpoint(path).optimizer_arrays.values())
 
 
 @pytest.mark.parametrize("version", [1, 2, 3])
@@ -232,11 +302,12 @@ def test_ablated_checkpoint_holding_dead_stages_refused(saved, capsys):
     assert "missing []" in err and "stack.blocks.0.cross.into_vision.attn.w_q.weight" in err
 
 
-@pytest.mark.parametrize("failure", ["exception", "disk_full"])
+@pytest.mark.parametrize("failure", ["exception", "disk_full", "after_hole"])
 def test_crash_mid_write_keeps_previous_checkpoint(saved, monkeypatch, disk_full_beyond, failure):
     """A save that fails after the parameter section -- an exception while
-    the moments are gathered, or a write the disk refuses -- leaves the
-    previous file whole and no temporary behind."""
+    the moments are gathered, a write the disk refuses, or an exception
+    right after a zero moment was skipped -- leaves the previous file whole
+    and no temporary behind."""
     path, config_text, params, opt = saved
     before = path.read_bytes()
     old_params = {name: p.data.copy() for name, p in params.items()}
@@ -255,10 +326,26 @@ def test_crash_mid_write_keeps_previous_checkpoint(saved, monkeypatch, disk_full
         with pytest.raises(RuntimeError, match="killed mid-write"):
             save_checkpoint(path, 4, config_text, params, opt)
         assert seen_tmp == [True]
-    else:
+    elif failure == "disk_full":
         disk_full_beyond(parameter_section_end(config_text, params))
         with pytest.raises(OSError):
             save_checkpoint(path, 4, config_text, params, opt)
+    else:
+        skipped = []
+        write_array = Writer.array
+
+        def crash_after_hole(self, arr, dtype):
+            write_array(self, arr, dtype)
+            if not arr.any():
+                # the position is past the array, the file ends before it
+                self.f.flush()
+                skipped.append(os.fstat(self.f.fileno()).st_size < self.f.tell())
+                raise RuntimeError("killed after a hole")
+
+        monkeypatch.setattr(Writer, "array", crash_after_hole)
+        with pytest.raises(RuntimeError, match="killed after a hole"):
+            save_checkpoint(path, 0, config_text, params, adamw(params))  # zero moments
+        assert skipped == [True]
     assert not tmp.exists()
     assert path.read_bytes() == before
     ckpt = load_checkpoint(path)
@@ -351,8 +438,7 @@ def test_float32_checkpoint_stores_f4_arrays_and_round_trips_exactly(float32_run
         assert ckpt.optimizer_arrays[name].tobytes() == a.tobytes()
     config_text = ckpt.config_text
     assert path.read_bytes()[first_code_offset(config_text, params)] == 4
-    moments = sum(2 + len(n.encode()) + 2 + 4 * a.ndim + 4 * a.size for n, a in state.items())
-    assert path.stat().st_size == parameter_section_end(config_text, params) + 1 + 8 + 4 + moments
+    assert path.stat().st_size == checkpoint_size(config_text, params, state)
 
 
 def test_non_finite_float32_value_offset_counts_four_byte_values(float32_run, capsys):

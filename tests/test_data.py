@@ -1,12 +1,13 @@
 """Synthetic corpus tests: determinism, splits, batching, container format."""
 
+import hashlib
 import struct
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from crossdoc import data
+from crossdoc import cli, data
 from crossdoc.config import RunConfig
 from crossdoc.encoders import CLS_ID, NUM_RESERVED_IDS, PAD_ID, SEP_ID, DocumentLayout
 from crossdoc.errors import ConfigError, ContractError, FormatError
@@ -203,6 +204,13 @@ class TestContainer:
         expected = [f.name for f in fields(DocumentLayout)]
         expected += [f.name for f in fields(data.SyntheticCorpusSpec) if f.name != "layout"]
         assert sorted(names) == sorted(expected)
+
+    def test_gen_corpus_bytes_are_pinned(self, tmp_path):
+        """The desk corpus ``gen-corpus`` writes, by sha256: a writer that
+        turns zero bytes into holes leaves every byte as it was."""
+        assert cli.main(["gen-corpus", "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "corpus.bin").read_bytes()).hexdigest()
+        assert digest == "7aa2219a0c798eec1750638fe3d319cfab2b894e10e7df15e71b4547a25de648"
 
     def test_write_read_write_is_stable(self, tmp_path):
         spec = tiny_spec()

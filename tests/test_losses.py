@@ -294,6 +294,26 @@ class TestCrossEntropy:
         with pytest.raises(ContractError):
             losses.cross_entropy(Tensor(np.zeros((2, 1))), [0, 0])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("upstream", [1.0, -2.5])
+    def test_one_node_with_the_value_and_gradient_of_the_op_chain(self, dtype, upstream):
+        """``cross_entropy`` is one node, whose value and gradient are those
+        of the logsumexp, product, sum and scale chain, bit for bit."""
+        rng = np.random.default_rng(7)
+        logits = (rng.normal(size=(6, 4)) * 3.0).astype(dtype)
+        labels = rng.integers(0, 4, size=6)
+        fused_x, chain_x = Tensor(logits, requires_grad=True), Tensor(logits, requires_grad=True)
+        fused = losses.cross_entropy(fused_x, labels)
+        assert fused._parents == (fused_x,)
+        true_logit = ad.tensor_sum(ad.mul(chain_x, Tensor(np.eye(4, dtype=dtype)[labels])), axis=-1)
+        chain = ad.scale(ad.tensor_sum(ad.sub(ad.logsumexp_last(chain_x), true_logit)), 1.0 / 6)
+        assert fused.data.dtype == chain.data.dtype == dtype
+        assert fused.data.tobytes() == chain.data.tobytes()
+        ad.backward(ad.scale(fused, upstream))
+        ad.backward(ad.scale(chain, upstream))
+        assert fused_x.grad.dtype == dtype
+        assert fused_x.grad.tobytes() == chain_x.grad.tobytes()
+
     def test_gradient(self):
         rng = np.random.default_rng(13)
         labels = rng.integers(0, 3, size=4)
