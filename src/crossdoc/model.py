@@ -3,6 +3,7 @@ block stack."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,34 +22,28 @@ from .errors import DataError
 from .nn import named_tensors
 
 
-class _RoundedDraws:
-    """``rng`` whose ``uniform`` and ``normal`` draws come back rounded to
-    ``dtype``.  Each float64 draw is rounded as it is made, so the next draw
-    reuses its memory; rounding the finished float64 model instead took
-    about 100 ms more at paper width (32.6M values, on a 2-core x86 host)."""
-
-    def __init__(self, rng: np.random.Generator, dtype: str):
-        self.rng, self.dtype = rng, dtype
-
-    def uniform(self, *args, **kwargs) -> np.ndarray:
-        return self.rng.uniform(*args, **kwargs).astype(self.dtype, copy=False)
-
-    def normal(self, *args, **kwargs) -> np.ndarray:
-        return self.rng.normal(*args, **kwargs).astype(self.dtype, copy=False)
-
-
-class _NoDraws:
-    """A draw source that draws nothing: ``uniform`` and ``normal`` return
-    unwritten ``dtype`` arrays of the requested size, which cost no memory
-    until written, for a model whose values are loaded next."""
+class _Draws:
+    """A draw source that draws nothing yet: ``uniform`` and ``normal``
+    record their call and return an unwritten placeholder of its size, so
+    the model is laid out before any value exists."""
 
     def __init__(self, dtype: str):
-        self.dtype = dtype
+        self.dtype, self.calls = dtype, []
 
-    def uniform(self, *args, size) -> np.ndarray:
-        return np.empty(size, self.dtype)
+    def _record(self, method: str, *args, size) -> np.ndarray:
+        placeholder = np.empty(size, self.dtype)
+        self.calls.append((placeholder, method, args, size))
+        return placeholder
 
-    normal = uniform
+    uniform = functools.partialmethod(_record, "uniform")
+    normal = functools.partialmethod(_record, "normal")
+
+    def replay(self, rng: np.random.Generator, views: dict[int, np.ndarray]) -> None:
+        """Make the recorded calls on ``rng`` in their order, assigning each
+        float64 draw into ``views[id(placeholder)]``: one rounding to the
+        view's dtype, as ``astype`` rounds."""
+        for placeholder, method, args, size in self.calls:
+            views[id(placeholder)][...] = getattr(rng, method)(*args, size=size)
 
 
 @dataclass
@@ -61,27 +56,35 @@ class CrossModalModel:
     @classmethod
     def create(cls, cfg: RunConfig, draw: bool = True) -> "CrossModalModel":
         """Build a freshly initialized model in ``cfg.dtype``; ``cfg.seed``
-        fixes every parameter.  The draws are float64 whatever the dtype, and
-        each parameter is rounded once, so a float32 model is the float64
-        model rounded.  With ``draw=False`` the drawn parameters are left
-        unwritten, for a caller that loads them next (``load_arrays``)."""
-        if draw:
-            rng = _RoundedDraws(np.random.default_rng(cfg.seed), cfg.dtype)
-        else:
-            rng = _NoDraws(cfg.dtype)
+        fixes every parameter.  The parameters are consecutive views of one
+        flat buffer, in ``parameters()`` order, which ``AdamW`` adopts.  The
+        draws are float64 whatever the dtype, each rounded once into its
+        view, so a float32 model is the float64 model rounded.  With
+        ``draw=False`` only the biases and norms are written, for a caller
+        that loads the parameters next (``load_arrays``)."""
+        draws = _Draws(cfg.dtype)
         layout = cfg.layout()
         model = cls(
             layout=layout,
-            vision_encoder=VisionEncoderParams.create(rng, layout, cfg.feature_dim),
-            text_encoder=TextEncoderParams.create(rng, layout, cfg.feature_dim),
+            vision_encoder=VisionEncoderParams.create(draws, layout, cfg.feature_dim),
+            text_encoder=TextEncoderParams.create(draws, layout, cfg.feature_dim),
             stack=CrossModalStack.create(
-                rng, cfg.feature_dim, cfg.num_heads, depth=cfg.depth,
+                draws, cfg.feature_dim, cfg.num_heads, depth=cfg.depth,
                 hidden_dim=cfg.hidden_dim, embed_dim=cfg.embed_dim,
                 use_cross=cfg.use_cross, use_gate=cfg.use_gate,
             ),
         )
-        for tensor in model.parameters().values():  # biases and norms: zeros and ones, not draws
-            tensor.data = tensor.data.astype(cfg.dtype, copy=False)
+        params = list(model.parameters().values())
+        flat = np.empty(sum(p.size for p in params), cfg.dtype)
+        pieces = np.split(flat, np.cumsum([p.size for p in params])[:-1])
+        drawn, views = {id(placeholder) for placeholder, *_ in draws.calls}, {}
+        for p, piece in zip(params, pieces):
+            view = views[id(p.data)] = piece.reshape(p.shape)
+            if id(p.data) not in drawn:  # biases and norms: zeros and ones, not draws
+                view[...] = p.data
+            p.data = view
+        if draw:
+            draws.replay(np.random.default_rng(cfg.seed), views)
         return model
 
     def parameters(self) -> dict[str, Tensor]:

@@ -4,6 +4,7 @@ the caller's (``RunConfig.lr_at``)."""
 from __future__ import annotations
 
 import functools
+import mmap
 import weakref
 
 import numpy as np
@@ -43,11 +44,13 @@ def _deliver(ref: weakref.ref, i: int, k: int) -> None:
 class AdamW:
     """Decoupled-weight-decay Adam over a named parameter dict.
 
-    The constructor packs every parameter into one flat buffer of the
-    parameters' dtype (float64 or float32; a mix is a ``ContractError``) and
-    rebinds each ``p.data`` to its view of it; only then are the moments
-    allocated, one flat buffer each of the same dtype, with ``m[name]`` and
-    ``v[name]`` views of them.
+    The parameters live in one flat buffer of their dtype (float64 or
+    float32; a mix is a ``ContractError``), and each ``p.data`` is rebound
+    to a new view of it.  Parameters that already are consecutive
+    C-contiguous views of one 1-D buffer, in dict order, keep that buffer
+    (``CrossModalModel.create`` builds them so); any other set is copied
+    into a new one.  Only then are the moments allocated, one flat buffer
+    each of the same dtype, with ``m[name]`` and ``v[name]`` views of them.
 
     An update has two halves.  The moment half, ``m = b1*m + (1-b1)*g`` and
     ``v = b2*v + ((1-b2)*g)*g``, needs neither the learning rate nor the
@@ -88,16 +91,23 @@ class AdamW:
         self._groups = _plan_groups([hi - lo for lo, hi in spans])
         total = int(bounds[-1])
         dtype = dtypes[0] if dtypes else np.float64
-        self._p = np.empty(total, dtype)
+        base = next(iter(self.params.values())).data.base if self.params else None
+        shared = (isinstance(base, np.ndarray) and base.shape == (total,) and base.flags.writeable
+                  and all(p.data.__array_interface__ == base[lo:hi].reshape(p.shape).__array_interface__
+                          for p, (lo, hi) in zip(self.params.values(), spans)))
+        self._p = base if shared else np.empty(total, dtype)
         self._views = {}
         for (name, p), (lo, hi) in zip(self.params.items(), spans):
             view = self._p[lo:hi].reshape(p.data.shape)
-            view[...] = p.data
+            if not shared:
+                view[...] = p.data
             p.data = self._views[name] = view
-        # The parameters' own arrays are released before the moments exist.
-        # The moments are written here rather than left to calloc's lazy zero
-        # pages, so the first step does not pay their page faults.
-        self._m, self._v = np.full(total, 0.0, dtype), np.full(total, 0.0, dtype)
+        # Packed parameters' own arrays are released before the moments exist.
+        # The moments are calloc's zero pages, each faulted in by one write
+        # here, so the first step does not pay their faults.
+        self._m, self._v = np.zeros(total, dtype), np.zeros(total, dtype)
+        page = mmap.PAGESIZE // self._m.itemsize
+        self._m[::page] = self._v[::page] = 0
         self.m, self.v = {}, {}
         for (name, p), (lo, hi) in zip(self.params.items(), spans):
             self.m[name] = self._m[lo:hi].reshape(p.shape)

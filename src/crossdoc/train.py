@@ -9,6 +9,7 @@ classifier per modality on frozen embeddings.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import time
@@ -97,27 +98,26 @@ def _keep_freed_heap() -> None:
 
     glibc hands the top of its heap back to the OS whenever more than its
     trim threshold (128 KB at start) lies free there, so a desk step frees
-    its graph and faults 1600 to 2500 pages back in on the next step.
-    Freeing one block large enough to be mmapped raises glibc's mmap
-    threshold to the block's size (16 MB) and its trim threshold to twice
-    that (mallopt(3), M_MMAP_THRESHOLD), as any run that frees a large array
-    does by itself.  ``np.empty`` touches no page of the block, so this
-    costs no memory.
+    its graph and faults 1600 to 2500 pages back in on the next step.  This
+    sets glibc's mmap threshold to 16 MB and its trim threshold to 256 MB
+    (mallopt(3); a C library without ``mallopt`` keeps its own policy).  A
+    paper-width step (batch 8) can free more than 32 MB at the heap top, so
+    at a 32 MB trim threshold some heap layouts gave back and re-faulted
+    about 9,000 pages (36 MB, up to 46 ms of system time) in every step.
 
-    With it, a steady-state step faults no page at desk.  At paper width
-    (batch 8, ``ru_minflt`` per step, 2-core x86) a run's steps 2 and 3
-    either fault 3 to 112 pages each or about 9,000 (36 MB) each, with up
-    to 46 ms of system time per step.  Which one depends on the heap
-    layout, not the seed: one seed gave both over reruns, and source edits
-    off the step's path move the share of runs that fault.  The 9,000 are glibc trimming the
-    top of the heap once more than the 32 MB trim threshold lies free there
-    during a step: a 256 MB trim threshold (``GLIBC_TUNABLES``) leaves 3 to
-    7 faults per step.  The 3-to-112 case rests on ``AdamW`` dropping each
-    gradient during ``backward``, where later arrays reuse its memory:
-    freeing all 130 MB of gradients at once would let glibc trim them, and
-    the next step would fault about 61K pages back in at batch 8.
+    With it, a steady-state step faults no page at desk.  At paper width it
+    also rests on ``AdamW`` dropping each gradient during ``backward``,
+    where later arrays reuse its memory: freeing all 130 MB of gradients at
+    once would let glibc trim them, and the next step would fault about 61K
+    pages back in at batch 8.
     """
-    np.empty(16 << 20, np.uint8)
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
 
 
 def pretrain(

@@ -2,6 +2,7 @@
 write whose all-zero arrays are holes, and a load that holds its arrays
 once."""
 
+import io
 import os
 import re
 import tracemalloc
@@ -117,6 +118,18 @@ def test_negative_zero_is_written_and_keeps_its_sign(tmp_path):
     save_checkpoint(path, 0, format_config(RunConfig()), params, adamw(params))
     loaded = load_checkpoint(path).params["p"]
     assert np.signbit(loaded).all() and not loaded.any()
+
+
+@pytest.mark.parametrize("size", [100, 4096, 4097, (3 << 20) + 5])
+def test_array_zero_but_its_last_byte_is_written(size):
+    """The zero scan reads past its first piece: an array whose only nonzero
+    byte is its last, in the first piece, just past it or several MiB on, is
+    written in full, not skipped."""
+    arr = np.zeros(size, np.uint8)
+    arr[-1] = 1
+    f = io.BytesIO()
+    Writer(f).array(arr, np.uint8)
+    assert f.getvalue() == arr.tobytes()
 
 
 def filesystem_keeps_holes(directory) -> bool:
@@ -479,7 +492,7 @@ def test_probe_reads_no_moments_and_draws_no_model(float32_run, monkeypatch):
     def no_draws(*args):
         raise AssertionError("probe drew initial values")
 
-    monkeypatch.setattr(model_module, "_RoundedDraws", no_draws)
+    monkeypatch.setattr(model_module._Draws, "replay", no_draws)
     assert probe_dtypes(monkeypatch, path) == {"float32"}
 
 

@@ -7,7 +7,9 @@ import pytest
 
 from crossdoc.autodiff import _topo_order, backward
 from crossdoc.config import RunConfig
+from crossdoc.cross_modal import CrossModalStack
 from crossdoc.data import collate, generate_corpus, make_batch
+from crossdoc.encoders import TextEncoderParams, VisionEncoderParams
 from crossdoc.errors import DataError
 from crossdoc.model import CrossModalModel
 from crossdoc.train import ABLATION_VARIANTS, batch_loss
@@ -107,6 +109,67 @@ class TestDtype:
         for name, p in rounded.items():
             assert p.data.dtype == np.float32
             np.testing.assert_array_equal(p.data, reference[name].data.astype(np.float32))
+
+
+class _RoundedDraws:
+    """Each ``Generator.uniform`` or ``normal`` draw rounded with ``astype``
+    as it is made: parameter by parameter, in draw order."""
+
+    def __init__(self, rng, dtype):
+        self.rng, self.dtype = rng, dtype
+
+    def uniform(self, *args, **kwargs):
+        return self.rng.uniform(*args, **kwargs).astype(self.dtype)
+
+    def normal(self, *args, **kwargs):
+        return self.rng.normal(*args, **kwargs).astype(self.dtype)
+
+
+def reference_parameters(cfg) -> dict:
+    """The parameters drawn one array at a time through ``_RoundedDraws``,
+    with every zero and one rounded after."""
+    rng, layout = _RoundedDraws(np.random.default_rng(cfg.seed), cfg.dtype), cfg.layout()
+    model = CrossModalModel(
+        layout, VisionEncoderParams.create(rng, layout, cfg.feature_dim),
+        TextEncoderParams.create(rng, layout, cfg.feature_dim),
+        CrossModalStack.create(rng, cfg.feature_dim, cfg.num_heads, depth=cfg.depth,
+                               hidden_dim=cfg.hidden_dim, embed_dim=cfg.embed_dim,
+                               use_cross=cfg.use_cross, use_gate=cfg.use_gate))
+    return {name: p.data.astype(cfg.dtype) for name, p in model.parameters().items()}
+
+
+class TestFlatBuffer:
+    @pytest.mark.parametrize("draw", [True, False], ids=["drawn", "undrawn"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_parameters_are_consecutive_views_of_one_flat_buffer(self, dtype, draw):
+        """In ``parameters()`` order, covering the buffer; undrawn, the
+        biases and norms still hold their zeros and ones."""
+        cfg = tiny_config(dtype=dtype)
+        params = CrossModalModel.create(cfg, draw=draw).parameters()
+        flat = next(iter(params.values())).data.base
+        assert flat.ndim == 1 and flat.dtype == dtype
+        assert flat.size == sum(p.size for p in params.values())
+        lo = 0
+        for p in params.values():
+            assert p.data.base is flat and p.data.flags.c_contiguous
+            assert p.data.ctypes.data == flat.ctypes.data + lo * flat.itemsize
+            lo += p.size
+        reference = reference_parameters(cfg)
+        constant = [n for n in params if n.endswith(("bias", "gamma", "beta"))]
+        assert constant
+        for name in constant if not draw else params:
+            assert params[name].data.tobytes() == reference[name].tobytes()
+
+    @pytest.mark.parametrize("cfg", [RunConfig(), replace(RunConfig(), dtype="float32"),
+                                     tiny_config(dtype="float32", seed=5)],
+                             ids=["desk_float64", "desk_float32", "tiny_float32"])
+    def test_values_are_the_draws_rounded_one_array_at_a_time(self, cfg):
+        params = CrossModalModel.create(cfg).parameters()
+        reference = reference_parameters(cfg)
+        assert list(params) == list(reference)
+        for name, p in params.items():
+            assert p.data.dtype == cfg.dtype
+            assert p.data.tobytes() == reference[name].tobytes(), name
 
 
 class TestLoadArrays:

@@ -2,6 +2,7 @@
 
 import gc
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,6 +12,7 @@ from crossdoc import autodiff as ad
 from crossdoc.autodiff import Tensor
 from crossdoc.config import RunConfig
 from crossdoc.errors import ConfigError, ContractError, NumericError, ShapeError
+from crossdoc.model import CrossModalModel
 from crossdoc.optim import _CHUNK
 
 from oracles import reference_adamw_step
@@ -218,6 +220,35 @@ class TestAdamW:
         backward_grads({"w": w}, {"w": np.ones(x.shape)})
         opt.step(1e-3)
         np.testing.assert_array_equal(w.data, ref[0])
+
+    def test_model_buffer_is_adopted_not_copied(self):
+        """Over a model's parameters, which are consecutive views of one flat
+        buffer, AdamW uses that buffer: it allocates the moments and its
+        scratch and no copy of the parameters, and the moments are zero.  A
+        second optimizer over the same parameters adopts it too, and the
+        first, now stale, cannot step."""
+        params = CrossModalModel.create(RunConfig()).parameters()
+        flat = next(iter(params.values())).data.base
+        before = {name: p.data.copy() for name, p in params.items()}
+        tracemalloc.start()
+        try:
+            first = adamw(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first._p is flat
+        assert peak < 2 * flat.nbytes + sum(a.nbytes for a in first._scratch) + flat.nbytes // 2
+        assert all(np.shares_memory(p.data, flat) for p in params.values())
+        assert not first._m.any() and not first._v.any()
+        for name, p in params.items():
+            assert p.data.tobytes() == before[name].tobytes()
+        second = adamw(params)
+        assert second._p is flat
+        backward_grads(params, {name: np.ones(p.shape) for name, p in params.items()})
+        with pytest.raises(ContractError, match="no longer holds the optimizer's buffer"):
+            first.step(1e-3)
+        second.step(1e-3)
+        assert second.step_count == 1 and first.step_count == 0
 
     def test_rebound_parameter_data_rejected(self):
         """Data swapped for another array after construction is not the
