@@ -548,10 +548,12 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
 
     ``q`` is (.., q_rows, D) and ``k``, ``v`` are (.., k_rows, D), already
     projected; heads are numpy views of D's consecutive blocks.
-    ``key_bias``, if given, is a (.., k_rows) array added to every head's
-    logits for that key: 0 keeps it, -inf masks it.  Returns the merged
-    (.., q_rows, D) context node and the (.., heads, q_rows, k_rows) softmax
-    weights as a plain array.  The node keeps the softmax for its adjoint.
+    ``key_bias``, if given, is a (.., k_rows) array of the operands' dtype
+    added to every head's logits for that key: 0 keeps it, -inf masks it; a
+    query with every key masked is rejected by ``_softmax_parts``.  Returns
+    the merged (.., q_rows, D) context node and the (.., heads, q_rows,
+    k_rows) softmax weights as a plain array.  The node keeps the softmax
+    for its adjoint.
     """
     width = q.shape[-1]
     if k.shape != v.shape or k.shape[-1] != width or q.ndim < 2 or k.ndim < 2:
@@ -562,7 +564,9 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     factor = 1.0 / math.sqrt(width // num_heads)
     scores = (qh @ kh.swapaxes(-1, -2)) * factor
     if key_bias is not None:
-        scores = scores + np.asarray(key_bias, dtype=scores.dtype)[..., None, None, :]
+        if key_bias.shape[-1:] != k.shape[-2:-1]:
+            raise ShapeError(f"key bias {key_bias.shape} does not match keys {k.shape}")
+        scores = scores + key_bias[..., None, None, :]
     att, _ = _softmax_parts(scores, "attention_heads")
 
     shared = {}

@@ -10,6 +10,10 @@ then feed-forward, each wrapped in residual + layer norm.
    (Hadamard product plus residual, mapped through a fully connected layer),
    then passed through a self-attention sub-layer.
 
+Padded text is kept out of every attention by one array, the key bias
+``encoders.token_embed`` returns (0 on a real token, -inf on [PAD]): it is
+passed unchanged as ``text_bias``/``key_bias`` down to
+``autodiff.attention_heads`` wherever text rows serve as keys.
 Blocks preserve (rows, feature_dim) for both modalities and can be stacked.
 A block built without a stage (an ablation variant) passes that stage's
 input through unchanged and holds no parameters for it.
@@ -66,11 +70,11 @@ class LayerParams:
 
 
 def transformer_layer(
-    p: LayerParams, x: Tensor, kv: Tensor, key_mask: Optional[np.ndarray] = None
+    p: LayerParams, x: Tensor, kv: Tensor, key_bias: Optional[np.ndarray] = None
 ) -> Tensor:
     """``x`` attends to ``kv`` (``x`` itself for self-attention), then runs the
     feed-forward; each step is wrapped in residual + layer norm, one node."""
-    att = multi_head_attention(p.attn, x, kv, key_mask=key_mask)
+    att = multi_head_attention(p.attn, x, kv, key_bias=key_bias)
     mid = layer_norm(p.norm_attn, att, residual=x)
     return layer_norm(p.norm_ff, feed_forward(p.ff, mid), residual=mid)
 
@@ -91,14 +95,14 @@ def cross_attention_block(
     p: CrossAttentionBlockParams,
     vision: Tensor,
     text: Tensor,
-    text_mask: Optional[np.ndarray] = None,
+    text_bias: Optional[np.ndarray] = None,
 ) -> tuple[Tensor, Tensor]:
     """Exchange information across modalities; shapes are preserved.
 
-    Padded text rows are masked whenever text serves as keys; vision rows are
-    never masked.
+    ``text_bias`` (``token_embed``'s key bias) masks padded text rows
+    whenever text serves as keys; vision rows are never masked.
     """
-    return (transformer_layer(p.into_vision, vision, text, key_mask=text_mask),
+    return (transformer_layer(p.into_vision, vision, text, key_bias=text_bias),
             transformer_layer(p.into_text, text, vision))
 
 
@@ -120,7 +124,7 @@ def gated_self_attention(
     p: GatedSelfAttentionParams,
     previous: Tensor,
     updated: Tensor,
-    key_mask: Optional[np.ndarray] = None,
+    key_bias: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Gate the updated features against the original ones, then self-attend.
 
@@ -133,7 +137,7 @@ def gated_self_attention(
             f"gate inputs must share a shape: {previous.shape} vs {updated.shape}"
         )
     fused = linear(p.fuse, ad.add(ad.mul(updated, previous), previous))
-    return transformer_layer(p.layer, fused, fused, key_mask=key_mask)
+    return transformer_layer(p.layer, fused, fused, key_bias=key_bias)
 
 
 @dataclass
@@ -189,28 +193,28 @@ class CrossModalStack:
         self,
         vision: Tensor,
         text: Tensor,
-        text_mask: Optional[np.ndarray] = None,
+        text_bias: Optional[np.ndarray] = None,
     ) -> tuple[Tensor, Tensor]:
         """Apply every block, running each stage whose params are present."""
         v, t = vision, text
         for block in self.blocks:
             v_in, t_in = v, t
             if block.cross is not None:
-                v, t = cross_attention_block(block.cross, v, t, text_mask)
+                v, t = cross_attention_block(block.cross, v, t, text_bias)
             if block.gate_vision is not None:
-                v = gated_self_attention(block.gate_vision, v_in, v, key_mask=None)
+                v = gated_self_attention(block.gate_vision, v_in, v)
             if block.gate_text is not None:
-                t = gated_self_attention(block.gate_text, t_in, t, key_mask=text_mask)
+                t = gated_self_attention(block.gate_text, t_in, t, key_bias=text_bias)
         return v, t
 
     def forward(
         self,
         vision: Tensor,
         text: Tensor,
-        text_mask: Optional[np.ndarray] = None,
+        text_bias: Optional[np.ndarray] = None,
     ) -> tuple[Tensor, Tensor]:
         """Blocks, then pooling and projection; returns unit-norm embeddings."""
-        v, t = self.run_blocks(vision, text, text_mask)
+        v, t = self.run_blocks(vision, text, text_bias)
         v_emb = project_and_normalize(self.head_vision, pool_cls(v))
         t_emb = project_and_normalize(self.head_text, pool_cls(t))
         return v_emb, t_emb

@@ -126,10 +126,13 @@ def patch_embed(params: VisionEncoderParams, layout: DocumentLayout, pixels: np.
 def token_embed(
     params: TextEncoderParams, layout: DocumentLayout, ids: np.ndarray
 ) -> tuple[Tensor, np.ndarray]:
-    """Embed token ids and return the features plus the real-token mask.
+    """Embed token ids and return the features plus their key bias.
 
     ``ids`` is a (.., rows) integer array.  Ids outside the vocabulary are a
-    data error.
+    data error.  The key bias is a (.., rows) array in the features' dtype,
+    0 on a real token and -inf on [PAD]: the one place padded text is kept
+    out of attention.  Every attention over these rows as keys adds it,
+    unchanged, to its logits (``autodiff.attention_heads``).
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.shape[-1] != layout.rows:
@@ -139,8 +142,8 @@ def token_embed(
             f"token id out of vocabulary (vocab_size={layout.vocab_size}, "
             f"got range [{ids.min()}, {ids.max()}])"
         )
-    embedded = ad.gather_rows(params.table, ids)
-    return ad.add(embedded, params.positions), ids != PAD_ID
+    features = ad.add(ad.gather_rows(params.table, ids), params.positions)
+    return features, np.where(ids != PAD_ID, 0.0, -np.inf).astype(features.data.dtype)
 
 
 def pool_cls(features: Tensor) -> Tensor:

@@ -111,8 +111,8 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
 
     def f_model(raw_vision):
         # raw vision features in, full depth-2 stack and loss on top
-        text, mask = token_embed(model.text_encoder, model.layout, ids)
-        v_emb, t_emb = model.stack.forward(raw_vision, text, text_mask=mask)
+        text, text_bias = token_embed(model.text_encoder, model.layout, ids)
+        v_emb, t_emb = model.stack.forward(raw_vision, text, text_bias)
         return cross_modal_contrastive_loss(v_emb, t_emb, loss_labels, 0.1, 0.5)["total"]
 
     x_model = Tensor(rng.normal(size=(batch, 5, d)), requires_grad=True)

@@ -93,8 +93,8 @@ class CrossModalModel:
     def embed(self, images: np.ndarray, token_ids: np.ndarray) -> tuple[Tensor, Tensor]:
         """Paired batch in, unit-norm (N, embed_dim) embeddings out."""
         vision = patch_embed(self.vision_encoder, self.layout, images)
-        text, mask = token_embed(self.text_encoder, self.layout, token_ids)
-        return self.stack.forward(vision, text, text_mask=mask)
+        text, text_bias = token_embed(self.text_encoder, self.layout, token_ids)
+        return self.stack.forward(vision, text, text_bias)
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Overwrite every parameter in place from checkpointed arrays,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractError, NumericError, ShapeError
+from .errors import NumericError, ShapeError
 
 
 def named_tensors(tree, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
@@ -52,14 +52,6 @@ class LinearParams:
             weight=Tensor(xavier_uniform(rng, d_in, d_out), requires_grad=True),
             bias=Tensor(np.zeros(d_out), requires_grad=True),
         )
-
-    @property
-    def d_in(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.weight.shape[1]
 
 
 def linear(p: LinearParams, x: Tensor) -> Tensor:
@@ -130,34 +122,18 @@ def multi_head_attention(
     p: MHAParams,
     q_src: Tensor,
     kv_src: Tensor,
-    key_mask: Optional[np.ndarray] = None,
+    key_bias: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Scaled dot-product attention with per-head projections.
 
     ``q_src`` and ``kv_src`` are (.., rows, feature_dim); the output matches
     ``q_src``'s shape.  The three projections feed one fused
-    ``attention_heads`` node.
-    ``key_mask`` marks attendable key rows with True; masked keys receive
-    -inf logits before the softmax.  A query whose keys are all masked has
-    no well-defined attention row and is rejected.
+    ``attention_heads`` node, then ``w_o``.
+    ``key_bias`` is passed to that node unchanged: a (.., key rows) array
+    added to every query's logits, 0 to keep a key and -inf to mask it, as
+    ``encoders.token_embed`` returns it for text.  A query whose keys are
+    all masked has no attention row; the node rejects it (``ContractError``).
     """
-    if q_src.shape[-1] != p.w_q.d_in or kv_src.shape[-1] != p.w_k.d_in:
-        raise ShapeError(
-            f"attention feature dims {q_src.shape[-1]}/{kv_src.shape[-1]} "
-            f"do not match params ({p.w_q.d_in})"
-        )
-    if key_mask is not None:
-        key_mask = np.asarray(key_mask, dtype=bool)
-        if key_mask.shape[-1] != kv_src.shape[-2]:
-            raise ShapeError(
-                f"key mask length {key_mask.shape[-1]} != key rows {kv_src.shape[-2]}"
-            )
-        if not np.all(key_mask.any(axis=-1)):
-            raise ContractError("attention with every key masked for some query")
-        key_bias = np.where(key_mask, 0.0, -np.inf)
-    else:
-        key_bias = None
-
     context, _ = ad.attention_heads(
         linear(p.w_q, q_src), linear(p.w_k, kv_src), linear(p.w_v, kv_src), p.num_heads, key_bias)
     return linear(p.w_o, context)

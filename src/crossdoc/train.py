@@ -194,8 +194,8 @@ def embed_records(model: CrossModalModel, records: np.ndarray):
         part = records[lo:lo + EMBED_CHUNK]
         images, ids, labels = collate(part)
         v_emb, t_emb = model.embed(images, ids)
-        vs.append(v_emb.data.copy())
-        ts.append(t_emb.data.copy())
+        vs.append(v_emb.data)
+        ts.append(t_emb.data)
         ys.append(labels)
     return np.concatenate(vs), np.concatenate(ts), np.concatenate(ys)
 

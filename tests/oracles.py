@@ -12,6 +12,12 @@ import numpy as np
 from crossdoc.nn import LAYER_NORM_EPS
 
 
+def key_bias(mask, dtype=np.float64):
+    """The library's form of the oracles' boolean key mask (True: a real
+    key): an additive bias, 0 on a kept key and -inf on a masked one."""
+    return np.where(mask, 0.0, -np.inf).astype(dtype)
+
+
 def scalar_linear(weight, bias, x):
     x = np.atleast_2d(x)
     out = np.zeros((x.shape[0], weight.shape[1]))

@@ -10,6 +10,8 @@ import pytest
 from crossdoc import autodiff as ad
 from crossdoc.errors import ContractError, NumericError, ShapeError
 
+from oracles import key_bias
+
 
 def rand(rng, *shape):
     return ad.Tensor(rng.normal(size=shape), requires_grad=True)
@@ -591,12 +593,12 @@ def _attention_operands(rng, lead, masked, q_rows=3, k_rows=4, width=6):
     q = rng.normal(size=lead + (q_rows, width))
     k = rng.normal(size=lead + (k_rows, width))
     v = rng.normal(size=lead + (k_rows, width))
-    key_bias = None
+    bias = None
     if masked:
         keep = rng.random(lead + (k_rows,)) > 0.4
         keep[..., 0] = True
-        key_bias = np.where(keep, 0.0, -np.inf)
-    return {"q": q, "k": k, "v": v}, key_bias
+        bias = key_bias(keep)
+    return {"q": q, "k": k, "v": v}, bias
 
 
 class TestFusedOps:
@@ -645,12 +647,12 @@ class TestFusedOps:
     @pytest.mark.parametrize("edge", ["q", "k", "v"])
     def test_attention_heads(self, edge, lead, masked):
         rng = np.random.default_rng(31)
-        args, key_bias = _attention_operands(rng, lead, masked)
+        args, bias = _attention_operands(rng, lead, masked)
         target = ad.Tensor(rng.normal(size=args["q"].shape))
 
         def f(t):
             inputs = {name: t if name == edge else ad.Tensor(a) for name, a in args.items()}
-            context, _ = ad.attention_heads(**inputs, num_heads=2, key_bias=key_bias)
+            context, _ = ad.attention_heads(**inputs, num_heads=2, key_bias=bias)
             return ad.tensor_sum(ad.mul(context, target))
 
         assert ad.finite_diff_check(f, ad.Tensor(args[edge], requires_grad=True)) < 1e-4
@@ -670,21 +672,28 @@ class TestFusedOps:
 
     def test_attention_heads_weights_are_the_masked_softmax(self):
         rng = np.random.default_rng(33)
-        args, key_bias = _attention_operands(rng, (2,), masked=True)
-        _, weights = ad.attention_heads(*map(ad.Tensor, args.values()), 2, key_bias)
+        args, bias = _attention_operands(rng, (2,), masked=True)
+        _, weights = ad.attention_heads(*map(ad.Tensor, args.values()), 2, bias)
         assert weights.shape == (2, 2, 3, 4)  # (batch, heads, q_rows, k_rows)
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
-        masked = np.broadcast_to(np.isinf(key_bias)[:, None, None, :], weights.shape)
+        masked = np.broadcast_to(np.isinf(bias)[:, None, None, :], weights.shape)
         assert np.all(weights[masked] == 0.0)
 
     def test_attention_heads_all_masked_row_rejected(self):
         """One sample masks every key; the other sample's rows are finite."""
         rng = np.random.default_rng(34)
         args, _ = _attention_operands(rng, (2,), masked=False)
-        key_bias = np.zeros((2, 4))
-        key_bias[1] = -np.inf
+        bias = key_bias([[True] * 4, [False] * 4])
         with pytest.raises(ContractError, match="no finite entry"):
-            ad.attention_heads(*map(ad.Tensor, args.values()), 2, key_bias)
+            ad.attention_heads(*map(ad.Tensor, args.values()), 2, bias)
+
+    @pytest.mark.parametrize("bias_shape", [(3,), (2, 5)], ids=["short", "long"])
+    def test_attention_heads_key_bias_of_another_length_rejected(self, bias_shape):
+        """The bias's last axis must be the key rows (4); the error names both shapes."""
+        rng = np.random.default_rng(37)
+        args, _ = _attention_operands(rng, (2,), masked=False)
+        with pytest.raises(ShapeError, match=rf"key bias \({bias_shape[0]}.*keys \(2, 4, 6\)"):
+            ad.attention_heads(*map(ad.Tensor, args.values()), 2, np.zeros(bias_shape))
 
     def test_contrastive_sum(self):
         rng = np.random.default_rng(35)

@@ -9,7 +9,7 @@ from crossdoc import nn
 from crossdoc.autodiff import Tensor
 from crossdoc.errors import ShapeError
 
-from oracles import scalar_cross_attention_block, scalar_gated_self_attention, scalar_layer_norm
+from oracles import key_bias, scalar_cross_attention_block, scalar_gated_self_attention, scalar_layer_norm
 from run_settings import stack as build_stack
 
 
@@ -62,7 +62,7 @@ class TestCrossAttentionBlock:
         v = rng.normal(size=(4, 8))
         t = rng.normal(size=(4, 8))
         mask = np.array([True, True, True, False])
-        v_out, t_out = cm.cross_attention_block(p, feats(v), feats(t), text_mask=mask)
+        v_out, t_out = cm.cross_attention_block(p, feats(v), feats(t), text_bias=key_bias(mask))
         v_exp, t_exp = scalar_cross_attention_block(p, v, t, mask)
         np.testing.assert_allclose(v_out.data, v_exp, atol=1e-9)
         np.testing.assert_allclose(t_out.data, t_exp, atol=1e-9)
@@ -102,7 +102,7 @@ class TestGatedSelfAttention:
         prev = rng.normal(size=(5, 8))
         new = rng.normal(size=(5, 8))
         mask = np.array([True, False, True, True, False])
-        out = cm.gated_self_attention(p, feats(prev), feats(new), key_mask=mask)
+        out = cm.gated_self_attention(p, feats(prev), feats(new), key_bias=key_bias(mask))
         expected = scalar_gated_self_attention(p, prev, new, mask)
         np.testing.assert_allclose(out.data, expected, atol=1e-9)
 
@@ -119,14 +119,14 @@ class TestStack:
         stack = small_stack(rng, depth=1)
         v_in = feats(rng.normal(size=(5, 8)))
         t_in = feats(rng.normal(size=(5, 8)))
-        mask = np.array([True, True, True, False, False])
+        bias = key_bias([True, True, True, False, False])
 
-        v_emb, t_emb = stack.forward(v_in, t_in, mask)
+        v_emb, t_emb = stack.forward(v_in, t_in, bias)
 
         block = stack.blocks[0]
-        v_mid, t_mid = cm.cross_attention_block(block.cross, v_in, t_in, mask)
+        v_mid, t_mid = cm.cross_attention_block(block.cross, v_in, t_in, bias)
         v_man = cm.gated_self_attention(block.gate_vision, v_in, v_mid)
-        t_man = cm.gated_self_attention(block.gate_text, t_in, t_mid, key_mask=mask)
+        t_man = cm.gated_self_attention(block.gate_text, t_in, t_mid, key_bias=bias)
         from crossdoc.encoders import pool_cls
         v_exp = nn.project_and_normalize(stack.head_vision, pool_cls(v_man))
         t_exp = nn.project_and_normalize(stack.head_text, pool_cls(t_man))

@@ -10,6 +10,7 @@ from crossdoc.autodiff import Tensor
 from crossdoc.config import RunConfig
 from crossdoc.errors import ConfigError, DataError, ShapeError
 
+from oracles import key_bias
 from run_settings import corpus_spec
 
 
@@ -120,21 +121,21 @@ class TestPatchEmbed:
 
 class TestTokenSequence:
     def test_padding_and_mask(self):
-        """A generated sequence embeds with a mask over [CLS], its content and
-        [SEP] alone; every later position holds [PAD].  A 12x12 image in 4x4
-        patches gives 10 rows; the shortest content, half of the 8 rows
-        between [CLS] and [SEP], leaves CLS + 4 + SEP = 6 real positions."""
+        """A generated sequence embeds with a key bias that keeps [CLS], its
+        content and [SEP] alone; every later position holds [PAD].  A 12x12
+        image in 4x4 patches gives 10 rows; the shortest content, half of the
+        8 rows between [CLS] and [SEP], leaves CLS + 4 + SEP = 6 real
+        positions."""
         cfg = small_cfg(image_size=12)
         assert cfg.rows == cfg.num_patches + 1 == 10
         spec = corpus_spec(cfg, classes=2, samples_per_class=10, corpus_seed=3)
         ids = data.generate_corpus(spec).train["ids"]
         params = enc.TextEncoderParams.create(np.random.default_rng(9), cfg, FEATURE_DIM)
-        _, mask = enc.token_embed(params, cfg, ids)
-        real = mask.sum(axis=1)
-        np.testing.assert_array_equal(real, np.argmax(ids == enc.SEP_ID, axis=1) + 1)
+        _, bias = enc.token_embed(params, cfg, ids)
+        real = np.argmax(ids == enc.SEP_ID, axis=1) + 1
+        np.testing.assert_array_equal(bias, key_bias(np.arange(cfg.rows) < real[:, None]))
         assert real.min() == (cfg.rows - 2) // 2 + 2
-        for row_ids, row_mask, n in zip(ids, mask, real):
-            assert row_mask[:n].all()
+        for row_ids, n in zip(ids, real):
             np.testing.assert_array_equal(row_ids[n:], [enc.PAD_ID] * (cfg.rows - n))
 
 
@@ -143,7 +144,7 @@ class TestTokenEmbed:
         cfg = small_cfg()
         rng = np.random.default_rng(6)
         params = enc.TextEncoderParams.create(rng, cfg, FEATURE_DIM)
-        feats, mask = enc.token_embed(params, cfg, token_ids([7, 7, 7], cfg.rows))
+        feats, _ = enc.token_embed(params, cfg, token_ids([7, 7, 7], cfg.rows))
         diff = feats.data[1] - feats.data[2]
         pos_diff = params.positions.data[1] - params.positions.data[2]
         np.testing.assert_allclose(diff, pos_diff, atol=1e-12)
@@ -152,20 +153,22 @@ class TestTokenEmbed:
         cfg = small_cfg()
         rng = np.random.default_rng(7)
         params = enc.TextEncoderParams.create(rng, cfg, FEATURE_DIM)
-        _, mask = enc.token_embed(params, cfg, token_ids([9], cfg.rows))
-        np.testing.assert_array_equal(mask, [True, True, True, False, False])
+        _, bias = enc.token_embed(params, cfg, token_ids([9], cfg.rows))
+        np.testing.assert_array_equal(bias, key_bias([True, True, True, False, False]))
+        assert bias.dtype == params.table.data.dtype
 
     def test_padding_changes_leave_real_rows_alone(self):
-        """Rows at unmasked positions do not depend on what sits in the padding."""
+        """Rows at real-token positions do not depend on what sits in the padding."""
         cfg = small_cfg()
         rng = np.random.default_rng(8)
         params = enc.TextEncoderParams.create(rng, cfg, FEATURE_DIM)
         a = np.array([enc.CLS_ID, 9, enc.SEP_ID, enc.PAD_ID, enc.PAD_ID])
-        feats_a, mask = enc.token_embed(params, cfg, a)
+        feats_a, _ = enc.token_embed(params, cfg, a)
         b = a.copy()
         b[4] = enc.PAD_ID  # padding rewritten with padding: identical input class
         feats_b, _ = enc.token_embed(params, cfg, b)
-        np.testing.assert_array_equal(feats_a.data[mask], feats_b.data[mask])
+        real = a != enc.PAD_ID
+        np.testing.assert_array_equal(feats_a.data[real], feats_b.data[real])
 
     def test_out_of_vocab_rejected(self):
         cfg = small_cfg()

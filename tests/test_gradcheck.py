@@ -15,32 +15,33 @@ ENTRIES = [
 ]
 
 
-def test_every_gradcheck_entry_passes():
-    report = gradcheck_report()
+@pytest.fixture(scope="module")
+def report():
+    """The unpatched audit, run once for the tests that only read it."""
+    return gradcheck_report()
+
+
+def test_every_gradcheck_entry_passes(report):
     assert report
     failed = [(e.name, e.max_rel_error, e.message) for e in report if not e.passed]
     assert not failed
 
 
-def test_gradcheck_report_names_every_entry_in_order():
-    assert [entry.name for entry in gradcheck_report()] == ENTRIES
+def test_gradcheck_report_names_every_entry_in_order(report):
+    assert [entry.name for entry in report] == ENTRIES
 
 
-def test_cli_gradcheck_exits_zero(capsys):
-    assert cli.main(["gradcheck"]) == 0
-    out = capsys.readouterr().out
-    assert "full_stack_loss" in out and "FAIL" not in out
-
-
-def test_cli_gradcheck_reads_no_run_config(monkeypatch, capsys):
-    """The audit runs before any config is resolved, so a config that could
-    not be read cannot fail it."""
+def test_cli_gradcheck_exits_zero(monkeypatch, capsys):
+    """The audit passes through the CLI, and it runs before any config is
+    resolved, so a config that could not be read cannot fail it."""
     def refuse(args):
         raise ConfigError("the audit read a run config")
 
     monkeypatch.setattr(cli, "resolve_config", refuse)
     assert cli.main(["gradcheck"]) == 0
-    assert capsys.readouterr().err == ""
+    captured = capsys.readouterr()
+    assert "full_stack_loss" in captured.out and "FAIL" not in captured.out
+    assert captured.err == ""
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,9 +1,11 @@
 """Every name the package, its tests and the benchmark scripts import is
-used (stdlib ``ast`` only; no linter is assumed to be installed), and the
+used (stdlib ``ast`` only; no linter is assumed to be installed), every
+third-party module they import is declared in ``pyproject.toml``, and the
 package imports nothing it does not need."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +74,32 @@ def test_train_imports_no_audit_names():
     assert [entry for entry in imports if entry[0] == "cross_modal"] == []
     assert [entry for entry in imports if entry[1] == "finite_diff_check"] == []
     assert (None, "autodiff", "ad") not in imports
+
+
+def third_party_imports(paths) -> set[str]:
+    """Top-level modules ``paths`` import that are neither stdlib, the
+    package itself, nor a module beside one of ``paths``."""
+    local = {"crossdoc"} | {path.stem for path in paths}
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return found - local - set(sys.stdlib_module_names)
+
+
+def test_tests_and_bench_import_only_declared_dependencies():
+    """A fresh ``pip install -e .[dev]`` can run every test and benchmark
+    script: each third-party module they import is named in the project's
+    ``dependencies`` or its ``dev`` extra."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", requirement).group().lower().replace("-", "_")
+                for requirement in project["dependencies"] + project["optional-dependencies"]["dev"]}
+    paths = [path for path in SOURCES if path.parent.name in ("tests", "bench")]
+    assert third_party_imports(paths) - declared == set()
 
 
 def test_cli_import_leaves_scipy_out():

@@ -5,14 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from crossdoc import autodiff as ad
 from crossdoc.autodiff import _topo_order, backward
 from crossdoc.config import RunConfig
 from crossdoc.cross_modal import CrossModalStack
 from crossdoc.data import collate, generate_corpus, make_batch
-from crossdoc.encoders import TextEncoderParams, VisionEncoderParams
-from crossdoc.errors import DataError
+from crossdoc.encoders import PAD_ID, TextEncoderParams, VisionEncoderParams
+from crossdoc.errors import ContractError, DataError
 from crossdoc.model import CrossModalModel
 from crossdoc.train import ABLATION_VARIANTS, batch_loss
+
+from oracles import key_bias
 
 # (tensors, values) each ablation variant holds at the desk shapes.
 DESK_PARAMETER_COUNTS = {
@@ -109,6 +112,40 @@ class TestDtype:
         for name, p in rounded.items():
             assert p.data.dtype == np.float32
             np.testing.assert_array_equal(p.data, reference[name].data.astype(np.float32))
+
+
+class TestKeyBias:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_made_once_per_step(self, dtype, monkeypatch):
+        """A desk ``full`` step runs 8 attentions.  The 4 with text keys
+        (each block's ``into_vision`` and ``gate_text``) get the one bias
+        array ``token_embed`` made, in the model's dtype; the 4 with vision
+        keys get none."""
+        cfg = RunConfig(dtype=dtype)
+        model = CrossModalModel.create(cfg)
+        records = make_batch(generate_corpus(cfg.corpus_spec()).train, cfg.batch_size,
+                             np.random.default_rng(0))
+        biases, attention_heads = [], ad.attention_heads
+
+        def spy(q, k, v, num_heads, key_bias=None):
+            biases.append(key_bias)
+            return attention_heads(q, k, v, num_heads, key_bias)
+
+        monkeypatch.setattr(ad, "attention_heads", spy)
+        batch_loss(model, records, cfg)
+        given = [b for b in biases if b is not None]
+        assert (len(biases), len(given)) == (8, 4)
+        assert all(b is given[0] for b in given)
+        _, ids, _ = collate(records)
+        assert given[0].dtype == dtype and np.isinf(given[0]).any()
+        np.testing.assert_array_equal(given[0], key_bias(ids != PAD_ID, dtype))
+
+    def test_a_sequence_of_only_padding_is_a_contract_error(self):
+        cfg = tiny_config()
+        images, ids, _ = collate(generate_corpus(cfg.corpus_spec()).train[:2])
+        ids[1] = PAD_ID
+        with pytest.raises(ContractError, match="attention_heads row with no finite entry"):
+            CrossModalModel.create(cfg).embed(images, ids)
 
 
 class _RoundedDraws:

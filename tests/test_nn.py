@@ -9,7 +9,7 @@ from crossdoc.autodiff import Tensor
 from crossdoc.errors import ContractError, NumericError, ShapeError
 
 
-from oracles import scalar_gelu, scalar_linear, scalar_mha
+from oracles import key_bias, scalar_gelu, scalar_linear, scalar_mha
 
 
 def identity_linear(d):
@@ -135,7 +135,7 @@ class TestMultiHeadAttention:
         q = rng.normal(size=(3, 8))
         kv = rng.normal(size=(4, 8))
         mask = np.array([True, False, True, False])
-        out = nn.multi_head_attention(p, Tensor(q), Tensor(kv), key_mask=mask)
+        out = nn.multi_head_attention(p, Tensor(q), Tensor(kv), key_bias(mask))
         np.testing.assert_allclose(out.data, scalar_mha(p, q, kv, mask), atol=1e-10)
 
     def test_masked_keys_do_not_leak(self):
@@ -145,10 +145,10 @@ class TestMultiHeadAttention:
         q = rng.normal(size=(3, 8))
         kv = rng.normal(size=(4, 8))
         mask = np.array([True, True, False, True])
-        base = nn.multi_head_attention(p, Tensor(q), Tensor(kv), key_mask=mask).data
+        base = nn.multi_head_attention(p, Tensor(q), Tensor(kv), key_bias(mask)).data
         kv2 = kv.copy()
         kv2[2] += 100.0
-        again = nn.multi_head_attention(p, Tensor(q), Tensor(kv2), key_mask=mask).data
+        again = nn.multi_head_attention(p, Tensor(q), Tensor(kv2), key_bias(mask)).data
         np.testing.assert_array_equal(base, again)
 
     def test_key_permutation_invariance(self):
@@ -159,8 +159,8 @@ class TestMultiHeadAttention:
         kv = rng.normal(size=(6, 8))
         mask = np.array([True, True, False, True, True, False])
         perm = rng.permutation(6)
-        base = nn.multi_head_attention(p, Tensor(q), Tensor(kv), key_mask=mask).data
-        permuted = nn.multi_head_attention(p, Tensor(q), Tensor(kv[perm]), key_mask=mask[perm]).data
+        base = nn.multi_head_attention(p, Tensor(q), Tensor(kv), key_bias(mask)).data
+        permuted = nn.multi_head_attention(p, Tensor(q), Tensor(kv[perm]), key_bias(mask[perm])).data
         np.testing.assert_allclose(base, permuted, atol=1e-12)
 
     def test_attention_weights_row_stochastic(self):
@@ -179,7 +179,7 @@ class TestMultiHeadAttention:
         with pytest.raises(ContractError):
             nn.multi_head_attention(p, Tensor(rng.normal(size=(2, 4))),
                                     Tensor(rng.normal(size=(3, 4))),
-                                    key_mask=np.array([False, False, False]))
+                                    key_bias(np.array([False, False, False])))
 
     def test_head_config_validation(self):
         for heads in (0, 3):  # the head width is derived, so the call checks it
@@ -195,9 +195,9 @@ class TestMultiHeadAttention:
         kv = rng.normal(size=(3, 5, 8))
         mask = rng.random((3, 5)) > 0.3
         mask[:, 0] = True
-        batched = nn.multi_head_attention(p, Tensor(q), Tensor(kv), key_mask=mask).data
+        batched = nn.multi_head_attention(p, Tensor(q), Tensor(kv), key_bias(mask)).data
         for i in range(3):
-            single = nn.multi_head_attention(p, Tensor(q[i]), Tensor(kv[i]), key_mask=mask[i]).data
+            single = nn.multi_head_attention(p, Tensor(q[i]), Tensor(kv[i]), key_bias(mask[i])).data
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
 
@@ -288,7 +288,7 @@ class TestBlockGradients:
         mask = np.array([True, True, False, True])
 
         def f(t):
-            out = nn.multi_head_attention(p, t, kv, key_mask=mask)
+            out = nn.multi_head_attention(p, t, kv, key_bias(mask))
             return ad.tensor_sum(ad.mul(out, out))
 
         assert ad.finite_diff_check(f, x) < 1e-4
