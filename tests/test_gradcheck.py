@@ -1,5 +1,8 @@
 """The finite-difference gradient audit, through the library and the CLI."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
 
@@ -31,17 +34,32 @@ def test_gradcheck_report_names_every_entry_in_order(report):
     assert [entry.name for entry in report] == ENTRIES
 
 
-def test_cli_gradcheck_exits_zero(monkeypatch, capsys):
-    """The audit passes through the CLI, and it runs before any config is
-    resolved, so a config that could not be read cannot fail it."""
+@pytest.fixture(scope="module")
+def cli_run():
+    """One ``gradcheck`` command, run with ``resolve_config`` refusing: its
+    exit code, stdout and stderr."""
     def refuse(args):
         raise ConfigError("the audit read a run config")
 
-    monkeypatch.setattr(cli, "resolve_config", refuse)
-    assert cli.main(["gradcheck"]) == 0
-    captured = capsys.readouterr()
-    assert "full_stack_loss" in captured.out and "FAIL" not in captured.out
-    assert captured.err == ""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+        patch.setattr(cli, "resolve_config", refuse)
+        code = cli.main(["gradcheck"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_gradcheck_exits_zero(cli_run):
+    code, out, _ = cli_run
+    assert code == 0
+    assert "full_stack_loss" in out and "FAIL" not in out
+
+
+def test_cli_gradcheck_reads_no_run_config(cli_run):
+    """The audit runs before any config is resolved, so a config that could
+    not be read cannot fail it."""
+    code, _, err = cli_run
+    assert code == 0
+    assert err == ""
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
