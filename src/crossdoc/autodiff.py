@@ -347,18 +347,21 @@ def gelu(a: Tensor) -> Tensor:
 # linear algebra and shape ops
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """``a @ b``, plus ``bias`` if given: a stack of rows times one matrix.
+def _dense(op: str, a: Tensor, b: Tensor, bias: Tensor | None,
+           adjoint: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, list]:
+    """``a @ b``, plus ``bias`` if given, and its edges: a stack of rows
+    times one matrix.
 
     ``b`` is (k, n) and ``a`` is (..., k); the leading axes of ``a`` fold
     into the row axis, so the forward and both adjoints are one 2-d GEMM
     each, and the weight gradient is ``a2.T @ g2`` rather than a per-batch
     stack reduced by ``_unbroadcast``.  A ``bias`` of shape (n,) is added in
-    place to the GEMM output and is the node's third edge, so a dense layer
-    ``x @ W + b`` is one node.
+    place to the GEMM output.  The edges are ``a``, ``b`` and the bias if
+    given; each reads ``adjoint(g)``, the gradient of the output given that
+    of the node (``op``, also named in a shape error) that records them.
     """
     if a.ndim < 1 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul needs (..., k) @ (k, n) operands, got {a.shape} @ {b.shape}")
+        raise ShapeError(f"{op} needs (..., k) @ (k, n) operands, got {a.shape} @ {b.shape}")
     x, w = a.data, b.data
     k, n = w.shape
     out = (x.reshape(-1, k) @ w).reshape(x.shape[:-1] + (n,))
@@ -366,14 +369,25 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     # non-contiguous ``x`` does not keep a row copy alive for the graph's
     # lifetime.
     edges = [
-        (a, lambda g: (g.reshape(-1, n) @ w.T).reshape(x.shape)),
-        (b, lambda g: x.reshape(-1, k).T @ g.reshape(-1, n)),
+        (a, lambda g: (adjoint(g).reshape(-1, n) @ w.T).reshape(x.shape)),
+        (b, lambda g: x.reshape(-1, k).T @ adjoint(g).reshape(-1, n)),
     ]
     if bias is not None:
         if bias.shape != (n,):
-            raise ShapeError(f"matmul bias must have shape ({n},), got {bias.shape}")
+            raise ShapeError(f"{op} bias must have shape ({n},), got {bias.shape}")
         out += bias.data
-        edges.append((bias, lambda g: g))
+        edges.append((bias, adjoint))
+    return out, edges
+
+
+def _identity(g: np.ndarray) -> np.ndarray:
+    return g
+
+
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``a @ b``, plus ``bias`` if given, as one node (see ``_dense``): a
+    dense layer ``x @ W + b`` is one node, its bias the third edge."""
+    out, edges = _dense("matmul", a, b, bias, _identity)
     return _make_node(out, "matmul", *edges)
 
 
@@ -490,44 +504,67 @@ def logsumexp_last(a: Tensor) -> Tensor:
 # fused ops: one node each, with closed-form adjoints
 # ---------------------------------------------------------------------------
 
-def layer_norm_last(x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
-                    residual: Tensor | None = None) -> Tensor:
-    """``gamma * (s - mean) / sqrt(var + eps) + beta`` over the final axis,
-    where ``s`` is ``x``, or ``x + residual`` if a residual is given.
+def layer_norm_last(h: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
+                    eps: float, residual: Tensor | None = None) -> Tensor:
+    """The post-norm step ``LN(h @ weight + bias + residual)`` as one node:
+    ``gamma * (s - mean) / sqrt(var + eps) + beta`` over the final axis,
+    where ``s`` is the dense projection of ``h`` (see ``_dense``), plus
+    ``residual`` if one is given.
 
+    The forward runs ``matmul``'s operations, then the layer norm's, so the
+    value is that of a ``matmul`` node followed by a layer norm, to the bit.
     The s adjoint is the closed form ``inv * (gg - mean(gg) - xhat *
-    mean(gg * xhat))`` with ``gg = g * gamma`` (Ba et al. 2016), so the node
-    keeps only ``xhat`` and ``inv``.  A residual is the node's fourth edge
-    and receives the same adjoint array as ``x``, so a post-norm residual
-    sum is never a node of its own and its (.., d) array is never kept.
+    mean(gg * xhat))`` with ``gg = g * gamma`` (Ba et al. 2016), computed
+    once per backward; the ``h``, weight and bias edges map it as
+    ``matmul``'s do, and the residual receives it as it is.  The node keeps
+    ``h``, ``xhat`` and ``inv``: the projection and the sum ``s``, which no
+    adjoint reads, do not outlive the forward.
+
+    The edges are ``h``, ``gamma``, ``beta``, the residual if given, then
+    ``weight`` and ``bias``, so the backward walk reaches the residual's
+    subgraph and the leaves in the order a layer norm node over a
+    ``matmul`` node gives them.
     """
-    s = x.data
+    gam, shared = gamma.data, {}
+
+    def ds(g):
+        # Called only in the backward, once ``xhat`` and ``inv`` exist.
+        if not shared:
+            gg = g * gam
+            shared["ds"] = inv * (gg - gg.mean(axis=-1, keepdims=True)
+                                  - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+        return shared["ds"]
+
+    s, (h_edge, *dense_edges) = _dense("layer_norm", h, weight, bias, ds)
+    edges = [h_edge, (gamma, lambda g: g * xhat), (beta, lambda g: g)]
     if residual is not None:
-        if residual.shape != x.shape:
-            raise ShapeError(f"layer_norm residual {residual.shape} does not match {x.shape}")
+        if residual.shape != s.shape:
+            raise ShapeError(f"layer_norm residual {residual.shape} does not match {s.shape}")
         s = s + residual.data
-    d = x.shape[-1]
-    mu = s.sum(axis=-1, keepdims=True) * (1.0 / d)
+        edges.append((residual, ds))
+    n = s.shape[-1]
+    mu = s.sum(axis=-1, keepdims=True) * (1.0 / n)
     centered = s - mu
-    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / d)
+    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / n)
     std = np.sqrt(var + eps)
     xhat = centered / std
     inv = 1.0 / std
-    gam = gamma.data
-    shared = {}
+    return _make_node(xhat * gam + beta.data, "layer_norm", *edges, *dense_edges)
 
-    def vjp_x(g):
-        # Computed once per backward for the x and residual edges.
-        if not shared:
-            gg = g * gam
-            shared["dx"] = inv * (gg - gg.mean(axis=-1, keepdims=True)
-                                  - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
-        return shared["dx"]
 
-    edges = [(x, vjp_x), (gamma, lambda g: g * xhat), (beta, lambda g: g)]
-    if residual is not None:
-        edges.append((residual, vjp_x))
-    return _make_node(xhat * gam + beta.data, "layer_norm", *edges)
+def gate(updated: Tensor, previous: Tensor) -> Tensor:
+    """``updated * previous + previous`` as one node: the gated
+    self-attention stage's gate.
+
+    The value is that of a ``mul`` node followed by an ``add`` node, to the
+    bit, and so is every gradient: the edges are ``previous`` (the sum's
+    contribution), ``updated``, then ``previous`` again (the product's), the
+    order in which the two nodes' adjoints sum them.  The product, which no
+    adjoint reads, is not kept.
+    """
+    u, p = updated.data, previous.data
+    return _make_node(u * p + p, "gate",
+                      (previous, _identity), (updated, lambda g: g * p), (previous, lambda g: g * u))
 
 
 def _head_view(x: np.ndarray, num_heads: int) -> np.ndarray:

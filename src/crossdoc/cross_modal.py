@@ -2,13 +2,18 @@
 
 One block runs two stages over the paired (vision, text) feature sequences,
 both built on the one post-norm sub-layer ``transformer_layer``: attention,
-then feed-forward, each wrapped in residual + layer norm.
+then feed-forward, each wrapped in residual + layer norm.  Each step is two
+nodes in the graph: ``multi_head_attention`` returns the context before
+``w_o`` and ``feed_forward`` the GELU rows before ``fc2``, and
+``layer_norm`` applies that output projection, the residual and the norm as
+one node, so no array that only the norm reads is kept for the backward.
 
 1. cross-attention exchange: each modality's sub-layer queries the other's
    keys/values;
 2. gated self-attention: the stage-1 output is gated against the stage input
-   (Hadamard product plus residual, mapped through a fully connected layer),
-   then passed through a self-attention sub-layer.
+   (Hadamard product plus residual, one ``autodiff.gate`` node, mapped
+   through a fully connected layer), then passed through a self-attention
+   sub-layer.
 
 Padded text is kept out of every attention by one array, the key bias
 ``encoders.token_embed`` returns (0 on a real token, -inf on [PAD]): it is
@@ -73,10 +78,11 @@ def transformer_layer(
     p: LayerParams, x: Tensor, kv: Tensor, key_bias: Optional[np.ndarray] = None
 ) -> Tensor:
     """``x`` attends to ``kv`` (``x`` itself for self-attention), then runs the
-    feed-forward; each step is wrapped in residual + layer norm, one node."""
-    att = multi_head_attention(p.attn, x, kv, key_bias=key_bias)
-    mid = layer_norm(p.norm_attn, att, residual=x)
-    return layer_norm(p.norm_ff, feed_forward(p.ff, mid), residual=mid)
+    feed-forward; each step's output projection (``w_o``, ``fc2``), residual
+    and layer norm are one node."""
+    context = multi_head_attention(p.attn, x, kv, key_bias=key_bias)
+    mid = layer_norm(p.norm_attn, p.attn.w_o, context, residual=x)
+    return layer_norm(p.norm_ff, p.ff.fc2, feed_forward(p.ff, mid), residual=mid)
 
 
 @dataclass
@@ -128,15 +134,15 @@ def gated_self_attention(
 ) -> Tensor:
     """Gate the updated features against the original ones, then self-attend.
 
-    The gate multiplies the two feature sets elementwise, adds the originals
-    back, and maps the sum through the fusion layer; the fused rows then run
-    a self-attention sub-layer.
+    The gate multiplies the two feature sets elementwise and adds the
+    originals back, as one ``autodiff.gate`` node, and maps the sum through
+    the fusion layer; the fused rows then run a self-attention sub-layer.
     """
     if previous.shape != updated.shape:
         raise ShapeError(
             f"gate inputs must share a shape: {previous.shape} vs {updated.shape}"
         )
-    fused = linear(p.fuse, ad.add(ad.mul(updated, previous), previous))
+    fused = linear(p.fuse, ad.gate(updated, previous))
     return transformer_layer(p.layer, fused, fused, key_bias=key_bias)
 
 

@@ -36,7 +36,9 @@ class GradCheckEntry:
 def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
     """Small-dimension probes covering every differentiable block, each
     with respect to its input, then the parameter adjoints of a dense layer
-    and a layer norm, and the layer norm's residual adjoint."""
+    and a layer norm, the layer norm's residual adjoint, the post-norm
+    step's dense weight and bias adjoints, and the gate's ``previous``
+    adjoint."""
     rng = np.random.default_rng(2024)
     d, heads, rows, batch = 8, 2, 3, 4
     checks = []
@@ -44,12 +46,13 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
     mha = MHAParams.create(rng, d, heads)
     kv = Tensor(rng.normal(size=(rows, d)))
     x_attn = Tensor(rng.normal(size=(rows, d)), requires_grad=True)
-    checks.append((
-        "multi_head_attention",
-        lambda t: ad.tensor_sum(ad.mul(multi_head_attention(mha, t, kv),
-                                       multi_head_attention(mha, t, kv))),
-        x_attn,
-    ))
+
+    def attend(t):
+        # The context, then ``w_o``: the attention half of a sub-layer.
+        return linear(mha.w_o, multi_head_attention(mha, t, kv))
+
+    checks.append(("multi_head_attention", lambda t: ad.tensor_sum(ad.mul(attend(t), attend(t))),
+                   x_attn))
 
     cross = CrossAttentionBlockParams.create(rng, d, heads)
     other = Tensor(rng.normal(size=(rows, d)))
@@ -67,8 +70,10 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
     x_gate = Tensor(rng.normal(size=(rows, d)), requires_grad=True)
 
     def f_gate(t):
-        out = gated_self_attention(gate, prev, t)
-        return ad.tensor_sum(ad.mul(out, out))
+        # Read out against a fixed array: a squared readout of a layer norm
+        # with unit gamma and zero beta is all but constant, so its gradient
+        # is all but zero and passes whatever the adjoints compute.
+        return ad.tensor_sum(ad.mul(gated_self_attention(gate, prev, t), prev))
 
     checks.append(("gated_self_attention", f_gate, x_gate))
 
@@ -118,11 +123,15 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
     x_model = Tensor(rng.normal(size=(batch, 5, d)), requires_grad=True)
     checks.append(("full_stack_loss", f_model, x_model))
 
+    # The layer norm's own entries project through the identity, which
+    # leaves every row unchanged; ``layer_norm.dense.*`` probe a drawn one.
+    identity = LinearParams(Tensor(np.eye(d)), Tensor(np.zeros(d)))
     norm = LayerNormParams(Tensor(rng.normal(size=d)), Tensor(rng.normal(size=d)))
     norm_target = Tensor(rng.normal(size=(rows, d)))
     x_norm = Tensor(rng.normal(size=(rows, d)), requires_grad=True)
     checks.append((
-        "layer_norm", lambda t: ad.tensor_sum(ad.mul(layer_norm(norm, t), norm_target)), x_norm,
+        "layer_norm",
+        lambda t: ad.tensor_sum(ad.mul(layer_norm(norm, identity, t), norm_target)), x_norm,
     ))
 
     k_heads, v_heads = (Tensor(rng.normal(size=(batch, rows + 1, d))) for _ in range(2))
@@ -155,11 +164,27 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
         ("linear.bias",
          lambda b: squared(linear(LinearParams(dense.weight, b), x_dense)), dense.bias),
         ("layer_norm.gamma",
-         lambda g: squared(layer_norm(LayerNormParams(g, ln.beta), x_ln)), ln.gamma),
+         lambda g: squared(layer_norm(LayerNormParams(g, ln.beta), identity, x_ln)), ln.gamma),
         ("layer_norm.beta",
-         lambda b: squared(layer_norm(LayerNormParams(ln.gamma, b), x_ln)), ln.beta),
+         lambda b: squared(layer_norm(LayerNormParams(ln.gamma, b), identity, x_ln)), ln.beta),
         ("layer_norm.residual",
-         lambda r: squared(layer_norm(ln, x_ln, residual=r)), x_residual),
+         lambda r: squared(layer_norm(ln, identity, x_ln, residual=r)), x_residual),
+    ]
+
+    # The post-norm step's dense edges, on a 3-d input with a residual, and
+    # the gate's ``previous`` edges, with the update held constant.
+    post = LinearParams(Tensor(rng.normal(size=(d, d)), requires_grad=True),
+                        Tensor(rng.normal(size=d), requires_grad=True))
+    x_post, r_post = (Tensor(rng.normal(size=(batch, rows, d))) for _ in range(2))
+    updated = Tensor(rng.normal(size=(rows, d)))
+    x_prev = Tensor(rng.normal(size=(rows, d)), requires_grad=True)
+    checks += [
+        ("layer_norm.dense.weight",
+         lambda w: squared(layer_norm(ln, LinearParams(w, post.bias), x_post, r_post)), post.weight),
+        ("layer_norm.dense.bias",
+         lambda b: squared(layer_norm(ln, LinearParams(post.weight, b), x_post, r_post)), post.bias),
+        ("gated_self_attention.previous",
+         lambda t: ad.tensor_sum(ad.mul(gated_self_attention(gate, t, updated), updated)), x_prev),
     ]
     return checks
 

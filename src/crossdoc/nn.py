@@ -1,6 +1,11 @@
-"""Parameterized building blocks: linear maps, layer norm, multi-head
+"""Parameterized building blocks: linear maps, the post-norm step, multi-head
 attention, and the linear -> GELU -> linear MLP that serves both as the
 feed-forward sublayer and as the projection head.
+
+A transformer sub-layer's output projection (attention's ``w_o``, the
+MLP's ``fc2``) is not applied by ``multi_head_attention`` or
+``feed_forward``: it is the dense part of ``layer_norm``, so the projected
+rows, which no adjoint reads, are never kept by the graph.
 
 Parameter containers are plain dataclasses of Tensors; ``named_tensors``
 walks any tree of them so optimizers and checkpoints see every parameter
@@ -76,12 +81,16 @@ class LayerNormParams:
         )
 
 
-def layer_norm(p: LayerNormParams, x: Tensor, residual: Optional[Tensor] = None) -> Tensor:
-    """Normalize the trailing axis to zero mean / unit variance, then affine.
-    A ``residual`` of ``x``'s shape is added to ``x`` first, in the same node."""
-    if x.shape[-1] < 2:
-        raise ShapeError(f"layer_norm needs trailing dim >= 2, got {x.shape}")
-    return ad.layer_norm_last(x, p.gamma, p.beta, LAYER_NORM_EPS, residual)
+def layer_norm(norm: LayerNormParams, dense: LinearParams, h: Tensor,
+               residual: Optional[Tensor] = None) -> Tensor:
+    """The post-norm step: project ``h`` through ``dense``, add ``residual``
+    (of the projection's shape) if given, then normalize the trailing axis
+    to zero mean / unit variance and apply ``norm``'s affine, as one
+    ``layer_norm_last`` node.  The projection is never a node of its own."""
+    if dense.weight.shape[-1] < 2:
+        raise ShapeError(f"layer_norm needs trailing dim >= 2, got {dense.weight.shape}")
+    return ad.layer_norm_last(h, dense.weight, dense.bias, norm.gamma, norm.beta,
+                              LAYER_NORM_EPS, residual)
 
 
 @dataclass
@@ -95,8 +104,10 @@ class FeedForwardParams:
 
 
 def feed_forward(p: FeedForwardParams, x: Tensor) -> Tensor:
-    """Position-wise linear -> GELU -> linear over the trailing axis."""
-    return linear(p.fc2, ad.gelu(linear(p.fc1, x)))
+    """``gelu(fc1(x))`` over the trailing axis: the MLP up to ``fc2``, which
+    its caller applies, with ``linear`` in the projection head and inside
+    ``layer_norm`` in a transformer sub-layer."""
+    return ad.gelu(linear(p.fc1, x))
 
 
 @dataclass
@@ -128,7 +139,8 @@ def multi_head_attention(
 
     ``q_src`` and ``kv_src`` are (.., rows, feature_dim); the output matches
     ``q_src``'s shape.  The three projections feed one fused
-    ``attention_heads`` node, then ``w_o``.
+    ``attention_heads`` node, whose merged context is returned before
+    ``w_o``: the caller applies ``w_o``, inside ``layer_norm``.
     ``key_bias`` is passed to that node unchanged: a (.., key rows) array
     added to every query's logits, 0 to keep a key and -inf to mask it, as
     ``encoders.token_embed`` returns it for text.  A query whose keys are
@@ -136,7 +148,7 @@ def multi_head_attention(
     """
     context, _ = ad.attention_heads(
         linear(p.w_q, q_src), linear(p.w_k, kv_src), linear(p.w_v, kv_src), p.num_heads, key_bias)
-    return linear(p.w_o, context)
+    return context
 
 
 def l2_normalize(x: Tensor, min_norm: float = 1e-12) -> Tensor:
@@ -148,5 +160,6 @@ def l2_normalize(x: Tensor, min_norm: float = 1e-12) -> Tensor:
 
 
 def project_and_normalize(p: FeedForwardParams, x: Tensor) -> Tensor:
-    """MLP projection followed by L2 normalization to the unit sphere."""
-    return l2_normalize(feed_forward(p, x))
+    """MLP projection (``feed_forward``, then ``fc2``) followed by L2
+    normalization to the unit sphere."""
+    return l2_normalize(linear(p.fc2, feed_forward(p, x)))

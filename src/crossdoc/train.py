@@ -229,8 +229,11 @@ def probe(cfg: RunConfig, ckpt_path, splits: Optional[CorpusSplits] = None) -> d
 
     The encoder is rebuilt, in its dtype, from the checkpoint's config echo
     and parameters (its AdamW moments are not read), and its parameters are
-    never updated; only the fresh linear classifiers train.
+    never updated; only the fresh linear classifiers train.  The heap keeps
+    what each embedding chunk frees, as in ``pretrain``
+    (``_keep_freed_heap``).
     """
+    _keep_freed_heap()
     ckpt = load_checkpoint(ckpt_path, moments=False)
     model = CrossModalModel.create(ckpt.config, draw=False)
     model.load_arrays(ckpt.params)

@@ -607,16 +607,22 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("shape", [(6,), (3, 6), (2, 3, 5)], ids=["1d", "2d", "3d"])
     @pytest.mark.parametrize("edge, with_residual", [
-        ("x", False), ("gamma", False), ("beta", False),
-        ("x", True), ("gamma", True), ("beta", True), ("residual", True),
-    ], ids=["x", "gamma", "beta", "x+res", "gamma+res", "beta+res", "residual"])
+        ("h", False), ("gamma", False), ("beta", False), ("weight", False), ("bias", False),
+        ("h", True), ("gamma", True), ("beta", True), ("residual", True),
+        ("weight", True), ("bias", True),
+    ], ids=["x", "gamma", "beta", "weight", "bias", "x+res", "gamma+res", "beta+res", "residual",
+            "weight+res", "bias+res"])
     def test_layer_norm_last(self, edge, with_residual, shape):
+        """The post-norm node's edges: ``h`` is ``shape`` and projects to one
+        more column than it has, so a transposed weight adjoint shows."""
         rng = np.random.default_rng(30)
-        d = shape[-1]
-        args = {"x": rng.normal(size=shape), "gamma": rng.normal(size=d), "beta": rng.normal(size=d)}
-        target = ad.Tensor(rng.normal(size=shape))
+        out_shape = shape[:-1] + (shape[-1] + 1,)
+        d = out_shape[-1]
+        args = {"h": rng.normal(size=shape), "weight": rng.normal(size=(shape[-1], d)),
+                "bias": rng.normal(size=d), "gamma": rng.normal(size=d), "beta": rng.normal(size=d)}
+        target = ad.Tensor(rng.normal(size=out_shape))
         if with_residual:
-            args["residual"] = rng.normal(size=shape)
+            args["residual"] = rng.normal(size=out_shape)
 
         def f(t):
             inputs = {name: t if name == edge else ad.Tensor(a) for name, a in args.items()}
@@ -625,22 +631,25 @@ class TestFusedOps:
         assert ad.finite_diff_check(f, ad.Tensor(args[edge], requires_grad=True)) < 1e-4
 
     def test_layer_norm_last_with_x_as_its_own_residual(self):
-        """Both edges hand back one shared adjoint array; the second is
-        summed into the first out of place."""
+        """``h`` is also the residual: its two contributions, through the
+        weight and directly, are summed out of place."""
         rng = np.random.default_rng(36)
+        weight, bias = ad.Tensor(rng.normal(size=(5, 5))), ad.Tensor(rng.normal(size=5))
         gamma, beta = ad.Tensor(rng.normal(size=5)), ad.Tensor(rng.normal(size=5))
         target = ad.Tensor(rng.normal(size=(3, 5)))
 
         def f(t):
-            return ad.tensor_sum(ad.mul(ad.layer_norm_last(t, gamma, beta, 1e-5, residual=t), target))
+            out = ad.layer_norm_last(t, weight, bias, gamma, beta, 1e-5, residual=t)
+            return ad.tensor_sum(ad.mul(out, target))
 
         assert ad.finite_diff_check(f, ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True)) < 1e-4
 
     def test_layer_norm_last_residual_of_another_shape_rejected(self):
         x = ad.Tensor(np.ones((3, 4)))
+        weight, bias = ad.Tensor(np.eye(4)), ad.Tensor(np.zeros(4))
         gamma, beta = ad.Tensor(np.ones(4)), ad.Tensor(np.zeros(4))
         with pytest.raises(ShapeError, match=r"residual \(4,\) does not match \(3, 4\)"):
-            ad.layer_norm_last(x, gamma, beta, 1e-5, residual=ad.Tensor(np.ones(4)))
+            ad.layer_norm_last(x, weight, bias, gamma, beta, 1e-5, residual=ad.Tensor(np.ones(4)))
 
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
     @pytest.mark.parametrize("lead", [(), (2,)], ids=["2d", "3d"])
@@ -704,6 +713,87 @@ class TestFusedOps:
         sim = ad.Tensor(rng.uniform(-1.0, 1.0, size=(6, 6)), requires_grad=True)
         f = lambda t: ad.contrastive_sum(t, weights, 0.2)
         assert ad.finite_diff_check(f, sim) < 1e-4
+
+
+def _matmul_then_layer_norm(h, weight, bias, gamma, beta, eps, residual):
+    """The post-norm step as two nodes: a ``matmul`` node, then a layer norm
+    node with the closed-form adjoint over ``x + residual``.  The reference
+    that ``layer_norm_last`` must equal to the bit."""
+    x = ad.matmul(h, weight, bias)
+    s = x.data + residual.data
+    d = s.shape[-1]
+    mu = s.sum(axis=-1, keepdims=True) * (1.0 / d)
+    centered = s - mu
+    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / d)
+    std = np.sqrt(var + eps)
+    xhat = centered / std
+    inv = 1.0 / std
+    gam = gamma.data
+
+    def vjp_x(g):
+        gg = g * gam
+        return inv * (gg - gg.mean(axis=-1, keepdims=True)
+                      - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+
+    return ad._make_node(xhat * gam + beta.data, "layer_norm", (x, vjp_x),
+                         (gamma, lambda g: g * xhat), (beta, lambda g: g), (residual, vjp_x))
+
+
+def _backward_through(out, target, upstream):
+    """Backward from ``upstream * sum(out * target)``: the gradient reaching
+    ``out`` is ``upstream * target``."""
+    ad.backward(ad.scale(ad.tensor_sum(ad.mul(out, target)), upstream))
+
+
+@pytest.mark.parametrize("upstream", [1.0, -2.5])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+class TestFusedNodesAreExact:
+    """The fused nodes against the nodes they replace: the same value and
+    the same gradients, to the bit."""
+
+    def test_post_norm_equals_matmul_then_layer_norm(self, dtype, upstream):
+        rng = np.random.default_rng(40)
+        shapes = {"h": (2, 3, 6), "weight": (6, 8), "bias": (8,), "gamma": (8,), "beta": (8,),
+                  "residual": (2, 3, 8)}
+        values = {name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
+        target = ad.Tensor(rng.normal(size=(2, 3, 8)).astype(dtype))
+        results = []
+        for build in (ad.layer_norm_last, _matmul_then_layer_norm):
+            inputs = {name: ad.Tensor(v.copy(), requires_grad=True) for name, v in values.items()}
+            args = [inputs[name] for name in ("h", "weight", "bias", "gamma", "beta")]
+            out = build(*args, 1e-5, inputs["residual"])
+            value = out.data
+            _backward_through(out, target, upstream)
+            results.append((value, {name: t.grad for name, t in inputs.items()}))
+        (fused, fused_grads), (ref, ref_grads) = results
+        assert fused.dtype == dtype
+        np.testing.assert_array_equal(fused, ref)
+        for name in shapes:
+            assert fused_grads[name].dtype == dtype
+            np.testing.assert_array_equal(fused_grads[name], ref_grads[name], err_msg=name)
+
+    @pytest.mark.parametrize("same", [False, True], ids=["two_inputs", "updated_is_previous"])
+    def test_gate_equals_mul_then_add(self, dtype, upstream, same):
+        """Also when ``previous`` already holds a gradient, which the sum's
+        and then the product's contributions are added to, in that order."""
+        rng = np.random.default_rng(41)
+        u, p, held = (rng.normal(size=(3, 5)).astype(dtype) for _ in range(3))
+        target = ad.Tensor(rng.normal(size=(3, 5)).astype(dtype))
+        results = []
+        for build in (ad.gate, lambda a, b: ad.add(ad.mul(a, b), b)):
+            previous = ad.Tensor(p.copy(), requires_grad=True)
+            updated = previous if same else ad.Tensor(u.copy(), requires_grad=True)
+            previous.grad = held.copy()
+            out = build(updated, previous)
+            value = out.data
+            _backward_through(out, target, upstream)
+            results.append((value, previous.grad, updated.grad))
+        (fused, *fused_grads), (ref, *ref_grads) = results
+        assert fused.dtype == dtype
+        np.testing.assert_array_equal(fused, ref)
+        for got, want in zip(fused_grads, ref_grads):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
 
 
 class TestShapeOps:

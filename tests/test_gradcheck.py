@@ -14,7 +14,8 @@ ENTRIES = [
     "multi_head_attention", "cross_attention_block", "gated_self_attention", "projection_head",
     "cross_modal_contrastive_loss", "intra_modality_term", "cross_entropy", "full_stack_loss",
     "layer_norm", "attention_heads", "linear.weight", "linear.bias", "layer_norm.gamma",
-    "layer_norm.beta", "layer_norm.residual",
+    "layer_norm.beta", "layer_norm.residual", "layer_norm.dense.weight", "layer_norm.dense.bias",
+    "gated_self_attention.previous",
 ]
 
 
@@ -82,11 +83,19 @@ def test_a_check_whose_forward_overflows_fails_the_audit(monkeypatch, capsys):
     ("matmul", 1, "linear.weight"), ("matmul", 2, "linear.bias"),
     ("layer_norm", 1, "layer_norm.gamma"), ("layer_norm", 2, "layer_norm.beta"),
     ("layer_norm", 3, "layer_norm.residual"),
+    ("layer_norm", 0, "layer_norm"), ("layer_norm", 4, "layer_norm.dense.weight"),
+    ("layer_norm", 5, "layer_norm.dense.bias"),
+    ("gate", 0, "gated_self_attention.previous"), ("gate", 1, "gated_self_attention"),
+    ("gate", 2, "gated_self_attention.previous"),
 ])
 def test_a_halved_parameter_adjoint_fails_the_audit(monkeypatch, capsys, op, edge, entry):
-    """Halve one parameter edge's vector-Jacobian product, or the layer
-    norm's residual edge: the entry that differentiates with respect to that
-    input fails, and so does the command."""
+    """Halve one edge's vector-Jacobian product -- a parameter's, the
+    layer norm's input or residual, or one of the gate's: the entry that
+    differentiates with respect to that input fails, and so does the
+    command.  Only that entry runs: the real list's entry, built in the
+    real list's random stream."""
+    checks = [check for check in gradcheck._standard_checks() if check[0] == entry]
+    monkeypatch.setattr(gradcheck, "_standard_checks", lambda: checks)
     make_node = autodiff._make_node
 
     def halved(data, node_op, *edges):

@@ -9,7 +9,7 @@ from crossdoc.autodiff import Tensor
 from crossdoc.errors import ContractError, NumericError, ShapeError
 
 
-from oracles import key_bias, scalar_gelu, scalar_linear, scalar_mha
+from oracles import key_bias, scalar_gelu, scalar_layer_norm, scalar_linear, scalar_mha
 
 
 def identity_linear(d):
@@ -70,19 +70,19 @@ class TestLinear:
 class TestLayerNorm:
     def test_constant_row_maps_to_zero(self):
         p = nn.LayerNormParams.create(3)
-        out = nn.layer_norm(p, Tensor([[5.0, 5.0, 5.0]]))
+        out = nn.layer_norm(p, identity_linear(3), Tensor([[5.0, 5.0, 5.0]]))
         np.testing.assert_allclose(out.data, [[0.0, 0.0, 0.0]], atol=1e-9)
 
     def test_direct_formula(self):
         """[1,2,3] normalizes to +-sqrt(3/2) around 0 with eps=1e-5."""
         p = nn.LayerNormParams.create(3)
-        out = nn.layer_norm(p, Tensor([1.0, 2.0, 3.0]))
+        out = nn.layer_norm(p, identity_linear(3), Tensor([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(out.data, [-1.2247, 0.0, 1.2247], atol=1e-3)
 
     def test_gamma_zero_beta_seven(self):
         p = nn.LayerNormParams(Tensor(np.zeros(4)), Tensor(np.full(4, 7.0)))
         rng = np.random.default_rng(3)
-        out = nn.layer_norm(p, Tensor(rng.normal(size=(3, 4))))
+        out = nn.layer_norm(p, identity_linear(4), Tensor(rng.normal(size=(3, 4))))
         np.testing.assert_array_equal(out.data, np.full((3, 4), 7.0))
 
     def test_shift_and_positive_rescale_invariance(self):
@@ -93,14 +93,34 @@ class TestLayerNorm:
         tolerance; rows drawn at std 8 give var ~ 64.
         """
         rng = np.random.default_rng(4)
-        p = nn.LayerNormParams.create(8)
+        p, dense = nn.LayerNormParams.create(8), identity_linear(8)
         for _ in range(10):
             x = rng.normal(scale=8.0, size=(2, 8))
-            base = nn.layer_norm(p, Tensor(x)).data
-            shifted = nn.layer_norm(p, Tensor(x + 3.7)).data
-            scaled = nn.layer_norm(p, Tensor(x * 5.0)).data
+            base = nn.layer_norm(p, dense, Tensor(x)).data
+            shifted = nn.layer_norm(p, dense, Tensor(x + 3.7)).data
+            scaled = nn.layer_norm(p, dense, Tensor(x * 5.0)).data
             np.testing.assert_allclose(base, shifted, atol=1e-6)
             np.testing.assert_allclose(base, scaled, atol=1e-6)
+
+    def test_projection_residual_and_norm_are_one_node(self):
+        """``layer_norm(norm, dense, h, residual)`` normalizes ``h @ W + b +
+        residual`` in one node whose parents are ``h``, gamma, beta, the
+        residual, then the dense weight and bias."""
+        rng = np.random.default_rng(5)
+        p, dense = nn.LayerNormParams.create(4), nn.LinearParams.create(rng, 3, 4)
+        h = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+        residual = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+        out = nn.layer_norm(p, dense, h, residual)
+        assert [n.op for n in ad._topo_order(out) if n.op != "leaf"] == ["layer_norm"]
+        assert out._parents == (h, p.gamma, p.beta, residual, dense.weight, dense.bias)
+        s = h.data @ dense.weight.data + dense.bias.data + residual.data
+        expected = scalar_layer_norm(p.gamma.data, p.beta.data, nn.LAYER_NORM_EPS, s.reshape(-1, 4))
+        np.testing.assert_allclose(out.data, expected.reshape(s.shape), atol=1e-12)
+
+
+def attend(p, q, kv, bias=None):
+    """The whole attention half of a sub-layer: the context, then ``w_o``."""
+    return nn.linear(p.w_o, nn.multi_head_attention(p, q, kv, bias))
 
 
 class TestMultiHeadAttention:
@@ -126,7 +146,7 @@ class TestMultiHeadAttention:
         p = nn.MHAParams.create(rng, 8, 4)
         q = rng.normal(size=(3, 8))
         kv = rng.normal(size=(5, 8))
-        out = nn.multi_head_attention(p, Tensor(q), Tensor(kv))
+        out = attend(p, Tensor(q), Tensor(kv))
         np.testing.assert_allclose(out.data, scalar_mha(p, q, kv), atol=1e-10)
 
     def test_masked_vs_scalar_oracle(self):
@@ -135,8 +155,17 @@ class TestMultiHeadAttention:
         q = rng.normal(size=(3, 8))
         kv = rng.normal(size=(4, 8))
         mask = np.array([True, False, True, False])
-        out = nn.multi_head_attention(p, Tensor(q), Tensor(kv), key_bias(mask))
+        out = attend(p, Tensor(q), Tensor(kv), key_bias(mask))
         np.testing.assert_allclose(out.data, scalar_mha(p, q, kv, mask), atol=1e-10)
+
+    def test_context_is_returned_before_the_output_projection(self):
+        """The last node is the fused attention: ``w_o`` is the caller's."""
+        rng = np.random.default_rng(12)
+        p = nn.MHAParams.create(rng, 8, 2)
+        out = nn.multi_head_attention(p, Tensor(rng.normal(size=(3, 8)), requires_grad=True),
+                                      Tensor(rng.normal(size=(4, 8))))
+        assert out.op == "attention"
+        assert p.w_o.weight not in ad._topo_order(out)
 
     def test_masked_keys_do_not_leak(self):
         """Changing a masked key/value row cannot change the output."""
@@ -201,11 +230,16 @@ class TestMultiHeadAttention:
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
 
+def mlp(p, x):
+    """The whole MLP: ``feed_forward``, then ``fc2``."""
+    return nn.linear(p.fc2, nn.feed_forward(p, x))
+
+
 class TestFeedForward:
     def test_zero_weights_yield_bias_only_output(self):
         p = nn.FeedForwardParams(const_linear(np.zeros((3, 3)), np.zeros(3)),
                                  const_linear(np.zeros((3, 3)), [1.0, 2.0, 3.0]))
-        out = nn.feed_forward(p, Tensor(np.random.default_rng(14).normal(size=(4, 3))))
+        out = mlp(p, Tensor(np.random.default_rng(14).normal(size=(4, 3))))
         np.testing.assert_array_equal(out.data, np.tile([1.0, 2.0, 3.0], (4, 1)))
 
     def test_identity_like_passthrough(self):
@@ -214,7 +248,7 @@ class TestFeedForward:
         p = nn.FeedForwardParams(const_linear(np.eye(d), np.full(d, 10.0)),
                                  const_linear(np.eye(d), np.full(d, -10.0)))
         x = np.array([[0.3, -0.9, 0.0], [1.0, -1.0, 0.5]])
-        out = nn.feed_forward(p, Tensor(x))
+        out = mlp(p, Tensor(x))
         np.testing.assert_allclose(out.data, x, atol=1e-9)
 
     def test_random_case_vs_scalar_oracle(self):
@@ -225,7 +259,16 @@ class TestFeedForward:
             p.fc2.weight.data, p.fc2.bias.data,
             scalar_gelu(scalar_linear(p.fc1.weight.data, p.fc1.bias.data, x)),
         )
-        np.testing.assert_allclose(nn.feed_forward(p, Tensor(x)).data, expected, atol=1e-12)
+        np.testing.assert_allclose(mlp(p, Tensor(x)).data, expected, atol=1e-12)
+
+    def test_output_is_the_gelu_rows_before_fc2(self):
+        rng = np.random.default_rng(16)
+        p = nn.FeedForwardParams.create(rng, 4, 5, 3)
+        x = rng.normal(size=(2, 4))
+        out = nn.feed_forward(p, Tensor(x, requires_grad=True))
+        assert out.op == "gelu" and out.shape == (2, 5)
+        np.testing.assert_allclose(
+            out.data, scalar_gelu(scalar_linear(p.fc1.weight.data, p.fc1.bias.data, x)), atol=1e-12)
 
 
 class TestProjectionHead:
@@ -276,9 +319,15 @@ class TestBlockGradients:
 
     def test_layer_norm(self):
         rng = np.random.default_rng(20)
-        p = nn.LayerNormParams.create(6)
-        x = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
-        assert ad.finite_diff_check(lambda t: ad.tensor_sum(ad.mul(nn.layer_norm(p, t), nn.layer_norm(p, t))), x) < 1e-4
+        p, dense = nn.LayerNormParams.create(6), nn.LinearParams.create(rng, 5, 6)
+        residual = Tensor(rng.normal(size=(3, 6)))
+        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+
+        def f(t):
+            out = nn.layer_norm(p, dense, t, residual)
+            return ad.tensor_sum(ad.mul(out, out))
+
+        assert ad.finite_diff_check(f, x) < 1e-4
 
     def test_attention(self):
         rng = np.random.default_rng(21)
@@ -310,7 +359,7 @@ class TestBlockGradients:
         rng = np.random.default_rng(23)
         p = nn.FeedForwardParams.create(rng, 5, 5, 5)
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        assert ad.finite_diff_check(lambda t: ad.tensor_sum(ad.mul(nn.feed_forward(p, t), nn.feed_forward(p, t))), x) < 1e-4
+        assert ad.finite_diff_check(lambda t: ad.tensor_sum(ad.mul(mlp(p, t), mlp(p, t))), x) < 1e-4
 
     def test_projection_head(self):
         rng = np.random.default_rng(24)
