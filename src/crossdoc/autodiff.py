@@ -323,8 +323,16 @@ def _erf(x: np.ndarray) -> np.ndarray:
     return out.astype(x.dtype, copy=False)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit, exact (erf) form.
+def _gelu_derivative(s: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """GELU's derivative ``cdf + s * pdf(s)``, given the normal CDF at ``s``."""
+    pdf = np.exp(-0.5 * s * s) * _INV_SQRT2PI
+    return cdf + s * pdf
+
+
+def gelu(a: Tensor, weight: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
+    """Gaussian error linear unit, exact (erf) form, of ``a``; given
+    ``weight``, of the dense projection ``s = a @ weight + bias`` (see
+    ``_dense``), as one node: a feed-forward's ``fc1`` and its GELU.
 
     erf comes from :func:`_erf`, the Cephes approximations scipy also runs.
     In float64 it is within 1 ulp of ``scipy.special.erf`` (identical on
@@ -332,15 +340,33 @@ def gelu(a: Tensor) -> Tensor:
     where ``np.exp`` and libm's ``exp`` differ) and within 3 ulp of libm's
     ``erf``.  Like scipy's, it computes a float32 input in float64 and
     rounds the result to float32.
+
+    The forward runs ``matmul``'s operations, then GELU's, so the value and
+    every gradient are those of a ``matmul`` node followed by a ``gelu``
+    node, to the bit.  The node keeps GELU's derivative at ``s``, computed
+    in the forward and only when some edge requires grad, and the dense
+    edges' ``a``: neither ``s`` nor its CDF outlives the forward.  The
+    edges are ``a``, then ``weight`` and ``bias``, as ``matmul``'s; each
+    maps ``g * derivative``, computed once per backward.
     """
-    x = a.data
-    cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
+    if weight is None and bias is not None:
+        raise ContractError("gelu takes a bias only with a weight")
+    shared = {}
 
-    def vjp(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return g * (cdf + x * pdf)
+    def ds(g):
+        # Called only in the backward, once ``derivative`` exists.
+        if not shared:
+            shared["ds"] = g * derivative
+        return shared["ds"]
 
-    return _make_node(x * cdf, "gelu", (a, vjp))
+    if weight is None:
+        s, edges = a.data, [(a, ds)]
+    else:
+        s, edges = _dense("gelu", a, weight, bias, ds)
+    cdf = 0.5 * (1.0 + _erf(s * _INV_SQRT2))
+    if any(t is not None and t.requires_grad for t in (a, weight, bias)):
+        derivative = _gelu_derivative(s, cdf)
+    return _make_node(s * cdf, "gelu", *edges)
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +466,14 @@ def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
     return _make_node(data, "concat", *edges)
 
 
-def gather_rows(table: Tensor, indices) -> Tensor:
-    """Look up rows of a 2-d table; output shape is indices.shape + (row_dim,)."""
+def _gather(op: str, table: Tensor, indices) -> tuple[np.ndarray, Callable]:
+    """Rows of a 2-d table, of shape indices.shape + (row_dim,), and the
+    table's vjp: the gradient rows scatter-added, so a repeated index sums."""
     if table.ndim != 2:
-        raise ShapeError(f"gather_rows table must be 2-d, got {table.shape}")
+        raise ShapeError(f"{op} table must be 2-d, got {table.shape}")
     idx = np.asarray(indices)
     if idx.min(initial=0) < 0 or (idx.size and idx.max() >= table.shape[0]):
-        raise ShapeError(f"gather_rows index out of range for table {table.shape}")
+        raise ShapeError(f"{op} index out of range for table {table.shape}")
     t = table.data
 
     def vjp(g):
@@ -454,7 +481,13 @@ def gather_rows(table: Tensor, indices) -> Tensor:
         np.add.at(full, idx.reshape(-1), g.reshape(-1, t.shape[1]))
         return full
 
-    return _make_node(t[idx], "gather_rows", (table, vjp))
+    return t[idx], vjp
+
+
+def gather_rows(table: Tensor, indices) -> Tensor:
+    """Look up rows of a 2-d table; output shape is indices.shape + (row_dim,)."""
+    rows, vjp = _gather("gather_rows", table, indices)
+    return _make_node(rows, "gather_rows", (table, vjp))
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -565,6 +598,43 @@ def gate(updated: Tensor, previous: Tensor) -> Tensor:
     u, p = updated.data, previous.data
     return _make_node(u * p + p, "gate",
                       (previous, _identity), (updated, lambda g: g * p), (previous, lambda g: g * u))
+
+
+def embed_patches(patches: Tensor, weight: Tensor, bias: Tensor, cls_row: Tensor,
+                  positions: Tensor) -> Tensor:
+    """A vision encoder's rows as one node: the (1, n) ``cls_row``, then
+    the dense projection of the (.., num_patches, k) ``patches`` (see
+    ``_dense``), plus the (num_patches + 1, n) ``positions``.
+
+    The value is that of a ``matmul`` node, a ``broadcast_to`` of
+    ``cls_row`` over the leading axes, a ``concat`` along the row axis and
+    an ``add`` of ``positions``, to the bit, and so is every gradient: the
+    leading axes are summed out by ``_unbroadcast``, as the chain's did.
+    The node keeps ``patches``: the projection and the concatenated rows do
+    not outlive the forward.  The edges are ``positions``, ``cls_row``,
+    then ``patches``, ``weight`` and ``bias``, so the backward walk reaches
+    the parameters in the chain's order.
+    """
+    proj, dense_edges = _dense("embed_patches", patches, weight, bias, lambda g: g[..., 1:, :])
+    lead = proj.shape[:-2]
+    rows = np.concatenate([np.broadcast_to(cls_row.data, lead + cls_row.shape), proj], axis=-2)
+    rows += positions.data
+    return _make_node(rows, "embed_patches",
+                      (positions, _identity), (cls_row, lambda g: g[..., :1, :]), *dense_edges)
+
+
+def embed_tokens(table: Tensor, indices, positions: Tensor) -> Tensor:
+    """A text encoder's rows as one node: rows of the 2-d ``table`` at the
+    (.., rows) integer ``indices`` plus the (rows, row_dim) ``positions``.
+
+    The value and every gradient are those of a ``gather_rows`` node and an
+    ``add`` of ``positions``, to the bit.  The node keeps the indices; the
+    gathered rows do not outlive the forward.  The edges are ``positions``,
+    then ``table``, the order the chain's backward reached them in.
+    """
+    rows, vjp = _gather("embed_tokens", table, indices)
+    rows += positions.data
+    return _make_node(rows, "embed_tokens", (positions, _identity), (table, vjp))
 
 
 def _head_view(x: np.ndarray, num_heads: int) -> np.ndarray:

@@ -4,9 +4,11 @@ One block runs two stages over the paired (vision, text) feature sequences,
 both built on the one post-norm sub-layer ``transformer_layer``: attention,
 then feed-forward, each wrapped in residual + layer norm.  Each step is two
 nodes in the graph: ``multi_head_attention`` returns the context before
-``w_o`` and ``feed_forward`` the GELU rows before ``fc2``, and
+``w_o``, and ``feed_forward`` the GELU rows before ``fc2`` as one node with
+``fc1``, which keeps GELU's derivative rather than the pre-activation; then
 ``layer_norm`` applies that output projection, the residual and the norm as
-one node, so no array that only the norm reads is kept for the backward.
+one node, so no array that only the norm or the GELU reads is kept for the
+backward.
 
 1. cross-attention exchange: each modality's sub-layer queries the other's
    keys/values;

@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DataError, ShapeError
-from .nn import LinearParams, linear
+from .nn import LinearParams
 
 PAD_ID = 0
 CLS_ID = 1
@@ -110,17 +110,15 @@ def patchify(layout: DocumentLayout, pixels: np.ndarray, dtype) -> np.ndarray:
 
 
 def patch_embed(params: VisionEncoderParams, layout: DocumentLayout, pixels: np.ndarray) -> Tensor:
-    """Project flattened patches, prepend the learned [CLS] row, add positions.
+    """Project flattened patches, prepend the learned [CLS] row, add positions,
+    as one ``autodiff.embed_patches`` node, which keeps only the patches.
 
     ``pixels`` is a (.., H, W, C) array, cut into patches of the projection
     weights' dtype; a leading batch axis is carried through.
     """
     patches = patchify(layout, pixels, params.proj.weight.data.dtype)
-    projected = linear(params.proj, Tensor(patches))
-    lead = patches.shape[:-2]
-    cls = ad.broadcast_to(params.cls_row, lead + params.cls_row.shape)
-    rows = ad.concat([cls, projected], axis=-2)
-    return ad.add(rows, params.positions)
+    return ad.embed_patches(Tensor(patches), params.proj.weight, params.proj.bias,
+                            params.cls_row, params.positions)
 
 
 def token_embed(
@@ -128,8 +126,10 @@ def token_embed(
 ) -> tuple[Tensor, np.ndarray]:
     """Embed token ids and return the features plus their key bias.
 
-    ``ids`` is a (.., rows) integer array.  Ids outside the vocabulary are a
-    data error.  The key bias is a (.., rows) array in the features' dtype,
+    The features, table rows plus positions, are one
+    ``autodiff.embed_tokens`` node, which keeps only the ids.  ``ids`` is a
+    (.., rows) integer array.  Ids outside the vocabulary are a data error.
+    The key bias is a (.., rows) array in the features' dtype,
     0 on a real token and -inf on [PAD]: the one place padded text is kept
     out of attention.  Every attention over these rows as keys adds it,
     unchanged, to its logits (``autodiff.attention_heads``).
@@ -142,7 +142,7 @@ def token_embed(
             f"token id out of vocabulary (vocab_size={layout.vocab_size}, "
             f"got range [{ids.min()}, {ids.max()}])"
         )
-    features = ad.add(ad.gather_rows(params.table, ids), params.positions)
+    features = ad.embed_tokens(params.table, ids, params.positions)
     return features, np.where(ids != PAD_ID, 0.0, -np.inf).astype(features.data.dtype)
 
 

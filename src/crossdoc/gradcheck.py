@@ -16,11 +16,11 @@ from . import autodiff as ad
 from .autodiff import Tensor, finite_diff_check
 from .config import RunConfig
 from .cross_modal import CrossAttentionBlockParams, GatedSelfAttentionParams, cross_attention_block, gated_self_attention
-from .encoders import token_embed
+from .encoders import DocumentLayout, TextEncoderParams, VisionEncoderParams, patch_embed, token_embed
 from .errors import NumericError
 from .losses import contrastive_term, cross_entropy, cross_modal_contrastive_loss, positive_weights
 from .model import CrossModalModel
-from .nn import FeedForwardParams, LayerNormParams, LinearParams, MHAParams, l2_normalize, layer_norm, linear, multi_head_attention, project_and_normalize
+from .nn import FeedForwardParams, LayerNormParams, LinearParams, MHAParams, feed_forward, l2_normalize, layer_norm, linear, multi_head_attention, project_and_normalize
 
 GRADCHECK_TOLERANCE = 1e-4  # max relative error a block's adjoint may show
 
@@ -37,8 +37,9 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
     """Small-dimension probes covering every differentiable block, each
     with respect to its input, then the parameter adjoints of a dense layer
     and a layer norm, the layer norm's residual adjoint, the post-norm
-    step's dense weight and bias adjoints, and the gate's ``previous``
-    adjoint."""
+    step's dense weight and bias adjoints, the gate's ``previous``
+    adjoint, the feed-forward's ``fc1`` weight and bias adjoints, and the
+    adjoint of every encoder parameter."""
     rng = np.random.default_rng(2024)
     d, heads, rows, batch = 8, 2, 3, 4
     checks = []
@@ -59,8 +60,11 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
     x_cross = Tensor(rng.normal(size=(rows, d)), requires_grad=True)
 
     def f_cross(t):
+        # ``v_out`` is read out against a fixed array, drawn after every
+        # other entry's arrays (see ``f_gate``); ``t_out`` does not depend
+        # on ``into_vision``.
         v_out, t_out = cross_attention_block(cross, t, other)
-        return ad.add(ad.tensor_sum(ad.mul(v_out, v_out)),
+        return ad.add(ad.tensor_sum(ad.mul(v_out, cross_target)),
                       ad.tensor_sum(ad.exp(ad.scale(t_out, 0.1))))
 
     checks.append(("cross_attention_block", f_cross, x_cross))
@@ -185,6 +189,43 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
          lambda b: squared(layer_norm(ln, LinearParams(post.weight, b), x_post, r_post)), post.bias),
         ("gated_self_attention.previous",
          lambda t: ad.tensor_sum(ad.mul(gated_self_attention(gate, t, updated), updated)), x_prev),
+    ]
+
+    cross_target = Tensor(rng.normal(size=(rows, d)))
+
+    # The feed-forward node's dense edges, on a 3-d input, and every encoder
+    # parameter, from a batch of raw pixels and of token ids, some ids
+    # repeated so that the table's scatter-add sums.  Each entry's input is
+    # the parameter itself, which its readout reads in place.
+    def param(*shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
+
+    ff = FeedForwardParams(LinearParams(param(d, d), param(d)), identity)
+    x_ff = Tensor(rng.normal(size=(batch, rows, d)))
+    layout = DocumentLayout(image_size=4, channels=2, patch_size=2, vocab_size=16)
+    vision = VisionEncoderParams(LinearParams(param(8, d), param(d)), param(1, d), param(layout.rows, d))
+    pixels = rng.normal(size=(batch, 4, 4, 2))
+    text = TextEncoderParams(param(layout.vocab_size, d), param(layout.rows, d))
+    token_ids = np.array([[1, 5, 5, 2, 0], [1, 7, 9, 7, 2], [1, 9, 5, 2, 0], [1, 4, 4, 4, 2]])
+
+    def f_ff(_):
+        return squared(feed_forward(ff, x_ff))
+
+    def f_vision(_):
+        return squared(patch_embed(vision, layout, pixels))
+
+    def f_text(_):
+        return squared(token_embed(text, layout, token_ids)[0])
+
+    checks += [
+        ("feed_forward.weight", f_ff, ff.fc1.weight),
+        ("feed_forward.bias", f_ff, ff.fc1.bias),
+        ("patch_embed.weight", f_vision, vision.proj.weight),
+        ("patch_embed.bias", f_vision, vision.proj.bias),
+        ("patch_embed.cls_row", f_vision, vision.cls_row),
+        ("patch_embed.positions", f_vision, vision.positions),
+        ("token_embed.table", f_text, text.table),
+        ("token_embed.positions", f_text, text.positions),
     ]
     return checks
 

@@ -5,7 +5,9 @@ feed-forward sublayer and as the projection head.
 A transformer sub-layer's output projection (attention's ``w_o``, the
 MLP's ``fc2``) is not applied by ``multi_head_attention`` or
 ``feed_forward``: it is the dense part of ``layer_norm``, so the projected
-rows, which no adjoint reads, are never kept by the graph.
+rows, which no adjoint reads, are never kept by the graph.  Likewise the
+MLP's ``fc1`` is the dense part of its ``gelu`` node, so its pre-activation
+rows are not kept either.
 
 Parameter containers are plain dataclasses of Tensors; ``named_tensors``
 walks any tree of them so optimizers and checkpoints see every parameter
@@ -104,10 +106,11 @@ class FeedForwardParams:
 
 
 def feed_forward(p: FeedForwardParams, x: Tensor) -> Tensor:
-    """``gelu(fc1(x))`` over the trailing axis: the MLP up to ``fc2``, which
-    its caller applies, with ``linear`` in the projection head and inside
-    ``layer_norm`` in a transformer sub-layer."""
-    return ad.gelu(linear(p.fc1, x))
+    """``gelu(fc1(x))`` over the trailing axis, as one ``gelu`` node that
+    keeps GELU's derivative, not the pre-activation: the MLP up to ``fc2``,
+    which its caller applies, with ``linear`` in the projection head and
+    inside ``layer_norm`` in a transformer sub-layer."""
+    return ad.gelu(x, p.fc1.weight, p.fc1.bias)
 
 
 @dataclass

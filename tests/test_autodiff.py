@@ -739,10 +739,39 @@ def _matmul_then_layer_norm(h, weight, bias, gamma, beta, eps, residual):
                          (gamma, lambda g: g * xhat), (beta, lambda g: g), (residual, vjp_x))
 
 
+def _matmul_then_gelu(x, weight=None, bias=None):
+    """``gelu(x @ weight + bias)`` as two nodes, a ``matmul`` node (none
+    without a weight) and a GELU node that keeps its input and CDF and
+    forms the derivative in its adjoint.  The reference that ``gelu`` must
+    equal to the bit."""
+    if weight is not None:
+        x = ad.matmul(x, weight, bias)
+    s = x.data
+    cdf = 0.5 * (1.0 + ad._erf(s * ad._INV_SQRT2))
+
+    def vjp(g):
+        pdf = np.exp(-0.5 * s * s) * ad._INV_SQRT2PI
+        return g * (cdf + s * pdf)
+
+    return ad._make_node(s * cdf, "gelu", (x, vjp))
+
+
+def _patches_chain(patches, weight, bias, cls_row, positions):
+    """``embed_patches`` as the ``matmul``, ``broadcast_to``, ``concat`` and
+    ``add`` nodes it replaces."""
+    cls = ad.broadcast_to(cls_row, patches.shape[:-2] + cls_row.shape)
+    return ad.add(ad.concat([cls, ad.matmul(patches, weight, bias)], axis=-2), positions)
+
+
+def _tokens_chain(table, indices, positions):
+    """``embed_tokens`` as the ``gather_rows`` and ``add`` nodes it replaces."""
+    return ad.add(ad.gather_rows(table, indices), positions)
+
+
 def _backward_through(out, target, upstream):
     """Backward from ``upstream * sum(out * target)``: the gradient reaching
-    ``out`` is ``upstream * target``."""
-    ad.backward(ad.scale(ad.tensor_sum(ad.mul(out, target)), upstream))
+    ``out`` is ``upstream * target``.  Returns the tape."""
+    return ad.backward(ad.scale(ad.tensor_sum(ad.mul(out, target)), upstream))
 
 
 @pytest.mark.parametrize("upstream", [1.0, -2.5])
@@ -795,6 +824,76 @@ class TestFusedNodesAreExact:
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("lead", [(), (2, 3)], ids=["2d", "4d"])
+    @pytest.mark.parametrize("dense", [False, True], ids=["elementwise", "dense"])
+    def test_gelu_equals_matmul_then_gelu(self, dtype, upstream, dense, lead):
+        rng = np.random.default_rng(42)
+        shapes = {"x": lead + (4, 6), **({"weight": (6, 5), "bias": (5,)} if dense else {})}
+        values = {name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
+        target = ad.Tensor(rng.normal(size=lead + (4, 5 if dense else 6)).astype(dtype))
+        results = []
+        for build in (ad.gelu, _matmul_then_gelu):
+            inputs = {name: ad.Tensor(v.copy(), requires_grad=True) for name, v in values.items()}
+            out = build(*inputs.values())
+            value = out.data
+            _backward_through(out, target, upstream)
+            results.append((value, {name: t.grad for name, t in inputs.items()}))
+        (fused, fused_grads), (ref, ref_grads) = results
+        assert fused.dtype == dtype
+        np.testing.assert_array_equal(fused, ref)
+        for name in shapes:
+            assert fused_grads[name].dtype == dtype
+            np.testing.assert_array_equal(fused_grads[name], ref_grads[name], err_msg=name)
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("fused, chain", [(ad.embed_patches, _patches_chain),
+                                              (ad.embed_tokens, _tokens_chain)],
+                             ids=["patches", "tokens"])
+    def test_encoder_node_equals_its_chain(self, dtype, upstream, fused, chain, lead):
+        """The value, every gradient, and the order in which the backward
+        reaches the parameters; the token ids repeat, so the scatter-add
+        sums."""
+        rng = np.random.default_rng(43)
+        if fused is ad.embed_patches:
+            shapes = {"patches": lead + (4, 3), "weight": (3, 6), "bias": (6,), "cls_row": (1, 6),
+                      "positions": (5, 6)}
+            constants = {}
+        else:
+            shapes = {"table": (7, 6), "positions": (5, 6)}
+            constants = {"indices": rng.integers(0, 4, size=lead + (5,))}
+        values = {name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
+        target = ad.Tensor(rng.normal(size=lead + (5, 6)).astype(dtype))
+        results = []
+        for build in (fused, chain):
+            inputs = {name: ad.Tensor(v.copy(), requires_grad=True) for name, v in values.items()}
+            out = build(**inputs, **constants)
+            value = out.data
+            tape = _backward_through(out, target, upstream)
+            names = {id(t): name for name, t in inputs.items()}
+            results.append((value, {name: t.grad for name, t in inputs.items()},
+                            [names[id(leaf)] for leaf in tape.nodes]))
+        (fused_value, fused_grads, fused_order), (ref, ref_grads, ref_order) = results
+        assert fused_value.dtype == dtype
+        np.testing.assert_array_equal(fused_value, ref)
+        for name in shapes:
+            assert fused_grads[name].dtype == dtype
+            np.testing.assert_array_equal(fused_grads[name], ref_grads[name], err_msg=name)
+        assert fused_order == ref_order
+
+
+def test_gelu_computes_no_derivative_when_nothing_requires_grad(monkeypatch):
+    """A forward that records no edge, as the probe's frozen embedding is,
+    never forms GELU's derivative; one that records an edge does."""
+    rng = np.random.default_rng(44)
+    x, weight, bias = (rng.normal(size=shape) for shape in ((3, 4), (4, 2), (2,)))
+    calls = []
+    derivative = ad._gelu_derivative
+    monkeypatch.setattr(ad, "_gelu_derivative", lambda *a: calls.append(1) or derivative(*a))
+    frozen = [ad.gelu(ad.Tensor(x)), ad.gelu(ad.Tensor(x), ad.Tensor(weight), ad.Tensor(bias))]
+    assert calls == [] and not any(out.requires_grad for out in frozen)
+    ad.gelu(ad.Tensor(x), ad.Tensor(weight), ad.Tensor(bias, requires_grad=True))
+    assert calls == [1]
+
 
 class TestShapeOps:
     def test_narrow_out_of_range(self):
@@ -811,3 +910,7 @@ class TestShapeOps:
         t = ad.Tensor(x)
         rebuilt = ad.concat([ad.narrow(t, -1, 0, 2), ad.narrow(t, -1, 2, 3)], axis=-1)
         np.testing.assert_array_equal(rebuilt.data, x)
+
+    def test_gelu_bias_without_weight_rejected(self):
+        with pytest.raises(ContractError, match="bias only with a weight"):
+            ad.gelu(ad.Tensor(np.ones(3)), bias=ad.Tensor(np.ones(3)))

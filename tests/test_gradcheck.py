@@ -15,7 +15,9 @@ ENTRIES = [
     "cross_modal_contrastive_loss", "intra_modality_term", "cross_entropy", "full_stack_loss",
     "layer_norm", "attention_heads", "linear.weight", "linear.bias", "layer_norm.gamma",
     "layer_norm.beta", "layer_norm.residual", "layer_norm.dense.weight", "layer_norm.dense.bias",
-    "gated_self_attention.previous",
+    "gated_self_attention.previous", "feed_forward.weight", "feed_forward.bias",
+    "patch_embed.weight", "patch_embed.bias", "patch_embed.cls_row", "patch_embed.positions",
+    "token_embed.table", "token_embed.positions",
 ]
 
 
@@ -87,12 +89,20 @@ def test_a_check_whose_forward_overflows_fails_the_audit(monkeypatch, capsys):
     ("layer_norm", 5, "layer_norm.dense.bias"),
     ("gate", 0, "gated_self_attention.previous"), ("gate", 1, "gated_self_attention"),
     ("gate", 2, "gated_self_attention.previous"),
+    ("attention", 0, "cross_attention_block"),
+    ("gelu", 0, "projection_head"), ("gelu", 1, "feed_forward.weight"),
+    ("gelu", 2, "feed_forward.bias"),
+    ("embed_patches", 0, "patch_embed.positions"), ("embed_patches", 1, "patch_embed.cls_row"),
+    ("embed_patches", 3, "patch_embed.weight"), ("embed_patches", 4, "patch_embed.bias"),
+    ("embed_tokens", 0, "token_embed.positions"), ("embed_tokens", 1, "token_embed.table"),
 ])
 def test_a_halved_parameter_adjoint_fails_the_audit(monkeypatch, capsys, op, edge, entry):
     """Halve one edge's vector-Jacobian product -- a parameter's, the
-    layer norm's input or residual, or one of the gate's: the entry that
-    differentiates with respect to that input fails, and so does the
-    command.  Only that entry runs: the real list's entry, built in the
+    layer norm's input or residual, one of the gate's, the feed-forward
+    node's input, an encoder parameter's, or the vision sub-layer's
+    queries, which only the ``cross_attention_block`` entry's ``v_out``
+    readout reaches: the entry that differentiates with respect to that
+    input fails, and so does the command.  Only that entry runs: the real list's entry, built in the
     real list's random stream."""
     checks = [check for check in gradcheck._standard_checks() if check[0] == entry]
     monkeypatch.setattr(gradcheck, "_standard_checks", lambda: checks)

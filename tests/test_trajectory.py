@@ -61,24 +61,26 @@ def test_float32_desk_pretrain_follows_the_trajectory(tmp_path):
 
 
 def test_desk_step_graph_census():
-    """One desk ``batch_loss`` graph: 262 nodes, 150 of them parameter
-    leaves.  Each dense layer is one ``matmul`` node with its bias, and each
-    sub-layer's output projection (``w_o``, ``fc2``) and residual sum are
-    part of its ``layer_norm`` node, so of the 5 ``add`` nodes none is a
-    bias add, a residual or the gate's, and 45 ``matmul`` nodes remain.
-    The nodes other than the parameters hold 5,423,680 bytes of values: a
-    change that brings back an array no adjoint reads, such as a projection
-    or a product kept only for a sum, fails here.  A change that fuses or splits ops updates
-    these counts on purpose."""
+    """One desk ``batch_loss`` graph: 248 nodes, 150 of them parameter
+    leaves.  Each dense layer is one ``matmul`` node with its bias, each
+    feed-forward's ``fc1`` is part of its ``gelu`` node, each sub-layer's
+    output projection (``w_o``, ``fc2``) and residual sum are part of its
+    ``layer_norm`` node, and each encoder is one node, so of the 3 ``add``
+    nodes none is a bias add, a residual, the gate's or a position add, and
+    34 ``matmul`` nodes remain.  The nodes other than the parameters hold
+    4,649,536 bytes of values: a change that brings back an array no
+    adjoint reads, such as a projection or a product kept only for a sum,
+    fails here.  A change that fuses or splits ops updates these counts on
+    purpose."""
     cfg = RunConfig(seed=1)
     _, splits = load_corpus(cfg, cfg.layout())
     model = CrossModalModel.create(cfg)
     records = make_batch(splits.train, cfg.batch_size, np.random.default_rng(0))
     nodes = ad._topo_order(batch_loss(model, records, cfg)["total"])
     ops = Counter(node.op for node in nodes)
-    assert (sum(ops.values()), ops["leaf"]) == (262, 150)
-    assert (ops["matmul"], ops["add"]) == (45, 5)
+    assert (sum(ops.values()), ops["leaf"]) == (248, 150)
+    assert (ops["matmul"], ops["add"]) == (34, 3)
     params = {id(p) for p in model.parameters().values()}
     kept = [node for node in nodes if id(node) not in params]
-    assert len(kept) == 112
-    assert sum(node.data.nbytes for node in kept) == 5_423_680
+    assert len(kept) == 98
+    assert sum(node.data.nbytes for node in kept) == 4_649_536
