@@ -329,10 +329,10 @@ def _gelu_derivative(s: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return cdf + s * pdf
 
 
-def gelu(a: Tensor, weight: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
-    """Gaussian error linear unit, exact (erf) form, of ``a``; given
-    ``weight``, of the dense projection ``s = a @ weight + bias`` (see
-    ``_dense``), as one node: a feed-forward's ``fc1`` and its GELU.
+def gelu(a: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Gaussian error linear unit, exact (erf) form, of the dense projection
+    ``s = a @ weight + bias`` (see ``_dense``), as one node: a feed-forward's
+    ``fc1`` and its GELU.
 
     erf comes from :func:`_erf`, the Cephes approximations scipy also runs.
     In float64 it is within 1 ulp of ``scipy.special.erf`` (identical on
@@ -342,15 +342,13 @@ def gelu(a: Tensor, weight: Tensor | None = None, bias: Tensor | None = None) ->
     rounds the result to float32.
 
     The forward runs ``matmul``'s operations, then GELU's, so the value and
-    every gradient are those of a ``matmul`` node followed by a ``gelu``
-    node, to the bit.  The node keeps GELU's derivative at ``s``, computed
-    in the forward and only when some edge requires grad, and the dense
-    edges' ``a``: neither ``s`` nor its CDF outlives the forward.  The
-    edges are ``a``, then ``weight`` and ``bias``, as ``matmul``'s; each
-    maps ``g * derivative``, computed once per backward.
+    every gradient are those of a ``matmul`` node followed by a GELU node,
+    to the bit.  The node keeps GELU's derivative at ``s``, computed in the
+    forward and only when some edge requires grad, and the dense edges'
+    ``a``: neither ``s`` nor its CDF outlives the forward.  The edges are
+    ``a``, ``weight`` and ``bias``, as ``matmul``'s; each maps
+    ``g * derivative``, computed once per backward.
     """
-    if weight is None and bias is not None:
-        raise ContractError("gelu takes a bias only with a weight")
     shared = {}
 
     def ds(g):
@@ -359,12 +357,9 @@ def gelu(a: Tensor, weight: Tensor | None = None, bias: Tensor | None = None) ->
             shared["ds"] = g * derivative
         return shared["ds"]
 
-    if weight is None:
-        s, edges = a.data, [(a, ds)]
-    else:
-        s, edges = _dense("gelu", a, weight, bias, ds)
+    s, edges = _dense("gelu", a, weight, bias, ds)
     cdf = 0.5 * (1.0 + _erf(s * _INV_SQRT2))
-    if any(t is not None and t.requires_grad for t in (a, weight, bias)):
+    if a.requires_grad or weight.requires_grad or bias.requires_grad:
         derivative = _gelu_derivative(s, cdf)
     return _make_node(s * cdf, "gelu", *edges)
 

@@ -60,9 +60,9 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
     x_cross = Tensor(rng.normal(size=(rows, d)), requires_grad=True)
 
     def f_cross(t):
-        # ``v_out`` is read out against a fixed array, drawn after every
-        # other entry's arrays (see ``f_gate``); ``t_out`` does not depend
-        # on ``into_vision``.
+        # ``v_out`` is read out against a fixed array (see ``f_gate``),
+        # drawn after every array of the first 18 entries, so their report
+        # lines stay the same; ``t_out`` does not depend on ``into_vision``.
         v_out, t_out = cross_attention_block(cross, t, other)
         return ad.add(ad.tensor_sum(ad.mul(v_out, cross_target)),
                       ad.tensor_sum(ad.exp(ad.scale(t_out, 0.1))))

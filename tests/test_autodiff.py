@@ -17,6 +17,14 @@ def rand(rng, *shape):
     return ad.Tensor(rng.normal(size=shape), requires_grad=True)
 
 
+def gelu_of(x):
+    """``gelu``'s dense node with an identity weight and a zero bias: GELU
+    of ``x`` elementwise."""
+    n = x.shape[-1]
+    return ad.gelu(x, ad.Tensor(np.eye(n, dtype=x.data.dtype)),
+                   ad.Tensor(np.zeros(n, dtype=x.data.dtype)))
+
+
 class TestMatmul:
     def test_identity(self):
         a = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -197,7 +205,7 @@ class TestErf:
         out = ad._erf(x)
         assert out.dtype == np.float32
         np.testing.assert_array_equal(out, ad._erf(x.astype(np.float64)).astype(np.float32))
-        assert ad.gelu(ad.Tensor(x)).data.dtype == np.float32
+        assert gelu_of(ad.Tensor(x)).data.dtype == np.float32
 
     def test_layout_of_the_input_does_not_matter(self):
         x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
@@ -282,10 +290,12 @@ class TestBackward:
         rng = np.random.default_rng(4)
         x = rand(rng, 3, 4)
         w = rand(rng, 4, 2)
-        loss = ad.tensor_sum(ad.gelu(ad.matmul(x, w)))
+        b = rand(rng, 2)
+        loss = ad.tensor_sum(ad.gelu(x, w, b))
         ad.backward(loss)
         assert np.all(np.isfinite(x.grad))
         assert np.all(np.isfinite(w.grad))
+        assert np.all(np.isfinite(b.grad))
 
 
 class TestGradTape:
@@ -323,7 +333,7 @@ class TestGradTape:
         w = rand(rng, 5, 2)
 
         def leaf_grads():
-            loss = ad.tensor_sum(ad.gelu(ad.matmul(ad.scale(x, 0.5), w)))
+            loss = ad.tensor_sum(ad.gelu(ad.scale(x, 0.5), w, ad.Tensor(np.zeros(2))))
             tape = ad.backward(loss)
             grads = x.grad.copy(), w.grad.copy()
             tape.clear()
@@ -482,7 +492,7 @@ OP_CASES = [
     ("exp", lambda x, c: ad.tensor_sum(ad.exp(ad.scale(x, 0.3)))),
     ("log", lambda x, c: ad.tensor_sum(ad.log(ad.add(ad.mul(x, x), ONE)))),
     ("sqrt", lambda x, c: ad.tensor_sum(ad.sqrt(ad.add(ad.mul(x, x), ONE)))),
-    ("gelu", lambda x, c: ad.tensor_sum(ad.mul(ad.gelu(x), c))),
+    ("gelu", lambda x, c: ad.tensor_sum(ad.mul(gelu_of(x), c))),
     ("sum_axis", lambda x, c: ad.tensor_sum(ad.mul(ad.tensor_sum(x, axis=-1, keepdims=True), ONE))),
     ("softmax_last", lambda x, c: ad.tensor_sum(ad.mul(ad.softmax_last(x), c))),
     ("logsumexp_last", lambda x, c: ad.tensor_sum(ad.logsumexp_last(x))),
@@ -547,7 +557,7 @@ class TestGradientsMatchFiniteDifferences:
 
         def f(t):
             operands = [t if i == edge else ad.Tensor(v) for i, v in enumerate(values)]
-            return ad.tensor_sum(ad.mul(ad.gelu(ad.matmul(*operands)), c))
+            return ad.tensor_sum(ad.mul(gelu_of(ad.matmul(*operands)), c))
 
         assert ad.finite_diff_check(f, ad.Tensor(values[edge], requires_grad=True)) < 1e-4
 
@@ -739,13 +749,11 @@ def _matmul_then_layer_norm(h, weight, bias, gamma, beta, eps, residual):
                          (gamma, lambda g: g * xhat), (beta, lambda g: g), (residual, vjp_x))
 
 
-def _matmul_then_gelu(x, weight=None, bias=None):
-    """``gelu(x @ weight + bias)`` as two nodes, a ``matmul`` node (none
-    without a weight) and a GELU node that keeps its input and CDF and
-    forms the derivative in its adjoint.  The reference that ``gelu`` must
-    equal to the bit."""
-    if weight is not None:
-        x = ad.matmul(x, weight, bias)
+def _matmul_then_gelu(x, weight, bias):
+    """``gelu(x @ weight + bias)`` as two nodes, a ``matmul`` node and a
+    GELU node that keeps its input and CDF and forms the derivative in its
+    adjoint.  The reference that ``gelu`` must equal to the bit."""
+    x = ad.matmul(x, weight, bias)
     s = x.data
     cdf = 0.5 * (1.0 + ad._erf(s * ad._INV_SQRT2))
 
@@ -825,12 +833,11 @@ class TestFusedNodesAreExact:
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("lead", [(), (2, 3)], ids=["2d", "4d"])
-    @pytest.mark.parametrize("dense", [False, True], ids=["elementwise", "dense"])
-    def test_gelu_equals_matmul_then_gelu(self, dtype, upstream, dense, lead):
+    def test_gelu_equals_matmul_then_gelu(self, dtype, upstream, lead):
         rng = np.random.default_rng(42)
-        shapes = {"x": lead + (4, 6), **({"weight": (6, 5), "bias": (5,)} if dense else {})}
+        shapes = {"x": lead + (4, 6), "weight": (6, 5), "bias": (5,)}
         values = {name: rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
-        target = ad.Tensor(rng.normal(size=lead + (4, 5 if dense else 6)).astype(dtype))
+        target = ad.Tensor(rng.normal(size=lead + (4, 5)).astype(dtype))
         results = []
         for build in (ad.gelu, _matmul_then_gelu):
             inputs = {name: ad.Tensor(v.copy(), requires_grad=True) for name, v in values.items()}
@@ -889,8 +896,8 @@ def test_gelu_computes_no_derivative_when_nothing_requires_grad(monkeypatch):
     calls = []
     derivative = ad._gelu_derivative
     monkeypatch.setattr(ad, "_gelu_derivative", lambda *a: calls.append(1) or derivative(*a))
-    frozen = [ad.gelu(ad.Tensor(x)), ad.gelu(ad.Tensor(x), ad.Tensor(weight), ad.Tensor(bias))]
-    assert calls == [] and not any(out.requires_grad for out in frozen)
+    frozen = ad.gelu(ad.Tensor(x), ad.Tensor(weight), ad.Tensor(bias))
+    assert calls == [] and not frozen.requires_grad
     ad.gelu(ad.Tensor(x), ad.Tensor(weight), ad.Tensor(bias, requires_grad=True))
     assert calls == [1]
 
@@ -910,7 +917,3 @@ class TestShapeOps:
         t = ad.Tensor(x)
         rebuilt = ad.concat([ad.narrow(t, -1, 0, 2), ad.narrow(t, -1, 2, 3)], axis=-1)
         np.testing.assert_array_equal(rebuilt.data, x)
-
-    def test_gelu_bias_without_weight_rejected(self):
-        with pytest.raises(ContractError, match="bias only with a weight"):
-            ad.gelu(ad.Tensor(np.ones(3)), bias=ad.Tensor(np.ones(3)))
