@@ -16,8 +16,11 @@ past it, leaving a hole that reads back as zeros, and the temporary is
 truncated at the end of the body so that a file ending in a hole keeps its
 full size.  The layout and every byte a reader sees are unchanged; only the
 blocks the filesystem allocates and the pages written back are fewer.  A
-step-0 checkpoint's AdamW moments are all zero, 260 of its 391 MB at paper
-width.  The test reads bytes, not values, so a ``-0.0`` is written.
+step-0 checkpoint's AdamW moments are all zero.  Without holes, on a 2-core
+x86 box, a paper-width (float32) one allocates 391 MB, not 131, and saves in
+130 ms, not 56; the wide-pretrain ``run_s`` reads 1.73 s, not 1.61, slower
+in 8 of 10 pairs (``BENCH_perf_debt.json``).  The test reads bytes, not
+values, so a ``-0.0`` is written.
 
 Reading streams from the open file: ``Reader.array`` allocates each array and
 fills it with ``readinto``, so a load holds its arrays once and never a

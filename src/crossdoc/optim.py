@@ -4,7 +4,6 @@ the caller's (``RunConfig.lr_at``)."""
 from __future__ import annotations
 
 import functools
-import mmap
 import weakref
 
 import numpy as np
@@ -49,18 +48,24 @@ class AdamW:
     to a new view of it.  Parameters that already are consecutive
     C-contiguous views of one 1-D buffer, in dict order, keep that buffer
     (``CrossModalModel.create`` builds them so); any other set is copied
-    into a new one.  Only then are the moments allocated, one flat buffer
-    each of the same dtype, with ``m[name]`` and ``v[name]`` views of them.
+    into a new one, and its own arrays are released before the moments
+    exist: one flat buffer each of the same dtype, with ``m[name]`` and
+    ``v[name]`` views of them.  Adopting the model's buffer holds the
+    wide-pretrain peak RSS at 476.6 MB, where packing a copy reads 564.7 MB
+    (3 of 3 pairs on a 2-core x86 box, ``BENCH_perf_debt.json``).
 
     An update has two halves.  The moment half, ``m = b1*m + (1-b1)*g`` and
     ``v = b2*v + ((1-b2)*g)*g``, needs neither the learning rate nor the
     step count, so it runs during ``backward``: the constructor sets each
     parameter's ``grad_hook``, and once each member of a group of whole
     parameters (``_plan_groups``) has its final gradient, the group is
-    checked, folded into the moments and each member's ``grad`` dropped.
-    ``step(lr)`` writes the parameters.  No ``grad`` set by hand, or left by
-    a ``backward`` run before the optimizer existed, is read.  The last
-    optimizer built over a parameter receives its gradients.
+    checked, folded into the moments and each member's ``grad`` dropped, so
+    no step holds every gradient at once: folding every group in ``step``
+    instead raises the wide-pretrain peak RSS from 476.6 to 576.7 MB and
+    ``step_ms`` from 332 to 387 ms (3 of 3 pairs).  ``step(lr)`` writes the
+    parameters.  No ``grad`` set by hand, or left by a ``backward`` run
+    before the optimizer existed, is read.  The last optimizer built over a
+    parameter receives its gradients.
 
     Every parameter needs one gradient of its dtype per step.  A missing
     gradient, one of another dtype, or a second one before ``step`` is a
@@ -102,12 +107,7 @@ class AdamW:
             if not shared:
                 view[...] = p.data
             p.data = self._views[name] = view
-        # Packed parameters' own arrays are released before the moments exist.
-        # The moments are calloc's zero pages, each faulted in by one write
-        # here, so the first step does not pay their faults.
         self._m, self._v = np.zeros(total, dtype), np.zeros(total, dtype)
-        page = mmap.PAGESIZE // self._m.itemsize
-        self._m[::page] = self._v[::page] = 0
         self.m, self.v = {}, {}
         for (name, p), (lo, hi) in zip(self.params.items(), spans):
             self.m[name] = self._m[lo:hi].reshape(p.shape)

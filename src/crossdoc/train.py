@@ -9,7 +9,6 @@ classifier per modality on frozen embeddings.
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
 import time
@@ -93,33 +92,6 @@ def batch_loss(model: CrossModalModel, records: np.ndarray, cfg: RunConfig) -> d
     return cross_modal_contrastive_loss(v_emb, t_emb, labels, cfg.temperature, inter_weight)
 
 
-def _keep_freed_heap() -> None:
-    """Let the memory a step frees stay with the process for the next step.
-
-    glibc hands the top of its heap back to the OS whenever more than its
-    trim threshold (128 KB at start) lies free there, so a desk step frees
-    its graph and faults 1600 to 2500 pages back in on the next step.  This
-    sets glibc's mmap threshold to 16 MB and its trim threshold to 256 MB
-    (mallopt(3); a C library without ``mallopt`` keeps its own policy).  A
-    paper-width step (batch 8) can free more than 32 MB at the heap top, so
-    at a 32 MB trim threshold some heap layouts gave back and re-faulted
-    about 9,000 pages (36 MB, up to 46 ms of system time) in every step.
-
-    With it, a steady-state step faults no page at desk.  At paper width it
-    also rests on ``AdamW`` dropping each gradient during ``backward``,
-    where later arrays reuse its memory: freeing all 130 MB of gradients at
-    once would let glibc trim them, and the next step would fault about 61K
-    pages back in at batch 8.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
-
-
 def pretrain(
     cfg: RunConfig,
     out_dir,
@@ -158,7 +130,6 @@ def pretrain(
     config_text = format_config(cfg)
     save_checkpoint(ckpt_path, 0, config_text, params, opt)
 
-    _keep_freed_heap()
     batch_rng = np.random.default_rng(cfg.seed + 1_000_003)
     start = clock()
     final_loss = math.nan
@@ -229,11 +200,8 @@ def probe(cfg: RunConfig, ckpt_path, splits: Optional[CorpusSplits] = None) -> d
 
     The encoder is rebuilt, in its dtype, from the checkpoint's config echo
     and parameters (its AdamW moments are not read), and its parameters are
-    never updated; only the fresh linear classifiers train.  The heap keeps
-    what each embedding chunk frees, as in ``pretrain``
-    (``_keep_freed_heap``).
+    never updated; only the fresh linear classifiers train.
     """
-    _keep_freed_heap()
     ckpt = load_checkpoint(ckpt_path, moments=False)
     model = CrossModalModel.create(ckpt.config, draw=False)
     model.load_arrays(ckpt.params)

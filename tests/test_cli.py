@@ -330,27 +330,6 @@ def test_probe_embeds_with_a_frozen_encoder(tmp_path, monkeypatch):
     assert trainable and not any(trainable)
 
 
-def test_probe_keeps_freed_heap_before_it_embeds(tmp_path, monkeypatch):
-    """``probe`` sets the heap policy ``pretrain`` sets, before it embeds:
-    under glibc's default trim threshold each embedding chunk faults the
-    pages of the last one's freed arrays back in."""
-    code, out = run(tmp_path, "pretrain", "run", "image_size = 8\n")
-    assert code == 0
-    calls = []
-    real = train.embed_records
-    monkeypatch.setattr(train, "_keep_freed_heap", lambda: calls.append("heap"))
-
-    def spy(model, records):
-        calls.append("embed")
-        return real(model, records)
-
-    monkeypatch.setattr(train, "embed_records", spy)
-    ckpt = ["--ckpt", str(out / "checkpoint.bin")]
-    code, _ = run(tmp_path, "probe", "probe", "image_size = 8\n", ckpt)
-    assert code == 0
-    assert calls == ["heap", "embed", "embed"]
-
-
 @pytest.mark.parametrize("argv, option", [
     (["gradcheck", "--config", "run.txt"], "--config"),
     (["gradcheck", "--preset", "desk"], "--preset"),
