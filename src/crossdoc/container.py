@@ -11,17 +11,6 @@ torn file.  There is no ``fsync``: the rename already makes a process crash
 atomic, surviving power loss is out of scope, and a sync would hold training
 until the disk has taken the whole file (391 MB at paper width).
 
-An array whose stored bytes are all zero is not written: the writer seeks
-past it, leaving a hole that reads back as zeros, and the temporary is
-truncated at the end of the body so that a file ending in a hole keeps its
-full size.  The layout and every byte a reader sees are unchanged; only the
-blocks the filesystem allocates and the pages written back are fewer.  A
-step-0 checkpoint's AdamW moments are all zero.  Without holes, on a 2-core
-x86 box, a paper-width (float32) one allocates 391 MB, not 131, and saves in
-130 ms, not 56; the wide-pretrain ``run_s`` reads 1.73 s, not 1.61, slower
-in 8 of 10 pairs (``BENCH_perf_debt.json``).  The test reads bytes, not
-values, so a ``-0.0`` is written.
-
 Reading streams from the open file: ``Reader.array`` allocates each array and
 fills it with ``readinto``, so a load holds its arrays once and never a
 whole-file buffer besides.  Malformed input of any kind surfaces as a
@@ -119,24 +108,8 @@ class Writer:
 
     def array(self, arr: np.ndarray, dtype: np.dtype | str) -> None:
         """``arr``'s values as ``dtype``; no copy when it already is a
-        C-contiguous array of that dtype.  All-zero bytes become a hole."""
-        raw = _raw(np.ascontiguousarray(arr, dtype=dtype))
-        if _all_zero(raw):
-            self.f.seek(len(raw), os.SEEK_CUR)
-        else:
-            self.f.write(raw)
-
-
-_ZERO_SCAN_FIRST, _ZERO_SCAN_PIECE = 1 << 12, 1 << 20
-
-
-def _all_zero(raw: memoryview) -> bool:
-    """Whether every byte is zero, scanned up to the first nonzero piece, on
-    views of ``raw``: no copy.  The first piece is 4 KiB, which settles most
-    arrays that are not zero; the rest go a MiB at a time."""
-    octets = np.frombuffer(raw, np.uint8)
-    bounds = [0, *range(_ZERO_SCAN_FIRST, octets.size, _ZERO_SCAN_PIECE), octets.size]
-    return not any(octets[lo:hi].any() for lo, hi in zip(bounds, bounds[1:]))
+        C-contiguous array of that dtype."""
+        self.f.write(_raw(np.ascontiguousarray(arr, dtype=dtype)))
 
 
 @contextmanager
@@ -150,7 +123,6 @@ def write_container(path, magic: bytes, version: int) -> Iterator[Writer]:
             f.write(magic)
             writer.pack("<H", version)
             yield writer
-            f.truncate()  # a body that ends in a hole still sets the file size
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

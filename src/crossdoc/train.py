@@ -99,23 +99,24 @@ def pretrain(
     splits: Optional[CorpusSplits] = None,
 ) -> PretrainResult:
     """Optimize the contrastive objective; writes a metrics log and a
-    checkpoint before the first step, every ``checkpoint_every`` steps and
-    after the last step, saving a step that is both once.  The corpus
-    (``splits`` if given, else ``load_corpus``), the model and the optimizer
-    are built before the output directory is created, so a run they reject
-    writes nothing.
+    checkpoint every ``checkpoint_every`` steps and once after the loop
+    unless its last step was just saved, so a 0-step run saves its initial
+    state.  The corpus (``splits`` if given, else ``load_corpus``), the
+    model and the optimizer are built before the output directory is
+    created, so a run they reject writes and deletes nothing; a run they
+    accept first deletes a checkpoint an earlier run left in ``out_dir``.
 
     A numeric failure in a step -- a non-finite loss, or a NaN or inf met
     by the forward, the backward or the optimizer -- aborts the run naming
-    the step, and leaves the last cadence checkpoint in place.  No parameter
-    of the failed step has been written, but ``AdamW`` folds each group of
+    the step and the last saved step, or saying that no checkpoint was
+    written, and leaves that checkpoint in place.  No parameter of the
+    failed step has been written, but ``AdamW`` folds each group of
     gradients into its moments during ``backward``, so the moments of the
     groups folded before the failure have advanced in memory; the checkpoint
-    on disk has not.  Each save
-    writes a temporary file and renames it over the checkpoint, so a crash
-    mid-write also leaves the previous checkpoint whole.  ``clock``
-    exists so tests can pin wall times; the default is the real monotonic
-    clock.
+    on disk has not.  Each save writes a temporary file and renames it over
+    the checkpoint, so a crash mid-write also leaves the previous checkpoint
+    whole.  ``clock`` exists so tests can pin wall times; the default is
+    the real monotonic clock.
     """
     clock = time.perf_counter if clock is None else clock
     if splits is None:
@@ -126,9 +127,10 @@ def pretrain(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ckpt_path = out / CHECKPOINT_NAME
+    ckpt_path.unlink(missing_ok=True)  # an earlier run's: a failure must not leave it behind
     metrics_path = out / METRICS_NAME
     config_text = format_config(cfg)
-    save_checkpoint(ckpt_path, 0, config_text, params, opt)
+    saved_step = None
 
     batch_rng = np.random.default_rng(cfg.seed + 1_000_003)
     start = clock()
@@ -145,16 +147,20 @@ def pretrain(
                 backward(terms["total"])
                 opt.step(lr)
             except NumericError as e:
-                raise NumericError(
-                    f"step {step}: {e}; last checkpoint retained at {ckpt_path}") from e
+                kept = ("no checkpoint written" if saved_step is None
+                        else f"last checkpoint (step {saved_step}) retained at {ckpt_path}")
+                raise NumericError(f"step {step}: {e}; {kept}") from e
             if (step + 1) % cfg.log_every == 0 or step + 1 == cfg.steps:
                 record = {"step": step + 1, "lr": lr,
                           **{name: term.item() for name, term in terms.items()}}
                 record["total_per_anchor"] = record["total"] / cfg.batch_size
                 record["wall_time"] = clock() - start
                 metrics_file.write(json.dumps(record) + "\n")
-            if (step + 1) % cfg.checkpoint_every == 0 or step + 1 == cfg.steps:
+            if (step + 1) % cfg.checkpoint_every == 0:
                 save_checkpoint(ckpt_path, step + 1, config_text, params, opt)
+                saved_step = step + 1
+        if saved_step != cfg.steps:
+            save_checkpoint(ckpt_path, cfg.steps, config_text, params, opt)
     return PretrainResult(ckpt_path, metrics_path, cfg.steps, final_loss)
 
 

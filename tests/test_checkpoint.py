@@ -1,9 +1,7 @@
 """Checkpoint container: round trip, strict reading, an atomic streamed
-write whose all-zero arrays are holes, and a load that holds its arrays
-once."""
+write, and a load that holds its arrays once."""
 
 import io
-import os
 import re
 import tracemalloc
 from dataclasses import replace
@@ -17,7 +15,7 @@ from crossdoc.autodiff import Tensor
 from crossdoc.checkpoint import load_checkpoint, save_checkpoint
 from crossdoc.config import RunConfig, format_config, parse_config
 from crossdoc.container import Writer
-from crossdoc.errors import FormatError
+from crossdoc.errors import FormatError, NumericError
 from crossdoc.model import CrossModalModel
 from crossdoc.optim import AdamW
 
@@ -93,8 +91,7 @@ def test_round_trip_is_bit_exact(saved):
 
 def test_step0_checkpoint_ending_in_zero_moments_keeps_its_size(tmp_path):
     """A step-0 checkpoint's moments are all zero, the file's last array
-    among them: they are not written, yet the file has its full size and
-    reads back bit for bit."""
+    among them: the file has its full size and reads back bit for bit."""
     params = CrossModalModel.create(TINY).parameters()
     opt = adamw(params)
     state = opt.state_arrays()
@@ -111,8 +108,8 @@ def test_step0_checkpoint_ending_in_zero_moments_keeps_its_size(tmp_path):
 
 
 def test_negative_zero_is_written_and_keeps_its_sign(tmp_path):
-    """An array of ``-0.0`` is zero by value but not by bytes: it is
-    written, where a hole would read back ``+0.0``."""
+    """An array of ``-0.0`` is zero by value but not by bytes: it reads
+    back with its sign, not as ``+0.0``."""
     params = {"p": Tensor(np.full((4, 8), -0.0), requires_grad=True)}
     path = tmp_path / "checkpoint.bin"
     save_checkpoint(path, 0, format_config(RunConfig()), params, adamw(params))
@@ -122,44 +119,13 @@ def test_negative_zero_is_written_and_keeps_its_sign(tmp_path):
 
 @pytest.mark.parametrize("size", [100, 4096, 4097, (3 << 20) + 5])
 def test_array_zero_but_its_last_byte_is_written(size):
-    """The zero scan reads past its first piece: an array whose only nonzero
-    byte is its last, in the first piece, just past it or several MiB on, is
-    written in full, not skipped."""
+    """An array that is zero but for its last byte, 100 bytes long, a page,
+    one byte past a page or several MiB, is written in full."""
     arr = np.zeros(size, np.uint8)
     arr[-1] = 1
     f = io.BytesIO()
     Writer(f).array(arr, np.uint8)
     assert f.getvalue() == arr.tobytes()
-
-
-def filesystem_keeps_holes(directory) -> bool:
-    """Whether a file in ``directory`` that skips its first MiB reports a
-    hole there (``SEEK_HOLE`` reports the end of file where holes are not
-    tracked)."""
-    if not hasattr(os, "SEEK_HOLE"):
-        return False
-    probe = directory / "hole_probe"
-    with probe.open("wb") as f:
-        f.seek(MB)
-        f.write(b"\x01")
-    with probe.open("rb") as f:
-        found = os.lseek(f.fileno(), 0, os.SEEK_HOLE)
-    probe.unlink()
-    return found < MB
-
-
-def test_step0_float32_checkpoint_has_a_hole(tmp_path):
-    """The zero moments of a step-0 float32 pretrain are not written: the
-    filesystem reports a hole before the end of the file.  Holes are whole
-    filesystem blocks, so the feed-forward moments are 64 KB each."""
-    if not filesystem_keeps_holes(tmp_path):
-        pytest.skip("the filesystem reports no holes")
-    cfg = replace(TINY_FLOAT32, steps=0, feature_dim=64, hidden_dim=256)
-    path = train.pretrain(cfg, tmp_path / "run").checkpoint_path
-    with path.open("rb") as f:
-        hole = os.lseek(f.fileno(), 0, os.SEEK_HOLE)
-    assert hole < path.stat().st_size
-    assert not any(a.any() for a in load_checkpoint(path).optimizer_arrays.values())
 
 
 @pytest.mark.parametrize("version", [1, 2, 3])
@@ -315,12 +281,11 @@ def test_ablated_checkpoint_holding_dead_stages_refused(saved, capsys):
     assert "missing []" in err and "stack.blocks.0.cross.into_vision.attn.w_q.weight" in err
 
 
-@pytest.mark.parametrize("failure", ["exception", "disk_full", "after_hole"])
+@pytest.mark.parametrize("failure", ["exception", "disk_full"])
 def test_crash_mid_write_keeps_previous_checkpoint(saved, monkeypatch, disk_full_beyond, failure):
     """A save that fails after the parameter section -- an exception while
-    the moments are gathered, a write the disk refuses, or an exception
-    right after a zero moment was skipped -- leaves the previous file whole
-    and no temporary behind."""
+    the moments are gathered, or a write the disk refuses -- leaves the
+    previous file whole and no temporary behind."""
     path, config_text, params, opt = saved
     before = path.read_bytes()
     old_params = {name: p.data.copy() for name, p in params.items()}
@@ -339,26 +304,10 @@ def test_crash_mid_write_keeps_previous_checkpoint(saved, monkeypatch, disk_full
         with pytest.raises(RuntimeError, match="killed mid-write"):
             save_checkpoint(path, 4, config_text, params, opt)
         assert seen_tmp == [True]
-    elif failure == "disk_full":
+    else:
         disk_full_beyond(parameter_section_end(config_text, params))
         with pytest.raises(OSError):
             save_checkpoint(path, 4, config_text, params, opt)
-    else:
-        skipped = []
-        write_array = Writer.array
-
-        def crash_after_hole(self, arr, dtype):
-            write_array(self, arr, dtype)
-            if not arr.any():
-                # the position is past the array, the file ends before it
-                self.f.flush()
-                skipped.append(os.fstat(self.f.fileno()).st_size < self.f.tell())
-                raise RuntimeError("killed after a hole")
-
-        monkeypatch.setattr(Writer, "array", crash_after_hole)
-        with pytest.raises(RuntimeError, match="killed after a hole"):
-            save_checkpoint(path, 0, config_text, params, adamw(params))  # zero moments
-        assert skipped == [True]
     assert not tmp.exists()
     assert path.read_bytes() == before
     ckpt = load_checkpoint(path)
@@ -511,11 +460,12 @@ def test_echo_without_a_dtype_line_probes_as_float64(float32_run, monkeypatch):
 
 
 @pytest.mark.parametrize("steps, every, saved_steps", [
-    (4, 2, [0, 2, 4]), (5, 2, [0, 2, 4, 5]), (0, 2, [0]),
+    (4, 2, [2, 4]), (5, 2, [2, 4, 5]), (0, 2, [0]),
 ], ids=["last_step_on_cadence", "last_step_off_cadence", "no_steps"])
 def test_pretrain_writes_each_checkpoint_once(tmp_path, monkeypatch, steps, every, saved_steps):
-    """One save before the first step, one every ``checkpoint_every`` steps
-    and one after the last step; a last step on the cadence is saved once."""
+    """One save every ``checkpoint_every`` steps and one after the loop,
+    none before the first step; a last step on the cadence is saved once,
+    and a 0-step run saves its initial state."""
     saves = []
     real = train.save_checkpoint
 
@@ -526,3 +476,20 @@ def test_pretrain_writes_each_checkpoint_once(tmp_path, monkeypatch, steps, ever
     monkeypatch.setattr(train, "save_checkpoint", count)
     train.pretrain(replace(TINY, steps=steps, checkpoint_every=every), tmp_path / "run")
     assert saves == saved_steps
+
+
+def test_run_failing_at_its_first_step_leaves_no_checkpoint(tmp_path, monkeypatch):
+    """A run into a directory that holds another run's checkpoint deletes it
+    before its first step, so a failure there leaves no checkpoint that
+    could pass for this run's."""
+    out = tmp_path / "run"
+    train.pretrain(replace(TINY, steps=1), out)
+    assert (out / train.CHECKPOINT_NAME).exists()
+
+    def diverge(*args):
+        raise NumericError("non-finite loss")
+
+    monkeypatch.setattr(train, "batch_loss", diverge)
+    with pytest.raises(NumericError, match="^step 0: non-finite loss; no checkpoint written$"):
+        train.pretrain(replace(TINY, steps=3, seed=1), out)
+    assert not (out / train.CHECKPOINT_NAME).exists()

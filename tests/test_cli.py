@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from crossdoc import cli, data, train
+from crossdoc.checkpoint import load_checkpoint
 from crossdoc.config import parse_config
 from crossdoc.encoders import CLS_ID, NUM_RESERVED_IDS, PAD_ID, SEP_ID
 from crossdoc.errors import ContractError, ShapeError
@@ -431,11 +432,39 @@ def test_invalid_optimizer_field_exits_1_before_any_output(tmp_path, capsys, com
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_run_exits_3(tmp_path, capsys):
+    """No step before the failure is on the checkpoint cadence, so the run
+    has saved nothing, and says so."""
     code, out = run(tmp_path, "pretrain", "run", "steps = 3\nbase_lr = 1e300\n")
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: step ")
-    assert f"last checkpoint retained at {out / 'checkpoint.bin'}" in err
+    assert err.endswith("; no checkpoint written\n")
+    assert not (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_run_names_its_last_checkpoint(tmp_path, capsys):
+    """Saving after every step, a failed run names the step that the
+    checkpoint it leaves holds."""
+    code, out = run(tmp_path, "pretrain", "run",
+                    "steps = 3\nbase_lr = 1e300\ncheckpoint_every = 1\n")
+    assert code == 3
+    err = capsys.readouterr().err
+    path = out / "checkpoint.bin"
+    saved = load_checkpoint(path).step
+    assert saved >= 1
+    assert err.endswith(f"; last checkpoint (step {saved}) retained at {path}\n")
+
+
+def test_rejected_run_keeps_the_previous_checkpoint(tmp_path, capsys):
+    """A run its config rejects writes nothing and deletes nothing, so an
+    earlier run's checkpoint in the same directory stays as it was."""
+    code, out = run(tmp_path, "pretrain", "run")
+    assert code == 0
+    before = (out / "checkpoint.bin").read_bytes()
+    code, _ = run(tmp_path, "pretrain", "run", "beta1 = 1.0\n")
+    assert code == 1
+    assert (out / "checkpoint.bin").read_bytes() == before
 
 
 @pytest.mark.parametrize("error", [ContractError, ShapeError])

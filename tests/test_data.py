@@ -206,8 +206,8 @@ class TestContainer:
         assert sorted(names) == sorted(expected)
 
     def test_gen_corpus_bytes_are_pinned(self, tmp_path):
-        """The desk corpus ``gen-corpus`` writes, by sha256: a writer that
-        turns zero bytes into holes leaves every byte as it was."""
+        """The desk corpus ``gen-corpus`` writes, by sha256: a change to the
+        writer leaves every byte as it was."""
         assert cli.main(["gen-corpus", "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "corpus.bin").read_bytes()).hexdigest()
         assert digest == "7aa2219a0c798eec1750638fe3d319cfab2b894e10e7df15e71b4547a25de648"
