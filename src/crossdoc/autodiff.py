@@ -1,11 +1,12 @@
 """Dense float64 or float32 tensors with reverse-mode differentiation.
 
 Every differentiable quantity in the model flows through :class:`Tensor`.
-Each operation records its output through :func:`_make_node`, with one
-vector-Jacobian product per input; calling :func:`backward` on a scalar
-replays the adjoints in reverse topological order, hands each leaf whose
-gradient is final to its ``grad_hook``, frees the graph as it goes and
-returns the :class:`GradTape` of leaves it reached.
+Each operation records its output through :func:`_make_node`, with its
+inputs and one adjoint that maps the output's gradient to every input's
+contribution at once; calling :func:`backward` on a scalar replays the
+adjoints in reverse topological order, hands each leaf whose gradient is
+final to its ``grad_hook``, frees the graph as it goes and returns the
+:class:`GradTape` of leaves it reached.
 
 Every op takes its operands as Tensors; ``Tensor(...)`` is the one place
 an array, list or scalar enters the graph.
@@ -95,31 +96,36 @@ def _noop() -> None:
     return None
 
 
-def _make_node(data: np.ndarray, op: str, *edges: tuple[Tensor, Callable]) -> Tensor:
-    """Record one op: its forward value and, per input, a vector-Jacobian product.
+def _make_node(data: np.ndarray, op: str, parents: Sequence[Tensor],
+               adjoint: Callable[[np.ndarray], Sequence]) -> Tensor:
+    """Record one op: its forward value, its parents and its adjoint.
 
-    Each edge is ``(parent, vjp)``; ``vjp(g)`` maps the output's gradient to
-    that parent's contribution before unbroadcasting.  Only parents that
-    require grad are recorded, and only their vjps run.  The node takes the
-    dtype of its first recorded parent and each contribution its parent's
-    dtype, so a float64 constant never widens a float32 graph (both casts are
-    no-ops in float64).  vjps close over arrays, never over the output: the
-    adjoint installed here is the one closure that refers to its node, until
+    ``adjoint(g)`` maps the output's gradient to one contribution per
+    parent, in ``parents`` order, before unbroadcasting; it runs once per
+    backward.  Only parents that require grad are recorded and receive
+    their contribution, in that order; a constant parent's is dropped, and
+    an adjoint may give ``None`` for it.  An adjoint that gives the wrong
+    number of contributions raises.  The node takes the dtype of its first
+    recorded parent and each contribution its parent's dtype, so a float64
+    constant never widens a float32 graph (both casts are no-ops in
+    float64).  Adjoints close over arrays, never over the output: the
+    closure installed here is the one that refers to its node, until
     ``backward`` replaces it.
     """
     out = Tensor(data)
     out.op = op
-    edges = tuple((p, vjp) for p, vjp in edges if p.requires_grad)
-    if edges:
-        out.data = out.data.astype(edges[0][0].data.dtype, copy=False)
+    slots = tuple(p if p.requires_grad else None for p in parents)
+    recorded = tuple(p for p in slots if p is not None)
+    if recorded:
+        out.data = out.data.astype(recorded[0].data.dtype, copy=False)
         out.requires_grad = True
-        out._parents = tuple(p for p, _ in edges)
+        out._parents = recorded
 
         def _bw():
-            g = out.grad
-            for parent, vjp in edges:
-                parent.accumulate_grad(
-                    _unbroadcast(vjp(g), parent.shape).astype(parent.data.dtype, copy=False))
+            for parent, g in zip(slots, adjoint(out.grad), strict=True):
+                if parent is not None:
+                    parent.accumulate_grad(
+                        _unbroadcast(g, parent.shape).astype(parent.data.dtype, copy=False))
 
         out._backward = _bw
     return out
@@ -224,50 +230,50 @@ def backward(loss: Tensor) -> GradTape:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _make_node(a.data + b.data, "add", (a, lambda g: g), (b, lambda g: g))
+    return _make_node(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _make_node(a.data - b.data, "sub", (a, lambda g: g), (b, lambda g: -g))
+    return _make_node(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     x, y = a.data, b.data
-    return _make_node(x * y, "mul", (a, lambda g: g * y), (b, lambda g: g * x))
+    return _make_node(x * y, "mul", (a, b), lambda g: (g * y, g * x))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     x, y = a.data, b.data
-    return _make_node(x / y, "div", (a, lambda g: g / y), (b, lambda g: -g * x / (y * y)))
+    return _make_node(x / y, "div", (a, b), lambda g: (g / y, -g * x / (y * y)))
 
 
 def neg(a: Tensor) -> Tensor:
-    return _make_node(-a.data, "neg", (a, lambda g: -g))
+    return _make_node(-a.data, "neg", (a,), lambda g: (-g,))
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
     """Multiply by a plain python scalar."""
     factor = float(factor)
-    return _make_node(a.data * factor, "scale", (a, lambda g: g * factor))
+    return _make_node(a.data * factor, "scale", (a,), lambda g: (g * factor,))
 
 
 def exp(a: Tensor) -> Tensor:
     y = np.exp(a.data)
-    return _make_node(y, "exp", (a, lambda g: g * y))
+    return _make_node(y, "exp", (a,), lambda g: (g * y,))
 
 
 def log(a: Tensor) -> Tensor:
     x = a.data
     if np.any(x <= 0.0):
         raise NumericError("log of non-positive value")
-    return _make_node(np.log(x), "log", (a, lambda g: g / x))
+    return _make_node(np.log(x), "log", (a,), lambda g: (g / x,))
 
 
 def sqrt(a: Tensor) -> Tensor:
     if np.any(a.data < 0.0):
         raise NumericError("sqrt of negative value")
     y = np.sqrt(a.data)
-    return _make_node(y, "sqrt", (a, lambda g: g * 0.5 / y))
+    return _make_node(y, "sqrt", (a,), lambda g: (g * 0.5 / y,))
 
 
 # Cephes ``ndtr.c`` (S. L. Moshier) coefficients, highest power first; a
@@ -344,89 +350,81 @@ def gelu(a: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     The forward runs ``matmul``'s operations, then GELU's, so the value and
     every gradient are those of a ``matmul`` node followed by a GELU node,
     to the bit.  The node keeps GELU's derivative at ``s``, computed in the
-    forward and only when some edge requires grad, and the dense edges'
-    ``a``: neither ``s`` nor its CDF outlives the forward.  The edges are
-    ``a``, ``weight`` and ``bias``, as ``matmul``'s; each maps
-    ``g * derivative``, computed once per backward.
+    forward and only when some parent requires grad, and ``a``: neither
+    ``s`` nor its CDF outlives the forward.  The parents are ``a``,
+    ``weight`` and ``bias``, as ``matmul``'s; the adjoint maps ``g *
+    derivative`` through ``_dense``'s.
     """
-    shared = {}
-
-    def ds(g):
-        # Called only in the backward, once ``derivative`` exists.
-        if not shared:
-            shared["ds"] = g * derivative
-        return shared["ds"]
-
-    s, edges = _dense("gelu", a, weight, bias, ds)
+    s, parents, dense = _dense("gelu", a, weight, bias)
     cdf = 0.5 * (1.0 + _erf(s * _INV_SQRT2))
-    if a.requires_grad or weight.requires_grad or bias.requires_grad:
+    if any(p.requires_grad for p in parents):
         derivative = _gelu_derivative(s, cdf)
-    return _make_node(s * cdf, "gelu", *edges)
+    return _make_node(s * cdf, "gelu", parents, lambda g: dense(g * derivative))
 
 
 # ---------------------------------------------------------------------------
 # linear algebra and shape ops
 # ---------------------------------------------------------------------------
 
-def _dense(op: str, a: Tensor, b: Tensor, bias: Tensor | None,
-           adjoint: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, list]:
-    """``a @ b``, plus ``bias`` if given, and its edges: a stack of rows
-    times one matrix.
+def _dense(op: str, a: Tensor, b: Tensor, bias: Tensor | None
+           ) -> tuple[np.ndarray, tuple[Tensor, ...], Callable[[np.ndarray], tuple]]:
+    """``a @ b``, plus ``bias`` if given: a stack of rows times one matrix.
 
     ``b`` is (k, n) and ``a`` is (..., k); the leading axes of ``a`` fold
     into the row axis, so the forward and both adjoints are one 2-d GEMM
     each, and the weight gradient is ``a2.T @ g2`` rather than a per-batch
     stack reduced by ``_unbroadcast``.  A ``bias`` of shape (n,) is added in
-    place to the GEMM output.  The edges are ``a``, ``b`` and the bias if
-    given; each reads ``adjoint(g)``, the gradient of the output given that
-    of the node (``op``, also named in a shape error) that records them.
+    place to the GEMM output.  Returns the value, its parents ``a``, ``b``
+    and the bias if given, and ``dense(ds)``, their contributions given
+    ``ds``, the gradient of the value; ``a``'s is ``None``, and its GEMM
+    skipped, when ``a`` is constant.  ``op`` names the node that records
+    them in a shape error.
     """
     if a.ndim < 1 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"{op} needs (..., k) @ (k, n) operands, got {a.shape} @ {b.shape}")
     x, w = a.data, b.data
     k, n = w.shape
     out = (x.reshape(-1, k) @ w).reshape(x.shape[:-1] + (n,))
-    # ``x`` is re-flattened in the adjoint rather than captured flat, so a
-    # non-contiguous ``x`` does not keep a row copy alive for the graph's
-    # lifetime.
-    edges = [
-        (a, lambda g: (adjoint(g).reshape(-1, n) @ w.T).reshape(x.shape)),
-        (b, lambda g: x.reshape(-1, k).T @ adjoint(g).reshape(-1, n)),
-    ]
+    parents = (a, b)
     if bias is not None:
         if bias.shape != (n,):
             raise ShapeError(f"{op} bias must have shape ({n},), got {bias.shape}")
         out += bias.data
-        edges.append((bias, adjoint))
-    return out, edges
+        parents += (bias,)
+    need_a = a.requires_grad
 
+    def dense(ds):
+        # ``x`` is re-flattened here rather than captured flat, so a
+        # non-contiguous ``x`` does not keep a row copy alive for the
+        # graph's lifetime.
+        d2 = ds.reshape(-1, n)
+        da = (d2 @ w.T).reshape(x.shape) if need_a else None
+        return (da, x.reshape(-1, k).T @ d2, ds)[:len(parents)]
 
-def _identity(g: np.ndarray) -> np.ndarray:
-    return g
+    return out, parents, dense
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """``a @ b``, plus ``bias`` if given, as one node (see ``_dense``): a
-    dense layer ``x @ W + b`` is one node, its bias the third edge."""
-    out, edges = _dense("matmul", a, b, bias, _identity)
-    return _make_node(out, "matmul", *edges)
+    dense layer ``x @ W + b`` is one node, its bias the third parent."""
+    out, parents, dense = _dense("matmul", a, b, bias)
+    return _make_node(out, "matmul", parents, dense)
 
 
 def transpose_last2(a: Tensor) -> Tensor:
     if a.ndim < 2:
         raise ShapeError(f"transpose_last2 needs >=2-d input, got {a.shape}")
-    return _make_node(
-        np.swapaxes(a.data, -1, -2), "transpose_last2", (a, lambda g: np.swapaxes(g, -1, -2))
-    )
+    return _make_node(np.swapaxes(a.data, -1, -2), "transpose_last2", (a,),
+                      lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     old = a.shape
-    return _make_node(a.data.reshape(shape), "reshape", (a, lambda g: g.reshape(old)))
+    return _make_node(a.data.reshape(shape), "reshape", (a,), lambda g: (g.reshape(old),))
 
 
 def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
-    return _make_node(np.broadcast_to(a.data, shape).copy(), "broadcast_to", (a, lambda g: g))
+    return _make_node(np.broadcast_to(a.data, shape).copy(), "broadcast_to", (a,), lambda g: (g,))
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -439,12 +437,12 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     index = (slice(None),) * axis + (slice(start, start + length),)
     x = a.data
 
-    def vjp(g):
+    def adjoint(g):
         full = np.zeros_like(x)
         full[index] = g
-        return full
+        return (full,)
 
-    return _make_node(x[index].copy(), "narrow", (a, vjp))
+    return _make_node(x[index].copy(), "narrow", (a,), adjoint)
 
 
 def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
@@ -454,16 +452,14 @@ def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
     data = np.concatenate([p.data for p in parts], axis=axis)
     ax = axis % data.ndim
     offsets = np.cumsum([0] + [p.shape[ax] for p in parts])
-    edges = []
-    for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-        index = (slice(None),) * ax + (slice(lo, hi),)
-        edges.append((p, lambda g, index=index: g[index]))
-    return _make_node(data, "concat", *edges)
+    indices = [(slice(None),) * ax + (slice(lo, hi),) for lo, hi in zip(offsets[:-1], offsets[1:])]
+    return _make_node(data, "concat", parts, lambda g: tuple(g[index] for index in indices))
 
 
 def _gather(op: str, table: Tensor, indices) -> tuple[np.ndarray, Callable]:
     """Rows of a 2-d table, of shape indices.shape + (row_dim,), and the
-    table's vjp: the gradient rows scatter-added, so a repeated index sums."""
+    table's contribution given theirs: the gradient rows scatter-added, so
+    a repeated index sums."""
     if table.ndim != 2:
         raise ShapeError(f"{op} table must be 2-d, got {table.shape}")
     idx = np.asarray(indices)
@@ -471,29 +467,29 @@ def _gather(op: str, table: Tensor, indices) -> tuple[np.ndarray, Callable]:
         raise ShapeError(f"{op} index out of range for table {table.shape}")
     t = table.data
 
-    def vjp(g):
+    def scatter(g):
         full = np.zeros_like(t)
         np.add.at(full, idx.reshape(-1), g.reshape(-1, t.shape[1]))
         return full
 
-    return t[idx], vjp
+    return t[idx], scatter
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
     """Look up rows of a 2-d table; output shape is indices.shape + (row_dim,)."""
-    rows, vjp = _gather("gather_rows", table, indices)
-    return _make_node(rows, "gather_rows", (table, vjp))
+    rows, scatter = _gather("gather_rows", table, indices)
+    return _make_node(rows, "gather_rows", (table,), lambda g: (scatter(g),))
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     shape = a.shape
 
-    def vjp(g):
+    def adjoint(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, shape).copy()
+        return (np.broadcast_to(g, shape).copy(),)
 
-    return _make_node(a.data.sum(axis=axis, keepdims=keepdims), "sum", (a, vjp))
+    return _make_node(a.data.sum(axis=axis, keepdims=keepdims), "sum", (a,), adjoint)
 
 
 def _softmax_parts(x: np.ndarray, op: str) -> tuple[np.ndarray, np.ndarray]:
@@ -517,15 +513,14 @@ def _softmax_parts(x: np.ndarray, op: str) -> tuple[np.ndarray, np.ndarray]:
 def softmax_last(a: Tensor) -> Tensor:
     """Softmax over the final axis (see ``_softmax_parts``)."""
     y, _ = _softmax_parts(a.data, "softmax_last")
-    return _make_node(
-        y, "softmax_last", (a, lambda g: (g - np.sum(g * y, axis=-1, keepdims=True)) * y)
-    )
+    return _make_node(y, "softmax_last", (a,),
+                      lambda g: ((g - np.sum(g * y, axis=-1, keepdims=True)) * y,))
 
 
 def logsumexp_last(a: Tensor) -> Tensor:
     """log(sum(exp(x))) over the final axis, stabilized; -inf entries drop out."""
     softmax, lse = _softmax_parts(a.data, "logsumexp_last")
-    return _make_node(lse[..., 0], "logsumexp_last", (a, lambda g: g[..., None] * softmax))
+    return _make_node(lse[..., 0], "logsumexp_last", (a,), lambda g: (g[..., None] * softmax,))
 
 
 # ---------------------------------------------------------------------------
@@ -542,34 +537,23 @@ def layer_norm_last(h: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor, beta
     The forward runs ``matmul``'s operations, then the layer norm's, so the
     value is that of a ``matmul`` node followed by a layer norm, to the bit.
     The s adjoint is the closed form ``inv * (gg - mean(gg) - xhat *
-    mean(gg * xhat))`` with ``gg = g * gamma`` (Ba et al. 2016), computed
-    once per backward; the ``h``, weight and bias edges map it as
-    ``matmul``'s do, and the residual receives it as it is.  The node keeps
-    ``h``, ``xhat`` and ``inv``: the projection and the sum ``s``, which no
-    adjoint reads, do not outlive the forward.
+    mean(gg * xhat))`` with ``gg = g * gamma`` (Ba et al. 2016); ``_dense``'s
+    adjoint maps it to ``h``, weight and bias, and the residual receives it
+    as it is.  The node keeps ``h``, ``xhat`` and ``inv``: the projection
+    and the sum ``s``, which no adjoint reads, do not outlive the forward.
 
-    The edges are ``h``, ``gamma``, ``beta``, the residual if given, then
+    The parents are ``h``, ``gamma``, ``beta``, the residual if given, then
     ``weight`` and ``bias``, so the backward walk reaches the residual's
     subgraph and the leaves in the order a layer norm node over a
     ``matmul`` node gives them.
     """
-    gam, shared = gamma.data, {}
-
-    def ds(g):
-        # Called only in the backward, once ``xhat`` and ``inv`` exist.
-        if not shared:
-            gg = g * gam
-            shared["ds"] = inv * (gg - gg.mean(axis=-1, keepdims=True)
-                                  - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
-        return shared["ds"]
-
-    s, (h_edge, *dense_edges) = _dense("layer_norm", h, weight, bias, ds)
-    edges = [h_edge, (gamma, lambda g: g * xhat), (beta, lambda g: g)]
+    s, _, dense = _dense("layer_norm", h, weight, bias)
+    residuals = ()
     if residual is not None:
         if residual.shape != s.shape:
             raise ShapeError(f"layer_norm residual {residual.shape} does not match {s.shape}")
         s = s + residual.data
-        edges.append((residual, ds))
+        residuals = (residual,)
     n = s.shape[-1]
     mu = s.sum(axis=-1, keepdims=True) * (1.0 / n)
     centered = s - mu
@@ -577,7 +561,17 @@ def layer_norm_last(h: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor, beta
     std = np.sqrt(var + eps)
     xhat = centered / std
     inv = 1.0 / std
-    return _make_node(xhat * gam + beta.data, "layer_norm", *edges, *dense_edges)
+    gam = gamma.data
+
+    def adjoint(g):
+        gg = g * gam
+        ds = inv * (gg - gg.mean(axis=-1, keepdims=True)
+                    - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+        dh, dweight, dbias = dense(ds)
+        return (dh, g * xhat, g) + (ds,) * len(residuals) + (dweight, dbias)
+
+    return _make_node(xhat * gam + beta.data, "layer_norm",
+                      (h, gamma, beta, *residuals, weight, bias), adjoint)
 
 
 def gate(updated: Tensor, previous: Tensor) -> Tensor:
@@ -585,14 +579,14 @@ def gate(updated: Tensor, previous: Tensor) -> Tensor:
     self-attention stage's gate.
 
     The value is that of a ``mul`` node followed by an ``add`` node, to the
-    bit, and so is every gradient: the edges are ``previous`` (the sum's
+    bit, and so is every gradient: the parents are ``previous`` (the sum's
     contribution), ``updated``, then ``previous`` again (the product's), the
     order in which the two nodes' adjoints sum them.  The product, which no
     adjoint reads, is not kept.
     """
     u, p = updated.data, previous.data
-    return _make_node(u * p + p, "gate",
-                      (previous, _identity), (updated, lambda g: g * p), (previous, lambda g: g * u))
+    return _make_node(u * p + p, "gate", (previous, updated, previous),
+                      lambda g: (g, g * p, g * u))
 
 
 def embed_patches(patches: Tensor, weight: Tensor, bias: Tensor, cls_row: Tensor,
@@ -606,16 +600,16 @@ def embed_patches(patches: Tensor, weight: Tensor, bias: Tensor, cls_row: Tensor
     an ``add`` of ``positions``, to the bit, and so is every gradient: the
     leading axes are summed out by ``_unbroadcast``, as the chain's did.
     The node keeps ``patches``: the projection and the concatenated rows do
-    not outlive the forward.  The edges are ``positions``, ``cls_row``,
+    not outlive the forward.  The parents are ``positions``, ``cls_row``,
     then ``patches``, ``weight`` and ``bias``, so the backward walk reaches
     the parameters in the chain's order.
     """
-    proj, dense_edges = _dense("embed_patches", patches, weight, bias, lambda g: g[..., 1:, :])
+    proj, dense_parents, dense = _dense("embed_patches", patches, weight, bias)
     lead = proj.shape[:-2]
     rows = np.concatenate([np.broadcast_to(cls_row.data, lead + cls_row.shape), proj], axis=-2)
     rows += positions.data
-    return _make_node(rows, "embed_patches",
-                      (positions, _identity), (cls_row, lambda g: g[..., :1, :]), *dense_edges)
+    return _make_node(rows, "embed_patches", (positions, cls_row, *dense_parents),
+                      lambda g: (g, g[..., :1, :], *dense(g[..., 1:, :])))
 
 
 def embed_tokens(table: Tensor, indices, positions: Tensor) -> Tensor:
@@ -624,12 +618,13 @@ def embed_tokens(table: Tensor, indices, positions: Tensor) -> Tensor:
 
     The value and every gradient are those of a ``gather_rows`` node and an
     ``add`` of ``positions``, to the bit.  The node keeps the indices; the
-    gathered rows do not outlive the forward.  The edges are ``positions``,
-    then ``table``, the order the chain's backward reached them in.
+    gathered rows do not outlive the forward.  The parents are
+    ``positions``, then ``table``, the order the chain's backward reached
+    them in.
     """
-    rows, vjp = _gather("embed_tokens", table, indices)
+    rows, scatter = _gather("embed_tokens", table, indices)
     rows += positions.data
-    return _make_node(rows, "embed_tokens", (positions, _identity), (table, vjp))
+    return _make_node(rows, "embed_tokens", (positions, table), lambda g: (g, scatter(g)))
 
 
 def _head_view(x: np.ndarray, num_heads: int) -> np.ndarray:
@@ -671,22 +666,14 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
         scores = scores + key_bias[..., None, None, :]
     att, _ = _softmax_parts(scores, "attention_heads")
 
-    shared = {}
+    def adjoint(g):
+        gh = _head_view(g, num_heads)
+        datt = gh @ vh.swapaxes(-1, -2)
+        dscores = (datt - np.sum(datt * att, axis=-1, keepdims=True)) * att * factor
+        return (_merge_heads(dscores @ kh), _merge_heads(dscores.swapaxes(-1, -2) @ qh),
+                _merge_heads(att.swapaxes(-1, -2) @ gh))
 
-    def dscores(g):
-        # The softmax adjoint, computed once per backward for the q and k edges.
-        if not shared:
-            datt = _head_view(g, num_heads) @ vh.swapaxes(-1, -2)
-            shared["ds"] = (datt - np.sum(datt * att, axis=-1, keepdims=True)) * att * factor
-        return shared["ds"]
-
-    out = _make_node(
-        _merge_heads(att @ vh), "attention",
-        (q, lambda g: _merge_heads(dscores(g) @ kh)),
-        (k, lambda g: _merge_heads(dscores(g).swapaxes(-1, -2) @ qh)),
-        (v, lambda g: _merge_heads(att.swapaxes(-1, -2) @ _head_view(g, num_heads))),
-    )
-    return out, att
+    return _make_node(_merge_heads(att @ vh), "attention", (q, k, v), adjoint), att
 
 
 def contrastive_sum(sim: Tensor, weights: np.ndarray, temperature: float) -> Tensor:
@@ -705,10 +692,8 @@ def contrastive_sum(sim: Tensor, weights: np.ndarray, temperature: float) -> Ten
     np.fill_diagonal(denom, -np.inf)
     softmax, lse = _softmax_parts(denom, "contrastive_sum")
     row_weight = weights.sum(axis=-1, keepdims=True)
-    return _make_node(
-        -np.sum((scaled - lse) * weights), "contrastive_sum",
-        (sim, lambda g: g * ((row_weight * softmax - weights) * (1.0 / temperature))),
-    )
+    return _make_node(-np.sum((scaled - lse) * weights), "contrastive_sum", (sim,),
+                      lambda g: (g * ((row_weight * softmax - weights) * (1.0 / temperature)),))
 
 
 def cross_entropy_mean(logits: Tensor, one_hot: np.ndarray) -> Tensor:
@@ -722,11 +707,12 @@ def cross_entropy_mean(logits: Tensor, one_hot: np.ndarray) -> Tensor:
     softmax, lse = _softmax_parts(x, "cross_entropy")
     true_logit = np.sum(x * one_hot, axis=-1)
 
-    def vjp(g):
+    def adjoint(g):
         scaled = g * factor
-        return scaled * softmax - scaled * one_hot
+        return (scaled * softmax - scaled * one_hot,)
 
-    return _make_node(np.sum(lse[..., 0] - true_logit) * factor, "cross_entropy", (logits, vjp))
+    return _make_node(np.sum(lse[..., 0] - true_logit) * factor, "cross_entropy", (logits,),
+                      adjoint)
 
 
 # ---------------------------------------------------------------------------

@@ -109,18 +109,15 @@ class SyntheticCorpusSpec:
         return lo, lo + self.block_size
 
     def class_templates(self) -> np.ndarray:
-        """Per-class patch-grid intensities in [0.1, 0.9], pairwise distinct."""
+        """Per-class patch-grid intensities, uniform in [0.1, 0.9].
+
+        A template has at least 4 draws (rows >= 3 makes the grid at least
+        2x2), so two templates agree within 1e-6 everywhere with probability
+        below 1e-13, even at the largest u16 class count: they are distinct
+        without a check."""
         rng = np.random.default_rng(self.corpus_seed)
         grid = (self.layout.grid, self.layout.grid, self.layout.channels)
-        while True:
-            templates = rng.uniform(0.1, 0.9, size=(self.classes,) + grid)
-            flat = templates.reshape(self.classes, -1)
-            distinct = all(
-                np.max(np.abs(flat[i] - flat[j])) > 1e-6
-                for i in range(self.classes) for j in range(i + 1, self.classes)
-            )
-            if distinct:
-                return templates
+        return rng.uniform(0.1, 0.9, size=(self.classes,) + grid)
 
 
 def record_dtype(layout: DocumentLayout) -> np.dtype:

@@ -175,8 +175,9 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
          lambda r: squared(layer_norm(ln, identity, x_ln, residual=r)), x_residual),
     ]
 
-    # The post-norm step's dense edges, on a 3-d input with a residual, and
-    # the gate's ``previous`` edges, with the update held constant.
+    # The post-norm step's dense weight and bias, on a 3-d input with a
+    # residual, and the gate's ``previous`` parent (both of its
+    # contributions), with the update held constant.
     post = LinearParams(Tensor(rng.normal(size=(d, d)), requires_grad=True),
                         Tensor(rng.normal(size=d), requires_grad=True))
     x_post, r_post = (Tensor(rng.normal(size=(batch, rows, d))) for _ in range(2))
@@ -193,10 +194,10 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
 
     cross_target = Tensor(rng.normal(size=(rows, d)))
 
-    # The feed-forward node's dense edges, on a 3-d input, and every encoder
-    # parameter, from a batch of raw pixels and of token ids, some ids
-    # repeated so that the table's scatter-add sums.  Each entry's input is
-    # the parameter itself, which its readout reads in place.
+    # The feed-forward node's dense weight and bias, on a 3-d input, and
+    # every encoder parameter, from a batch of raw pixels and of token ids,
+    # some ids repeated so that the table's scatter-add sums.  Each entry's
+    # input is the parameter itself, which its readout reads in place.
     def param(*shape):
         return Tensor(rng.normal(size=shape), requires_grad=True)
 

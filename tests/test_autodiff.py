@@ -298,6 +298,45 @@ class TestBackward:
         assert np.all(np.isfinite(b.grad))
 
 
+class TestMakeNode:
+    """The one node constructor: parents, then one adjoint that gives every
+    parent's contribution at once."""
+
+    def test_adjoint_runs_once_per_backward_for_three_parents(self):
+        a, b, c = (ad.Tensor([1.0, 2.0], requires_grad=True) for _ in range(3))
+        calls = []
+
+        def adjoint(g):
+            calls.append(g)
+            return g, 2.0 * g, 3.0 * g
+
+        node = ad._make_node(a.data + 2.0 * b.data + 3.0 * c.data, "affine", (a, b, c), adjoint)
+        assert node._parents == (a, b, c)
+        ad.backward(ad.tensor_sum(node))
+        assert len(calls) == 1
+        for parent, factor in ((a, 1.0), (b, 2.0), (c, 3.0)):
+            np.testing.assert_array_equal(parent.grad, [factor, factor])
+
+    def test_a_constant_parent_is_not_recorded_and_gets_no_grad(self):
+        constant = ad.Tensor([3.0, 4.0])
+        x = ad.Tensor([1.0, 2.0], requires_grad=True)
+        node = ad._make_node(constant.data * x.data, "mul", (constant, x),
+                             lambda g: (g * x.data, g * constant.data))
+        assert node._parents == (x,)
+        ad.backward(ad.tensor_sum(node))
+        assert constant.grad is None
+        np.testing.assert_array_equal(x.grad, [3.0, 4.0])
+        only_constants = ad._make_node(constant.data, "scale", (constant,), lambda g: (g,))
+        assert not only_constants.requires_grad and only_constants._parents == ()
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_an_adjoint_giving_the_wrong_number_of_contributions_raises(self, count):
+        x, y = (ad.Tensor([1.0, 2.0], requires_grad=True) for _ in range(2))
+        node = ad._make_node(x.data + y.data, "add", (x, y), lambda g: (g,) * count)
+        with pytest.raises(ValueError):
+            ad.backward(ad.tensor_sum(node))
+
+
 class TestGradTape:
     def test_replay_visits_each_node_exactly_once(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
@@ -740,13 +779,13 @@ def _matmul_then_layer_norm(h, weight, bias, gamma, beta, eps, residual):
     inv = 1.0 / std
     gam = gamma.data
 
-    def vjp_x(g):
+    def adjoint(g):
         gg = g * gam
-        return inv * (gg - gg.mean(axis=-1, keepdims=True)
-                      - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+        ds = inv * (gg - gg.mean(axis=-1, keepdims=True)
+                    - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+        return ds, g * xhat, g, ds
 
-    return ad._make_node(xhat * gam + beta.data, "layer_norm", (x, vjp_x),
-                         (gamma, lambda g: g * xhat), (beta, lambda g: g), (residual, vjp_x))
+    return ad._make_node(xhat * gam + beta.data, "layer_norm", (x, gamma, beta, residual), adjoint)
 
 
 def _matmul_then_gelu(x, weight, bias):
@@ -757,11 +796,11 @@ def _matmul_then_gelu(x, weight, bias):
     s = x.data
     cdf = 0.5 * (1.0 + ad._erf(s * ad._INV_SQRT2))
 
-    def vjp(g):
+    def adjoint(g):
         pdf = np.exp(-0.5 * s * s) * ad._INV_SQRT2PI
-        return g * (cdf + s * pdf)
+        return (g * (cdf + s * pdf),)
 
-    return ad._make_node(s * cdf, "gelu", (x, vjp))
+    return ad._make_node(s * cdf, "gelu", (x,), adjoint)
 
 
 def _patches_chain(patches, weight, bias, cls_row, positions):

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from crossdoc import autodiff, cli, gradcheck
+from crossdoc.config import RunConfig
+from crossdoc.data import make_batch
 from crossdoc.errors import ConfigError
 from crossdoc.gradcheck import gradcheck_report, render_gradcheck_report
+from crossdoc.model import CrossModalModel
+from crossdoc.train import batch_loss, load_corpus
 
 ENTRIES = [
     "multi_head_attention", "cross_attention_block", "gated_self_attention", "projection_head",
@@ -81,40 +85,77 @@ def test_a_check_whose_forward_overflows_fails_the_audit(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[1].endswith(f"FAIL {message}")
 
 
-@pytest.mark.parametrize("op, edge, entry", [
-    ("matmul", 1, "linear.weight"), ("matmul", 2, "linear.bias"),
-    ("layer_norm", 1, "layer_norm.gamma"), ("layer_norm", 2, "layer_norm.beta"),
-    ("layer_norm", 3, "layer_norm.residual"),
-    ("layer_norm", 0, "layer_norm"), ("layer_norm", 4, "layer_norm.dense.weight"),
-    ("layer_norm", 5, "layer_norm.dense.bias"),
-    ("gate", 0, "gated_self_attention.previous"), ("gate", 1, "gated_self_attention"),
-    ("gate", 2, "gated_self_attention.previous"),
-    ("attention", 0, "cross_attention_block"),
-    ("gelu", 0, "projection_head"), ("gelu", 1, "feed_forward.weight"),
-    ("gelu", 2, "feed_forward.bias"),
-    ("embed_patches", 0, "patch_embed.positions"), ("embed_patches", 1, "patch_embed.cls_row"),
-    ("embed_patches", 3, "patch_embed.weight"), ("embed_patches", 4, "patch_embed.bias"),
-    ("embed_tokens", 0, "token_embed.positions"), ("embed_tokens", 1, "token_embed.table"),
-])
+# Each (op, parent index) pair a desk training step records, mapped to the
+# entry that fails when that parent's contribution is halved.
+AUDITED = {
+    ("matmul", 1): "linear.weight", ("matmul", 2): "linear.bias",
+    ("layer_norm", 1): "layer_norm.gamma", ("layer_norm", 2): "layer_norm.beta",
+    ("layer_norm", 3): "layer_norm.residual",
+    ("layer_norm", 0): "layer_norm", ("layer_norm", 4): "layer_norm.dense.weight",
+    ("layer_norm", 5): "layer_norm.dense.bias",
+    ("gate", 0): "gated_self_attention.previous", ("gate", 1): "gated_self_attention",
+    ("gate", 2): "gated_self_attention.previous",
+    ("attention", 0): "cross_attention_block",
+    ("gelu", 0): "projection_head", ("gelu", 1): "feed_forward.weight",
+    ("gelu", 2): "feed_forward.bias",
+    ("embed_patches", 0): "patch_embed.positions", ("embed_patches", 1): "patch_embed.cls_row",
+    ("embed_patches", 3): "patch_embed.weight", ("embed_patches", 4): "patch_embed.bias",
+    ("embed_tokens", 0): "token_embed.positions", ("embed_tokens", 1): "token_embed.table",
+    ("add", 0): "cross_modal_contrastive_loss", ("add", 1): "cross_modal_contrastive_loss",
+    ("scale", 0): "cross_modal_contrastive_loss",
+    ("transpose_last2", 0): "cross_modal_contrastive_loss",
+    ("attention", 1): "gated_self_attention", ("attention", 2): "gated_self_attention",
+    ("contrastive_sum", 0): "intra_modality_term",
+    ("div", 0): "projection_head", ("div", 1): "projection_head",
+    ("mul", 0): "projection_head", ("mul", 1): "projection_head",
+    ("sqrt", 0): "projection_head", ("sum", 0): "projection_head",
+    ("matmul", 0): "projection_head",
+    ("narrow", 0): "full_stack_loss", ("reshape", 0): "full_stack_loss",
+}
+
+
+@pytest.mark.parametrize("op, edge, entry",
+                         [(op, edge, entry) for (op, edge), entry in AUDITED.items()])
 def test_a_halved_parameter_adjoint_fails_the_audit(monkeypatch, capsys, op, edge, entry):
-    """Halve one edge's vector-Jacobian product -- a parameter's, the
-    layer norm's input or residual, one of the gate's, the feed-forward
-    node's input, an encoder parameter's, or the vision sub-layer's
-    queries, which only the ``cross_attention_block`` entry's ``v_out``
-    readout reaches: the entry that differentiates with respect to that
-    input fails, and so does the command.  Only that entry runs: the real list's entry, built in the
-    real list's random stream."""
+    """Halve the contribution one parent of every ``op`` node receives, where
+    that parent requires grad: the entry that differentiates through it
+    fails, and so does the command.  Only that entry runs, the real list's
+    entry, built in the real list's random stream."""
     checks = [check for check in gradcheck._standard_checks() if check[0] == entry]
     monkeypatch.setattr(gradcheck, "_standard_checks", lambda: checks)
     make_node = autodiff._make_node
 
-    def halved(data, node_op, *edges):
-        if node_op == op and len(edges) > edge:
-            parent, vjp = edges[edge]
-            edges = (*edges[:edge], (parent, lambda g: 0.5 * vjp(g)), *edges[edge + 1:])
-        return make_node(data, node_op, *edges)
+    def halve(grads):
+        grads = list(grads)
+        grads[edge] = 0.5 * grads[edge]
+        return grads
+
+    def halved(data, node_op, parents, adjoint):
+        if node_op == op and len(parents) > edge and parents[edge].requires_grad:
+            return make_node(data, node_op, parents, lambda g: halve(adjoint(g)))
+        return make_node(data, node_op, parents, adjoint)
 
     monkeypatch.setattr(autodiff, "_make_node", halved)
     assert cli.main(["gradcheck"]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if line.startswith(f"{entry} ")][0].endswith("FAIL")
+
+
+def test_every_pair_a_training_step_records_is_audited(monkeypatch):
+    """One desk step graph, under the four-term and the ``scl`` objective,
+    records only (op, parent index) pairs that ``AUDITED`` names, so a new
+    fused op cannot land without a halved-contribution case."""
+    recorded = set()
+    make_node = autodiff._make_node
+
+    def census(data, op, parents, adjoint):
+        recorded.update((op, i) for i, parent in enumerate(parents) if parent.requires_grad)
+        return make_node(data, op, parents, adjoint)
+
+    monkeypatch.setattr(autodiff, "_make_node", census)
+    for loss_mode in ("cross", "scl"):
+        cfg = RunConfig(seed=1, loss_mode=loss_mode)
+        _, splits = load_corpus(cfg, cfg.layout())
+        records = make_batch(splits.train, cfg.batch_size, np.random.default_rng(0))
+        batch_loss(CrossModalModel.create(cfg), records, cfg)
+    assert sorted(recorded - AUDITED.keys()) == []
