@@ -2,7 +2,7 @@
 
 Subcommands, each with only the options it reads:
     pretrain    --config --preset --seed --out
-    probe       --config --preset --seed --ckpt
+    probe       --config --preset --ckpt    (the classifiers start at zero: no seed)
     ablate      --config --preset --out    (each run's seed is from ablate_seeds)
     gen-corpus  --config --preset --out    (the corpus reads corpus_seed)
     gradcheck   none: the audit reads no run config
@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", type=Path, default=Path("runs/out"), help="output directory")
 
     sub.add_parser("pretrain", parents=[config, seed, out], help="optimize the contrastive objective")
-    p_probe = sub.add_parser("probe", parents=[config, seed], help="linear probing on frozen embeddings")
+    p_probe = sub.add_parser("probe", parents=[config], help="linear probing on frozen embeddings")
     p_probe.add_argument("--ckpt", type=Path, required=True, help="checkpoint to probe")
     sub.add_parser("ablate", parents=[config, out], help="attention/objective ablation grid")
     sub.add_parser("gradcheck", help="finite-difference gradient audit")

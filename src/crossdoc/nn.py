@@ -154,10 +154,10 @@ def multi_head_attention(
     return context
 
 
-def l2_normalize(x: Tensor, min_norm: float = 1e-12) -> Tensor:
-    """Scale trailing-axis vectors to unit length; zero vectors are degenerate."""
+def l2_normalize(x: Tensor) -> Tensor:
+    """Scale trailing-axis vectors to unit length; a norm below 1e-12 is degenerate."""
     norm = ad.sqrt(ad.tensor_sum(ad.mul(x, x), axis=-1, keepdims=True))
-    if np.any(norm.data < min_norm):
+    if np.any(norm.data < 1e-12):
         raise NumericError("cannot normalize a (near-)zero embedding")
     return ad.div(x, norm)
 

@@ -177,14 +177,14 @@ def embed_records(model: CrossModalModel, records: np.ndarray):
     return np.concatenate(vs), np.concatenate(ts), np.concatenate(ys)
 
 
-def _fit_linear_probe(
-    train_x: np.ndarray, train_y: np.ndarray,
-    test_x: np.ndarray, test_y: np.ndarray, cfg: RunConfig, seed: int,
-) -> float:
+def _fit_linear_probe(train_x: np.ndarray, train_y: np.ndarray,
+                      test_x: np.ndarray, test_y: np.ndarray, cfg: RunConfig) -> float:
     """Train a linear classifier on frozen features, one output per class
-    up to the largest label in ``train_y``; return test top-1."""
-    rng = np.random.default_rng(seed)
-    clf = LinearParams.create(rng, train_x.shape[1], int(train_y.max()) + 1)
+    up to the largest label in ``train_y``, from zero weight and bias:
+    softmax regression is convex, so the fit needs no seed.  Return test top-1."""
+    width = int(train_y.max()) + 1
+    clf = LinearParams(Tensor(np.zeros((train_x.shape[1], width)), requires_grad=True),
+                       Tensor(np.zeros(width), requires_grad=True))
     opt = AdamW(
         {"probe.weight": clf.weight, "probe.bias": clf.bias},
         (cfg.beta1, cfg.beta2), cfg.adam_eps, weight_decay=0.0,
@@ -220,8 +220,8 @@ def probe(cfg: RunConfig, ckpt_path, splits: Optional[CorpusSplits] = None) -> d
     v_train, t_train, y_train = embed_records(model, splits.train)
     v_test, t_test, y_test = embed_records(model, splits.test)
     return {
-        "vision": _fit_linear_probe(v_train, y_train, v_test, y_test, cfg, cfg.seed + 11),
-        "text": _fit_linear_probe(t_train, y_train, t_test, y_test, cfg, cfg.seed + 12),
+        "vision": _fit_linear_probe(v_train, y_train, v_test, y_test, cfg),
+        "text": _fit_linear_probe(t_train, y_train, t_test, y_test, cfg),
     }
 
 

@@ -337,14 +337,16 @@ def test_probe_embeds_with_a_frozen_encoder(tmp_path, monkeypatch):
     (["gradcheck", "--seed", "1"], "--seed"),
     (["gradcheck", "--out", "runs/x"], "--out"),
     (["probe", "--ckpt", "checkpoint.bin", "--out", "runs/x"], "--out"),
+    (["probe", "--ckpt", "checkpoint.bin", "--seed", "1"], "--seed"),
     (["ablate", "--seed", "1"], "--seed"),
     (["gen-corpus", "--seed", "1"], "--seed"),
 ], ids=["gradcheck_config", "gradcheck_preset", "gradcheck_seed", "gradcheck_out",
-        "probe_out", "ablate_seed", "gen_corpus_seed"])
+        "probe_out", "probe_seed", "ablate_seed", "gen_corpus_seed"])
 def test_option_the_command_does_not_read_is_refused(capsys, argv, option):
-    """The audit reads no run config, ``probe`` writes no files, and
-    ``ablate`` and ``gen-corpus`` take their seeds from ``ablate_seeds`` and
-    ``corpus_seed``: each option they would ignore is a usage error."""
+    """The audit reads no run config, ``probe`` writes no files and fits
+    its classifiers from zero, and ``ablate`` and ``gen-corpus`` take their
+    seeds from ``ablate_seeds`` and ``corpus_seed``: each option they would
+    ignore is a usage error."""
     with pytest.raises(SystemExit) as exit_info:
         cli.main(argv)
     assert exit_info.value.code == 2

@@ -188,9 +188,9 @@ def test_run_settings_have_their_default_in_run_config_only(name):
     assert [p.name for p in parameters if p.default is not p.empty] == []
 
 
-def config_error_scopes(path: Path) -> list[str]:
-    """The qualified name of the class and function around each ``raise``
-    of a ``ConfigError`` in the source file ``path`` ("" at module level)."""
+def scopes_where(path: Path, matches) -> list[str]:
+    """The qualified name of the class and function around each node of the
+    source file ``path`` that ``matches`` ("" at module level)."""
     scopes = []
 
     def visit(node, scope):
@@ -198,13 +198,27 @@ def config_error_scopes(path: Path) -> list[str]:
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Raise) and child.exc is not None and any(
-                    isinstance(n, ast.Name) and n.id == "ConfigError" for n in ast.walk(child.exc)):
+            if matches(child):
                 scopes.append(".".join(scope))
             visit(child, scope)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), [])
     return scopes
+
+
+def config_error_scopes(path: Path) -> list[str]:
+    """The scope of each ``raise`` of a ``ConfigError`` in ``path``."""
+    return scopes_where(path, lambda node: isinstance(node, ast.Raise) and node.exc is not None and any(
+        isinstance(n, ast.Name) and n.id == "ConfigError" for n in ast.walk(node.exc)))
+
+
+def is_generator_call(node) -> bool:
+    return isinstance(node, ast.Call) and ast.unparse(node.func).endswith("default_rng")
+
+
+def is_seed_read(node) -> bool:
+    """An attribute ``.seed`` loaded; a ``seed=`` keyword is no read."""
+    return isinstance(node, ast.Attribute) and node.attr == "seed" and isinstance(node.ctx, ast.Load)
 
 
 # Library code that takes run settings RunConfig has already checked.
@@ -234,6 +248,24 @@ def test_config_errors_are_raised_by_config_and_corpus_header_only():
               for scope in config_error_scopes(path)}
     assert raised <= {"encoders.py:DocumentLayout.__post_init__",
                       "data.py:SyntheticCorpusSpec.__post_init__"}
+
+
+def test_run_seed_is_read_by_the_model_draw_and_the_batch_order_only():
+    """A generator or a seed read anywhere else would make a result, such
+    as a probe's, depend on more than the checkpoint and the settings it
+    names.  The corpus (``data.py``, from ``corpus_seed``) and the audit
+    draw from their own generators; the run seed reaches
+    ``CrossModalModel.create`` and ``pretrain``'s batch order, through
+    ``resolve_config``'s ``--seed``."""
+    src = Path(crossdoc.__file__).parent
+    draws = {f"{path.name}:{scope}" for path in sorted(src.glob("*.py"))
+             if path.name not in ("data.py", "gradcheck.py")
+             for scope in scopes_where(path, is_generator_call)}
+    reads = {f"{path.name}:{scope}" for path in sorted(src.glob("*.py"))
+             for scope in scopes_where(path, is_seed_read)}
+    assert "train.py:pretrain" in draws and "cli.py:resolve_config" in reads
+    seeded = {"model.py:CrossModalModel.create", "train.py:pretrain"}
+    assert (draws - seeded, reads - seeded - {"cli.py:resolve_config"}) == (set(), set())
 
 
 def test_model_seed_comes_from_the_config():

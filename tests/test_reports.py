@@ -62,12 +62,13 @@ def test_text_table_has_one_line_per_variant_and_metric(ablation):
 
 
 def test_probe_prints_the_keys_of_a_run_entry(ablation, tmp_path, capsys):
-    """``crossdoc probe`` of an ablation run's checkpoint, under that run's
-    seed, prints the run's entry without its seed, in its order."""
+    """``crossdoc probe`` of an ablation run's checkpoint, under a config
+    seed other than that run's, prints the run's entry without its seed, in
+    its order: the probe reads no seed."""
     table, out = ablation
     run = table["rows"][-1]["runs"][1]
     config = tmp_path / "run.txt"
-    config.write_text(format_config(replace(TINY, seed=run["seed"])))
+    config.write_text(format_config(replace(TINY, seed=run["seed"] + 5)))
     ckpt = out / f"{table['rows'][-1]['variant']}_seed{run['seed']}" / train.CHECKPOINT_NAME
     capsys.readouterr()
     assert cli.main(["probe", "--config", str(config), "--ckpt", str(ckpt)]) == 0
@@ -145,15 +146,45 @@ def test_probe_classifier_has_one_output_per_label_it_fits(monkeypatch):
     """Its width comes from the labels, not from ``classes``: a probe fitted
     on labels 0 and 1 of a 4-class config has two outputs."""
     widths = []
-    real = train.LinearParams.create
+    real = train.linear
 
-    def spy(rng, d_in, d_out):
-        widths.append(d_out)
-        return real(rng, d_in, d_out)
+    def spy(p, x):
+        widths.append(p.weight.shape)
+        return real(p, x)
 
-    monkeypatch.setattr(train.LinearParams, "create", spy)
+    monkeypatch.setattr(train, "linear", spy)
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=(8, 3)), np.array([0, 1] * 4)
-    accuracy = train._fit_linear_probe(x, y, x, y, TINY, seed=0)
-    assert TINY.classes == 4 and widths == [2]
+    accuracy = train._fit_linear_probe(x, y, x, y, TINY)
+    assert TINY.classes == 4 and set(widths) == {(3, 2)}
     assert 0.0 <= accuracy <= 1.0
+
+
+def test_probe_fit_is_the_same_on_a_second_call():
+    """The classifier starts at zero, so a fit has no draw to differ by."""
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=(40, 5)), rng.integers(0, 3, size=40)
+    test_x, test_y = rng.normal(size=(20, 5)), rng.integers(0, 3, size=20)
+    first = train._fit_linear_probe(x, y, test_x, test_y, RunConfig())
+    assert 0.0 < first < 1.0
+    assert train._fit_linear_probe(x, y, test_x, test_y, RunConfig()) == first
+
+
+def test_probe_scores_separable_clusters_perfectly():
+    """Oracle: two clusters split by the sign of the first feature, each
+    symmetric in the second, score every held-out point right."""
+    train_x = np.array([[2.0, 1.0], [2.0, -1.0], [3.0, 0.0], [-2.0, 1.0], [-2.0, -1.0], [-3.0, 0.0]])
+    test_x = np.array([[1.0, 4.0], [4.0, -2.0], [-1.0, -4.0], [-4.0, 2.0]])
+    accuracy = train._fit_linear_probe(
+        train_x, np.array([0, 0, 0, 1, 1, 1]), test_x, np.array([0, 0, 1, 1]), RunConfig())
+    assert accuracy == 1.0
+
+
+def test_probe_record_does_not_depend_on_the_config_seed(tmp_path):
+    """On a noisy corpus, where a short fit from a seeded draw scored
+    differently per seed, the probe of one checkpoint gives one record
+    under config seeds 0 and 7."""
+    cfg = RunConfig(steps=0, pixel_noise=1.0, token_corruption=0.9, probe_steps=30)
+    ckpt = train.pretrain(cfg, tmp_path / "run").checkpoint_path
+    record = train.probe(cfg, ckpt)
+    assert train.probe(replace(cfg, seed=7), ckpt) == record
