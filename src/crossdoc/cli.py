@@ -2,7 +2,7 @@
 
 Subcommands, each with only the options it reads:
     pretrain    --config --preset --seed --out
-    probe       --config --preset --ckpt    (the classifiers start at zero: no seed)
+    probe       --ckpt    (every setting is the checkpoint's config echo)
     ablate      --config --preset --out    (each run's seed is from ablate_seeds)
     gen-corpus  --config --preset --out    (the corpus reads corpus_seed)
     gradcheck   none: the audit reads no run config
@@ -42,8 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", type=Path, default=Path("runs/out"), help="output directory")
 
     sub.add_parser("pretrain", parents=[config, seed, out], help="optimize the contrastive objective")
-    p_probe = sub.add_parser("probe", parents=[config], help="linear probing on frozen embeddings")
-    p_probe.add_argument("--ckpt", type=Path, required=True, help="checkpoint to probe")
+    sub.add_parser("probe", help="linear probing on frozen embeddings").add_argument(
+        "--ckpt", type=Path, required=True, help="checkpoint to probe")
     sub.add_parser("ablate", parents=[config, out], help="attention/objective ablation grid")
     sub.add_parser("gradcheck", help="finite-difference gradient audit")
     sub.add_parser("gen-corpus", parents=[config, out], help="generate and write a corpus container")
@@ -65,6 +65,10 @@ def run(args) -> int:
         print(render_gradcheck_report(report), end="")
         return 0 if all(entry.passed for entry in report) else 3
 
+    if args.command == "probe":
+        print(json.dumps(probe(args.ckpt)))
+        return 0
+
     cfg = resolve_config(args)
 
     if args.command == "pretrain":
@@ -72,10 +76,6 @@ def run(args) -> int:
         print(f"checkpoint: {result.checkpoint_path}")
         print(f"metrics:    {result.metrics_path}")
         print(f"final loss: {result.final_loss:.6f} after {result.steps} steps")
-        return 0
-
-    if args.command == "probe":
-        print(json.dumps(probe(cfg, args.ckpt)))
         return 0
 
     if args.command == "ablate":

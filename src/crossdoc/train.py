@@ -29,7 +29,6 @@ from .data import (
     make_batch,
     read_corpus,
 )
-from .encoders import DocumentLayout
 from .errors import DataError, NumericError
 from .losses import cross_entropy, cross_modal_contrastive_loss
 from .model import CrossModalModel
@@ -59,27 +58,26 @@ class PretrainResult:
     final_loss: float
 
 
-def load_corpus(cfg: RunConfig, layout: DocumentLayout) -> tuple[SyntheticCorpusSpec, CorpusSplits]:
-    """Read the configured corpus container, or generate one inline; its
-    documents must have the model's ``layout``.  A corpus file's train split
+def load_corpus(cfg: RunConfig) -> tuple[SyntheticCorpusSpec, CorpusSplits]:
+    """Read the configured corpus container, or generate one inline.  A
+    corpus file's documents must have the configured layout, its train split
     must hold two classes or more, as ``make_batch`` needs, and its test
     split a record or more, as the probe needs."""
-    if cfg.corpus_path:
-        spec, splits = read_corpus(cfg.corpus_path)
-        where = f"corpus file {cfg.corpus_path}"
-        if spec.classes != cfg.classes:
-            raise DataError(f"{where} has {spec.classes} classes but config says {cfg.classes}")
-        train_classes = len(np.unique(splits.train["label"]))
-        if train_classes < 2:
-            raise DataError(
-                f"{where}: the train split holds {train_classes} class(es), and a batch needs two")
-        if not len(splits.test):
-            raise DataError(f"{where}: the test split holds 0 records, and the probe needs one")
-    else:
+    if not cfg.corpus_path:
         spec = cfg.corpus_spec()
-        splits = generate_corpus(spec)
-    if spec.layout != layout:
-        raise DataError(f"corpus has {spec.layout} but the model expects {layout}")
+        return spec, generate_corpus(spec)
+    spec, splits = read_corpus(cfg.corpus_path)
+    where = f"corpus file {cfg.corpus_path}"
+    if spec.classes != cfg.classes:
+        raise DataError(f"{where} has {spec.classes} classes but config says {cfg.classes}")
+    train_classes = len(np.unique(splits.train["label"]))
+    if train_classes < 2:
+        raise DataError(
+            f"{where}: the train split holds {train_classes} class(es), and a batch needs two")
+    if not len(splits.test):
+        raise DataError(f"{where}: the test split holds 0 records, and the probe needs one")
+    if spec.layout != cfg.layout():
+        raise DataError(f"{where} has {spec.layout} but the model expects {cfg.layout()}")
     return spec, splits
 
 
@@ -120,7 +118,7 @@ def pretrain(
     """
     clock = time.perf_counter if clock is None else clock
     if splits is None:
-        _, splits = load_corpus(cfg, cfg.layout())
+        _, splits = load_corpus(cfg)
     model = CrossModalModel.create(cfg)
     params = model.parameters()
     opt = AdamW(params, (cfg.beta1, cfg.beta2), cfg.adam_eps, cfg.weight_decay)
@@ -198,25 +196,26 @@ def _fit_linear_probe(train_x: np.ndarray, train_y: np.ndarray,
     return float((logits.argmax(axis=1) == test_y).mean())
 
 
-def probe(cfg: RunConfig, ckpt_path, splits: Optional[CorpusSplits] = None) -> dict[str, float]:
-    """Frozen-feature linear probing on ``splits``, or on the configured
+def probe(ckpt_path, splits: Optional[CorpusSplits] = None) -> dict[str, float]:
+    """Frozen-feature linear probing on ``splits``, or on the checkpoint's
     corpus: ``{"vision": ..., "text": ...}``, each modality's test top-1
     accuracy.  Every report takes its metrics from this record, in its
     order: ``ablate``'s runs, means and text table, and ``crossdoc probe``.
 
-    The encoder is rebuilt, in its dtype, from the checkpoint's config echo
-    and parameters (its AdamW moments are not read), and its parameters are
-    never updated; only the fresh linear classifiers train.
+    Every setting comes from the checkpoint's config echo: the encoder (in
+    its dtype, from the echo and the parameters, not the AdamW moments),
+    the corpus and the classifiers' fit.  Only the fresh classifiers train.
     """
     ckpt = load_checkpoint(ckpt_path, moments=False)
-    model = CrossModalModel.create(ckpt.config, draw=False)
+    cfg = ckpt.config
+    model = CrossModalModel.create(cfg, draw=False)
     model.load_arrays(ckpt.params)
     del ckpt  # the model holds its own copy of the parameters
     for param in model.parameters().values():
         param.requires_grad = False  # frozen: embedding records no graph
 
     if splits is None:
-        _, splits = load_corpus(cfg, model.layout)  # its classes are cfg.classes
+        _, splits = load_corpus(cfg)
     v_train, t_train, y_train = embed_records(model, splits.train)
     v_test, t_test, y_test = embed_records(model, splits.test)
     return {
@@ -233,7 +232,7 @@ def ablate(cfg: RunConfig, out_dir, clock: Optional[Callable[[], float]] = None)
     every metric of ``probe``'s record, then each metric's seed mean as
     ``<metric>_mean``.
     """
-    _, splits = load_corpus(cfg, cfg.layout())
+    _, splits = load_corpus(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -246,7 +245,7 @@ def ablate(cfg: RunConfig, out_dir, clock: Optional[Callable[[], float]] = None)
             )
             run_dir = out / f"{name}_seed{seed}"
             result = pretrain(run_cfg, run_dir, clock=clock, splits=splits)
-            runs.append({"seed": int(seed), **probe(run_cfg, result.checkpoint_path, splits=splits)})
+            runs.append({"seed": int(seed), **probe(result.checkpoint_path, splits=splits)})
         rows.append({
             "variant": name,
             "cross_attention": use_cross,

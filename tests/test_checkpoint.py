@@ -378,7 +378,7 @@ def probe_dtypes(monkeypatch, ckpt_path):
         return real(model, records)
 
     monkeypatch.setattr(train, "embed_records", spy)
-    train.probe(TINY_FLOAT32, ckpt_path)
+    train.probe(ckpt_path)
     return seen
 
 

@@ -1,6 +1,7 @@
-"""The command line: a corpus or checkpoint whose document layout does not
-match the model is a data error (exit 2) before any file is written, and
-every other error class ends in its documented exit code."""
+"""The command line: a corpus file whose document layout does not match the
+config is a data error (exit 2) before any file is written, and every other
+error class ends in its documented exit code.  ``train.load_corpus`` holds
+the layout check, for ``probe`` too, whose config is the checkpoint's echo."""
 
 import struct
 from dataclasses import fields
@@ -33,8 +34,7 @@ def run(tmp_path, command, name, extra="", args=()):
     config = tmp_path / f"{name}.txt"
     config.write_text("".join(f"{key} = {value}\n" for key, value in lines.items()))
     out = tmp_path / name
-    out_args = [] if command == "probe" else ["--out", str(out)]  # probe writes no files
-    return cli.main([command, "--config", str(config), *out_args, *args]), out
+    return cli.main([command, "--config", str(config), "--out", str(out), *args]), out
 
 
 @pytest.mark.parametrize("corpus_fields, run_fields", [
@@ -246,8 +246,7 @@ def test_probe_of_an_unopenable_checkpoint_exits_2(tmp_path, capsys, target):
     ckpt = tmp_path / "ckpt"
     if target == "directory":
         ckpt.mkdir()
-    code, _ = run(tmp_path, "probe", "probe", "", ["--ckpt", str(ckpt)])
-    assert code == 2
+    assert cli.main(["probe", "--ckpt", str(ckpt)]) == 2
     assert capsys.readouterr().err.startswith(f"data error: cannot open checkpoint {ckpt}: ")
 
 
@@ -302,16 +301,36 @@ def test_pretrain_on_a_missing_corpus_exits_2_before_any_output(tmp_path, capsys
     assert not out.exists()
 
 
-def test_probe_checkpoint_of_another_layout(tmp_path, capsys):
-    code, out = run(tmp_path, "pretrain", "small", "image_size = 8\n")
+def pretrain_on_a_corpus_file(tmp_path):
+    """A ``gen-corpus`` file and the checkpoint pretrained on it."""
+    code, corpus_dir = run(tmp_path, "gen-corpus", "corpus")
     assert code == 0
-    ckpt = ["--ckpt", str(out / "checkpoint.bin")]
-    code, _ = run(tmp_path, "probe", "probe_small", "image_size = 8\n", ckpt)
+    corpus = corpus_dir / "corpus.bin"
+    code, out = run(tmp_path, "pretrain", "run", f"corpus_path = {corpus}\n")
+    assert code == 0
+    return corpus, out / "checkpoint.bin"
+
+
+def test_probe_of_a_corpus_file_regenerated_at_another_layout_exits_2(tmp_path, capsys):
+    """The probe checks the corpus file its checkpoint's echo names against
+    the echo's layout, not against a layout of its own."""
+    _, ckpt = pretrain_on_a_corpus_file(tmp_path)
+    code, _ = run(tmp_path, "gen-corpus", "corpus", "image_size = 8\n")
     assert code == 0
     capsys.readouterr()
-    code, _ = run(tmp_path, "probe", "probe_default", "", ckpt)
-    assert code == 2
+    assert cli.main(["probe", "--ckpt", str(ckpt)]) == 2
     assert "DocumentLayout" in capsys.readouterr().err
+
+
+def test_probe_of_a_checkpoint_whose_corpus_file_is_gone_exits_2(tmp_path, capsys):
+    """The echo's corpus file is the one the probe reads: with it deleted,
+    the probe does not fall back to a generated corpus."""
+    corpus, ckpt = pretrain_on_a_corpus_file(tmp_path)
+    corpus.unlink()
+    capsys.readouterr()
+    assert cli.main(["probe", "--ckpt", str(ckpt)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: cannot open corpus file {corpus}: No such file or directory\n")
 
 
 def test_probe_embeds_with_a_frozen_encoder(tmp_path, monkeypatch):
@@ -325,9 +344,7 @@ def test_probe_embeds_with_a_frozen_encoder(tmp_path, monkeypatch):
         return real(model, records, *args, **kwargs)
 
     monkeypatch.setattr(train, "embed_records", spy)
-    ckpt = ["--ckpt", str(out / "checkpoint.bin")]
-    code, _ = run(tmp_path, "probe", "probe", "image_size = 8\n", ckpt)
-    assert code == 0
+    assert cli.main(["probe", "--ckpt", str(out / "checkpoint.bin")]) == 0
     assert trainable and not any(trainable)
 
 
@@ -338,15 +355,18 @@ def test_probe_embeds_with_a_frozen_encoder(tmp_path, monkeypatch):
     (["gradcheck", "--out", "runs/x"], "--out"),
     (["probe", "--ckpt", "checkpoint.bin", "--out", "runs/x"], "--out"),
     (["probe", "--ckpt", "checkpoint.bin", "--seed", "1"], "--seed"),
+    (["probe", "--config", "run.txt", "--ckpt", "checkpoint.bin"], "--config"),
+    (["probe", "--preset", "desk", "--ckpt", "checkpoint.bin"], "--preset"),
     (["ablate", "--seed", "1"], "--seed"),
     (["gen-corpus", "--seed", "1"], "--seed"),
 ], ids=["gradcheck_config", "gradcheck_preset", "gradcheck_seed", "gradcheck_out",
-        "probe_out", "probe_seed", "ablate_seed", "gen_corpus_seed"])
+        "probe_out", "probe_seed", "probe_config", "probe_preset", "ablate_seed",
+        "gen_corpus_seed"])
 def test_option_the_command_does_not_read_is_refused(capsys, argv, option):
-    """The audit reads no run config, ``probe`` writes no files and fits
-    its classifiers from zero, and ``ablate`` and ``gen-corpus`` take their
-    seeds from ``ablate_seeds`` and ``corpus_seed``: each option they would
-    ignore is a usage error."""
+    """The audit reads no run config, ``probe`` writes no files and takes
+    every setting from the checkpoint's config echo, and ``ablate`` and
+    ``gen-corpus`` take their seeds from ``ablate_seeds`` and
+    ``corpus_seed``: each option they would ignore is a usage error."""
     with pytest.raises(SystemExit) as exit_info:
         cli.main(argv)
     assert exit_info.value.code == 2

@@ -86,7 +86,7 @@ def test_a_check_whose_forward_overflows_fails_the_audit(monkeypatch, capsys):
 
 
 # Each (op, parent index) pair a desk training step records, mapped to the
-# entry that fails when that parent's contribution is halved.
+# entry that fails when that parent's contribution is halved or scaled by 1.01.
 AUDITED = {
     ("matmul", 1): "linear.weight", ("matmul", 2): "linear.bias",
     ("layer_norm", 1): "layer_norm.gamma", ("layer_norm", 2): "layer_norm.beta",
@@ -114,28 +114,30 @@ AUDITED = {
 }
 
 
-@pytest.mark.parametrize("op, edge, entry",
-                         [(op, edge, entry) for (op, edge), entry in AUDITED.items()])
-def test_a_halved_parameter_adjoint_fails_the_audit(monkeypatch, capsys, op, edge, entry):
-    """Halve the contribution one parent of every ``op`` node receives, where
-    that parent requires grad: the entry that differentiates through it
-    fails, and so does the command.  Only that entry runs, the real list's
-    entry, built in the real list's random stream."""
+@pytest.mark.parametrize("op, edge, entry, factor", [
+    pytest.param(op, edge, entry, factor, id=f"{op}-{edge}-{entry}{suffix}")
+    for factor, suffix in ((0.5, ""), (1.01, "-1.01")) for (op, edge), entry in AUDITED.items()])
+def test_a_halved_parameter_adjoint_fails_the_audit(monkeypatch, capsys, op, edge, entry, factor):
+    """Scale the contribution one parent of every ``op`` node receives, where
+    that parent requires grad, by ``factor``: halved, or off by the 1% a
+    wrong constant leaves.  The entry that differentiates through it fails,
+    and so does the command.  Only that entry runs, the real list's entry,
+    built in the real list's random stream."""
     checks = [check for check in gradcheck._standard_checks() if check[0] == entry]
     monkeypatch.setattr(gradcheck, "_standard_checks", lambda: checks)
     make_node = autodiff._make_node
 
-    def halve(grads):
+    def scale(grads):
         grads = list(grads)
-        grads[edge] = 0.5 * grads[edge]
+        grads[edge] = factor * grads[edge]
         return grads
 
-    def halved(data, node_op, parents, adjoint):
+    def scaled(data, node_op, parents, adjoint):
         if node_op == op and len(parents) > edge and parents[edge].requires_grad:
-            return make_node(data, node_op, parents, lambda g: halve(adjoint(g)))
+            return make_node(data, node_op, parents, lambda g: scale(adjoint(g)))
         return make_node(data, node_op, parents, adjoint)
 
-    monkeypatch.setattr(autodiff, "_make_node", halved)
+    monkeypatch.setattr(autodiff, "_make_node", scaled)
     assert cli.main(["gradcheck"]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if line.startswith(f"{entry} ")][0].endswith("FAIL")
@@ -155,7 +157,7 @@ def test_every_pair_a_training_step_records_is_audited(monkeypatch):
     monkeypatch.setattr(autodiff, "_make_node", census)
     for loss_mode in ("cross", "scl"):
         cfg = RunConfig(seed=1, loss_mode=loss_mode)
-        _, splits = load_corpus(cfg, cfg.layout())
+        _, splits = load_corpus(cfg)
         records = make_batch(splits.train, cfg.batch_size, np.random.default_rng(0))
         batch_loss(CrossModalModel.create(cfg), records, cfg)
     assert sorted(recorded - AUDITED.keys()) == []

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from crossdoc import cli, train
-from crossdoc.config import RunConfig, format_config
+from crossdoc.config import RunConfig
 
 TINY = RunConfig(feature_dim=8, num_heads=2, hidden_dim=8, embed_dim=4, image_size=8,
                  samples_per_class=10, batch_size=4, steps=2, log_every=1, probe_steps=2,
@@ -61,17 +61,15 @@ def test_text_table_has_one_line_per_variant_and_metric(ablation):
     assert [line.split() for line in lines[1:]] == expected
 
 
-def test_probe_prints_the_keys_of_a_run_entry(ablation, tmp_path, capsys):
-    """``crossdoc probe`` of an ablation run's checkpoint, under a config
-    seed other than that run's, prints the run's entry without its seed, in
-    its order: the probe reads no seed."""
+def test_probe_prints_the_keys_of_a_run_entry(ablation, capsys):
+    """``crossdoc probe`` of an ablation run's checkpoint prints the run's
+    entry without its seed, in its order: the probe reads only the
+    checkpoint's config echo."""
     table, out = ablation
     run = table["rows"][-1]["runs"][1]
-    config = tmp_path / "run.txt"
-    config.write_text(format_config(replace(TINY, seed=run["seed"] + 5)))
     ckpt = out / f"{table['rows'][-1]['variant']}_seed{run['seed']}" / train.CHECKPOINT_NAME
     capsys.readouterr()
-    assert cli.main(["probe", "--config", str(config), "--ckpt", str(ckpt)]) == 0
+    assert cli.main(["probe", "--ckpt", str(ckpt)]) == 0
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 1
     assert list(json.loads(printed[0]).items()) == [(k, v) for k, v in run.items() if k != "seed"]
@@ -114,11 +112,9 @@ def test_a_new_probe_metric_reaches_every_report(tmp_path, monkeypatch, capsys):
     assert [line.split()[-2:] for line in lines if line.split()[4] == "extra"] == [
         ["extra", "0.5000"]] * len(train.ABLATION_VARIANTS)
 
-    config = tmp_path / "run.txt"
-    config.write_text(format_config(cfg))
     ckpt = tmp_path / "ablate" / "full_seed0" / train.CHECKPOINT_NAME
     capsys.readouterr()
-    assert cli.main(["probe", "--config", str(config), "--ckpt", str(ckpt)]) == 0
+    assert cli.main(["probe", "--ckpt", str(ckpt)]) == 0
     assert list(json.loads(capsys.readouterr().out)) == ["vision", "text", "extra"]
 
 
@@ -136,7 +132,7 @@ def test_probe_fits_on_the_train_split_and_scores_the_test_split(tmp_path, monke
         return real(model, records)
 
     monkeypatch.setattr(train, "embed_records", spy)
-    train.probe(cfg, ckpt)
+    train.probe(ckpt)
     assert [len(records) for records in embedded] == [320, 80]
     np.testing.assert_array_equal(embedded[0], splits.train)
     np.testing.assert_array_equal(embedded[1], splits.test)
@@ -180,11 +176,15 @@ def test_probe_scores_separable_clusters_perfectly():
     assert accuracy == 1.0
 
 
-def test_probe_record_does_not_depend_on_the_config_seed(tmp_path):
-    """On a noisy corpus, where a short fit from a seeded draw scored
-    differently per seed, the probe of one checkpoint gives one record
-    under config seeds 0 and 7."""
+def test_crossdoc_probe_scores_the_corpus_the_checkpoint_was_pretrained_on(tmp_path, capsys):
+    """``crossdoc probe --ckpt`` alone, on a checkpoint pretrained on a
+    noisy corpus, prints ``train.probe``'s record of that checkpoint, which
+    is not its record on the clean default corpus."""
     cfg = RunConfig(steps=0, pixel_noise=1.0, token_corruption=0.9, probe_steps=30)
     ckpt = train.pretrain(cfg, tmp_path / "run").checkpoint_path
-    record = train.probe(cfg, ckpt)
-    assert train.probe(replace(cfg, seed=7), ckpt) == record
+    capsys.readouterr()
+    assert cli.main(["probe", "--ckpt", str(ckpt)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record == train.probe(ckpt)
+    clean = train.generate_corpus(RunConfig().corpus_spec())
+    assert record != train.probe(ckpt, splits=clean)
