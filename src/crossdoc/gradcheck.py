@@ -60,12 +60,13 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
     x_cross = Tensor(rng.normal(size=(rows, d)), requires_grad=True)
 
     def f_cross(t):
-        # ``v_out`` is read out against a fixed array (see ``f_gate``),
-        # drawn after every array of the first 18 entries, so their report
-        # lines stay the same; ``t_out`` does not depend on ``into_vision``.
+        # ``v_out`` is read out against a fixed array (see ``f_gate``)
+        # drawn after every array of the first 18 entries, and ``t_out``
+        # against one drawn last, so the other entries' report lines stay
+        # the same; ``t_out`` does not depend on ``into_vision``.
         v_out, t_out = cross_attention_block(cross, t, other)
         return ad.add(ad.tensor_sum(ad.mul(v_out, cross_target)),
-                      ad.tensor_sum(ad.exp(ad.scale(t_out, 0.1))))
+                      ad.tensor_sum(ad.mul(t_out, t_cross_target)))
 
     checks.append(("cross_attention_block", f_cross, x_cross))
 
@@ -228,6 +229,7 @@ def _standard_checks() -> list[tuple[str, Callable[[Tensor], Tensor], Tensor]]:
         ("token_embed.table", f_text, text.table),
         ("token_embed.positions", f_text, text.positions),
     ]
+    t_cross_target = Tensor(rng.normal(size=(rows, d)))
     return checks
 
 

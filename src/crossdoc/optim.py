@@ -210,12 +210,10 @@ class AdamW:
         self._new_step()
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """Moment buffers keyed for checkpointing."""
-        out = {}
-        for name in self.params:
-            out[f"m.{name}"] = self.m[name]
-            out[f"v.{name}"] = self.v[name]
-        return out
+        """The moments as ``m.<name>`` then ``v.<name>`` views, in the order
+        of the flat buffers, which is the order a checkpoint stores them."""
+        return {f"{key}.{name}": arr for key, moments in (("m", self.m), ("v", self.v))
+                for name, arr in moments.items()}
 
     def load_state(self, step_count: int, arrays: dict[str, np.ndarray]) -> None:
         """Restore the step count and the moments, written in place into the

@@ -23,7 +23,6 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, format_config
 from .data import (
     CorpusSplits,
-    SyntheticCorpusSpec,
     collate,
     generate_corpus,
     make_batch,
@@ -58,27 +57,29 @@ class PretrainResult:
     final_loss: float
 
 
-def load_corpus(cfg: RunConfig) -> tuple[SyntheticCorpusSpec, CorpusSplits]:
+def load_corpus(cfg: RunConfig) -> CorpusSplits:
     """Read the configured corpus container, or generate one inline.  A
-    corpus file's documents must have the configured layout, its train split
-    must hold two classes or more, as ``make_batch`` needs, and its test
-    split a record or more, as the probe needs."""
+    corpus file's header must hold the config's corpus spec, every layout
+    and corpus field equal; its train split must hold two classes or more,
+    as ``make_batch`` needs, and its test split a record or more, as the
+    probe needs."""
     if not cfg.corpus_path:
-        spec = cfg.corpus_spec()
-        return spec, generate_corpus(spec)
+        return generate_corpus(cfg.corpus_spec())
     spec, splits = read_corpus(cfg.corpus_path)
     where = f"corpus file {cfg.corpus_path}"
-    if spec.classes != cfg.classes:
-        raise DataError(f"{where} has {spec.classes} classes but config says {cfg.classes}")
+    expected = cfg.corpus_spec()
+    if spec != expected:
+        found, wanted = spec.header_values(), expected.header_values()
+        raise DataError(f"{where} does not match the config: " + "; ".join(
+            f"{key} = {found[key]} in the file, {wanted[key]} in the config"
+            for key in found if found[key] != wanted[key]))
     train_classes = len(np.unique(splits.train["label"]))
     if train_classes < 2:
         raise DataError(
             f"{where}: the train split holds {train_classes} class(es), and a batch needs two")
     if not len(splits.test):
         raise DataError(f"{where}: the test split holds 0 records, and the probe needs one")
-    if spec.layout != cfg.layout():
-        raise DataError(f"{where} has {spec.layout} but the model expects {cfg.layout()}")
-    return spec, splits
+    return splits
 
 
 def batch_loss(model: CrossModalModel, records: np.ndarray, cfg: RunConfig) -> dict[str, Tensor]:
@@ -118,10 +119,9 @@ def pretrain(
     """
     clock = time.perf_counter if clock is None else clock
     if splits is None:
-        _, splits = load_corpus(cfg)
+        splits = load_corpus(cfg)
     model = CrossModalModel.create(cfg)
-    params = model.parameters()
-    opt = AdamW(params, (cfg.beta1, cfg.beta2), cfg.adam_eps, cfg.weight_decay)
+    opt = AdamW(model.parameters(), (cfg.beta1, cfg.beta2), cfg.adam_eps, cfg.weight_decay)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ckpt_path = out / CHECKPOINT_NAME
@@ -155,10 +155,10 @@ def pretrain(
                 record["wall_time"] = clock() - start
                 metrics_file.write(json.dumps(record) + "\n")
             if (step + 1) % cfg.checkpoint_every == 0:
-                save_checkpoint(ckpt_path, step + 1, config_text, params, opt)
+                save_checkpoint(ckpt_path, step + 1, config_text, opt)
                 saved_step = step + 1
         if saved_step != cfg.steps:
-            save_checkpoint(ckpt_path, cfg.steps, config_text, params, opt)
+            save_checkpoint(ckpt_path, cfg.steps, config_text, opt)
     return PretrainResult(ckpt_path, metrics_path, cfg.steps, final_loss)
 
 
@@ -215,7 +215,7 @@ def probe(ckpt_path, splits: Optional[CorpusSplits] = None) -> dict[str, float]:
         param.requires_grad = False  # frozen: embedding records no graph
 
     if splits is None:
-        _, splits = load_corpus(cfg)
+        splits = load_corpus(cfg)
     v_train, t_train, y_train = embed_records(model, splits.train)
     v_test, t_test, y_test = embed_records(model, splits.test)
     return {
@@ -232,7 +232,7 @@ def ablate(cfg: RunConfig, out_dir, clock: Optional[Callable[[], float]] = None)
     every metric of ``probe``'s record, then each metric's seed mean as
     ``<metric>_mean``.
     """
-    _, splits = load_corpus(cfg)
+    splits = load_corpus(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -1,5 +1,6 @@
-"""Checkpoint container: round trip, strict reading, an atomic streamed
-write, and a load that holds its arrays once."""
+"""Checkpoint container: round trip, the version 5 layout (one table, then
+the parameter, first-moment and second-moment blocks), strict reading, an
+atomic streamed write, and a load that holds its arrays once."""
 
 import io
 import re
@@ -17,12 +18,11 @@ from crossdoc.config import RunConfig, format_config, parse_config
 from crossdoc.container import Writer
 from crossdoc.errors import FormatError, NumericError
 from crossdoc.model import CrossModalModel
-from crossdoc.optim import AdamW
 
 from run_settings import adamw, backward_grads
 
-# magic (4) | u16 version | u64 step | u32 config-text length
-CONFIG_TEXT_OFFSET = 18
+# magic (4) | u16 version | u64 step | u64 optimizer step | u32 config-text length
+CONFIG_TEXT_OFFSET = 26
 
 TINY = RunConfig(feature_dim=8, num_heads=2, hidden_dim=8, embed_dim=4, image_size=8,
                  vocab_size=16, samples_per_class=10, batch_size=4)
@@ -37,39 +37,38 @@ def saved(tmp_path):
     opt.step(1e-3)
     path = tmp_path / "checkpoint.bin"
     config_text = format_config(TINY)
-    save_checkpoint(path, 3, config_text, params, opt)
+    save_checkpoint(path, 3, config_text, opt)
     return path, config_text, params, opt
 
 
-def first_code_offset(config_text, params):
-    """Where the first parameter's dtype code sits: past the config text,
-    the u32 array count, the u16 name length and the name."""
-    name = next(iter(params))
-    return CONFIG_TEXT_OFFSET + len(config_text.encode()) + 4 + 2 + len(name.encode())
+def code_offset(config_text):
+    """Where the u8 dtype code sits: right after the config text."""
+    return CONFIG_TEXT_OFFSET + len(config_text.encode())
 
 
-def first_payload_offset(config_text, params):
-    """Where the first parameter's values start: past its dtype code, its
-    u8 ndim and its u32 dims."""
-    first = next(iter(params.values()))
-    return first_code_offset(config_text, params) + 1 + 1 + 4 * first.ndim
+def table_entry_offset(config_text, params, index):
+    """Where table entry ``index`` starts: past the dtype code, the u32
+    count and each earlier entry's u16 name length, name, u8 ndim and u32
+    dims."""
+    earlier = list(params.items())[:index]
+    return code_offset(config_text) + 1 + 4 + sum(
+        2 + len(name.encode()) + 1 + 4 * p.ndim for name, p in earlier)
 
 
-def parameter_section_end(config_text, params):
-    """Where the has-optimizer byte sits: past the config text, the u32 array
-    count and each parameter's name, dtype code, dims and values."""
-    end = CONFIG_TEXT_OFFSET + len(config_text.encode()) + 4
-    for name, p in params.items():
-        end += 2 + len(name.encode()) + 1 + 1 + 4 * p.ndim + p.data.itemsize * p.size
-    return end
+def values_offset(config_text, params):
+    """Where the parameter block starts: right after the table."""
+    return table_entry_offset(config_text, params, len(params))
 
 
-def checkpoint_size(config_text, params, state):
-    """A checkpoint's size: the parameter section, the has-optimizer byte,
-    the u64 optimizer step, and the moment section's u32 count and each
-    moment's name, dtype code, dims and values."""
-    moments = sum(2 + len(n.encode()) + 2 + 4 * a.ndim + a.nbytes for n, a in state.items())
-    return parameter_section_end(config_text, params) + 1 + 8 + 4 + moments
+def block_size(params):
+    """The bytes of one value block: every parameter's values."""
+    return sum(p.data.nbytes for p in params.values())
+
+
+def checkpoint_size(config_text, params):
+    """A checkpoint's size: the header, the table, and the parameter,
+    first-moment and second-moment blocks."""
+    return values_offset(config_text, params) + 3 * block_size(params)
 
 
 def overwrite(path, offset, payload):
@@ -98,8 +97,8 @@ def test_step0_checkpoint_ending_in_zero_moments_keeps_its_size(tmp_path):
     assert not any(a.any() for a in state.values())
     path = tmp_path / "checkpoint.bin"
     config_text = format_config(TINY)
-    save_checkpoint(path, 0, config_text, params, opt)
-    assert path.stat().st_size == checkpoint_size(config_text, params, state)
+    save_checkpoint(path, 0, config_text, opt)
+    assert path.stat().st_size == checkpoint_size(config_text, params)
     ckpt = load_checkpoint(path)
     for name, p in params.items():
         assert ckpt.params[name].tobytes() == p.data.tobytes()
@@ -107,12 +106,27 @@ def test_step0_checkpoint_ending_in_zero_moments_keeps_its_size(tmp_path):
         assert ckpt.optimizer_arrays[name].tobytes() == a.tobytes()
 
 
+def test_file_is_header_table_and_three_value_blocks(saved):
+    """After the table come the parameters, the first moments and the
+    second moments, each block the optimizer's values in table order, byte
+    for byte, and nothing else."""
+    path, config_text, params, opt = saved
+    raw = path.read_bytes()
+    assert len(raw) == checkpoint_size(config_text, params)
+    assert raw[code_offset(config_text)] == 8
+    start, size = values_offset(config_text, params), block_size(params)
+    blocks = ([p.data for p in params.values()], opt.m.values(), opt.v.values())
+    for i, block in enumerate(blocks):
+        expected = b"".join(a.astype("<f8").tobytes() for a in block)
+        assert raw[start + i * size:start + (i + 1) * size] == expected
+
+
 def test_negative_zero_is_written_and_keeps_its_sign(tmp_path):
     """An array of ``-0.0`` is zero by value but not by bytes: it reads
     back with its sign, not as ``+0.0``."""
     params = {"p": Tensor(np.full((4, 8), -0.0), requires_grad=True)}
     path = tmp_path / "checkpoint.bin"
-    save_checkpoint(path, 0, format_config(RunConfig()), params, adamw(params))
+    save_checkpoint(path, 0, format_config(RunConfig()), adamw(params))
     loaded = load_checkpoint(path).params["p"]
     assert np.signbit(loaded).all() and not loaded.any()
 
@@ -128,10 +142,11 @@ def test_array_zero_but_its_last_byte_is_written(size):
     assert f.getvalue() == arr.tobytes()
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_old_version_refused(saved, capsys, version):
-    """Versions 1 and 2 name parameters differently and version 3 has no
-    dtype codes; they are refused, not read into the wrong fields."""
+    """Versions 1 and 2 name parameters differently, version 3 has no
+    dtype codes and version 4 a name, code and shape per array and per
+    moment; they are refused, not read into the wrong fields."""
     path = saved[0]
     overwrite(path, 4, version.to_bytes(2, "little"))
     with pytest.raises(FormatError, match=f"version {version}"):
@@ -145,8 +160,8 @@ def test_invalid_utf8_reports_byte_offset(saved, where):
     path, config_text = saved[0], saved[1]
     offset = CONFIG_TEXT_OFFSET + 3
     if where == "parameter_name":
-        # past the config text, the u32 array count and the u16 name length
-        offset = CONFIG_TEXT_OFFSET + len(config_text.encode()) + 4 + 2
+        # past the first table entry's u16 name length
+        offset = table_entry_offset(config_text, saved[2], 0) + 2
     overwrite(path, offset, b"\xff")
     with pytest.raises(FormatError, match=f"invalid utf-8 at byte {offset}"):
         load_checkpoint(path)
@@ -167,25 +182,11 @@ def test_corrupt_config_echo_in_probe_is_a_data_error(saved, capsys, line, corru
 def test_echo_naming_the_removed_own_pair_switch_is_refused(saved, capsys):
     """Checkpoints written while ``include_own_pair`` was a config field echo
     it; they probe as an invalid echo, naming the key."""
-    path, config_text, params, opt = saved
-    save_checkpoint(path, 3, config_text + "include_own_pair = false\n", params, opt)
+    path, config_text, _, opt = saved
+    save_checkpoint(path, 3, config_text + "include_own_pair = false\n", opt)
     assert cli.main(["probe", "--ckpt", str(path)]) == 2
     err = capsys.readouterr().err
     assert "invalid config echo" in err and "unknown config key 'include_own_pair'" in err
-
-
-@pytest.mark.parametrize("flag", [0, 2])
-def test_checkpoint_without_optimizer_flag_refused(saved, capsys, flag):
-    """Every checkpoint carries the moments; any other has-optimizer byte is
-    a format error naming its offset."""
-    path, config_text, params = saved[:3]
-    end = parameter_section_end(config_text, params)
-    overwrite(path, end, bytes([flag]))
-    message = f"has-optimizer flag {flag} at byte {end}, expected 1"
-    with pytest.raises(FormatError, match=message):
-        load_checkpoint(path)
-    assert cli.main(["probe", "--ckpt", str(path)]) == 2
-    assert message in capsys.readouterr().err
 
 
 def test_trailing_bytes_rejected(saved):
@@ -198,7 +199,7 @@ def test_trailing_bytes_rejected(saved):
 
 def test_truncated_inside_first_array_reports_its_start(saved, capsys):
     path, config_text, params = saved[:3]
-    start = first_payload_offset(config_text, params)
+    start = values_offset(config_text, params)
     assert next(iter(params.values())).size > 1
     path.write_bytes(path.read_bytes()[:start + 8])
     with pytest.raises(FormatError, match=f"checkpoint truncated at byte {start}$"):
@@ -210,18 +211,31 @@ def test_truncated_inside_first_array_reports_its_start(saved, capsys):
 def test_non_finite_value_in_probe_is_a_format_error(saved, capsys):
     path, config_text, params = saved[:3]
     name = next(iter(params))
-    offset = first_payload_offset(config_text, params) + 16  # two values in
+    offset = values_offset(config_text, params) + 16  # two values in
     overwrite(path, offset, np.array([np.nan], dtype="<f8").tobytes())
     assert cli.main(["probe", "--ckpt", str(path)]) == 2
     assert f"array {name!r} has a non-finite value at byte {offset}" in capsys.readouterr().err
 
 
-def test_unknown_dtype_code_refused_naming_its_offset(saved, capsys):
+@pytest.mark.parametrize("block, prefix", [(1, "m."), (2, "v.")], ids=["first", "second"])
+def test_non_finite_moment_names_the_moment(saved, block, prefix):
+    """A non-finite value in a moment block names the moment as
+    ``AdamW.state_arrays`` keys it, and the value's byte offset."""
     path, config_text, params = saved[:3]
-    offset = first_code_offset(config_text, params)
+    name, first = next(iter(params.items()))
+    offset = values_offset(config_text, params) + block * block_size(params) + 8 * (first.size - 1)
+    overwrite(path, offset, np.array([np.inf], dtype="<f8").tobytes())
+    message = f"array {prefix + name!r} has a non-finite value at byte {offset}"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        load_checkpoint(path)
+
+
+def test_unknown_dtype_code_refused_naming_its_offset(saved, capsys):
+    path, config_text = saved[:2]
+    offset = code_offset(config_text)
     overwrite(path, offset, bytes([2]))
-    message = f"array {next(iter(params))!r} has unknown dtype code 2 at byte {offset}"
-    with pytest.raises(FormatError, match=message):
+    message = f"dtype code 2 at byte {offset}, but the config echo says float64 (code 8)"
+    with pytest.raises(FormatError, match=re.escape(message)):
         load_checkpoint(path)
     assert cli.main(["probe", "--ckpt", str(path)]) == 2
     assert message in capsys.readouterr().err
@@ -229,37 +243,40 @@ def test_unknown_dtype_code_refused_naming_its_offset(saved, capsys):
 
 @pytest.mark.parametrize("edit", ["array_code", "echo"])
 def test_array_dtype_other_than_the_echo_refused(saved, capsys, edit):
-    """A float64 file whose first array claims float32, and one whose echo
-    claims float32: each names the first array that disagrees."""
-    path, config_text, params = saved[:3]
-    name = next(iter(params))
+    """A float64 file whose dtype code claims float32, and one whose echo
+    claims float32: each names the code, its offset and the echo's dtype."""
+    path, config_text = saved[:2]
+    offset = code_offset(config_text)
     if edit == "array_code":
-        overwrite(path, first_code_offset(config_text, params), bytes([4]))
-        message = f"array {name!r} is float32, but the config echo says float64"
+        overwrite(path, offset, bytes([4]))
+        message = f"dtype code 4 at byte {offset}, but the config echo says float64 (code 8)"
     else:
         overwrite(path, CONFIG_TEXT_OFFSET + config_text.index("dtype = float64"),
                   b"dtype = float32")
-        message = f"array {name!r} is float64, but the config echo says float32"
-    with pytest.raises(FormatError, match=message):
+        message = f"dtype code 8 at byte {offset}, but the config echo says float32 (code 4)"
+    with pytest.raises(FormatError, match=re.escape(message)):
         load_checkpoint(path)
     assert cli.main(["probe", "--ckpt", str(path)]) == 2
     assert message in capsys.readouterr().err
 
 
 def test_array_named_twice_refused_naming_the_second_entry(saved, capsys):
-    """A hand-built file whose parameter section holds the first parameter
-    a second time, with other values, right after the first: the later copy
-    would win silently, since loading compares only the set of names."""
+    """A hand-built file whose table holds the first parameter a second
+    time, right after the first, and whose every block holds its values
+    again, as other values: the later copy would win silently, since
+    loading compares only the set of names."""
     path, config_text, params = saved[:3]
     name, first = next(iter(params.items()))
-    count_at = CONFIG_TEXT_OFFSET + len(config_text.encode())
-    second_at = first_code_offset(config_text, params) + 1 + 1 + 4 * first.ndim + first.data.nbytes
+    count_at = code_offset(config_text) + 1
+    second_at = table_entry_offset(config_text, params, 1)
+    start, size = values_offset(config_text, params), block_size(params)
     raw = path.read_bytes()
-    entry = bytearray(raw[count_at + 4:second_at])
-    entry[-first.data.nbytes:] = np.full(first.shape, 0.25).astype("<f8").tobytes()
+    copy = np.full(first.shape, 0.25).astype("<f8").tobytes()
+    blocks = [raw[start + i * size:start + (i + 1) * size] for i in range(3)]
     count = int.from_bytes(raw[count_at:count_at + 4], "little")
     path.write_bytes(raw[:count_at] + (count + 1).to_bytes(4, "little")
-                     + raw[count_at + 4:second_at] + bytes(entry) + raw[second_at:])
+                     + raw[count_at + 4:second_at] + raw[count_at + 4:start]
+                     + b"".join(b[:len(copy)] + copy + b[len(copy):] for b in blocks))
     message = f"array {name!r} appears a second time at byte {second_at}"
     with pytest.raises(FormatError, match=re.escape(message)):
         load_checkpoint(path)
@@ -271,11 +288,11 @@ def test_ablated_checkpoint_holding_dead_stages_refused(saved, capsys):
     """A `neither` checkpoint that still carries every stage's arrays (as
     files did when switched-off stages stayed allocated) is refused by the
     strict name check."""
-    path, config_text, params, opt = saved
+    path, config_text, _, opt = saved
     ablated = config_text.replace("use_cross = true", "use_cross = false").replace(
         "use_gate = true", "use_gate = false")
     assert ablated != config_text
-    save_checkpoint(path, 3, ablated, params, opt)
+    save_checkpoint(path, 3, ablated, opt)
     assert cli.main(["probe", "--ckpt", str(path)]) == 2
     err = capsys.readouterr().err
     assert "missing []" in err and "stack.blocks.0.cross.into_vision.attn.w_q.weight" in err
@@ -283,8 +300,8 @@ def test_ablated_checkpoint_holding_dead_stages_refused(saved, capsys):
 
 @pytest.mark.parametrize("failure", ["exception", "disk_full"])
 def test_crash_mid_write_keeps_previous_checkpoint(saved, monkeypatch, disk_full_beyond, failure):
-    """A save that fails after the parameter section -- an exception while
-    the moments are gathered, or a write the disk refuses -- leaves the
+    """A save that fails after the parameter block -- an exception as the
+    first moment is written, or a write the disk refuses -- leaves the
     previous file whole and no temporary behind."""
     path, config_text, params, opt = saved
     before = path.read_bytes()
@@ -295,19 +312,22 @@ def test_crash_mid_write_keeps_previous_checkpoint(saved, monkeypatch, disk_full
     tmp = path.with_name(path.name + ".tmp")
     if failure == "exception":
         seen_tmp = []
+        write = Writer.array
 
-        def crash(self):
+        def crash(self, arr, dtype):
             seen_tmp.append(tmp.exists())
-            raise RuntimeError("killed mid-write")
+            if len(seen_tmp) > len(params):
+                raise RuntimeError("killed mid-write")
+            write(self, arr, dtype)
 
-        monkeypatch.setattr(AdamW, "state_arrays", crash)
+        monkeypatch.setattr(Writer, "array", crash)
         with pytest.raises(RuntimeError, match="killed mid-write"):
-            save_checkpoint(path, 4, config_text, params, opt)
-        assert seen_tmp == [True]
+            save_checkpoint(path, 4, config_text, opt)
+        assert seen_tmp == [True] * (len(params) + 1)
     else:
-        disk_full_beyond(parameter_section_end(config_text, params))
+        disk_full_beyond(values_offset(config_text, params) + block_size(params))
         with pytest.raises(OSError):
-            save_checkpoint(path, 4, config_text, params, opt)
+            save_checkpoint(path, 4, config_text, opt)
     assert not tmp.exists()
     assert path.read_bytes() == before
     ckpt = load_checkpoint(path)
@@ -334,7 +354,7 @@ def test_save_and_load_hold_no_second_copy(tmp_path):
 
     tracemalloc.start()
     try:
-        save_checkpoint(path, 1, format_config(RunConfig()), params, opt)
+        save_checkpoint(path, 1, format_config(RunConfig()), opt)
         _, save_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         base, _ = tracemalloc.get_traced_memory()
@@ -384,7 +404,8 @@ def probe_dtypes(monkeypatch, ckpt_path):
 
 def test_float32_checkpoint_stores_f4_arrays_and_round_trips_exactly(float32_run):
     """Parameters and moments alike are stored as f4 (code 4, four bytes a
-    value) and read back bit for bit."""
+    value) and read back bit for bit, the moments in the order and under
+    the names of ``AdamW.state_arrays``."""
     path, opt = float32_run
     params = opt.params
     ckpt = load_checkpoint(path)
@@ -399,14 +420,14 @@ def test_float32_checkpoint_stores_f4_arrays_and_round_trips_exactly(float32_run
         assert a.dtype == ckpt.optimizer_arrays[name].dtype == np.float32
         assert ckpt.optimizer_arrays[name].tobytes() == a.tobytes()
     config_text = ckpt.config_text
-    assert path.read_bytes()[first_code_offset(config_text, params)] == 4
-    assert path.stat().st_size == checkpoint_size(config_text, params, state)
+    assert path.read_bytes()[code_offset(config_text)] == 4
+    assert path.stat().st_size == checkpoint_size(config_text, params)
 
 
 def test_non_finite_float32_value_offset_counts_four_byte_values(float32_run, capsys):
     path, opt = float32_run
     config_text = load_checkpoint(path).config_text
-    offset = first_payload_offset(config_text, opt.params) + 8  # two values in
+    offset = values_offset(config_text, opt.params) + 8  # two values in
     overwrite(path, offset, np.array([np.inf], dtype="<f4").tobytes())
     assert cli.main(["probe", "--ckpt", str(path)]) == 2
     name = next(iter(opt.params))
@@ -455,8 +476,23 @@ def test_echo_without_a_dtype_line_probes_as_float64(float32_run, monkeypatch):
     params = {n: Tensor(a.astype(np.float64)) for n, a in ckpt.params.items()}
     opt = adamw(params)
     opt.load_state(ckpt.optimizer_step, ckpt.optimizer_arrays)
-    save_checkpoint(path, ckpt.step, echo, params, opt)
+    save_checkpoint(path, ckpt.step, echo, opt)
     assert probe_dtypes(monkeypatch, path) == {"float64"}
+
+
+def test_float32_checkpoint_whose_echo_says_float64_is_refused_by_probe(float32_run, capsys):
+    """The probe reads only the parameter block, so the end of the file
+    cannot show that the echo's dtype is not the stored one; the header's
+    dtype code does, and the probe scores nothing."""
+    path = float32_run[0]
+    config_text = load_checkpoint(path).config_text
+    overwrite(path, CONFIG_TEXT_OFFSET + config_text.index("dtype = float32"), b"dtype = float64")
+    capsys.readouterr()
+    assert cli.main(["probe", "--ckpt", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"dtype code 4 at byte {code_offset(config_text)}, but the config echo says "
+            "float64 (code 8)") in captured.err
 
 
 @pytest.mark.parametrize("steps, every, saved_steps", [

@@ -1,7 +1,8 @@
-"""The command line: a corpus file whose document layout does not match the
-config is a data error (exit 2) before any file is written, and every other
-error class ends in its documented exit code.  ``train.load_corpus`` holds
-the layout check, for ``probe`` too, whose config is the checkpoint's echo."""
+"""The command line: a corpus file whose header does not hold the config's
+corpus spec (layout and corpus fields) is a data error (exit 2) before any
+file is written, and every other error class ends in its documented exit
+code.  ``train.load_corpus`` holds the spec check, for ``probe`` too, whose
+config is the checkpoint's echo."""
 
 import struct
 from dataclasses import fields
@@ -37,18 +38,21 @@ def run(tmp_path, command, name, extra="", args=()):
     return cli.main([command, "--config", str(config), "--out", str(out), *args]), out
 
 
-@pytest.mark.parametrize("corpus_fields, run_fields", [
-    ("image_size = 8\n", ""),  # 8x8 documents, 16x16 model
-    ("vocab_size = 32\n", ""),  # ids fit, but the model's vocab differs
-    ("", "vocab_size = 32\n"),  # ids beyond the model's vocab
+@pytest.mark.parametrize("corpus_fields, run_fields, differs", [
+    ("image_size = 8\n", "", "image_size = 8 in the file, 16"),  # 8x8 documents, 16x16 model
+    # ids fit, but the model's vocab differs
+    ("vocab_size = 32\n", "", "vocab_size = 32 in the file, 64"),
+    ("", "vocab_size = 32\n", "vocab_size = 64 in the file, 32"),  # ids beyond the model's vocab
 ], ids=["image_8x8", "corpus_vocab_32", "model_vocab_32"])
-def test_pretrain_on_mismatched_corpus(tmp_path, capsys, corpus_fields, run_fields):
+def test_pretrain_on_mismatched_corpus(tmp_path, capsys, corpus_fields, run_fields, differs):
     code, corpus_dir = run(tmp_path, "gen-corpus", "corpus", corpus_fields)
     assert code == 0
-    corpus_path = f"corpus_path = {corpus_dir / 'corpus.bin'}\n"
-    code, out = run(tmp_path, "pretrain", "run", run_fields + corpus_path)
+    corpus = corpus_dir / "corpus.bin"
+    capsys.readouterr()
+    code, out = run(tmp_path, "pretrain", "run", run_fields + f"corpus_path = {corpus}\n")
     assert code == 2
-    assert "DocumentLayout" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"data error: corpus file {corpus} does not match the config: {differs} in the config\n")
     assert not (out / "checkpoint.bin").exists()
 
 
@@ -137,7 +141,8 @@ def test_corpus_of_another_class_count_exits_2_naming_the_file(tmp_path, capsys)
     code, out = run(tmp_path, "pretrain", "run", f"corpus_path = {path}\n")
     assert code == 2
     assert capsys.readouterr().err == (
-        f"data error: corpus file {path} has 5 classes but config says 4\n")
+        f"data error: corpus file {path} does not match the config: "
+        "classes = 5 in the file, 4 in the config\n")
     assert not out.exists()
 
 
@@ -319,7 +324,27 @@ def test_probe_of_a_corpus_file_regenerated_at_another_layout_exits_2(tmp_path, 
     assert code == 0
     capsys.readouterr()
     assert cli.main(["probe", "--ckpt", str(ckpt)]) == 2
-    assert "DocumentLayout" in capsys.readouterr().err
+    assert "image_size = 8 in the file, 16 in the config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("corpus_seed", "7"), ("pixel_noise", "0.5"), ("samples_per_class", "12"),
+])
+def test_probe_of_a_corpus_file_regenerated_with_another_corpus_field_exits_2(
+        tmp_path, capsys, field, value):
+    """A corpus regenerated in place at the same layout but with another
+    seed, noise level or size is not the corpus the checkpoint was
+    pretrained on: the probe names the field and both values, and scores
+    nothing."""
+    _, ckpt = pretrain_on_a_corpus_file(tmp_path)
+    default = getattr(parse_config(TINY), field)
+    code, _ = run(tmp_path, "gen-corpus", "corpus", f"{field} = {value}\n")
+    assert code == 0
+    capsys.readouterr()
+    assert cli.main(["probe", "--ckpt", str(ckpt)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{field} = {value} in the file, {default} in the config\n" in captured.err
 
 
 def test_probe_of_a_checkpoint_whose_corpus_file_is_gone_exits_2(tmp_path, capsys):

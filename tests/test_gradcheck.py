@@ -157,7 +157,7 @@ def test_every_pair_a_training_step_records_is_audited(monkeypatch):
     monkeypatch.setattr(autodiff, "_make_node", census)
     for loss_mode in ("cross", "scl"):
         cfg = RunConfig(seed=1, loss_mode=loss_mode)
-        _, splits = load_corpus(cfg)
+        splits = load_corpus(cfg)
         records = make_batch(splits.train, cfg.batch_size, np.random.default_rng(0))
         batch_loss(CrossModalModel.create(cfg), records, cfg)
     assert sorted(recorded - AUDITED.keys()) == []

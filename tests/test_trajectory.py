@@ -73,7 +73,7 @@ def test_desk_step_graph_census():
     fails here.  A change that fuses or splits ops updates these counts on
     purpose."""
     cfg = RunConfig(seed=1)
-    _, splits = load_corpus(cfg)
+    splits = load_corpus(cfg)
     model = CrossModalModel.create(cfg)
     records = make_batch(splits.train, cfg.batch_size, np.random.default_rng(0))
     nodes = ad._topo_order(batch_loss(model, records, cfg)["total"])
